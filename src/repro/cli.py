@@ -63,14 +63,11 @@ from repro.route.parasitics import annotate_parasitics
 from repro.runtime import make_backend
 from repro.service import PlacementRequest, TrainRequest, default_registry
 from repro.sim import (
-    BACKEND_NAMES,
     ENGINES,
-    BackendUnavailable,
     reset_solver_stats,
     solve_ac,
     solve_dc,
     solver_stats,
-    use_array_backend,
     use_engine,
 )
 from repro.tech import generic_tech_40
@@ -404,9 +401,6 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--batch", type=_batch_arg, default=8,
                          help="candidate count for the batched-vs-"
                               "sequential evaluation rows")
-    profile.add_argument("--backend", choices=BACKEND_NAMES, default=None,
-                         help="array backend for stacked solves (default: "
-                              "numpy; cupy/torch need the library installed)")
     return parser
 
 
@@ -752,9 +746,9 @@ def _cmd_profile(args) -> int:
     final two rows price ``--batch`` candidate placements sequentially
     vs through :meth:`PlacementEvaluator.evaluate_many` (the placement-
     batched compiled solves), with the resulting speedup.  A trailing
-    solver-stage split reports the fast path's internals: Newton
-    iterations, Jacobian factorizations vs frozen-Jacobian reuses,
-    operating-point-cache hits, and stamp/factor/solve timer totals.
+    solver split reports the fast path's internals: Newton iterations,
+    Jacobian factorizations vs frozen-Jacobian reuses, operating-point-
+    cache hits, and the stacked AC solve time.
     """
     if args.repeats < 1:
         raise SystemExit("profile: --repeats must be >= 1")
@@ -771,15 +765,7 @@ def _cmd_profile(args) -> int:
             times.append(time.perf_counter() - start)
         return min(times)
 
-    from contextlib import ExitStack
-
-    with ExitStack() as stack:
-        stack.enter_context(use_engine(args.engine))
-        if args.backend is not None:
-            try:
-                stack.enter_context(use_array_backend(args.backend))
-            except BackendUnavailable as exc:
-                raise SystemExit(f"profile: {exc}")
+    with use_engine(args.engine):
         deltas = evaluator.deltas_for(placement)
         annotated = annotate_parasitics(block.circuit, placement, tech)
         op = solve_dc(annotated, tech, deltas=deltas)
@@ -811,10 +797,8 @@ def _cmd_profile(args) -> int:
             ("measures (full suite)", full_evaluate),
         ]
         engine_name = args.engine or "compiled (default)"
-        backend_name = args.backend or "numpy"
         print(f"profile: {block.name} ({args.circuit}), style={args.style}, "
-              f"engine={engine_name}, backend={backend_name}, "
-              f"best of {args.repeats}")
+              f"engine={engine_name}, best of {args.repeats}")
         total = 0.0
         for name, fn in stages:
             elapsed = best_of(fn)
@@ -848,10 +832,6 @@ def _cmd_profile(args) -> int:
               f"{stats.warm_misses}"
               + (f"   (hit rate {stats.warm_hit_rate:.0%})"
                  if warm_total else ""))
-        print(f"    sparse factorizations {stats.sparse_factorizations}")
-        print(f"    stamp/factor/solve    "
-              f"{stats.stamp_s * 1e3:.3f}/{stats.factor_s * 1e3:.3f}/"
-              f"{stats.solve_s * 1e3:.3f} ms")
         print(f"    ac stacked solve      {stats.ac_solve_s * 1e3:.3f} ms")
     return 0
 

@@ -10,16 +10,6 @@ which this engine models faithfully.
 """
 
 from repro.sim.ac import AcResult, logspace_frequencies, solve_ac
-from repro.sim.backend import (
-    BACKEND_NAMES,
-    ArrayBackend,
-    BackendUnavailable,
-    available_backends,
-    get_array_backend,
-    set_array_backend,
-    stacked_solve,
-    use_array_backend,
-)
 from repro.sim.batch import solve_ac_many, solve_dc_many, solve_noise_many
 from repro.sim.compiled import (
     BatchedCompiledSystem,
@@ -77,9 +67,6 @@ from repro.sim.transient import (
 
 __all__ = [
     "AcResult",
-    "ArrayBackend",
-    "BACKEND_NAMES",
-    "BackendUnavailable",
     "BatchedCompiledSystem",
     "CompiledSystem",
     "CompiledTopology",
@@ -94,7 +81,6 @@ __all__ = [
     "SolverStats",
     "SolverTuning",
     "TransientResult",
-    "available_backends",
     "bandwidth_3db",
     "batched_system",
     "clear_topology_cache",
@@ -105,7 +91,6 @@ __all__ = [
     "dc_sweep",
     "device_caps",
     "gain_margin_db",
-    "get_array_backend",
     "get_engine",
     "get_solver_tuning",
     "logspace_frequencies",
@@ -113,13 +98,10 @@ __all__ = [
     "make_system",
     "phase_margin",
     "reset_solver_stats",
-    "set_array_backend",
     "set_engine",
     "set_solver_tuning",
     "solver_stats",
     "solver_tuning",
-    "stacked_solve",
-    "use_array_backend",
     "solve_ac",
     "solve_ac_many",
     "solve_dc",

@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.netlist.circuit import Circuit
 from repro.netlist.nets import is_ground
-from repro.sim.backend import stacked_solve
 from repro.sim.compiled import CompiledSystem
 from repro.sim.engine import make_system
 from repro.sim.mna import MnaSystem
@@ -105,7 +104,7 @@ def solve_ac(
         out = {net: np.zeros(len(freqs), dtype=complex) for net in live}
         for k, f in enumerate(freqs):
             A, b = system.assemble_ac(op_voltages, omega=2.0 * math.pi * f)
-            x = stacked_solve(A, b)
+            x = np.linalg.solve(A, b)
             for net in live:
                 out[net][k] = x[system.node_index[net]]
     for g in all_nets:

@@ -34,7 +34,6 @@ import numpy as np
 from repro.netlist.circuit import Circuit
 from repro.netlist.nets import is_ground
 from repro.sim.ac import AcResult, solve_ac
-from repro.sim.backend import stacked_solve
 from repro.sim.compiled import BatchedCompiledSystem
 from repro.sim.dc import (
     ABSTOL_V,
@@ -59,6 +58,11 @@ from repro.tech import Technology
 from repro.variation import DeviceDelta
 
 DeltasList = Sequence[Mapping[str, DeviceDelta] | None]
+
+#: Residual contraction factor a frozen-Jacobian iteration must beat;
+#: worse than this refactors (and a fresh iteration contracting worse
+#: stops offering its Jacobian for reuse).
+REUSE_CONTRACTION = 0.5
 
 
 def _deltas(deltas_list: DeltasList | None, n: int) -> list:
@@ -104,7 +108,7 @@ def _package_row(
 def _solve_rows(J: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Row-wise Newton steps ``-J \\ F``; singular rows come back as NaN."""
     try:
-        return stacked_solve(J, -F[..., None])[..., 0]
+        return np.linalg.solve(J, -F[..., None])[..., 0]
     except np.linalg.LinAlgError:
         out = np.full_like(F, np.nan)
         for i in range(len(F)):
@@ -135,12 +139,10 @@ def _newton_many(
     frozen Jacobian stack; any row stalling (or going non-finite)
     refactors the whole active set at the current iterates.  Rows whose
     criteria are met under a frozen Jacobian stay active for one
-    fresh-Jacobian confirm iteration — mirroring the scalar driver, so
-    accepted rows carry the same quadratic final error either way.
+    fresh-Jacobian confirm iteration, so accepted rows carry the same
+    quadratic final error as the scalar driver's full Newton.
     """
-    tuning = get_solver_tuning()
-    reuse = tuning.jacobian_reuse
-    contraction = tuning.reuse_contraction
+    reuse = get_solver_tuning().jacobian_reuse
     X = X0.copy()
     n_rows = X.shape[0]
     n_nodes = bsys.n_nodes
@@ -160,7 +162,7 @@ def _newton_many(
             )
             resid = np.max(np.abs(F), axis=1) if F.shape[1] else \
                 np.zeros(active.size)
-            if np.any(resid > contraction * prev_resid[active]):
+            if np.any(resid > REUSE_CONTRACTION * prev_resid[active]):
                 # A stalled row spoils the frozen stack for everyone:
                 # refactor the whole active set at the current iterates.
                 J, __f = bsys.assemble_dc_batch(
@@ -185,7 +187,7 @@ def _newton_many(
             STATS.jacobian_factorizations += active.size
         iters[active] += 1
         STATS.newton_iterations += active.size
-        contracting = resid <= contraction * prev_resid[active]
+        contracting = resid <= REUSE_CONTRACTION * prev_resid[active]
         prev_resid[active] = resid
         dx = _solve_rows(J, F)
         good = np.isfinite(dx).all(axis=1)
@@ -240,7 +242,7 @@ def _newton_many(
         else:
             # Criteria met against a frozen Jacobian are not accepted
             # yet: those rows stay active and the next iteration runs
-            # fresh to confirm them (matching the scalar driver).
+            # fresh to confirm them.
             frozen_mode = (
                 reuse and not bool(done.any())
                 and bool(np.all(contracting))

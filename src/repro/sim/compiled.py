@@ -54,7 +54,6 @@ from repro.netlist.devices import (
     VoltageSource,
 )
 from repro.netlist.nets import is_ground
-from repro.sim.backend import stacked_solve
 from repro.sim.fastpath import STATS
 from repro.sim.mna import GROUND
 from repro.sim.mosfet import (
@@ -272,34 +271,6 @@ class CompiledTopology:
         self.node_diag_flat = nodes * stride + nodes
 
         self._banks: dict[Technology, _DeviceBank] = {}
-        self._csc_pattern: tuple | None = None
-
-    def csc_pattern(self) -> tuple:
-        """Symbolic CSC structure of the DC Jacobian (cached).
-
-        The Jacobian's nonzero pattern is fixed per topology: the linear
-        conductance pattern, the per-MOSFET footprint and the gmin node
-        diagonal.  Returns ``(rows, cols, indices, indptr)`` where
-        ``J[rows, cols]`` gathers the data array of a
-        ``scipy.sparse.csc_matrix((data, indices, indptr))`` — the sparse
-        fast path builds each factorization with zero symbolic work.
-        """
-        if self._csc_pattern is None:
-            size = self.size
-            stride = size + 1
-            flat = np.concatenate((
-                self.lin_flat, self.mos_j_flat, self.node_diag_flat,
-            ))
-            flat = np.unique(flat)
-            rows, cols = np.divmod(flat, stride)
-            keep = (rows < size) & (cols < size)  # drop the ground spill
-            rows, cols = rows[keep], cols[keep]
-            order = np.lexsort((rows, cols))  # column-major for CSC
-            rows, cols = rows[order], cols[order]
-            indptr = np.searchsorted(cols, np.arange(size + 1))
-            self._csc_pattern = (rows, cols, rows.astype(np.int32),
-                                 indptr.astype(np.int32))
-        return self._csc_pattern
 
     def device_bank(self, tech: Technology) -> "_DeviceBank":
         """Nominal per-device parameter bank under one technology (cached).
@@ -521,23 +492,19 @@ class CompiledSystem:
         gmin: float = 1e-12,
         source_scale: float = 1.0,
         source_values: Mapping[str, float] | None = None,
-        want_jacobian: bool = True,
-    ) -> tuple[np.ndarray | None, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Jacobian and residual of the DC system at state ``x``.
 
         Semantics identical to :meth:`MnaSystem.assemble_dc`; assembly is
         one matrix copy, one vectorized device-bank evaluation and two
-        index scatters.  ``want_jacobian=False`` skips the matrix copy
-        and Jacobian scatter and returns ``(None, F)`` — the
-        modified-Newton iterations that step against a frozen Jacobian
-        only need the residual.
+        index scatters.
         """
         t = self.topology
         size = self.size
         x_ext = np.zeros(size + 1)
         x_ext[:size] = x
 
-        J_ext = self._G_ext.copy() if want_jacobian else None
+        J_ext = self._G_ext.copy()
         F_ext = self._G_ext @ x_ext
         if t.src_rows.size:
             values = self._dc_source_vector(source_scale, source_values)
@@ -545,11 +512,8 @@ class CompiledSystem:
         if t.mos_names:
             ids, jvals = self._mos_stamps(x_ext)
             np.add.at(F_ext, t.mos_f_rows, np.concatenate((ids, -ids)))
-            if want_jacobian:
-                np.add.at(J_ext.ravel(), t.mos_j_flat, jvals)
+            np.add.at(J_ext.ravel(), t.mos_j_flat, jvals)
         F_ext[: self.n_nodes] += gmin * x_ext[: self.n_nodes]
-        if not want_jacobian:
-            return None, F_ext[:size]
         J_ext.ravel()[t.node_diag_flat] += gmin
         return J_ext[:size, :size], F_ext[:size]
 
@@ -623,7 +587,7 @@ class CompiledSystem:
                 b[None, :, None], (len(omegas), self.size, 1)
             )
             start = perf_counter()
-            X = stacked_solve(A, B)[..., 0]
+            X = np.linalg.solve(A, B)[..., 0]
             STATS.ac_solve_s += perf_counter() - start
             return X
         B = np.broadcast_to(
@@ -631,7 +595,7 @@ class CompiledSystem:
             (len(omegas),) + rhs.shape,
         )
         start = perf_counter()
-        X = stacked_solve(A, B)
+        X = np.linalg.solve(A, B)
         STATS.ac_solve_s += perf_counter() - start
         return X
 
@@ -859,9 +823,9 @@ class BatchedCompiledSystem:
         ``rows`` selects the placement subset the states belong to (all
         placements by default) — the batched Newton driver shrinks the
         active set as placements converge.  Per-row semantics are exactly
-        :meth:`CompiledSystem.assemble_dc`, including the
-        ``want_jacobian=False`` residual-only form the frozen-Jacobian
-        iterations use.
+        :meth:`CompiledSystem.assemble_dc`; ``want_jacobian=False`` skips
+        the Jacobian scatter and returns ``(None, F)``, the residual-only
+        form the frozen-Jacobian iterations use.
         """
         t = self.topology
         size = self.size
@@ -986,7 +950,7 @@ class BatchedCompiledSystem:
                 b[:, None, :, None], (self.k, nfreq, self.size, 1)
             )
             start = perf_counter()
-            X = stacked_solve(A, B)[..., 0]
+            X = np.linalg.solve(A, B)[..., 0]
             STATS.ac_solve_s += perf_counter() - start
             return X
         rhs = np.asarray(rhs, dtype=complex)
@@ -994,7 +958,7 @@ class BatchedCompiledSystem:
             rhs[None, None, :, :], (self.k, nfreq) + rhs.shape
         )
         start = perf_counter()
-        X = stacked_solve(A, B)
+        X = np.linalg.solve(A, B)
         STATS.ac_solve_s += perf_counter() - start
         return X
 

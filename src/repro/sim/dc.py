@@ -13,9 +13,7 @@ circuit in the library including the clamped comparator latch.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Mapping
 
 import numpy as np
@@ -23,12 +21,7 @@ import numpy as np
 from repro.netlist.circuit import Circuit
 from repro.sim.compiled import CompiledSystem
 from repro.sim.engine import make_system
-from repro.sim.fastpath import (
-    STATS,
-    factorize,
-    get_solver_tuning,
-    use_sparse,
-)
+from repro.sim.fastpath import STATS
 from repro.sim.mna import MnaSystem
 from repro.tech import Technology
 from repro.variation import DeviceDelta
@@ -79,63 +72,6 @@ RESIDTOL_I = 1e-9
 RESIDTOL_V = 1e-9
 
 
-def _criteria_met(system: MnaLike, dx: np.ndarray, x: np.ndarray,
-                  F: np.ndarray) -> bool:
-    """The convergence test of one (already applied) Newton step.
-
-    ``F`` is the residual at the pre-step iterate, ``dx`` the damped step
-    just taken, ``x`` the post-step iterate — exactly the quantities the
-    original loop tested.
-    """
-    if system.n_nodes:
-        dv = float(np.max(np.abs(dx[: system.n_nodes])))
-        vmax = float(np.max(np.abs(x[: system.n_nodes])))
-        resid_i = float(np.max(np.abs(F[: system.n_nodes])))
-    else:
-        dv = vmax = resid_i = 0.0
-    if system.size > system.n_nodes:
-        resid_v = float(np.max(np.abs(F[system.n_nodes:])))
-    else:
-        resid_v = 0.0
-    return (dv < ABSTOL_V * (1.0 + vmax)
-            and resid_i < RESIDTOL_I and resid_v < RESIDTOL_V)
-
-
-def _newton_reference(
-    system: MnaLike,
-    x0: np.ndarray,
-    gmin: float,
-    source_scale: float,
-    source_values: Mapping[str, float] | None,
-    max_iter: int,
-) -> tuple[np.ndarray, int, bool]:
-    """The pre-fast-path damped-Newton loop, preserved bit for bit.
-
-    Runs when both Jacobian reuse and the sparse path are off — the
-    baseline the fast path is benchmarked and equivalence-tested against.
-    """
-    x = x0.copy()
-    for it in range(1, max_iter + 1):
-        STATS.newton_iterations += 1
-        J, F = system.assemble_dc(
-            x, gmin=gmin, source_scale=source_scale, source_values=source_values
-        )
-        try:
-            dx = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            return x, it, False
-        if not np.all(np.isfinite(dx)):
-            return x, it, False
-        # Damp: cap the largest node-voltage move per iteration.
-        v_step = np.max(np.abs(dx[: system.n_nodes])) if system.n_nodes else 0.0
-        if v_step > MAX_STEP_V:
-            dx *= MAX_STEP_V / v_step
-        x += dx
-        if _criteria_met(system, dx, x, F):
-            return x, it, True
-    return x, max_iter, False
-
-
 def _newton(
     system: MnaLike,
     x0: np.ndarray,
@@ -146,104 +82,43 @@ def _newton(
 ) -> tuple[np.ndarray, int, bool]:
     """One damped-Newton run; returns (x, iterations, converged).
 
-    With Jacobian reuse enabled (the default) this is a *modified*
-    Newton: while the residual keeps contracting, iterations reassemble
-    only the residual and step against the frozen Jacobian
-    (factorization); a stalled frozen step adaptively refactors at the
-    current iterate, and convergence reached under a frozen Jacobian is
-    confirmed with one fresh-Jacobian iteration, so accepted solutions
-    carry the same quadratic final error as full Newton.
+    Every iteration assembles and solves a fresh Jacobian.  The
+    placement-batched driver (:func:`repro.sim.batch.solve_dc_many`) is
+    where frozen-Jacobian reuse runs; per row it applies the same
+    damping rule and convergence criteria as this loop.
     """
-    tuning = get_solver_tuning()
-    # Below reuse_min_size, assembly dominates and per-iteration dense
-    # solves are nearly free, so frozen-Jacobian iterations lose; keep
-    # the reference loop unless the sparse path is in play.
-    reuse = tuning.jacobian_reuse and system.size >= tuning.reuse_min_size
-    if not reuse and not use_sparse(system.size, tuning):
-        return _newton_reference(
-            system, x0, gmin, source_scale, source_values, max_iter
-        )
-    contraction = tuning.reuse_contraction
     x = x0.copy()
-    factor = None
-    factor_fresh = False
-    prev_resid = math.inf
-    it = 0
-
-    def assemble(want_jacobian: bool):
-        start = perf_counter()
-        out = system.assemble_dc(
-            x, gmin=gmin, source_scale=source_scale,
-            source_values=source_values, want_jacobian=want_jacobian,
-        )
-        STATS.stamp_s += perf_counter() - start
-        return out
-
-    def refactor(J) -> bool:
-        nonlocal factor, factor_fresh
-        start = perf_counter()
-        try:
-            factor = factorize(J, system, tuning)
-        except np.linalg.LinAlgError:
-            return False
-        STATS.factor_s += perf_counter() - start
-        STATS.jacobian_factorizations += 1
-        factor_fresh = True
-        return True
-
-    while it < max_iter:
-        it += 1
+    n_nodes = system.n_nodes
+    for it in range(1, max_iter + 1):
         STATS.newton_iterations += 1
-        if factor is None:
-            J, F = assemble(True)
-            if not refactor(J):
-                return x, it, False
-        else:
-            __, F = assemble(False)
-            factor_fresh = False
-            STATS.jacobian_reuses += 1
-        resid = float(np.max(np.abs(F))) if F.size else 0.0
-        if not factor_fresh and resid > contraction * prev_resid:
-            # The frozen Jacobian stopped contracting the residual:
-            # refactor at the current iterate before stepping again.
-            J, __ = assemble(True)
-            if not refactor(J):
-                return x, it, False
-        contracting = resid <= contraction * prev_resid
-        prev_resid = resid
-        start = perf_counter()
+        STATS.jacobian_factorizations += 1
+        J, F = system.assemble_dc(
+            x, gmin=gmin, source_scale=source_scale, source_values=source_values
+        )
         try:
-            dx = factor.solve(-F)
+            dx = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
             return x, it, False
-        STATS.solve_s += perf_counter() - start
         if not np.all(np.isfinite(dx)):
-            if factor_fresh:
-                return x, it, False
-            # A stale factorization produced garbage; retry fresh.
-            J, __ = assemble(True)
-            if not refactor(J):
-                return x, it, False
-            try:
-                dx = factor.solve(-F)
-            except np.linalg.LinAlgError:
-                return x, it, False
-            if not np.all(np.isfinite(dx)):
-                return x, it, False
+            return x, it, False
         # Damp: cap the largest node-voltage move per iteration.
-        v_step = np.max(np.abs(dx[: system.n_nodes])) if system.n_nodes else 0.0
+        v_step = np.max(np.abs(dx[:n_nodes])) if n_nodes else 0.0
         if v_step > MAX_STEP_V:
             dx *= MAX_STEP_V / v_step
         x += dx
-        if _criteria_met(system, dx, x, F):
-            if factor_fresh:
-                return x, it, True
-            # Converged against a frozen Jacobian: spend one fresh
-            # iteration to confirm (keeps the final error quadratic).
-            factor = None
-            continue
-        if not (reuse and contracting):
-            factor = None
+        if n_nodes:
+            dv = float(np.max(np.abs(dx[:n_nodes])))
+            vmax = float(np.max(np.abs(x[:n_nodes])))
+            resid_i = float(np.max(np.abs(F[:n_nodes])))
+        else:
+            dv = vmax = resid_i = 0.0
+        if system.size > n_nodes:
+            resid_v = float(np.max(np.abs(F[n_nodes:])))
+        else:
+            resid_v = 0.0
+        if (dv < ABSTOL_V * (1.0 + vmax)
+                and resid_i < RESIDTOL_I and resid_v < RESIDTOL_V):
+            return x, it, True
     return x, max_iter, False
 
 

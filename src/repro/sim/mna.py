@@ -113,7 +113,6 @@ class MnaSystem:
         gmin: float = 1e-12,
         source_scale: float = 1.0,
         source_values: Mapping[str, float] | None = None,
-        want_jacobian: bool = True,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Jacobian and residual of the DC system at state ``x``.
 
@@ -125,10 +124,6 @@ class MnaSystem:
                 the knob source-stepping homotopy turns.
             source_values: per-source overrides (used by the transient
                 analysis to evaluate waveforms at a time point).
-            want_jacobian: accepted for interface parity with the
-                compiled engine; the reference per-device loop computes
-                the Jacobian either way (its cost is not what this
-                backend is for) and always returns it.
 
         Returns:
             ``(J, F)`` with ``J @ dx = -F`` being the Newton update system.

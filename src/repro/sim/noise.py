@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.netlist.circuit import Circuit
 from repro.netlist.devices import Mosfet, Resistor
-from repro.sim.backend import stacked_solve
 from repro.sim.compiled import CompiledSystem
 from repro.sim.engine import make_system
 from repro.sim.mna import GROUND, MnaSystem
@@ -177,7 +176,7 @@ def solve_noise(
     else:
         for k, f in enumerate(freqs):
             A, __ = system.assemble_ac(op_voltages, omega=2.0 * math.pi * f)
-            X = stacked_solve(A, B)
+            X = np.linalg.solve(A, B)
             for col, (device, psd) in enumerate(noisy):
                 gain_sq = float(np.abs(X[out_idx, col]) ** 2)
                 contribution = gain_sq * psd[k]

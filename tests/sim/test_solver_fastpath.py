@@ -1,13 +1,13 @@
 """Solver fast-path equivalence, op-cache semantics and determinism.
 
-The fast path (modified Newton with Jacobian reuse, forced LU / sparse
-factorizations, operating-point warm starts, pluggable array backend)
-must be a pure accelerator: every knob combination has to land on the
-same solution as the preserved reference loop
-(``solver_tuning(jacobian_reuse=False, op_cache=False)``) to ≤ 1e-10 on
-every library block under nominal, corner and random variation deltas —
-and results must stay bit-identical across serial and process-pool
-execution.
+The fast path (batched modified Newton with Jacobian reuse,
+operating-point warm starts) must be a pure accelerator: the default
+tuning has to land on the same solution as the reference configuration
+(``solver_tuning(jacobian_reuse=False, op_cache=False)``) — bit for bit
+on the scalar driver, which always runs plain Newton, and to ≤ 1e-10 on
+the batched driver — on every library block under nominal, corner and
+random variation deltas, and results must stay bit-identical across
+serial and process-pool execution.
 """
 
 import numpy as np
@@ -25,16 +25,13 @@ from repro.netlist.library import (
 )
 from repro.route.parasitics import annotate_parasitics
 from repro.sim import (
-    ArrayBackend,
     logspace_frequencies,
     reset_solver_stats,
-    set_array_backend,
     solve_ac,
     solve_dc,
     solve_dc_many,
     solver_stats,
     solver_tuning,
-    use_array_backend,
 )
 from repro.tech import generic_tech_40
 from repro.variation import DeviceDelta, corner
@@ -49,14 +46,10 @@ BUILDERS = {
 TOL = 1e-10
 FREQS = logspace_frequencies(1e4, 1e9, points_per_decade=3)
 
-#: Each entry forces one fast-path mechanism on the small library blocks
-#: (reuse_min_size=1 overrides the size gate that normally keeps scalar
-#: Newton on the reference loop for systems this small).
+#: Each entry switches one fast-path mechanism on; the scalar DC driver
+#: must not depend on it.
 KNOBS = {
-    "jacobian_reuse": dict(reuse_min_size=1),
-    "forced_lu": dict(lu_threshold=1, reuse_min_size=1),
-    "forced_sparse": dict(sparse_threshold=1),
-    "forced_sparse_reuse": dict(sparse_threshold=1, reuse_min_size=1),
+    "jacobian_reuse": dict(jacobian_reuse=True),
 }
 
 REFERENCE = dict(jacobian_reuse=False, op_cache=False)
@@ -106,7 +99,8 @@ class TestKnobEquivalence:
         annotated, tech, regimes, refs = cases[kind]
         with solver_tuning(**KNOBS[knob]):
             got = solve_dc(annotated, tech, deltas=regimes[regime])
-        assert np.max(np.abs(got.x - refs[regime].x)) < TOL
+        assert np.array_equal(got.x, refs[regime].x)
+        assert got.iterations == refs[regime].iterations
 
     @pytest.mark.parametrize("kind", sorted(BUILDERS))
     def test_warm_start_matches_cold(self, cases, kind):
@@ -126,6 +120,16 @@ class TestKnobEquivalence:
         )
         for regime, got in zip(order, batch):
             assert np.max(np.abs(got.x - refs[regime].x)) < TOL
+
+    def test_only_batched_newton_reuses_jacobians(self, cases):
+        annotated, tech, regimes, refs = cases["ota2s"]
+        reset_solver_stats()
+        scalar = solve_dc(annotated, tech, deltas=regimes["random"])
+        stats = solver_stats()
+        assert stats.jacobian_reuses == 0
+        assert stats.jacobian_factorizations == scalar.iterations
+        solve_dc_many([annotated] * 3, tech, [regimes["random"]] * 3)
+        assert stats.jacobian_reuses > 0
 
     def test_ac_from_fast_op_matches_reference(self, cases):
         annotated, tech, regimes, refs = cases["ota2s"]
@@ -193,33 +197,6 @@ class TestOpCache:
         # The legacy dict protocol still works on top.
         evaluator.evaluate(banded_placement(block, "ysym"))
         assert "cm" in evaluator._warm
-
-
-class CountingBackend(ArrayBackend):
-    name = "counting"
-
-    def __init__(self):
-        self.calls = 0
-
-    def solve(self, A, B):
-        self.calls += 1
-        return super().solve(A, B)
-
-
-class TestBackendSeam:
-    def test_stacked_solves_route_through_backend(self, cases):
-        annotated, tech, regimes, refs = cases["ota5t"]
-        counting = CountingBackend()
-        with use_array_backend(counting):
-            got = solve_ac(annotated, tech, refs["nominal"].voltages, FREQS)
-        assert counting.calls > 0
-        want = solve_ac(annotated, tech, refs["nominal"].voltages, FREQS)
-        for net, h in want.node_voltages.items():
-            assert np.array_equal(got.node_voltages[net], h)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown array backend"):
-            set_array_backend("tpu")
 
 
 class TestParallelDeterminism:

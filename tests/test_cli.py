@@ -1,5 +1,10 @@
 """CLI tests — every subcommand exercised through main()."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -158,6 +163,23 @@ class TestProfile:
     def test_profile_rejects_bad_repeats(self):
         with pytest.raises(SystemExit, match="repeats"):
             main(["profile", "cm", "--repeats", "0"])
+
+    def test_profile_reports_scalar_factorizations(self, capsys):
+        assert main(["profile", "ota5t", "--repeats", "1"]) == 0
+        out = capsys.readouterr().out
+        line = next(l for l in out.splitlines() if "factor/reuse" in l)
+        factors = int(line.split()[2].split("/")[0])
+        assert factors > 0
+
+
+def test_cli_import_does_not_load_scipy():
+    code = "import sys, repro.cli; print('scipy' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestParser:
