@@ -1,8 +1,9 @@
 """Setup shim.
 
-The offline environment ships setuptools without the ``wheel`` package, so
-PEP 660 editable installs fail; this shim lets ``pip install -e .`` fall back
-to the legacy ``setup.py develop`` path. All metadata lives in pyproject.toml.
+All metadata lives in pyproject.toml.  ``pip install -e .`` builds through
+setuptools and needs the ``wheel`` package; where ``wheel`` is missing and
+cannot be fetched, ``python setup.py develop`` installs the same editable
+package and ``repro`` script through this shim.
 """
 
 from setuptools import setup

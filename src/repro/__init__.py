@@ -32,87 +32,59 @@ policy store, the async job manager and the ``repro serve`` HTTP
 layer).
 """
 
-from repro.core import (
-    EpsilonSchedule,
-    FlatQPlacer,
-    MultiLevelPlacer,
-    PlacerResult,
-    QAgent,
-    RandomSearchPlacer,
-    RewardConfig,
-    SimulatedAnnealingPlacer,
-)
-from repro.eval import Metrics, PlacementEvaluator, compute_fom
-from repro.layout import (
-    Placement,
-    PlacementEnv,
-    banded_placement,
-    initial_placement,
-    render_placement,
-)
-from repro.netlist import (
-    AnalogBlock,
-    Circuit,
-    comparator,
-    current_mirror,
-    five_transistor_ota,
-    folded_cascode_ota,
-    from_spice,
-    to_spice,
-    two_stage_ota,
-)
-from repro.runtime import (
-    ExecutionBackend,
-    ProcessPoolBackend,
-    RunSpec,
-    SerialBackend,
-    map_runs,
-    resolve_backend,
-)
-from repro.tech import Technology, generic_tech_40
-from repro.train import CampaignResult, TrainingCampaign, run_campaign
-from repro.variation import VariationModel, default_variation_model
+#: Top-level export → the module that defines it.  Exports load on first
+#: access (PEP 562), so ``import repro.cli`` or ``from repro import
+#: PlacementEnv`` pays only for the subpackages it actually touches.
+_EXPORTS = {
+    "EpsilonSchedule": "repro.core",
+    "FlatQPlacer": "repro.core",
+    "MultiLevelPlacer": "repro.core",
+    "PlacerResult": "repro.core",
+    "QAgent": "repro.core",
+    "RandomSearchPlacer": "repro.core",
+    "RewardConfig": "repro.core",
+    "SimulatedAnnealingPlacer": "repro.core",
+    "Metrics": "repro.eval",
+    "PlacementEvaluator": "repro.eval",
+    "compute_fom": "repro.eval",
+    "Placement": "repro.layout",
+    "PlacementEnv": "repro.layout",
+    "banded_placement": "repro.layout",
+    "initial_placement": "repro.layout",
+    "render_placement": "repro.layout",
+    "AnalogBlock": "repro.netlist",
+    "Circuit": "repro.netlist",
+    "comparator": "repro.netlist",
+    "current_mirror": "repro.netlist",
+    "five_transistor_ota": "repro.netlist",
+    "folded_cascode_ota": "repro.netlist",
+    "from_spice": "repro.netlist",
+    "to_spice": "repro.netlist",
+    "two_stage_ota": "repro.netlist",
+    "ExecutionBackend": "repro.runtime",
+    "ProcessPoolBackend": "repro.runtime",
+    "RunSpec": "repro.runtime",
+    "SerialBackend": "repro.runtime",
+    "map_runs": "repro.runtime",
+    "resolve_backend": "repro.runtime",
+    "Technology": "repro.tech",
+    "generic_tech_40": "repro.tech",
+    "CampaignResult": "repro.train",
+    "TrainingCampaign": "repro.train",
+    "run_campaign": "repro.train",
+    "VariationModel": "repro.variation",
+    "default_variation_model": "repro.variation",
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalogBlock",
-    "CampaignResult",
-    "Circuit",
-    "EpsilonSchedule",
-    "ExecutionBackend",
-    "FlatQPlacer",
-    "Metrics",
-    "MultiLevelPlacer",
-    "Placement",
-    "PlacementEnv",
-    "PlacementEvaluator",
-    "PlacerResult",
-    "ProcessPoolBackend",
-    "QAgent",
-    "RandomSearchPlacer",
-    "RewardConfig",
-    "RunSpec",
-    "SerialBackend",
-    "SimulatedAnnealingPlacer",
-    "Technology",
-    "TrainingCampaign",
-    "VariationModel",
-    "banded_placement",
-    "comparator",
-    "compute_fom",
-    "current_mirror",
-    "default_variation_model",
-    "five_transistor_ota",
-    "folded_cascode_ota",
-    "from_spice",
-    "generic_tech_40",
-    "initial_placement",
-    "map_runs",
-    "render_placement",
-    "resolve_backend",
-    "run_campaign",
-    "to_spice",
-    "two_stage_ota",
-    "__version__",
-]
+__all__ = [*sorted(_EXPORTS), "__version__"]
+
+
+def __getattr__(name: str):
+    module_name = _EXPORTS.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(module_name), name)

@@ -37,19 +37,6 @@ import time
 
 from repro.core.qlearning import MERGE_HOWS
 from repro.eval.evaluator import PlacementEvaluator
-from repro.experiments import (
-    ALL_CONFIGS,
-    format_convergence,
-    format_dummies,
-    format_fig3,
-    format_hierarchy,
-    format_linearity,
-    run_convergence_ablation,
-    run_dummy_ablation,
-    run_hierarchy_ablation,
-    run_linearity_ablation,
-)
-from repro.experiments.scaling import format_scaling, run_scaling
 from repro.layout.context import device_contexts_all
 from repro.layout.generators import (
     STYLES,
@@ -149,6 +136,8 @@ def _add_backend_flag(sub) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from repro.experiments.configs import ALL_CONFIGS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Breaking Symmetry (DAC'25 LBR) reproduction toolkit",
@@ -424,6 +413,8 @@ def _cmd_fig3(args) -> int:
             f"fig3: conflicting circuits: positional {args.circuit_pos!r} "
             f"vs --circuit {args.circuit!r}"
         )
+    from repro.experiments import format_fig3
+
     circuit = args.circuit_pos or args.circuit or "cm"
     service = _make_service(args)  # carries the --jobs backend already
     print(format_fig3(service.fig3(
@@ -433,6 +424,18 @@ def _cmd_fig3(args) -> int:
 
 
 def _cmd_ablation(args) -> int:
+    from repro.experiments import (
+        format_convergence,
+        format_dummies,
+        format_hierarchy,
+        format_linearity,
+        run_convergence_ablation,
+        run_dummy_ablation,
+        run_hierarchy_ablation,
+        run_linearity_ablation,
+    )
+    from repro.experiments.scaling import format_scaling, run_scaling
+
     block = CIRCUITS[args.circuit]()
     backend = make_backend(_backend_from_args(args))
     if args.which == "hierarchy":

@@ -32,7 +32,9 @@ from repro.layout.moves import (
     DIRECTIONS,
     apply_group_move,
     apply_unit_move,
+    connected_unit_moves,
     group_move_is_legal,
+    group_shape,
     is_connected,
     legal_group_moves,
     legal_unit_moves,
@@ -54,12 +56,14 @@ __all__ = [
     "apply_group_move",
     "apply_unit_move",
     "banded_placement",
+    "connected_unit_moves",
     "device_contexts",
     "device_contexts_all",
     "device_labels",
     "dummy_area_overhead",
     "dummy_count",
     "group_move_is_legal",
+    "group_shape",
     "initial_placement",
     "is_connected",
     "is_dummy",

@@ -22,9 +22,10 @@ from repro.layout.moves import (
     DIRECTIONS,
     apply_group_move,
     apply_unit_move,
+    connected_unit_moves,
     group_move_is_legal,
+    group_shape,
     legal_group_moves,
-    legal_unit_moves,
     unit_move_is_legal,
 )
 from repro.layout.placement import Placement, UnitId
@@ -141,11 +142,15 @@ class PlacementEnv:
 
     def legal_unit_actions(self, group_name: str) -> list[tuple[int, int]]:
         """Legal (unit_local_index, direction_index) pairs for a group."""
-        units = self._group_units[group_name]
+        cells = [self.placement.cell_of(u) for u in self._group_units[group_name]]
+        is_free = self.placement.is_free
+        moves = connected_unit_moves(group_shape(cells), self.adjacency)
         actions = []
-        for local, unit in enumerate(units):
-            for k in legal_unit_moves(self.placement, unit, units, self.adjacency):
-                actions.append((local, k))
+        for local, ((c, r), unit_moves) in enumerate(zip(cells, moves)):
+            for k in unit_moves:
+                dc, dr = DIRECTIONS[k]
+                if is_free((c + dc, r + dr)):
+                    actions.append((local, k))
         return actions
 
     def legal_group_actions(self, group_name: str) -> list[int]:

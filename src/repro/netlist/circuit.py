@@ -2,16 +2,14 @@
 
 A circuit is an ordered collection of uniquely-named devices.  Nets are
 implied by device connections; the circuit derives net membership, exposes
-a networkx connectivity graph for structural queries (used by primitive
-detection and the signal-flow analysis), and validates that the netlist is
-electrically plausible before simulation.
+a net → ``(device, port)`` adjacency map for structural queries (used by
+constraint extraction), and validates that the netlist is electrically
+plausible before simulation.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Mapping
-
-import networkx as nx
 
 from repro.netlist.devices import Device, Mosfet
 from repro.netlist.nets import is_ground
@@ -115,7 +113,7 @@ class Circuit:
     def net_map(self) -> dict[str, tuple[tuple[Device, str], ...]]:
         """Net → ``(device, port)`` index, built in one pass.
 
-        The adjacency view of :meth:`connectivity_graph`: querying many nets
+        The circuit's bipartite device/net adjacency: querying many nets
         through this costs one scan total instead of one :meth:`net_devices`
         scan per net.  Constraint extraction rides on it.
         """
@@ -130,23 +128,6 @@ class Circuit:
         return sum(m.n_units for m in self.mosfets())
 
     # ------------------------------------------------------------- structure
-
-    def connectivity_graph(self, include_rails: bool = True) -> nx.Graph:
-        """Bipartite device/net graph for structural analyses.
-
-        Node attribute ``kind`` is ``"device"`` or ``"net"``; device nodes
-        are prefixed ``dev:``, net nodes ``net:`` so names cannot collide.
-        """
-        graph = nx.Graph()
-        for device in self._devices.values():
-            graph.add_node(f"dev:{device.name}", kind="device")
-            for port in device.PORTS:
-                net = device.net(port)
-                if not include_rails and is_ground(net):
-                    continue
-                graph.add_node(f"net:{net}", kind="net")
-                graph.add_edge(f"dev:{device.name}", f"net:{net}", port=port)
-        return graph
 
     def validate(self) -> None:
         """Raise if the netlist is structurally unusable for simulation.

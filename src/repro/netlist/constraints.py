@@ -9,7 +9,7 @@ stages:
   pair, current mirror including cascoded/ratioed forms, load pair,
   cross-coupled pair, cascode pair, level shifter, device array) as
   subgraph patterns over the circuit's bipartite device/net connectivity
-  graph (:meth:`Circuit.connectivity_graph` / :meth:`Circuit.net_map`),
+  (:meth:`Circuit.net_map`),
   following the hierarchical template-matching approach of Kunal et al.
   Ambiguous claims are scored deterministically: templates run in a fixed
   priority order, candidates within a template are ranked by a structural

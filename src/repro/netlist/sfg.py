@@ -11,7 +11,7 @@ out in level order.
 
 from __future__ import annotations
 
-import networkx as nx
+from collections import deque
 
 from repro.netlist.circuit import Circuit
 from repro.netlist.nets import is_rail
@@ -28,28 +28,35 @@ def device_levels(circuit: Circuit, input_nets: tuple[str, ...]) -> dict[str, in
     """
     if not input_nets:
         raise ValueError("need at least one input net")
-    graph = nx.Graph()
+    # Bipartite device/net adjacency (rails excluded); net hops come in
+    # pairs, so device level = bipartite BFS distance // 2.
+    graph: dict[str, list[str]] = {}
     for device in circuit.placeable():
-        graph.add_node(f"dev:{device.name}")
+        node = f"dev:{device.name}"
+        graph.setdefault(node, [])
         for port in device.PORTS:
             net = device.net(port)
             if is_rail(net):
                 continue
-            graph.add_node(f"net:{net}")
-            graph.add_edge(f"dev:{device.name}", f"net:{net}")
+            graph[node].append(f"net:{net}")
+            graph.setdefault(f"net:{net}", []).append(node)
 
     sources = [f"net:{n}" for n in input_nets if f"net:{n}" in graph]
     if not sources:
         raise ValueError(f"no input net of {input_nets} touches a placeable device")
 
-    # Multi-source BFS over the bipartite graph; device level = net hops.
-    lengths: dict[str, int] = {}
-    for source in sources:
-        for node, dist in nx.single_source_shortest_path_length(graph, source).items():
-            if node.startswith("dev:"):
-                level = dist // 2  # two bipartite hops = one device hop
-                name = node[4:]
-                lengths[name] = min(lengths.get(name, level), level)
+    # Multi-source BFS: every source starts at distance 0.
+    dist = dict.fromkeys(sources, 0)
+    queue = deque(sources)
+    while queue:
+        node = queue.popleft()
+        for nb in graph[node]:
+            if nb not in dist:
+                dist[nb] = dist[node] + 1
+                queue.append(nb)
+    lengths = {
+        node[4:]: d // 2 for node, d in dist.items() if node.startswith("dev:")
+    }
 
     deepest = max(lengths.values(), default=0)
     levels = {}

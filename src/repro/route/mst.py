@@ -9,8 +9,6 @@ accuracy studies.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.layout.placement import Placement
 from repro.netlist.circuit import Circuit
 from repro.route.estimator import net_pin_positions, signal_nets
@@ -21,13 +19,19 @@ def rectilinear_mst_length(pins: list[tuple[float, float]]) -> float:
     """Total Manhattan length of the MST over pin positions [m]."""
     if len(pins) < 2:
         return 0.0
-    graph = nx.Graph()
-    for i, (xi, yi) in enumerate(pins):
-        for j in range(i + 1, len(pins)):
-            xj, yj = pins[j]
-            graph.add_edge(i, j, weight=abs(xi - xj) + abs(yi - yj))
-    tree = nx.minimum_spanning_tree(graph)
-    return float(sum(data["weight"] for __, __j, data in tree.edges(data=True)))
+    # Prim's algorithm on the complete graph: O(n^2), no heap needed.
+    x0, y0 = pins[0]
+    best = [abs(x - x0) + abs(y - y0) for x, y in pins[1:]]
+    rest = list(pins[1:])
+    total = 0.0
+    while rest:
+        i = min(range(len(rest)), key=best.__getitem__)
+        total += best.pop(i)
+        xi, yi = rest.pop(i)
+        best = [
+            min(b, abs(x - xi) + abs(y - yi)) for b, (x, y) in zip(best, rest)
+        ]
+    return float(total)
 
 
 def net_mst(

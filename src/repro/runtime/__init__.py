@@ -8,6 +8,10 @@ flag), or across machines (:class:`ClusterBackend`, the
 Backends preserve item order and every payload crosses the wire through
 exact codecs, so serial, pool and cluster runs are result-identical.
 :func:`make_backend` is the one factory every entrypoint shares.
+
+Import note: the cluster layer (sockets, threads, the wire codecs) loads
+lazily via module ``__getattr__``, so a serial or pool run never
+imports it.
 """
 
 from repro.runtime.backend import (
@@ -18,11 +22,6 @@ from repro.runtime.backend import (
     WorkerTaskError,
     make_backend,
     resolve_backend,
-)
-from repro.runtime.cluster import (
-    ClusterBackend,
-    run_worker,
-    worker_main,
 )
 from repro.runtime.faults import (
     Fault,
@@ -48,6 +47,13 @@ from repro.runtime.spec import (
     outcomes_by_key,
     symmetric_target,
 )
+
+#: Lazily-resolved exports → defining module (PEP 562).
+_LAZY = {
+    "ClusterBackend": "repro.runtime.cluster",
+    "run_worker": "repro.runtime.cluster",
+    "worker_main": "repro.runtime.cluster",
+}
 
 __all__ = [
     "BUILDERS",
@@ -79,3 +85,12 @@ __all__ = [
     "symmetric_target",
     "worker_main",
 ]
+
+
+def __getattr__(name: str):
+    module_name = _LAZY.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(module_name), name)

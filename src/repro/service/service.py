@@ -65,7 +65,6 @@ from repro.service.requests import (
     PlacementResult,
     TrainRequest,
 )
-from repro.zoo import ZooIndex, signature_meta
 
 #: Where a service stores policies when the caller does not say.
 DEFAULT_POLICY_DIR = "policies"
@@ -216,6 +215,8 @@ class PlacementService:
         signature match — is not an error: the run simply starts cold
         and the echoed report says why.
         """
+        from repro.zoo import ZooIndex
+
         match = ZooIndex(self.policies).match(
             self._request_block(request),
             placer=request.placer,
@@ -326,6 +327,7 @@ class PlacementService:
         # Local import: the train layer sits above the runtime this
         # module shares a file with dependency-wise.
         from repro.train import run_campaign
+        from repro.zoo import signature_meta
 
         self._check_circuit(request)
         campaign = run_campaign(

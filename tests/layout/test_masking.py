@@ -1,0 +1,128 @@
+"""Property tests: the shape-cached cut analysis equals the plain rule.
+
+The plain rule (paper Fig. 2(b)) is: a unit move is legal iff its target
+is free and the group is still connected afterwards.  The placer instead
+looks up, per group shape, which directions keep the group connected
+(:func:`connected_unit_moves`) and only checks the target is free.  These
+tests replay the plain rule with a flood fill on every candidate and
+demand the same legal set in the same ``(unit, direction)`` order.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from repro.layout import (
+    DIRECTIONS,
+    CanvasSpec,
+    Placement,
+    PlacementEnv,
+    connected_unit_moves,
+    is_connected,
+    legal_unit_moves,
+    neighbours,
+    unit_move_is_legal,
+)
+from repro.netlist import comparator, current_mirror, two_stage_ota
+
+
+def spec_actions(placement, units, adjacency):
+    """Legal ``(local, k)`` pairs by the plain rule, in placer order."""
+    out = []
+    for local, unit in enumerate(units):
+        c, r = placement.cell_of(unit)
+        for k, (dc, dr) in enumerate(DIRECTIONS):
+            target = (c + dc, r + dr)
+            if not placement.is_free(target):
+                continue
+            after = [target if u == unit else placement.cell_of(u) for u in units]
+            if is_connected(after, adjacency):
+                out.append((local, k))
+    return out
+
+
+@st.composite
+def scenes(draw):
+    """A canvas holding one group (grown connected, unit order shuffled)
+    and some obstacle units around it."""
+    adjacency = draw(st.sampled_from((4, 8)))
+    cols = draw(st.integers(min_value=2, max_value=7))
+    rows = draw(st.integers(min_value=2, max_value=7))
+    all_cells = [(c, r) for r in range(rows) for c in range(cols)]
+    size = draw(st.integers(min_value=1, max_value=min(9, len(all_cells))))
+    group = [draw(st.sampled_from(all_cells))]
+    while len(group) < size:
+        frontier = sorted({
+            nb for cell in group for nb in neighbours(cell, adjacency)
+            if nb in all_cells and nb not in group
+        })
+        if not frontier:
+            break
+        group.append(draw(st.sampled_from(frontier)))
+    group = draw(st.permutations(group))
+    free = [cell for cell in all_cells if cell not in group]
+    obstacles = draw(st.lists(st.sampled_from(free), unique=True)) if free else []
+    return adjacency, CanvasSpec(cols, rows), group, obstacles
+
+
+@given(scene=scenes())
+@settings(max_examples=300, deadline=None)
+def test_cut_analysis_matches_plain_rule(scene):
+    adjacency, canvas, group, obstacles = scene
+    placement = Placement(canvas)
+    units = [("g", i) for i in range(len(group))]
+    for unit, cell in zip(units, group):
+        placement.place(unit, cell)
+    for j, cell in enumerate(obstacles):
+        placement.place(("x", j), cell)
+
+    expected = spec_actions(placement, units, adjacency)
+    got = [
+        (local, k)
+        for local, unit in enumerate(units)
+        for k in legal_unit_moves(placement, unit, units, adjacency)
+    ]
+    assert got == expected
+    for local, unit in enumerate(units):
+        for k, direction in enumerate(DIRECTIONS):
+            assert unit_move_is_legal(
+                placement, unit, direction, units, adjacency
+            ) == ((local, k) in expected)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+       adjacency=st.sampled_from((4, 8)))
+@settings(max_examples=12, deadline=None)
+def test_env_actions_match_plain_rule_along_walks(seed, adjacency):
+    rng = np.random.default_rng(seed)
+    for build in (current_mirror, comparator, two_stage_ota):
+        env = PlacementEnv(build(), lambda p: 0.0, adjacency=adjacency)
+        for __ in range(25):
+            group = env.group_names[int(rng.integers(len(env.group_names)))]
+            legal = env.legal_unit_actions(group)
+            assert legal == spec_actions(
+                env.placement, env.group_units(group), adjacency
+            )
+            if legal:
+                local, k = legal[int(rng.integers(len(legal)))]
+                assert env.step_unit(group, local, k)
+
+
+def test_single_unit_moves_anywhere_free():
+    assert connected_unit_moves(((0, 0),), 8) == (tuple(range(8)),)
+    assert connected_unit_moves(((0, 0),), 4) == (tuple(range(8)),)
+
+
+def test_cut_vertex_move_must_bridge_both_halves():
+    # A row of three: the middle unit may only step to cells touching
+    # both ends (N and S under 8-adjacency; nowhere under 4).
+    shape = ((0, 0), (1, 0), (2, 0))
+    middle = connected_unit_moves(shape, 8)[1]
+    assert {DIRECTIONS[k] for k in middle} == {(0, -1), (0, 1)}
+    assert connected_unit_moves(shape, 4)[1] == ()
+
+
+def test_shape_cache_is_bounded():
+    info = connected_unit_moves.cache_info()
+    assert info.maxsize is not None
+    assert 0 < info.maxsize <= 4096
+    assert info.currsize <= info.maxsize

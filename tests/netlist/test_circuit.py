@@ -69,15 +69,6 @@ class TestQueries:
     def test_total_units(self):
         assert simple_circuit().total_units() == 2
 
-    def test_connectivity_graph(self):
-        graph = simple_circuit().connectivity_graph()
-        assert graph.nodes["dev:m1"]["kind"] == "device"
-        assert graph.has_edge("dev:m1", "net:out")
-
-    def test_connectivity_graph_without_rails(self):
-        graph = simple_circuit().connectivity_graph(include_rails=False)
-        assert "net:gnd" not in graph
-
 
 class TestCopyWith:
     def test_replace_device(self):

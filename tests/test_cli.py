@@ -172,14 +172,44 @@ class TestProfile:
         assert factors > 0
 
 
-def test_cli_import_does_not_load_scipy():
-    code = "import sys, repro.cli; print('scipy' in sys.modules)"
+#: Stacks a cold ``repro place`` never needs: they load only in the
+#: commands that use them.
+UNUSED_ON_IMPORT = (
+    "scipy", "networkx", "repro.experiments", "repro.runtime.cluster",
+    "repro.service.http", "repro.zoo",
+)
+
+
+def _src_env() -> dict:
     src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": src}
+
+
+def test_cli_import_does_not_load_scipy():
+    code = (
+        "import sys, repro.cli; "
+        f"print([m for m in {UNUSED_ON_IMPORT!r} if m in sys.modules])"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60,
+        env=_src_env(), check=True, timeout=60,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+def test_place_runs_without_networkx():
+    # ``sys.modules[name] = None`` makes any ``import networkx`` fail.
+    code = (
+        "import sys; sys.modules['networkx'] = None; "
+        "from repro.cli import main; "
+        "sys.exit(main(['place', '--circuit', 'cm', '--steps', '20']))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=_src_env(), timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "reached after" in out.stdout
 
 
 class TestParser:
