@@ -48,7 +48,7 @@ def test_batched_eval_throughput(benchmark):
     placements = random_walk_placements(block, N_CANDIDATES)
 
     evaluators = {
-        size: PlacementEvaluator(block, engine="compiled")
+        size: PlacementEvaluator(block)
         for size in BATCH_SIZES
     }
 
@@ -89,9 +89,9 @@ def test_batched_eval_throughput(benchmark):
     })
 
     # Shape: batched and sequential pricing agree per placement.
-    sequential = PlacementEvaluator(block, engine="compiled")
+    sequential = PlacementEvaluator(block)
     want = [sequential.evaluate(p) for p in placements[:4]]
-    got = PlacementEvaluator(block, engine="compiled").evaluate_many(
+    got = PlacementEvaluator(block).evaluate_many(
         placements[:4])
     for w, g in zip(want, got):
         for key, value in w.values.items():
@@ -114,7 +114,7 @@ def test_batched_eval_monotone_counts(benchmark):
     def counts():
         out = {}
         for size in (1, 4, 8):
-            evaluator = PlacementEvaluator(block, engine="compiled")
+            evaluator = PlacementEvaluator(block)
             for i in range(0, 8, size):
                 evaluator.evaluate_many(placements[i:i + size])
             out[size] = (evaluator.sim_count, evaluator.cache_hits)

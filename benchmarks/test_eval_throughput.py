@@ -1,7 +1,9 @@
 """BENCH / sim — placement-evaluation throughput: compiled vs legacy MNA.
 
 Records evaluations/second of ``PlacementEvaluator.evaluate`` per block
-kind on both simulation engines.  Every evaluation is a cache miss (the
+kind on the compiled engine and on the per-device reference assembler
+(:class:`repro.sim.mna.MnaSystem`, swapped in by the ``mna_reference``
+fixture — the "legacy" loop).  Every evaluation is a cache miss (the
 memoisation cache is cleared between calls), so the numbers measure the
 full pipeline the optimizers pay for: contexts → variation deltas →
 parasitics → simulation suite.
@@ -14,8 +16,8 @@ suites are DC-dominated and much cheaper, so the engine matters less.
 
 Set ``EVAL_THROUGHPUT_SMOKE=1`` (the CI benchmark-smoke job does) to run
 in shape-only mode: fewer repetitions, and only the *shape* is asserted —
-both engines work and agree — without wall-clock multipliers, which are
-meaningless on noisy shared runners.
+both assemblers work and agree — without wall-clock multipliers, which
+are meaningless on noisy shared runners.
 """
 
 import os
@@ -49,14 +51,16 @@ def _time_evaluations(evaluator, placement, n) -> float:
 
 @pytest.mark.benchmark(group="sim")
 @pytest.mark.parametrize("kind", sorted(BLOCKS))
-def test_eval_throughput_compiled_vs_legacy(benchmark, kind):
+def test_eval_throughput_compiled_vs_legacy(benchmark, kind, mna_reference):
     block = BLOCKS[kind]()
     placement = banded_placement(block, "ysym")
 
-    legacy_eval = PlacementEvaluator(block, engine="legacy")
-    legacy_s = _time_evaluations(legacy_eval, placement, EVALS)
+    legacy_eval = PlacementEvaluator(block)
+    with mna_reference():
+        legacy_s = _time_evaluations(legacy_eval, placement, EVALS)
+        legacy_metrics = legacy_eval.evaluate(placement)
 
-    compiled_eval = PlacementEvaluator(block, engine="compiled")
+    compiled_eval = PlacementEvaluator(block)
     compiled_s = benchmark.pedantic(
         lambda: _time_evaluations(compiled_eval, placement, EVALS),
         rounds=1, iterations=1,
@@ -72,8 +76,7 @@ def test_eval_throughput_compiled_vs_legacy(benchmark, kind):
         "smoke": SMOKE,
     })
 
-    # Shape: both engines produced identical metrics for the placement.
-    legacy_metrics = legacy_eval.evaluate(placement)
+    # Shape: both assemblers produced identical metrics for the placement.
     compiled_metrics = compiled_eval.evaluate(placement)
     for key, value in legacy_metrics.values.items():
         assert compiled_metrics.values[key] == pytest.approx(

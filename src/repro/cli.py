@@ -49,14 +49,7 @@ from repro.netlist.spice import to_spice
 from repro.route.parasitics import annotate_parasitics
 from repro.runtime import make_backend
 from repro.service import PlacementRequest, TrainRequest, default_registry
-from repro.sim import (
-    ENGINES,
-    reset_solver_stats,
-    solve_ac,
-    solve_dc,
-    solver_stats,
-    use_engine,
-)
+from repro.sim import reset_solver_stats, solve_ac, solve_dc, solver_stats
 from repro.tech import generic_tech_40
 
 #: The shared circuit table (a live view of the service registry).
@@ -380,9 +373,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="per-stage timing breakdown of one placement evaluation",
     )
     profile.add_argument("circuit", choices=sorted(CIRCUITS))
-    profile.add_argument("--engine", choices=ENGINES, default=None,
-                         help="simulation engine (default: process default, "
-                              "i.e. compiled)")
     profile.add_argument("--style", choices=STYLES, default="ysym",
                          help="placement style to evaluate")
     profile.add_argument("--repeats", type=int, default=5,
@@ -757,7 +747,7 @@ def _cmd_profile(args) -> int:
         raise SystemExit("profile: --repeats must be >= 1")
     block = CIRCUITS[args.circuit]()
     tech = generic_tech_40()
-    evaluator = PlacementEvaluator(block, tech=tech, engine=args.engine)
+    evaluator = PlacementEvaluator(block, tech=tech)
     placement = banded_placement(block, args.style)
 
     def best_of(fn) -> float:
@@ -768,74 +758,72 @@ def _cmd_profile(args) -> int:
             times.append(time.perf_counter() - start)
         return min(times)
 
-    with use_engine(args.engine):
-        deltas = evaluator.deltas_for(placement)
-        annotated = annotate_parasitics(block.circuit, placement, tech)
-        op = solve_dc(annotated, tech, deltas=deltas)
-        from repro.eval.suites import AC_FREQS
+    deltas = evaluator.deltas_for(placement)
+    annotated = annotate_parasitics(block.circuit, placement, tech)
+    op = solve_dc(annotated, tech, deltas=deltas)
+    from repro.eval.suites import AC_FREQS
 
-        def full_evaluate():
-            evaluator.clear_cache()
-            evaluator.evaluate(placement)
+    def full_evaluate():
+        evaluator.clear_cache()
+        evaluator.evaluate(placement)
 
-        candidates = random_walk_placements(
-            block, args.batch, style=args.style)
+    candidates = random_walk_placements(
+        block, args.batch, style=args.style)
 
-        def sequential_batch():
-            evaluator.clear_cache()
-            for p in candidates:
-                evaluator.evaluate(p)
+    def sequential_batch():
+        evaluator.clear_cache()
+        for p in candidates:
+            evaluator.evaluate(p)
 
-        def batched_batch():
-            evaluator.clear_cache()
-            evaluator.evaluate_many(candidates)
+    def batched_batch():
+        evaluator.clear_cache()
+        evaluator.evaluate_many(candidates)
 
-        stages = [
-            ("context", lambda: device_contexts_all(placement, tech)),
-            ("parasitics", lambda: annotate_parasitics(
-                block.circuit, placement, tech)),
-            ("dc", lambda: solve_dc(annotated, tech, deltas=deltas)),
-            ("ac", lambda: solve_ac(
-                annotated, tech, op.voltages, AC_FREQS, deltas=deltas)),
-            ("measures (full suite)", full_evaluate),
-        ]
-        engine_name = args.engine or "compiled (default)"
-        print(f"profile: {block.name} ({args.circuit}), style={args.style}, "
-              f"engine={engine_name}, best of {args.repeats}")
-        total = 0.0
-        for name, fn in stages:
-            elapsed = best_of(fn)
-            if name != "measures (full suite)":
-                total += elapsed
-            print(f"  {name:<24s} {elapsed * 1e3:9.3f} ms")
-        print(f"  {'stages (ctx+par+dc+ac)':<24s} {total * 1e3:9.3f} ms")
+    stages = [
+        ("context", lambda: device_contexts_all(placement, tech)),
+        ("parasitics", lambda: annotate_parasitics(
+            block.circuit, placement, tech)),
+        ("dc", lambda: solve_dc(annotated, tech, deltas=deltas)),
+        ("ac", lambda: solve_ac(
+            annotated, tech, op.voltages, AC_FREQS, deltas=deltas)),
+        ("measures (full suite)", full_evaluate),
+    ]
+    print(f"profile: {block.name} ({args.circuit}), style={args.style}, "
+          f"best of {args.repeats}")
+    total = 0.0
+    for name, fn in stages:
+        elapsed = best_of(fn)
+        if name != "measures (full suite)":
+            total += elapsed
+        print(f"  {name:<24s} {elapsed * 1e3:9.3f} ms")
+    print(f"  {'stages (ctx+par+dc+ac)':<24s} {total * 1e3:9.3f} ms")
 
-        n = len(candidates)
-        sequential_batch()  # warm every candidate's topology/warm-start
-        seq = best_of(sequential_batch)
-        many = best_of(batched_batch)
-        print(f"  {f'evaluate x{n} (sequential)':<24s} {seq * 1e3:9.3f} ms")
-        print(f"  {f'evaluate_many x{n}':<24s} {many * 1e3:9.3f} ms"
-              f"   ({seq / many:.2f}x)")
+    n = len(candidates)
+    sequential_batch()  # warm every candidate's topology/warm-start
+    seq = best_of(sequential_batch)
+    many = best_of(batched_batch)
+    print(f"  {f'evaluate x{n} (sequential)':<24s} {seq * 1e3:9.3f} ms")
+    print(f"  {f'evaluate_many x{n}':<24s} {many * 1e3:9.3f} ms"
+          f"   ({seq / many:.2f}x)")
 
-        reset_solver_stats()
-        sequential_batch()
-        batched_batch()
-        stats = solver_stats()
-        warm_total = (stats.warm_exact_hits + stats.warm_near_hits
-                      + stats.warm_misses)
-        print(f"  solver split (sequential + batched pass over "
-              f"{n} candidates):")
-        print(f"    newton iterations     {stats.newton_iterations}")
-        print(f"    jacobian factor/reuse "
-              f"{stats.jacobian_factorizations}/{stats.jacobian_reuses}"
-              f"   (reuse rate {stats.factor_reuse_rate:.0%})")
-        print(f"    op-cache exact/near/miss "
-              f"{stats.warm_exact_hits}/{stats.warm_near_hits}/"
-              f"{stats.warm_misses}"
-              + (f"   (hit rate {stats.warm_hit_rate:.0%})"
-                 if warm_total else ""))
-        print(f"    ac stacked solve      {stats.ac_solve_s * 1e3:.3f} ms")
+    reset_solver_stats()
+    sequential_batch()
+    batched_batch()
+    stats = solver_stats()
+    warm_total = (stats.warm_exact_hits + stats.warm_near_hits
+                  + stats.warm_misses)
+    print(f"  solver split (sequential + batched pass over "
+          f"{n} candidates):")
+    print(f"    newton iterations     {stats.newton_iterations}")
+    print(f"    jacobian factor/reuse "
+          f"{stats.jacobian_factorizations}/{stats.jacobian_reuses}"
+          f"   (reuse rate {stats.factor_reuse_rate:.0%})")
+    print(f"    op-cache exact/near/miss "
+          f"{stats.warm_exact_hits}/{stats.warm_near_hits}/"
+          f"{stats.warm_misses}"
+          + (f"   (hit rate {stats.warm_hit_rate:.0%})"
+             if warm_total else ""))
+    print(f"    ac stacked solve      {stats.ac_solve_s * 1e3:.3f} ms")
     return 0
 
 

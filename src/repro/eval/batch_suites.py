@@ -37,7 +37,7 @@ from repro.netlist.circuit import Circuit
 from repro.netlist.devices import Vcvs, VoltageSource
 from repro.netlist.library import AnalogBlock
 from repro.sim.batch import solve_ac_many, solve_dc_many
-from repro.sim.engine import make_batched_system
+from repro.sim.compiled import batched_system
 from repro.sim.measures import (
     db,
     dc_gain,
@@ -83,7 +83,7 @@ def measure_cm_many(
     """Batched :func:`repro.eval.suites.measure_cm`."""
     iref = block.params["iref"]
     probes = block.params["probe_sources"]
-    bsys = make_batched_system(
+    bsys = batched_system(
         annotated, tech, deltas_seq, check_signatures=False)
     feats_rows = [dc_features(d) for d in deltas_seq]
     x0 = _batch_x0(seed_dc_rows(warm, "cm", feats_rows), warm.get("cm"))
@@ -129,7 +129,7 @@ def measure_comp_many(
         VoltageSource("vclampn", {"p": "outn", "n": "gnd"}, dc=params["clamp_v"]),
     ]
     benches = [circuit.copy_with(extra=clamp) for circuit in annotated]
-    bsys = make_batched_system(
+    bsys = batched_system(
         benches, tech, deltas_seq, check_signatures=False)
 
     feats_rows = [dc_features(d) for d in deltas_seq]
@@ -220,7 +220,7 @@ def measure_ota_many(
     feedback = Vcvs("vvin", {"p": "vin", "n": "gnd", "cp": "outp", "cn": "gnd"},
                     gain=1.0)
     closed = [c.copy_with(replacements={"vvin": feedback}) for c in annotated]
-    closed_sys = make_batched_system(
+    closed_sys = batched_system(
         closed, tech, deltas_seq, check_signatures=False)
     feats_rows = [dc_features(d) for d in deltas_seq]
     x0 = _batch_x0(seed_dc_rows(warm, "ota", feats_rows), warm.get("ota"))
@@ -238,7 +238,7 @@ def measure_ota_many(
             "vvip": dataclasses.replace(vip, ac=+0.5),
             "vvin": dataclasses.replace(vin, ac=-0.5),
         }))
-    ac_sys = make_batched_system(
+    ac_sys = batched_system(
         ac_benches, tech, deltas_seq, check_signatures=False)
     acs = solve_ac_many(
         ac_benches, tech, [op.voltages for op in ops], AC_FREQS, deltas_seq,

@@ -30,7 +30,6 @@ from repro.layout.placement import Placement
 from repro.netlist.library import AnalogBlock
 from repro.route.parasitics import annotate_parasitics
 from repro.sim.dc import ConvergenceError
-from repro.sim.engine import use_engine
 from repro.tech import Technology, generic_tech_40
 from repro.variation import DeviceDelta, VariationModel, default_variation_model
 
@@ -53,10 +52,6 @@ class PlacementEvaluator:
         cache_size: maximum number of memoised placements (LRU eviction).
         corner: optional global process corner applied on top of the
             local variation field (see :mod:`repro.variation.corners`).
-        engine: simulation-engine override for this evaluator's runs
-            (``"compiled"``/``"legacy"``); ``None`` follows the process
-            default.  One compiled topology per testbench variant is
-            cached and reused for the entire optimization run.
         objective: preference weights conditioning the :meth:`cost`
             composition (see :class:`~repro.eval.objective
             .ObjectiveWeights`); ``None`` means the default vector,
@@ -71,7 +66,6 @@ class PlacementEvaluator:
         cost_area_weight: float = 0.05,
         cache_size: int = 50_000,
         corner=None,
-        engine: str | None = None,
         objective: ObjectiveWeights | None = None,
     ):
         if cost_area_weight < 0:
@@ -85,7 +79,6 @@ class PlacementEvaluator:
         self.cost_area_weight = cost_area_weight
         self.objective = objective if objective is not None else ObjectiveWeights()
         self.corner = corner
-        self.engine = engine
         self.sim_count = 0
         self.cache_hits = 0
         self.sim_failures = 0
@@ -197,11 +190,10 @@ class PlacementEvaluator:
         deltas = self.deltas_for(placement)
         annotated = annotate_parasitics(self.block.circuit, placement, self.tech)
         try:
-            with use_engine(self.engine):
-                return self._suite(
-                    self.block, annotated, deltas, self.tech, placement,
-                    self._warm
-                )
+            return self._suite(
+                self.block, annotated, deltas, self.tech, placement,
+                self._warm
+            )
         except ConvergenceError:
             self.sim_failures += 1
             return self._penalty_metrics(placement)
@@ -278,11 +270,10 @@ class PlacementEvaluator:
                 for p in reps
             ]
             try:
-                with use_engine(self.engine):
-                    metrics_list = batch_suite(
-                        self.block, annotated, deltas_seq, self.tech, reps,
-                        self._warm,
-                    )
+                metrics_list = batch_suite(
+                    self.block, annotated, deltas_seq, self.tech, reps,
+                    self._warm,
+                )
             except ConvergenceError:
                 metrics_list = [self._simulate(p) for p in reps]
 

@@ -17,8 +17,9 @@ Two structural facts make aggressive reuse safe here:
 An exact feature match returns the stored result outright — no solve at
 all; otherwise the nearest library entry in delta space seeds Newton,
 which then typically converges in a third of the cold iterations.  The
-store also caches the compiled binding per stage so repeat evaluations
-skip the structure-signature hash.
+store also binds each stage's testbench against its cached compiled
+topology (:meth:`WarmStore.system_for`), the one place the suites obtain
+an assembler.
 
 It subclasses ``dict`` and leaves the plain ``warm[key] = result.x``
 last-solution protocol to the suites, so the measurement code runs
@@ -37,7 +38,6 @@ import numpy as np
 from repro.netlist.circuit import Circuit
 from repro.sim.compiled import CompiledSystem, compiled_topology
 from repro.sim.dc import DcResult
-from repro.sim.engine import get_engine
 from repro.sim.fastpath import STATS, get_solver_tuning
 from repro.tech import Technology
 from repro.variation import DeviceDelta
@@ -180,17 +180,13 @@ class WarmStore(dict):
         circuit: Circuit,
         tech: Technology,
         deltas: Mapping[str, DeviceDelta] | None,
-    ) -> CompiledSystem | None:
+    ) -> CompiledSystem:
         """A compiled binding of ``circuit`` for the ``stage`` testbench.
 
         All placements of a block share one topology per testbench
         variant (the global topology LRU guarantees it), so repeat
-        evaluations bind against the already-compiled structure.  Returns
-        None on the legacy engine (the solver then builds its own
-        assembler).
+        evaluations bind against the already-compiled structure.
         """
-        if get_engine() != "compiled":
-            return None
         return compiled_topology(circuit).bind(circuit, tech, deltas)
 
 

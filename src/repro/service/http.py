@@ -14,8 +14,9 @@ GET       ``/metrics``             scrape target: throughput, queue
                                    (Prometheus text; ``?format=json``
                                    for the raw dict)
 POST      ``/place``               submit a :class:`PlacementRequest`;
-                                   returns ``{"job": id}`` (202), or the
-                                   finished result with ``?wait=1`` (200)
+                                   returns ``{"job": id}`` (202); with
+                                   ``?wait=1`` the same job is awaited and
+                                   ``{"job": id, "result": ...}`` (200)
 POST      ``/train``               submit a :class:`TrainRequest`; same
                                    async/wait contract
 GET       ``/jobs/<id>``           job status, result inlined when done
@@ -235,6 +236,25 @@ class _Handler(BaseHTTPRequestHandler):
         except Exception as exc:  # noqa: BLE001 — surface, don't kill thread
             self._send_error_json(500, f"{type(exc).__name__}: {exc}")
 
+    def _send_waited(self, service: PlacementService, job_id: str) -> None:
+        """Block on a submitted job and answer ``?wait=1`` with its result.
+
+        The job ran through the job manager like any other (journal,
+        result cache, dedup, ``/metrics``).  A job that failed on a
+        request-resolution error (e.g. a missing ``warm_policy``) is the
+        client's fault, so it is a 400; any other failure is a 500.
+        """
+        try:
+            result = service.result(job_id)
+        except RuntimeError as exc:
+            cause = exc.__cause__
+            if isinstance(cause, (ValueError, KeyError)):
+                self._send_error_json(400, str(cause))
+            else:
+                self._send_error_json(500, str(exc))
+            return
+        self._send_json(200, {"job": job_id, "result": result.to_json_dict()})
+
     def do_POST(self) -> None:  # noqa: N802
         try:
             parsed = urlparse(self.path)
@@ -255,11 +275,6 @@ class _Handler(BaseHTTPRequestHandler):
                     return
                 wait = parse_qs(parsed.query).get("wait", ["0"])[0]
                 try:
-                    if wait in ("1", "true", "yes"):
-                        result = service.execute(request)
-                        self._send_json(200,
-                                        {"result": result.to_json_dict()})
-                        return
                     job_id = service.submit(request, client=self._client_id())
                 except QueueFullError as exc:
                     self._send_error_json(
@@ -267,11 +282,11 @@ class _Handler(BaseHTTPRequestHandler):
                     )
                     return
                 except (ValueError, KeyError) as exc:
-                    # Async submits reject unknown circuit keys up front;
-                    # ``?wait=1`` executions additionally surface
-                    # resolution errors (e.g. a missing warm_policy)
-                    # here instead of as a failed job.
+                    # Unknown circuit keys are rejected at submit time.
                     self._send_error_json(400, str(exc))
+                    return
+                if wait in ("1", "true", "yes"):
+                    self._send_waited(service, job_id)
                     return
                 self._send_json(202, {
                     "job": job_id,

@@ -7,10 +7,16 @@ the Spectre/Calibre flow the paper used — the metrics the placement loop
 optimizes (offset, mismatch, gain, bandwidth, phase margin, delay, power)
 are all first-order functions of device parameter deltas and parasitics,
 which this engine models faithfully.
+
+Every analysis runs on one engine, the compiled MNA assembler of
+:mod:`repro.sim.compiled` (:func:`solve_dc_many` / :func:`solve_ac_many`
+batch K same-shape placements on it).  :mod:`repro.sim.mna` holds the
+per-device reference assembler the equivalence tests compare it
+against; it is not imported here.
 """
 
 from repro.sim.ac import AcResult, logspace_frequencies, solve_ac
-from repro.sim.batch import solve_ac_many, solve_dc_many, solve_noise_many
+from repro.sim.batch import solve_ac_many, solve_dc_many
 from repro.sim.compiled import (
     BatchedCompiledSystem,
     CompiledSystem,
@@ -23,14 +29,6 @@ from repro.sim.compiled import (
     topology_cache_info,
 )
 from repro.sim.dc import ConvergenceError, DcResult, dc_sweep, solve_dc
-from repro.sim.engine import (
-    ENGINES,
-    get_engine,
-    make_batched_system,
-    make_system,
-    set_engine,
-    use_engine,
-)
 from repro.sim.fastpath import (
     SolverStats,
     SolverTuning,
@@ -49,7 +47,6 @@ from repro.sim.measures import (
     supply_power,
     unity_gain_frequency,
 )
-from repro.sim.mna import MnaSystem
 from repro.sim.mosfet import (
     MosfetArrays,
     MosfetCaps,
@@ -72,8 +69,6 @@ __all__ = [
     "CompiledTopology",
     "ConvergenceError",
     "DcResult",
-    "ENGINES",
-    "MnaSystem",
     "MosfetArrays",
     "MosfetCaps",
     "NoiseResult",
@@ -91,14 +86,10 @@ __all__ = [
     "dc_sweep",
     "device_caps",
     "gain_margin_db",
-    "get_engine",
     "get_solver_tuning",
     "logspace_frequencies",
-    "make_batched_system",
-    "make_system",
     "phase_margin",
     "reset_solver_stats",
-    "set_engine",
     "set_solver_tuning",
     "solver_stats",
     "solver_tuning",
@@ -107,7 +98,6 @@ __all__ = [
     "solve_dc",
     "solve_dc_many",
     "solve_noise",
-    "solve_noise_many",
     "solve_transient",
     "step_waveform",
     "structure_signature",
@@ -116,5 +106,4 @@ __all__ = [
     "terminal_currents_array",
     "topology_cache_info",
     "unity_gain_frequency",
-    "use_engine",
 ]

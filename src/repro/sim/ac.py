@@ -18,9 +18,7 @@ import numpy as np
 
 from repro.netlist.circuit import Circuit
 from repro.netlist.nets import is_ground
-from repro.sim.compiled import CompiledSystem
-from repro.sim.engine import make_system
-from repro.sim.mna import MnaSystem
+from repro.sim.compiled import CompiledSystem, compiled_system
 from repro.tech import Technology
 from repro.variation import DeviceDelta
 
@@ -64,16 +62,14 @@ def solve_ac(
     op_voltages: Mapping[str, float],
     freqs: np.ndarray,
     deltas: Mapping[str, DeviceDelta] | None = None,
-    engine: str | None = None,
-    system: CompiledSystem | MnaSystem | None = None,
+    system: CompiledSystem | None = None,
     nets: Sequence[str] | None = None,
 ) -> AcResult:
     """Solve the linearized system at each frequency.
 
-    On the compiled engine the frequency-independent ``G`` and ``C``
-    matrices are assembled once and every frequency point solves in a
-    single stacked ``np.linalg.solve`` batch; the legacy engine keeps the
-    original one-matrix-per-frequency reference loop.
+    The frequency-independent ``G`` and ``C`` matrices are assembled once
+    and every frequency point solves in a single stacked
+    ``np.linalg.solve`` batch.
 
     Args:
         circuit: the AC testbench netlist (AC magnitudes set on sources).
@@ -83,7 +79,6 @@ def solve_ac(
         freqs: frequency grid [Hz].
         deltas: variation-resolved device parameter shifts (must match the
             ones used for the operating point).
-        engine: assembler choice; ``None`` uses the process default.
         system: prebuilt assembler for ``circuit`` — skips construction
             (the measurement suites cache one binding per testbench).
         nets: restrict response extraction to these nets (``None`` keeps
@@ -93,20 +88,11 @@ def solve_ac(
     """
     freqs = np.asarray(freqs, dtype=float)
     if system is None:
-        system = make_system(circuit, tech, deltas, engine=engine)
+        system = compiled_system(circuit, tech, deltas)
     all_nets = circuit.nets() if nets is None else list(nets)
-    live = [n for n in all_nets if not is_ground(n)]
-    if isinstance(system, CompiledSystem):
-        X = system.solve_ac_batch(op_voltages, 2.0 * math.pi * freqs)
-        out = {net: np.ascontiguousarray(X[:, system.node_index[net]])
-               for net in live}
-    else:
-        out = {net: np.zeros(len(freqs), dtype=complex) for net in live}
-        for k, f in enumerate(freqs):
-            A, b = system.assemble_ac(op_voltages, omega=2.0 * math.pi * f)
-            x = np.linalg.solve(A, b)
-            for net in live:
-                out[net][k] = x[system.node_index[net]]
+    X = system.solve_ac_batch(op_voltages, 2.0 * math.pi * freqs)
+    out = {net: np.ascontiguousarray(X[:, system.node_index[net]])
+           for net in all_nets if not is_ground(net)}
     for g in all_nets:
         if is_ground(g):
             out[g] = np.zeros(len(freqs), dtype=complex)

@@ -3,9 +3,8 @@
 The optimization loop prices *candidate batches*: K placements of one
 block, identical in structure, differing only in parasitic capacitor
 values and variation deltas.  The drivers here mirror the scalar entry
-points (:func:`repro.sim.dc.solve_dc`, :func:`repro.sim.ac.solve_ac`,
-:func:`repro.sim.noise.solve_noise`) but take *sequences* and return one
-result per circuit:
+points (:func:`repro.sim.dc.solve_dc`, :func:`repro.sim.ac.solve_ac`) but
+take *sequences* and return one result per circuit:
 
 * :func:`solve_dc_many` — batched damped Newton on a stacked system with
   a per-placement active mask: every iteration assembles and solves only
@@ -13,14 +12,13 @@ result per circuit:
   so results match the scalar path placement-for-placement.  Placements
   the batched stage cannot converge fall back to the scalar homotopy
   chain (gmin/source stepping) individually.
-* :func:`solve_ac_many` / :func:`solve_noise_many` — per-placement
-  ``(G, C, b)`` stacks solved as one placements × frequencies (× noise
-  injections) ``np.linalg.solve`` batch.
+* :func:`solve_ac_many` — per-placement ``(G, C, b)`` stacks solved as
+  one placements × frequencies ``np.linalg.solve`` batch.
 
-On the legacy engine — or for single-circuit batches — every driver
-degenerates to a loop over the scalar entry point, so callers can thread
-batches unconditionally.  Transient analysis has no batched form
-(time-stepping state is inherently per-placement); batch it by looping
+For fewer than two circuits both drivers loop the scalar entry point, so
+callers can thread batches unconditionally.
+Noise and transient analyses have no batched form; batch them by
+looping :func:`repro.sim.noise.solve_noise` /
 :func:`repro.sim.transient.solve_transient`.
 """
 
@@ -34,7 +32,7 @@ import numpy as np
 from repro.netlist.circuit import Circuit
 from repro.netlist.nets import is_ground
 from repro.sim.ac import AcResult, solve_ac
-from repro.sim.compiled import BatchedCompiledSystem
+from repro.sim.compiled import BatchedCompiledSystem, batched_system
 from repro.sim.dc import (
     ABSTOL_V,
     MAX_STEP_V,
@@ -43,17 +41,7 @@ from repro.sim.dc import (
     DcResult,
     solve_dc,
 )
-from repro.sim.engine import make_batched_system
 from repro.sim.fastpath import STATS, get_solver_tuning
-from repro.sim.mna import GROUND
-from repro.sim.noise import (
-    KF_DEFAULT,
-    ROOM_TEMPERATURE,
-    NoiseResult,
-    _device_noise_psd,
-    _injection_nodes,
-    solve_noise,
-)
 from repro.tech import Technology
 from repro.variation import DeviceDelta
 
@@ -258,7 +246,6 @@ def solve_dc_many(
     source_values: Mapping[str, float] | None = None,
     gmin: float = 1e-12,
     max_iter: int = 150,
-    engine: str | None = None,
     system: BatchedCompiledSystem | None = None,
 ) -> list[DcResult]:
     """DC operating points of K same-shape circuits, solved as one batch.
@@ -268,9 +255,8 @@ def solve_dc_many(
         deltas_list: one delta mapping per circuit (or ``None``).
         x0: shared warm-start vector, or one vector per circuit.
         source_values: per-source dc overrides, shared by the batch.
-        engine: assembler choice; anything but ``"compiled"`` (and
-            single-circuit batches) loops the scalar solver.
-        system: prebuilt batched system for ``circuits``.
+        system: prebuilt batched system for ``circuits`` (unused for a
+            single circuit, which loops the scalar solver).
 
     Raises:
         ConvergenceError: if any circuit defeats every scalar fallback.
@@ -279,16 +265,15 @@ def solve_dc_many(
     if not circuits:
         return []
     deltas_list = _deltas(deltas_list, len(circuits))
-    bsys = system if system is not None else make_batched_system(
-        circuits, tech, deltas_list, engine=engine
-    )
-    if bsys is None:
+    if len(circuits) < 2:
         return [
             solve_dc(c, tech, deltas=d, x0=_x0_row(x0, i),
                      source_values=source_values, gmin=gmin,
-                     max_iter=max_iter, engine=engine)
+                     max_iter=max_iter)
             for i, (c, d) in enumerate(zip(circuits, deltas_list))
         ]
+    bsys = system if system is not None else batched_system(
+        circuits, tech, deltas_list)
     X0 = np.zeros((len(circuits), bsys.size))
     if x0 is not None:
         for i in range(len(circuits)):
@@ -321,7 +306,6 @@ def solve_ac_many(
     op_voltages_seq: Sequence[Mapping[str, float]],
     freqs: np.ndarray,
     deltas_list: DeltasList | None = None,
-    engine: str | None = None,
     system: BatchedCompiledSystem | None = None,
 ) -> list[AcResult]:
     """Small-signal AC of K same-shape circuits over one frequency grid.
@@ -338,14 +322,13 @@ def solve_ac_many(
             "operating points"
         )
     deltas_list = _deltas(deltas_list, len(circuits))
-    bsys = system if system is not None else make_batched_system(
-        circuits, tech, deltas_list, engine=engine
-    )
-    if bsys is None:
+    if len(circuits) < 2:
         return [
-            solve_ac(c, tech, op, freqs, deltas=d, engine=engine)
+            solve_ac(c, tech, op, freqs, deltas=d)
             for c, op, d in zip(circuits, op_voltages_seq, deltas_list)
         ]
+    bsys = system if system is not None else batched_system(
+        circuits, tech, deltas_list)
     freqs = np.asarray(freqs, dtype=float)
     X = bsys.solve_ac_batch_many(op_voltages_seq, 2.0 * math.pi * freqs)
     nets = bsys.topology.circuit_nets
@@ -359,106 +342,4 @@ def solve_ac_many(
             else:
                 out[net] = Xi[bsys.node_index[net]]
         results.append(AcResult(freqs=freqs, node_voltages=out))
-    return results
-
-
-# --------------------------------------------------------------------- noise
-
-
-class _RowParamsView:
-    """One batch row exposing the interface ``_device_noise_psd`` reads."""
-
-    def __init__(self, bsys: BatchedCompiledSystem, row: int):
-        self._bsys = bsys
-        self._row = row
-
-    def mosfet_params(self, name: str):
-        return self._bsys.mosfet_params_row(self._row, name)
-
-
-def solve_noise_many(
-    circuits: Sequence[Circuit],
-    tech: Technology,
-    op_voltages_seq: Sequence[Mapping[str, float]],
-    freqs: np.ndarray,
-    output_net: str,
-    deltas_list: DeltasList | None = None,
-    temperature: float = ROOM_TEMPERATURE,
-    kf: float = KF_DEFAULT,
-    engine: str | None = None,
-) -> list[NoiseResult]:
-    """Output-noise PSDs of K same-shape circuits in one stacked solve.
-
-    The injection pattern is structural (one unit-current column per
-    noisy element), so a single RHS serves the whole batch; only the PSD
-    weights differ per placement.  Results match :func:`solve_noise`.
-    """
-    circuits = list(circuits)
-    if not circuits:
-        return []
-    if len(op_voltages_seq) != len(circuits):
-        raise ValueError(
-            f"got {len(circuits)} circuits but {len(op_voltages_seq)} "
-            "operating points"
-        )
-    deltas_list = _deltas(deltas_list, len(circuits))
-    bsys = make_batched_system(circuits, tech, deltas_list, engine=engine)
-    if bsys is None:
-        return [
-            solve_noise(c, tech, op, freqs, output_net, deltas=d,
-                        temperature=temperature, kf=kf, engine=engine)
-            for c, op, d in zip(circuits, op_voltages_seq, deltas_list)
-        ]
-    freqs = np.asarray(freqs, dtype=float)
-    if np.any(freqs <= 0):
-        raise ValueError("noise analysis requires strictly positive frequencies")
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    if output_net not in bsys.node_index:
-        raise KeyError(f"output net {output_net!r} is ground or unknown")
-    out_idx = bsys.node_index[output_net]
-
-    # Per-placement noisy-device PSDs.  Same structure → same device list
-    # in the same order for every circuit of the batch.  The PSD helper
-    # only reads ``mosfet_params`` off the system, served here straight
-    # from the batched bank (no scalar bindings).
-    noisy_per_circuit = []
-    for i, circuit in enumerate(circuits):
-        row_view = _RowParamsView(bsys, i)
-        noisy = []
-        for device in circuit:
-            psd = _device_noise_psd(
-                device, row_view, op_voltages_seq[i],
-                temperature, kf, freqs,
-            )
-            if psd is not None:
-                noisy.append((device, psd))
-        noisy_per_circuit.append(noisy)
-
-    reference = noisy_per_circuit[0]
-    B = np.zeros((bsys.size, len(reference)), dtype=complex)
-    for col, (device, __) in enumerate(reference):
-        node_a, node_b = _injection_nodes(device)
-        ia = bsys.idx(node_a)
-        ib = bsys.idx(node_b)
-        if ia != GROUND:
-            B[ia, col] += 1.0
-        if ib != GROUND:
-            B[ib, col] -= 1.0
-
-    X = bsys.solve_ac_batch_many(
-        op_voltages_seq, 2.0 * math.pi * freqs, rhs=B
-    )
-    results = []
-    for i, noisy in enumerate(noisy_per_circuit):
-        gains_sq = np.abs(X[i, :, out_idx, :]) ** 2  # (nfreq, n_noisy)
-        contributions = {}
-        total = np.zeros(len(freqs))
-        for col, (device, psd) in enumerate(noisy):
-            contribution = gains_sq[:, col] * psd
-            contributions[device.name] = contribution
-            total = total + contribution
-        results.append(NoiseResult(
-            freqs=freqs, output_psd=total, contributions=contributions,
-        ))
     return results

@@ -1,10 +1,10 @@
 """Compiled MNA engine: circuit *structure* separated from *values*.
 
-The legacy :class:`repro.sim.mna.MnaSystem` walks the device list in Python
-on every assembly — every Newton iteration, every frequency point.  For an
-optimization loop that simulates thousands of placements of the *same*
-circuit this repeats identical structural work (validation, node/branch
-numbering, stamp-location discovery) millions of times.
+This is the simulator every analysis runs on.  An optimization loop
+simulates thousands of placements of the *same* circuit, so walking the
+device list in Python on every assembly — every Newton iteration, every
+frequency point — would repeat identical structural work (validation,
+node/branch numbering, stamp-location discovery) millions of times.
 
 This module splits that work in two:
 
@@ -28,12 +28,11 @@ Ground is handled with a *spill slot*: index arrays map ground to an extra
 row/column ``size`` of an extended matrix which is sliced away after
 scatter, so no stamp needs a conditional.
 
-``CompiledSystem`` implements the same interface as ``MnaSystem``
-(``assemble_dc`` / ``assemble_ac`` / ``capacitance_matrix`` / ``idx`` /
-``voltage`` / ``mosfet_params``), so the Newton, transient and noise
-drivers run unchanged on either engine; the legacy per-device loop is kept
-as the equivalence-tested reference backend (see
-:mod:`repro.sim.engine`).
+The per-device :class:`repro.sim.mna.MnaSystem` implements the same
+assembler interface (``assemble_dc`` / ``solve_ac_batch`` /
+``capacitance_matrix`` / ``idx`` / ``voltage`` / ``mosfet_params``); it
+is the reference the equivalence tests compare this engine against and
+is never loaded on the placement path.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ from repro.netlist.devices import (
 )
 from repro.netlist.nets import is_ground
 from repro.sim.fastpath import STATS
-from repro.sim.mna import GROUND
 from repro.sim.mosfet import (
     MosfetArrays,
     device_caps,
@@ -63,6 +61,9 @@ from repro.sim.mosfet import (
 )
 from repro.tech import MosfetParams, Technology
 from repro.variation import DeviceDelta
+
+#: Matrix index the assemblers report for the reference (ground) node.
+GROUND = -1
 
 # Slot 0 of the linear value vector is pinned to the constant 1.0 so that
 # source-row / branch-current entries (always ±1) share the same
@@ -337,10 +338,8 @@ class _DeviceBank:
 class CompiledSystem:
     """A compiled topology bound to concrete element values.
 
-    Drop-in assembler-interface replacement for
-    :class:`repro.sim.mna.MnaSystem`; the circuit handed in must have the
-    same structure signature as the topology (guaranteed when obtained via
-    :func:`compiled_system`).
+    The circuit handed in must have the same structure signature as the
+    topology (guaranteed when obtained via :func:`compiled_system`).
     """
 
     def __init__(
@@ -495,9 +494,8 @@ class CompiledSystem:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Jacobian and residual of the DC system at state ``x``.
 
-        Semantics identical to :meth:`MnaSystem.assemble_dc`; assembly is
-        one matrix copy, one vectorized device-bank evaluation and two
-        index scatters.
+        Assembly is one matrix copy, one vectorized device-bank
+        evaluation and two index scatters.
         """
         t = self.topology
         size = self.size
@@ -550,13 +548,6 @@ class CompiledSystem:
         G_ext.ravel()[t.node_diag_flat] += gmin
         return G_ext[:size, :size], self._C, self._b_ac
 
-    def assemble_ac(
-        self, op_voltages: Mapping[str, float], omega: float, gmin: float = 1e-12
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Complex small-signal system at one angular frequency."""
-        G, C, b = self.ac_matrices(op_voltages, gmin=gmin)
-        return G + 1j * omega * C, b.copy()
-
     def solve_ac_batch(
         self,
         op_voltages: Mapping[str, float],
@@ -608,8 +599,7 @@ class BatchedCompiledSystem:
     their systems share one :class:`CompiledTopology` and stack cleanly:
     ``(G, C, b)`` gain a leading placement axis, the MOSFET bank becomes
     ``(K, n_mos)``, and every analysis solves all placements (and, for
-    AC/noise, all frequencies and injection columns) in a single
-    ``np.linalg.solve`` call.
+    AC, all frequencies) in a single ``np.linalg.solve`` call.
 
     Binding is itself batched: element values are gathered into
     ``(K, n_slots)`` matrices and scattered through the topology's index
@@ -617,8 +607,8 @@ class BatchedCompiledSystem:
     identical to K separate :class:`CompiledSystem` bindings (the same
     scatter sequence runs per row), without K passes of per-device
     Python.  Scalar bindings for individual rows (needed only on the
-    rare per-placement convergence fallback and for noise PSD parameter
-    lookups) are created lazily via :meth:`system`.
+    rare per-placement convergence fallback) are created lazily via
+    :meth:`system`.
     """
 
     def __init__(
@@ -741,28 +731,6 @@ class BatchedCompiledSystem:
             )
             self._scalar[i] = bound
         return bound
-
-    def idx(self, net: str) -> int:
-        """Matrix index of a net (GROUND for the reference node)."""
-        if is_ground(net):
-            return GROUND
-        return self.node_index[net]
-
-    def mosfet_params_row(self, i: int, name: str) -> MosfetParams:
-        """Variation-resolved parameters of row ``i``'s MOSFET ``name``.
-
-        Computed from the shared bank plus row ``i``'s deltas — no
-        scalar binding needed (the noise analysis reads these for its
-        PSD weights).
-        """
-        params = self._bank.params[self.topology.mos_index[name]]
-        deltas = self.deltas_list[i]
-        delta = deltas.get(name) if deltas else None
-        if delta is not None:
-            params = params.with_deltas(
-                dvth=delta.dvth, dbeta_rel=delta.dbeta_rel
-            )
-        return params
 
     def _op_vector_ext(self, op_voltages: Mapping[str, float]) -> np.ndarray:
         x_ext = np.zeros(self.size + 1)
@@ -920,7 +888,6 @@ class BatchedCompiledSystem:
         self,
         op_voltages_seq: Sequence[Mapping[str, float]],
         omegas: np.ndarray,
-        rhs: np.ndarray | None = None,
         gmin: float = 1e-12,
     ) -> np.ndarray:
         """Solve all placements × frequencies in one stacked batch.
@@ -928,13 +895,9 @@ class BatchedCompiledSystem:
         Args:
             op_voltages_seq: one DC bias mapping per placement.
             omegas: angular frequencies [rad/s], shared by all placements.
-            rhs: optional shared right-hand-side matrix ``(size, m)``
-                replacing each placement's own AC drive (the noise
-                analysis' injection columns — structural, hence shared).
 
         Returns:
-            ``(k, nfreq, size)`` complex solutions, or
-            ``(k, nfreq, size, m)`` when ``rhs`` is given.
+            ``(k, nfreq, size)`` complex solutions.
         """
         G, C, b = self.ac_matrices_batch(op_voltages_seq, gmin=gmin)
         omegas = np.asarray(omegas, dtype=float)
@@ -944,21 +907,12 @@ class BatchedCompiledSystem:
         A = np.empty((self.k, nfreq, self.size, self.size), dtype=complex)
         A.real[...] = G[:, None, :, :]
         A.imag[...] = omegas[None, :, None, None] * C[:, None, :, :]
-        if rhs is None:
-            # Broadcast (read-only) RHS solves fine — no per-call copy.
-            B = np.broadcast_to(
-                b[:, None, :, None], (self.k, nfreq, self.size, 1)
-            )
-            start = perf_counter()
-            X = np.linalg.solve(A, B)[..., 0]
-            STATS.ac_solve_s += perf_counter() - start
-            return X
-        rhs = np.asarray(rhs, dtype=complex)
+        # Broadcast (read-only) RHS solves fine — no per-call copy.
         B = np.broadcast_to(
-            rhs[None, None, :, :], (self.k, nfreq) + rhs.shape
+            b[:, None, :, None], (self.k, nfreq, self.size, 1)
         )
         start = perf_counter()
-        X = np.linalg.solve(A, B)
+        X = np.linalg.solve(A, B)[..., 0]
         STATS.ac_solve_s += perf_counter() - start
         return X
 

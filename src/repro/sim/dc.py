@@ -19,14 +19,11 @@ from typing import Mapping
 import numpy as np
 
 from repro.netlist.circuit import Circuit
-from repro.sim.compiled import CompiledSystem
-from repro.sim.engine import make_system
+from repro.netlist.devices import CurrentSource, VoltageSource
+from repro.sim.compiled import CompiledSystem, compiled_system
 from repro.sim.fastpath import STATS
-from repro.sim.mna import MnaSystem
 from repro.tech import Technology
 from repro.variation import DeviceDelta
-
-MnaLike = MnaSystem | CompiledSystem
 
 
 class ConvergenceError(RuntimeError):
@@ -73,7 +70,7 @@ RESIDTOL_V = 1e-9
 
 
 def _newton(
-    system: MnaLike,
+    system: CompiledSystem,
     x0: np.ndarray,
     gmin: float,
     source_scale: float,
@@ -130,8 +127,7 @@ def solve_dc(
     source_values: Mapping[str, float] | None = None,
     gmin: float = 1e-12,
     max_iter: int = 150,
-    engine: str | None = None,
-    system: MnaLike | None = None,
+    system: CompiledSystem | None = None,
 ) -> DcResult:
     """Find the DC operating point of ``circuit``.
 
@@ -144,8 +140,6 @@ def solve_dc(
         source_values: per-source dc overrides (name → value).
         gmin: final stabilising conductance.
         max_iter: Newton budget per homotopy stage.
-        engine: assembler choice (``"compiled"``/``"legacy"``); ``None``
-            uses the process default.
         system: prebuilt assembler for ``circuit`` — skips construction
             entirely (callers like ``dc_sweep`` and the transient driver
             reuse one system across many solves).
@@ -154,7 +148,7 @@ def solve_dc(
         ConvergenceError: if no strategy converges.
     """
     if system is None:
-        system = make_system(circuit, tech, deltas, engine=engine)
+        system = compiled_system(circuit, tech, deltas)
     guess = x0.copy() if x0 is not None else np.zeros(system.size)
     total_iters = 0
 
@@ -200,7 +194,9 @@ def solve_dc(
     )
 
 
-def _package(system: MnaLike, x: np.ndarray, iterations: int) -> DcResult:
+def _package(
+    system: CompiledSystem, x: np.ndarray, iterations: int
+) -> DcResult:
     voltages = {net: system.voltage(x, net) for net in system.circuit.nets()}
     branch_currents = {
         name: float(x[row]) for name, row in system.branch_index.items()
@@ -213,13 +209,33 @@ def _package(system: MnaLike, x: np.ndarray, iterations: int) -> DcResult:
     )
 
 
+def _require_source(circuit: Circuit, name: str) -> None:
+    """Raise unless ``name`` is an independent source of ``circuit``.
+
+    Source overrides (sweep points, transient waveforms) only ever
+    replace a :class:`VoltageSource` or :class:`CurrentSource` value;
+    any other name would be silently ignored.
+
+    Raises:
+        KeyError: no device named ``name``.
+        ValueError: the device is not an independent source.
+    """
+    if name not in circuit:
+        raise KeyError(f"no source named {name!r}")
+    device = circuit.device(name)
+    if not isinstance(device, (VoltageSource, CurrentSource)):
+        raise ValueError(
+            f"{name!r} is a {type(device).__name__}, not an independent "
+            "voltage or current source"
+        )
+
+
 def dc_sweep(
     circuit: Circuit,
     tech: Technology,
     source_name: str,
     values: np.ndarray,
     deltas: Mapping[str, DeviceDelta] | None = None,
-    engine: str | None = None,
 ) -> list[DcResult]:
     """Sweep one source's DC value, warm-starting each point.
 
@@ -229,11 +245,13 @@ def dc_sweep(
     Args:
         source_name: a voltage or current source in the circuit.
         values: sequence of source values to visit, in order.
-        engine: assembler choice; ``None`` uses the process default.
+
+    Raises:
+        KeyError: no device named ``source_name``.
+        ValueError: ``source_name`` is not an independent source.
     """
-    if source_name not in circuit:
-        raise KeyError(f"no source named {source_name!r}")
-    system = make_system(circuit, tech, deltas, engine=engine)
+    _require_source(circuit, source_name)
+    system = compiled_system(circuit, tech, deltas)
     results: list[DcResult] = []
     x0: np.ndarray | None = None
     for value in values:

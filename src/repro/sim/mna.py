@@ -1,4 +1,10 @@
-"""Modified nodal analysis: matrix assembly for DC, AC and transient.
+"""Reference modified-nodal-analysis assembler (per-device stamp loop).
+
+The analyses run on :mod:`repro.sim.compiled`.  :class:`MnaSystem` is the
+plain, readable statement of the same stamps — one Python branch per
+device type, one matrix per frequency point — kept as the reference the
+equivalence tests compare the compiled engine against.  Nothing on the
+placement path imports this module.
 
 Unknown vector layout: node voltages for every non-ground net (in circuit
 net order), followed by one branch current per voltage-defined element
@@ -33,11 +39,10 @@ from repro.netlist.devices import (
     VoltageSource,
 )
 from repro.netlist.nets import is_ground
+from repro.sim.compiled import GROUND
 from repro.sim.mosfet import device_caps, terminal_currents
 from repro.tech import Technology
 from repro.variation import DeviceDelta
-
-GROUND = -1
 
 
 class MnaSystem:
@@ -313,3 +318,25 @@ class MnaSystem:
         for i in range(self.n_nodes):
             A[i, i] += gmin
         return A, b
+
+    def solve_ac_batch(
+        self,
+        op_voltages: Mapping[str, float],
+        omegas: np.ndarray,
+        rhs: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Solve the AC system one frequency point at a time.
+
+        Same signature and return shapes as
+        :meth:`repro.sim.compiled.CompiledSystem.solve_ac_batch`:
+        ``(nfreq, size)``, or ``(nfreq, size, m)`` when an ``(size, m)``
+        ``rhs`` replaces the circuit's own AC drives.
+        """
+        omegas = np.asarray(omegas, dtype=float)
+        shape = (len(omegas), self.size) + (
+            () if rhs is None else np.shape(rhs)[1:])
+        X = np.empty(shape, dtype=complex)
+        for k, omega in enumerate(omegas):
+            A, b = self.assemble_ac(op_voltages, omega=float(omega))
+            X[k] = np.linalg.solve(A, b if rhs is None else rhs)
+        return X

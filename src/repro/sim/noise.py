@@ -22,9 +22,7 @@ import numpy as np
 
 from repro.netlist.circuit import Circuit
 from repro.netlist.devices import Mosfet, Resistor
-from repro.sim.compiled import CompiledSystem
-from repro.sim.engine import make_system
-from repro.sim.mna import GROUND, MnaSystem
+from repro.sim.compiled import GROUND, CompiledSystem, compiled_system
 from repro.sim.mosfet import terminal_currents
 from repro.tech import Technology
 from repro.variation import DeviceDelta
@@ -79,7 +77,7 @@ class NoiseResult:
 
 
 def _device_noise_psd(
-    device, system: MnaSystem | CompiledSystem, op: Mapping[str, float],
+    device, system: CompiledSystem, op: Mapping[str, float],
     temperature: float, kf: float, freqs: np.ndarray,
 ) -> np.ndarray | None:
     """One-sided current-noise PSD [A^2/Hz] across the device, or None."""
@@ -114,7 +112,6 @@ def solve_noise(
     deltas: Mapping[str, DeviceDelta] | None = None,
     temperature: float = ROOM_TEMPERATURE,
     kf: float = KF_DEFAULT,
-    engine: str | None = None,
 ) -> NoiseResult:
     """Output noise PSD at ``output_net``.
 
@@ -129,9 +126,9 @@ def solve_noise(
         deltas: variation-resolved device parameter shifts.
         temperature: analysis temperature [K].
         kf: flicker coefficient of the simplified level-1 model.
-        engine: assembler choice; ``None`` uses the process default.  The
-            compiled engine solves all frequencies and all injection
-            columns as one stacked batch.
+
+    All frequencies and all injection columns solve as one stacked
+    batch.
     """
     freqs = np.asarray(freqs, dtype=float)
     if np.any(freqs <= 0):
@@ -139,7 +136,7 @@ def solve_noise(
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
 
-    system = make_system(circuit, tech, deltas, engine=engine)
+    system = compiled_system(circuit, tech, deltas)
     if output_net not in system.node_index:
         raise KeyError(f"output net {output_net!r} is ground or unknown")
     out_idx = system.node_index[output_net]
@@ -156,7 +153,7 @@ def solve_noise(
     total = np.zeros(len(freqs))
 
     # One RHS column per noise source: unit current across the element
-    # (frequency-independent, so it is built once for both engines).
+    # (frequency-independent, so it is built once).
     B = np.zeros((system.size, len(noisy)), dtype=complex)
     for col, (device, __) in enumerate(noisy):
         node_a, node_b = _injection_nodes(device)
@@ -166,21 +163,11 @@ def solve_noise(
         if ib != GROUND:
             B[ib, col] -= 1.0
 
-    if isinstance(system, CompiledSystem):
-        X = system.solve_ac_batch(op_voltages, 2.0 * math.pi * freqs, rhs=B)
-        gains_sq = np.abs(X[:, out_idx, :]) ** 2  # (nfreq, n_noisy)
-        for col, (device, psd) in enumerate(noisy):
-            contribution = gains_sq[:, col] * psd
-            contributions[device.name] += contribution
-            total += contribution
-    else:
-        for k, f in enumerate(freqs):
-            A, __ = system.assemble_ac(op_voltages, omega=2.0 * math.pi * f)
-            X = np.linalg.solve(A, B)
-            for col, (device, psd) in enumerate(noisy):
-                gain_sq = float(np.abs(X[out_idx, col]) ** 2)
-                contribution = gain_sq * psd[k]
-                contributions[device.name][k] += contribution
-                total[k] += contribution
+    X = system.solve_ac_batch(op_voltages, 2.0 * math.pi * freqs, rhs=B)
+    gains_sq = np.abs(X[:, out_idx, :]) ** 2  # (nfreq, n_noisy)
+    for col, (device, psd) in enumerate(noisy):
+        contribution = gains_sq[:, col] * psd
+        contributions[device.name] += contribution
+        total += contribution
 
     return NoiseResult(freqs=freqs, output_psd=total, contributions=contributions)

@@ -17,8 +17,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from repro.netlist.circuit import Circuit
-from repro.sim.dc import ConvergenceError, solve_dc
-from repro.sim.engine import make_system
+from repro.sim.compiled import compiled_system
+from repro.sim.dc import ConvergenceError, _require_source, solve_dc
 from repro.tech import Technology
 from repro.variation import DeviceDelta
 
@@ -78,33 +78,35 @@ def solve_transient(
     waveforms: Mapping[str, Waveform] | None = None,
     ic: Mapping[str, float] | None = None,
     max_iter: int = 100,
-    engine: str | None = None,
 ) -> TransientResult:
     """Integrate the circuit from a DC initial condition.
 
-    One assembler serves the initial DC solve and every time step — the
-    compiled engine therefore stamps the whole run without per-device
-    Python dispatch.
+    One compiled assembler serves the initial DC solve and every time
+    step, so the whole run stamps without per-device Python dispatch.
 
     Args:
         t_stop: final time [s].
         dt: fixed step size [s].
-        waveforms: per-source time functions; sources not listed keep
-            their DC value.  At t = 0 the waveform value (if any) is used
+        waveforms: per-source time functions, keyed by the name of a
+            voltage or current source; sources not listed keep their DC
+            value.  At t = 0 the waveform value (if any) is used
             for the initial DC solve.
         ic: optional initial node voltages overriding the DC solve result
             (net → volts) — useful to seed a latch imbalance.
         max_iter: Newton budget per time step.
-        engine: assembler choice; ``None`` uses the process default.
 
     Raises:
         ConvergenceError: if a time step fails to converge.
+        KeyError: a ``waveforms`` key names no device.
+        ValueError: a ``waveforms`` key is not an independent source.
     """
     if t_stop <= 0 or dt <= 0 or dt > t_stop:
         raise ValueError("need 0 < dt <= t_stop")
     waveforms = dict(waveforms or {})
+    for name in waveforms:
+        _require_source(circuit, name)
 
-    system = make_system(circuit, tech, deltas, engine=engine)
+    system = compiled_system(circuit, tech, deltas)
     C = system.capacitance_matrix()
 
     def source_values_at(t: float) -> dict[str, float]:

@@ -62,17 +62,6 @@ class TestEquivalence:
         p = banded_placement(block, "ysym")
         assert a.evaluate_many([p])[0].values == b.evaluate(p).values
 
-    def test_legacy_engine_batches_too(self):
-        block = current_mirror()
-        compiled = PlacementEvaluator(block, engine="compiled")
-        legacy = PlacementEvaluator(block, engine="legacy")
-        placements = batch_for(block)
-        want = compiled.evaluate_many(placements)
-        got = legacy.evaluate_many(placements)
-        for w, g in zip(want, got):
-            assert g.primary_value == pytest.approx(
-                w.primary_value, rel=1e-8)
-
 
 class TestCountingSemantics:
     def test_each_miss_counts_once(self):

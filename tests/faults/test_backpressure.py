@@ -168,6 +168,24 @@ class TestHTTPContract:
         assert "queue" in body["error"]
         assert body["retry_after_s"] >= 1
 
+    def test_waited_submit_is_admitted_like_any_other(self, throttled_server):
+        # ``?wait=1`` goes through the same queue limits: no inline
+        # execution around a full queue.
+        url, service, gate = throttled_server
+        assert _post_place(url, 1)[0] == 202
+        assert gate.entered.wait(30)
+        assert _post_place(url, 2)[0] == 202  # fills the queue (depth 1)
+        payload = PlacementRequest(circuit="cm", steps=5, seed=3)
+        request = urllib.request.Request(
+            url + "/place?wait=1",
+            data=json.dumps(payload.to_json_dict()).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request)
+        assert excinfo.value.code == 429
+        assert int(excinfo.value.headers["Retry-After"]) >= 1
+
     def test_429_per_client_limit_uses_x_client_id(self, throttled_server):
         url, service, gate = throttled_server
         assert _post_place(url, 1, client="alice")[0] == 202

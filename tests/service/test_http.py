@@ -161,6 +161,76 @@ class TestServingBitIdentity:
         assert metrics_from_dict(result["metrics"]).summary() in out
 
 
+class TestWaitedPlace:
+    """``POST /place?wait=1`` is a job like any other: journaled, visible
+    at ``/jobs/<id>``, served from the result cache, counted in
+    ``/metrics``."""
+
+    @pytest.fixture()
+    def served_durable(self, tmp_path):
+        service = PlacementService(
+            policies=tmp_path / "policies", journal_dir=tmp_path / "jobs",
+            result_cache=True,
+        )
+        server = make_server(service)
+        server_thread(server)
+        yield server.url, service
+        server.shutdown()
+        server.server_close()
+        service.close()
+
+    def test_waited_job_is_journaled_and_visible(self, served_durable):
+        url, service = served_durable
+        status, payload = _post_json(
+            url + "/place?wait=1", PlacementRequest(**QUICK).to_json_dict())
+        assert status == 200
+        job = payload["job"]
+        __, __, body = _get(url + f"/jobs/{job}")
+        record = json.loads(body)
+        assert record["state"] == "done"
+        assert record["result"] == payload["result"]
+        events = [
+            json.loads(line)["event"]
+            for line in service.journal.path.read_text().splitlines()
+            if json.loads(line)["job"] == job
+        ]
+        assert events == ["submitted", "running", "done"]
+
+    def test_identical_waited_request_is_a_cache_hit(self, served_durable):
+        url, __ = served_durable
+        body = PlacementRequest(**QUICK).to_json_dict()
+        __, first = _post_json(url + "/place?wait=1", body)
+        status, second = _post_json(url + "/place?wait=1", body)
+        assert status == 200
+        assert second["job"] != first["job"]
+        assert second["result"] == first["result"]
+        __, __, raw = _get(url + f"/jobs/{second['job']}")
+        assert json.loads(raw)["cached"] is True
+        __, __, raw = _get(url + "/metrics?format=json")
+        metrics = json.loads(raw)
+        assert metrics["stats"]["result_cache_hits"] == 1
+        assert metrics["jobs"]["done"] == 2
+
+    def test_waited_resolution_error_is_400(self, served_durable):
+        url, service = served_durable
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post_json(
+                url + "/place?wait=1",
+                PlacementRequest(**QUICK, warm_policy="missing")
+                .to_json_dict())
+        assert err.value.code == 400
+        assert "missing" in json.loads(err.value.read())["error"]
+        # The failure is a recorded job, not a lost inline call.
+        assert service.jobs.counts()["failed"] == 1
+
+    def test_waited_unknown_circuit_is_400(self, served_durable):
+        url, __ = served_durable
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post_json(url + "/place?wait=1", {"circuit": "dac", "steps": 5})
+        assert err.value.code == 400
+        assert "unknown circuit" in json.loads(err.value.read())["error"]
+
+
 class TestInlineSpiceServing:
     def test_spice_job_places_and_renders_svg(self, served):
         """The advertised inline-SPICE path works end to end, SVG

@@ -2,10 +2,10 @@
 
 For every library block we build K placement variants — different
 parasitic annotations and different variation deltas, identical structure
-— and check that the batched drivers (`solve_dc_many` / `solve_ac_many` /
-`solve_noise_many`) agree with the scalar compiled path placement-for-
-placement to ≤ 1e-10.  This is the contract that lets the evaluator price
-candidate batches without changing a single metric.
+— and check that the batched drivers (`solve_dc_many` / `solve_ac_many`)
+agree with the scalar compiled path placement-for-placement to ≤ 1e-10.
+This is the contract that lets the evaluator price candidate batches
+without changing a single metric.
 """
 
 import numpy as np
@@ -20,7 +20,6 @@ from repro.netlist.library import (
     folded_cascode_ota,
     two_stage_ota,
 )
-from repro.netlist.nets import is_ground
 from repro.route.parasitics import annotate_parasitics
 from repro.sim import (
     batched_system,
@@ -29,8 +28,6 @@ from repro.sim import (
     solve_ac_many,
     solve_dc,
     solve_dc_many,
-    solve_noise,
-    solve_noise_many,
 )
 from repro.tech import generic_tech_40
 
@@ -91,38 +88,11 @@ def test_ac_many_matches_sequential(batches, kind):
                 got.transfer(net), want.transfer(net), atol=TOL, rtol=TOL)
 
 
-@pytest.mark.parametrize("kind", sorted(BUILDERS))
-def test_noise_many_matches_sequential(batches, kind):
-    circuits, deltas_list, tech = batches[kind]
-    output = next(n for n in sorted(circuits[0].nets()) if not is_ground(n))
-    ops = [solve_dc(c, tech, deltas=d).voltages
-           for c, d in zip(circuits, deltas_list)]
-    batch = solve_noise_many(
-        circuits, tech, ops, FREQS, output, deltas_list)
-    for circuit, op, deltas, got in zip(circuits, ops, deltas_list, batch):
-        want = solve_noise(circuit, tech, op, FREQS, output, deltas=deltas)
-        np.testing.assert_allclose(
-            got.output_psd, want.output_psd, rtol=1e-10)
-        assert set(got.contributions) == set(want.contributions)
-        for name, psd in want.contributions.items():
-            np.testing.assert_allclose(
-                got.contributions[name], psd, rtol=1e-10)
-
-
 def test_single_circuit_batch_falls_back_scalar(batches):
     circuits, deltas_list, tech = batches["cm"]
     got = solve_dc_many(circuits[:1], tech, deltas_list[:1])[0]
     want = solve_dc(circuits[0], tech, deltas=deltas_list[0])
     assert got.voltages == want.voltages
-
-
-def test_legacy_engine_loops_scalar(batches):
-    circuits, deltas_list, tech = batches["cm"]
-    batch = solve_dc_many(circuits, tech, deltas_list, engine="legacy")
-    for circuit, deltas, got in zip(circuits, deltas_list, batch):
-        want = solve_dc(circuit, tech, deltas=deltas, engine="legacy")
-        for net, v in want.voltages.items():
-            assert got.voltages[net] == pytest.approx(v, abs=TOL, rel=TOL)
 
 
 def test_mixed_signatures_rejected(batches):

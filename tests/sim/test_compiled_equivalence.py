@@ -1,11 +1,12 @@
-"""Compiled-engine equivalence: every analysis matches the legacy loop.
+"""Compiled-engine equivalence: every analysis matches the reference loop.
 
 The compiled MNA engine (cached topology, vectorized stamping, batched AC
 solves) must be *behaviour-preserving*: for every library block, under
 nominal parameters, a skewed global corner and random per-device deltas,
-DC / AC / noise / transient results must match the legacy per-device
-assembly to tight tolerances, and reusing one cached topology across many
-placements must never change metrics.
+DC / AC / noise / transient results must match the per-device reference
+assembler (:class:`repro.sim.mna.MnaSystem`, swapped in by the
+``mna_reference`` fixture) to tight tolerances, and reusing one cached
+topology across many placements must never change metrics.
 """
 
 import dataclasses
@@ -26,8 +27,7 @@ from repro.netlist.library import (
 )
 from repro.sim import (
     clear_topology_cache,
-    get_engine,
-    set_engine,
+    compiled_system,
     solve_ac,
     solve_dc,
     solve_noise,
@@ -35,8 +35,8 @@ from repro.sim import (
     step_waveform,
     structure_signature,
     topology_cache_info,
-    use_engine,
 )
+from repro.sim.mna import MnaSystem
 from repro.tech import generic_tech_40
 from repro.variation import DeviceDelta, corner
 
@@ -51,7 +51,7 @@ BUILDERS = {
 }
 
 # A handful of frequency points spanning the band is enough to exercise
-# the batched assembly; the grid itself is identical for both engines.
+# the batched assembly; the grid itself is identical for both assemblers.
 FREQS = np.logspace(4, 9, 6)
 
 # Net used as the noise output (must not be clamped by a voltage source).
@@ -114,49 +114,56 @@ def _params():
 
 @pytest.mark.parametrize("name,block,variant", _params())
 class TestAnalysisEquivalence:
-    def test_dc_matches_legacy(self, name, block, variant):
+    def test_dc_matches_legacy(self, name, block, variant, mna_reference):
         circuit = _dc_circuit(name, block)
         deltas = _variants(name, circuit)[variant]
-        legacy = solve_dc(circuit, TECH, deltas=deltas, engine="legacy")
-        compiled = solve_dc(circuit, TECH, deltas=deltas, engine="compiled")
+        with mna_reference():
+            legacy = solve_dc(circuit, TECH, deltas=deltas)
+        compiled = solve_dc(circuit, TECH, deltas=deltas)
         for net, v in legacy.voltages.items():
             assert compiled.voltages[net] == pytest.approx(v, abs=1e-10)
         for src, i in legacy.branch_currents.items():
             assert compiled.branch_currents[src] == pytest.approx(i, abs=1e-10)
 
-    def test_ac_matches_legacy(self, name, block, variant):
+    def test_ac_matches_legacy(self, name, block, variant, mna_reference):
         circuit = _dc_circuit(name, block)
         deltas = _variants(name, circuit)[variant]
         bench = _ac_bench(name, block.circuit)
-        results = {}
-        for engine in ("legacy", "compiled"):
-            op = solve_dc(circuit, TECH, deltas=deltas, engine=engine)
-            results[engine] = solve_ac(
-                bench, TECH, op.voltages, FREQS, deltas=deltas, engine=engine)
-        for net, h in results["legacy"].node_voltages.items():
+
+        def run():
+            op = solve_dc(circuit, TECH, deltas=deltas)
+            return solve_ac(bench, TECH, op.voltages, FREQS, deltas=deltas)
+
+        with mna_reference():
+            legacy = run()
+        compiled = run()
+        for net, h in legacy.node_voltages.items():
             assert np.allclose(
-                results["compiled"].node_voltages[net], h,
+                compiled.node_voltages[net], h,
                 rtol=1e-10, atol=1e-10,
             ), f"AC transfer mismatch on net {net!r}"
 
-    def test_noise_matches_legacy(self, name, block, variant):
+    def test_noise_matches_legacy(self, name, block, variant, mna_reference):
         circuit = _dc_circuit(name, block)
         deltas = _variants(name, circuit)[variant]
         output = NOISE_OUTPUT[name]
-        results = {}
-        for engine in ("legacy", "compiled"):
-            op = solve_dc(circuit, TECH, deltas=deltas, engine=engine)
-            results[engine] = solve_noise(
-                block.circuit, TECH, op.voltages, FREQS, output,
-                deltas=deltas, engine=engine)
-        legacy, compiled = results["legacy"], results["compiled"]
+
+        def run():
+            op = solve_dc(circuit, TECH, deltas=deltas)
+            return solve_noise(block.circuit, TECH, op.voltages, FREQS,
+                               output, deltas=deltas)
+
+        with mna_reference():
+            legacy = run()
+        compiled = run()
         assert np.allclose(compiled.output_psd, legacy.output_psd,
                            rtol=1e-9, atol=0.0)
         for device, psd in legacy.contributions.items():
             assert np.allclose(compiled.contributions[device], psd,
                                rtol=1e-9, atol=0.0)
 
-    def test_transient_matches_legacy(self, name, block, variant):
+    def test_transient_matches_legacy(self, name, block, variant,
+                                      mna_reference):
         circuit = _dc_circuit(name, block)
         deltas = _variants(name, circuit)[variant]
         if name == "cm":
@@ -164,26 +171,49 @@ class TestAnalysisEquivalence:
         else:
             vcm = block.params["vcm"]
             waveforms = {"vvip": step_waveform(0.4e-9, vcm, vcm + 0.05)}
-        results = {}
-        for engine in ("legacy", "compiled"):
-            results[engine] = solve_transient(
+
+        def run():
+            return solve_transient(
                 circuit, TECH, t_stop=1.2e-9, dt=0.3e-9, deltas=deltas,
-                waveforms=waveforms, engine=engine)
-        for net, wave in results["legacy"].node_voltages.items():
-            assert np.allclose(results["compiled"].node_voltages[net], wave,
+                waveforms=waveforms)
+
+        with mna_reference():
+            legacy = run()
+        compiled = run()
+        for net, wave in legacy.node_voltages.items():
+            assert np.allclose(compiled.node_voltages[net], wave,
                                rtol=0.0, atol=1e-10)
 
 
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_reference_solve_ac_batch_contract(name):
+    """``MnaSystem.solve_ac_batch`` keeps the compiled signature and return
+    shapes — ``(nfreq, size)``, or ``(nfreq, size, m)`` with an RHS."""
+    block = BUILDERS[name]()
+    bench = _ac_bench(name, block.circuit)
+    op = solve_dc(_dc_circuit(name, block), TECH).voltages
+    compiled = compiled_system(bench, TECH)
+    reference = MnaSystem(bench, TECH)
+    omegas = 2.0 * np.pi * FREQS
+    rhs = np.eye(compiled.size, 3, dtype=complex)
+    for kwargs in ({}, {"rhs": rhs}):
+        want = compiled.solve_ac_batch(op, omegas, **kwargs)
+        got = reference.solve_ac_batch(op, omegas, **kwargs)
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
+
+
 class TestMetricsEquivalence:
-    """PlacementEvaluator produces identical metrics on both engines."""
+    """PlacementEvaluator produces identical metrics on both assemblers."""
 
     @pytest.mark.parametrize("name", sorted(BUILDERS))
-    def test_metrics_identical_across_engines(self, name):
+    def test_metrics_identical_across_engines(self, name, mna_reference):
         block = BUILDERS[name]()
         for style in ("sequential", "ysym"):
             placement = banded_placement(block, style)
-            legacy = PlacementEvaluator(block, engine="legacy").evaluate(placement)
-            compiled = PlacementEvaluator(block, engine="compiled").evaluate(placement)
+            with mna_reference():
+                legacy = PlacementEvaluator(block).evaluate(placement)
+            compiled = PlacementEvaluator(block).evaluate(placement)
             assert set(legacy.values) == set(compiled.values)
             for key, value in legacy.values.items():
                 assert compiled.values[key] == pytest.approx(
@@ -211,7 +241,7 @@ class TestTopologyCache:
     def test_placements_share_one_topology(self):
         block = five_transistor_ota()
         clear_topology_cache()
-        evaluator = PlacementEvaluator(block, engine="compiled")
+        evaluator = PlacementEvaluator(block)
         for placement in _distinct_placements(block):
             evaluator.evaluate(placement)
         info = topology_cache_info()
@@ -220,14 +250,16 @@ class TestTopologyCache:
         assert info["misses"] > 0
         assert info["hits"] >= 2 * info["misses"]
 
-    def test_cache_reuse_never_changes_metrics(self):
+    def test_cache_reuse_never_changes_metrics(self, mna_reference):
         block = five_transistor_ota()
         clear_topology_cache()
-        shared = PlacementEvaluator(block, engine="compiled")
+        shared = PlacementEvaluator(block)
         for placement in _distinct_placements(block):
             reused = shared.evaluate(placement)
-            # A fresh evaluator on the legacy engine shares no state at all.
-            fresh = PlacementEvaluator(block, engine="legacy").evaluate(placement)
+            # A fresh evaluator on the reference assembler shares no
+            # state at all.
+            with mna_reference():
+                fresh = PlacementEvaluator(block).evaluate(placement)
             for key, value in fresh.values.items():
                 assert reused.values[key] == pytest.approx(
                     value, rel=1e-9, abs=1e-9)
@@ -244,18 +276,18 @@ class TestTopologyCache:
         assert structure_signature(other.circuit) != sig_a
 
 
-class TestEngineSelection:
-    def test_default_engine_is_compiled(self):
-        assert get_engine() == "compiled"
-
-    def test_use_engine_scopes_and_restores(self):
-        assert get_engine() == "compiled"
-        with use_engine("legacy"):
-            assert get_engine() == "legacy"
-        assert get_engine() == "compiled"
-        with use_engine(None):
-            assert get_engine() == "compiled"
-
-    def test_set_engine_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            set_engine("spectre")
+def test_reference_fixture_swaps_the_assembler(mna_reference):
+    """Inside ``mna_reference`` nothing compiles a topology: every solve of
+    an evaluation (direct analyses included) runs on ``MnaSystem``."""
+    block = five_transistor_ota()
+    circuit = block.circuit
+    clear_topology_cache()
+    with mna_reference():
+        PlacementEvaluator(block).evaluate(banded_placement(block, "ysym"))
+        op = solve_dc(circuit, TECH)
+        solve_ac(_ac_bench("ota5t", circuit), TECH, op.voltages, FREQS)
+        solve_noise(circuit, TECH, op.voltages, FREQS, "outp")
+        solve_transient(circuit, TECH, t_stop=0.6e-9, dt=0.3e-9)
+    assert topology_cache_info()["misses"] == 0
+    solve_dc(circuit, TECH)
+    assert topology_cache_info()["misses"] == 1

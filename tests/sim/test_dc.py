@@ -140,6 +140,18 @@ class TestWarmStartAndSweep:
         with pytest.raises(KeyError, match="source"):
             dc_sweep(block.circuit, TECH, "nosuch", np.array([0.5]))
 
+    def test_sweep_of_a_non_source_rejected(self):
+        # Overrides only apply to independent sources: sweeping a MOSFET
+        # used to return identical solutions for every point.
+        block = current_mirror()
+        with pytest.raises(ValueError, match="'mref' is a Mosfet"):
+            dc_sweep(block.circuit, TECH, "mref", [0.1, 0.5, 0.9])
+
+    def test_sweep_of_a_current_source(self):
+        block = current_mirror()
+        results = dc_sweep(block.circuit, TECH, "iref", [10e-6, 20e-6])
+        assert results[0].voltage("bias") < results[1].voltage("bias")
+
 
 @pytest.mark.parametrize("builder", [
     current_mirror, comparator, folded_cascode_ota, five_transistor_ota,

@@ -148,7 +148,7 @@ class TestKnobEquivalence:
 class TestOpCache:
     def test_exact_hit_reuses_operating_point(self):
         block = five_transistor_ota()
-        evaluator = PlacementEvaluator(block, engine="compiled")
+        evaluator = PlacementEvaluator(block)
         placement = banded_placement(block, "ysym")
         first = evaluator.evaluate(placement)
         evaluator.clear_cache()
@@ -160,7 +160,7 @@ class TestOpCache:
 
     def test_cache_disabled_never_hits(self):
         block = five_transistor_ota()
-        evaluator = PlacementEvaluator(block, engine="compiled")
+        evaluator = PlacementEvaluator(block)
         placement = banded_placement(block, "ysym")
         reset_solver_stats()
         with solver_tuning(op_cache=False):

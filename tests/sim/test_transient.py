@@ -65,6 +65,17 @@ class TestRcStep:
         with pytest.raises(ValueError, match="t_rise"):
             step_waveform(0.0, 0.0, 1.0, t_rise=0.0)
 
+    def test_waveform_on_a_non_source_rejected(self):
+        # A waveform keyed by anything but an independent source would be
+        # silently ignored.
+        step = step_waveform(0.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="'r1' is a Resistor"):
+            solve_transient(rc_circuit(), TECH, t_stop=1e-9, dt=1e-11,
+                            waveforms={"r1": step})
+        with pytest.raises(KeyError, match="ghost"):
+            solve_transient(rc_circuit(), TECH, t_stop=1e-9, dt=1e-11,
+                            waveforms={"ghost": step})
+
     def test_unknown_net_rejected(self):
         result = solve_transient(rc_circuit(), TECH, t_stop=1e-10, dt=1e-11)
         with pytest.raises(KeyError, match="net"):

@@ -149,12 +149,6 @@ class TestProfile:
         out = capsys.readouterr().out
         for stage in ("context", "parasitics", "dc", "ac", "measures"):
             assert stage in out
-        assert "compiled (default)" in out
-
-    def test_profile_explicit_engine(self, capsys):
-        assert main(["profile", "cm", "--engine", "legacy",
-                     "--repeats", "1"]) == 0
-        assert "engine=legacy" in capsys.readouterr().out
 
     def test_profile_requires_circuit(self):
         with pytest.raises(SystemExit):
@@ -201,6 +195,22 @@ def test_place_runs_without_networkx():
     # ``sys.modules[name] = None`` makes any ``import networkx`` fail.
     code = (
         "import sys; sys.modules['networkx'] = None; "
+        "from repro.cli import main; "
+        "sys.exit(main(['place', '--circuit', 'cm', '--steps', '20']))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=_src_env(), timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "reached after" in out.stdout
+
+
+def test_place_never_loads_the_reference_assembler():
+    # ``sys.modules[name] = None`` makes any ``import repro.sim.mna`` fail:
+    # placement runs on the compiled engine alone.
+    code = (
+        "import sys; sys.modules['repro.sim.mna'] = None; "
         "from repro.cli import main; "
         "sys.exit(main(['place', '--circuit', 'cm', '--steps', '20']))"
     )
