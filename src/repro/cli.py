@@ -37,7 +37,6 @@ import time
 
 from repro.core.qlearning import MERGE_HOWS
 from repro.eval.evaluator import PlacementEvaluator
-from repro.layout.context import device_contexts_all
 from repro.layout.generators import (
     STYLES,
     banded_placement,
@@ -732,13 +731,16 @@ def _cmd_worker(args) -> int:
 def _cmd_profile(args) -> int:
     """Per-stage wall-clock of the evaluation pipeline for one circuit.
 
-    Stages mirror :meth:`PlacementEvaluator.evaluate`: placement contexts →
-    parasitic annotation → DC operating point → AC sweep → the full
-    measurement suite.  The suite row *includes* its internal DC/AC
-    solves; the end-to-end row is one whole cache-miss evaluation.  The
-    final two rows price ``--batch`` candidate placements sequentially
-    vs through :meth:`PlacementEvaluator.evaluate_many` (the placement-
-    batched compiled solves), with the resulting speedup.  A trailing
+    Stages mirror :meth:`PlacementEvaluator.evaluate`: unit contexts and
+    variation deltas → parasitic annotation → DC operating point → AC
+    sweep → the full measurement suite.  The suite row *includes* its
+    internal DC/AC solves; the end-to-end row is one whole cache-miss
+    evaluation.  The final two rows price ``--batch`` candidate
+    placements sequentially vs through
+    :meth:`PlacementEvaluator.evaluate_many` (the placement-batched
+    compiled solves), with the resulting speedup.  Every timed
+    evaluation starts from empty result and operating-point caches, so
+    it simulates rather than reads a stored result.  A trailing
     solver split reports the fast path's internals: Newton iterations,
     Jacobian factorizations vs frozen-Jacobian reuses, operating-point-
     cache hits, and the stacked AC solve time.
@@ -763,24 +765,28 @@ def _cmd_profile(args) -> int:
     op = solve_dc(annotated, tech, deltas=deltas)
     from repro.eval.suites import AC_FREQS
 
-    def full_evaluate():
+    def cold():
         evaluator.clear_cache()
+        evaluator.clear_op_cache()
+
+    def full_evaluate():
+        cold()
         evaluator.evaluate(placement)
 
     candidates = random_walk_placements(
         block, args.batch, style=args.style)
 
     def sequential_batch():
-        evaluator.clear_cache()
+        cold()
         for p in candidates:
             evaluator.evaluate(p)
 
     def batched_batch():
-        evaluator.clear_cache()
+        cold()
         evaluator.evaluate_many(candidates)
 
     stages = [
-        ("context", lambda: device_contexts_all(placement, tech)),
+        ("contexts+deltas", lambda: evaluator.deltas_for(placement)),
         ("parasitics", lambda: annotate_parasitics(
             block.circuit, placement, tech)),
         ("dc", lambda: solve_dc(annotated, tech, deltas=deltas)),

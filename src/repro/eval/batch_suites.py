@@ -30,7 +30,9 @@ from repro.eval.suites import (
     Warm,
     _device_gm,
     _geometry_values,
-    _node_capacitance,
+    _node_capacitances,
+    open_loop_metrics,
+    open_loop_transfers,
 )
 from repro.layout.placement import Placement
 from repro.netlist.circuit import Circuit
@@ -38,13 +40,7 @@ from repro.netlist.devices import Vcvs, VoltageSource
 from repro.netlist.library import AnalogBlock
 from repro.sim.batch import solve_ac_many, solve_dc_many
 from repro.sim.compiled import batched_system
-from repro.sim.measures import (
-    db,
-    dc_gain,
-    phase_margin,
-    supply_power,
-    unity_gain_frequency,
-)
+from repro.sim.measures import supply_power
 from repro.eval.warm import dc_features, geometry_for, seed_dc_rows, store_dc
 from repro.tech import Technology
 from repro.variation import DeviceDelta
@@ -172,15 +168,14 @@ def measure_comp_many(
             _device_gm(bench, "m5", op, tech, deltas)
             + _device_gm(bench, "m6", op, tech, deltas)
         )
-        c_outp = _node_capacitance(bench, "outp", tech, deltas)
-        c_outn = _node_capacitance(bench, "outn", tech, deltas)
+        c_outp, c_outn, c_p1, c_p2 = _node_capacitances(
+            bench, ("outp", "outn", "p1", "p2"), tech)
         c_out = 0.5 * (c_outp + c_outn)
         tau = c_out / max(gm_latch, 1e-9)
         delay_s = tau * math.log(
             params["regen_swing"] / params["seed_imbalance"])
 
-        c_internal = (_node_capacitance(bench, "p1", tech, deltas)
-                      + _node_capacitance(bench, "p2", tech, deltas))
+        c_internal = c_p1 + c_p2
         c_switched = c_outp + c_outn + c_internal
         vdd = params["vdd"]
         power_dynamic = params["fclk"] * c_switched * vdd * vdd
@@ -240,23 +235,26 @@ def measure_ota_many(
         }))
     ac_sys = batched_system(
         ac_benches, tech, deltas_seq, check_signatures=False)
-    acs = solve_ac_many(
-        ac_benches, tech, [op.voltages for op in ops], AC_FREQS, deltas_seq,
-        system=ac_sys)
+    biases = [op.voltages for op in ops]
+
+    def solve(lo: int, hi: int) -> np.ndarray:
+        acs = solve_ac_many(
+            ac_benches, tech, biases, AC_FREQS[lo:hi], deltas_seq,
+            system=ac_sys, nets=("outp",))
+        return np.array([ac.transfer("outp") for ac in acs])
+
+    transfers = open_loop_transfers(solve, warm)
 
     out = []
-    for circuit, placement, op, ac in zip(annotated, placements, ops, acs):
+    for circuit, placement, op, h in zip(annotated, placements, ops, transfers):
         offset_v = op.voltage("outp") - vcm
-        h = ac.transfer("outp")
-        gain = dc_gain(h)
-        gbw = unity_gain_frequency(ac.freqs, h) or 0.0
-        pm = phase_margin(ac.freqs, h)
+        gain_db, gbw, pm = open_loop_metrics(h)
         values = {
             "offset_mv": abs(offset_v) * 1e3,
             "offset_signed_mv": offset_v * 1e3,
-            "gain_db": float(db(gain)) if gain > 0 else 0.0,
+            "gain_db": gain_db,
             "gbw_hz": gbw,
-            "pm_deg": pm if pm is not None else 0.0,
+            "pm_deg": pm,
             "power_w": supply_power(params["vdd"], op.current("vvdd")),
         }
         values.update(geometry_for(

@@ -25,7 +25,7 @@ from repro.eval.metrics import Metrics
 from repro.eval.objective import ObjectiveWeights
 from repro.eval.suites import SUITES, Warm
 from repro.eval.warm import WarmStore
-from repro.layout.context import device_contexts_all, unit_context_arrays
+from repro.layout.context import unit_context_arrays
 from repro.layout.placement import Placement
 from repro.netlist.library import AnalogBlock
 from repro.route.parasitics import annotate_parasitics
@@ -85,6 +85,8 @@ class PlacementEvaluator:
         self._cache: OrderedDict[tuple, Metrics] = OrderedDict()
         self._cache_size = cache_size
         self._warm: Warm = WarmStore()
+        self._groups_units: list | None = None
+        self._groups: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         if block.kind not in SUITES:
             raise ValueError(f"no measurement suite for kind {block.kind!r}")
         self._suite = SUITES[block.kind]
@@ -94,24 +96,10 @@ class PlacementEvaluator:
     def deltas_for(self, placement: Placement) -> dict[str, DeviceDelta]:
         """Variation-resolved parameter delta of every placeable device.
 
-        All devices' unit contexts evaluate through one vectorized
-        variation-model pass (:meth:`VariationModel.systematic_devices`).
+        The K=1 case of :meth:`deltas_for_many`: all units' contexts and
+        the variation model evaluate as flat arrays in one pass.
         """
-        contexts = device_contexts_all(placement, self.tech)
-        polarities = {}
-        for device in self.block.circuit.mosfets():
-            if device.name not in contexts:
-                raise KeyError(f"device {device.name!r} has no placed units")
-            polarities[device.name] = device.polarity
-        deltas = self.variation.systematic_devices(
-            {name: contexts[name] for name in polarities}, polarities
-        )
-        if self.corner is not None:
-            deltas = {
-                name: delta + self.corner.delta_for(polarities[name])
-                for name, delta in deltas.items()
-            }
-        return deltas
+        return self._deltas_rows([placement])[0]
 
     def deltas_for_many(
         self, placements: Sequence[Placement]
@@ -122,56 +110,91 @@ class PlacementEvaluator:
         vectorized variation-model evaluation covers all units of all
         candidates; per-placement results match :meth:`deltas_for`.
         """
-        placements = list(placements)
-        if len(placements) < 2:
-            return [self.deltas_for(p) for p in placements]
+        return self._deltas_rows(list(placements))
+
+    def _deltas_rows(
+        self, placements: list[Placement]
+    ) -> list[dict[str, DeviceDelta]]:
+        """Per-placement device deltas from flat unit-context arrays.
+
+        Each device's delta is the mean of its units' deltas, taken in
+        unit-index order (the order :meth:`VariationModel
+        .systematic_device` averages in).
+        """
+        if not placements:
+            return []
         mosfets = self.block.circuit.mosfets()
         units_lists, x, y, run_l, run_r, dist = unit_context_arrays(
             placements, self.tech
         )
-        perm: list[int] = []
-        counts: list[int] = []
-        polarity: list[int] = []
+        # Unit orders may differ between placements, but every placement
+        # of the block has the same units per device, so the counts and
+        # polarities of any one of them serve the whole batch.
+        perms = []
         offset = 0
         for units in units_lists:
+            order, counts, polarity = self._unit_groups(units, mosfets)
+            perms.append(order + offset if offset else order)
+            offset += len(units)
+        take = perms[0] if len(perms) == 1 else np.concatenate(perms)
+        k = len(placements)
+        dvth, dbeta = self.variation.systematic_units(
+            x[take], y[take], run_l[take], run_r[take], dist[take],
+            np.tile(polarity, k) if k > 1 else polarity,
+        )
+        counts_arr = np.tile(counts, k) if k > 1 else counts
+        starts = np.concatenate(([0], np.cumsum(counts_arr)[:-1]))
+        dvth_mean = (np.add.reduceat(dvth, starts) / counts_arr).tolist()
+        dbeta_mean = (np.add.reduceat(dbeta, starts) / counts_arr).tolist()
+
+        names = [device.name for device in mosfets]
+        if self.corner is not None:
+            shifts = [self.corner.delta_for(device.polarity)
+                      for device in mosfets]
+        n = len(names)
+        out = []
+        for lo in range(0, n * k, n):
+            deltas = map(DeviceDelta, dvth_mean[lo:lo + n],
+                         dbeta_mean[lo:lo + n])
+            if self.corner is not None:
+                deltas = map(DeviceDelta.__add__, deltas, shifts)
+            out.append(dict(zip(names, deltas)))
+        return out
+
+    def _unit_groups(
+        self, units: list, mosfets
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Device-major, unit-index-sorted positions into ``units``.
+
+        Returns ``(order, counts, polarity)``: ``units[order]`` lists each
+        MOSFET's units (in circuit order) by unit index, ``counts`` the
+        units per device and ``polarity`` one entry per ordered unit.
+        Placements copied from one another keep their unit order, so the
+        result is kept for the last order seen.
+
+        Raises:
+            KeyError: a device has no placed units.
+        """
+        if units != self._groups_units:
             by_device: dict[str, list[tuple[int, int]]] = {}
             for i, (name, k) in enumerate(units):
-                by_device.setdefault(name, []).append((k, offset + i))
+                by_device.setdefault(name, []).append((k, i))
+            order: list[int] = []
+            counts: list[int] = []
+            polarity: list[int] = []
             for device in mosfets:
                 entries = by_device.get(device.name)
                 if not entries:
                     raise KeyError(
                         f"device {device.name!r} has no placed units")
                 entries.sort()
-                perm.extend(flat for __, flat in entries)
+                order.extend(i for __, i in entries)
                 counts.append(len(entries))
                 polarity.extend([device.polarity] * len(entries))
-            offset += len(units)
-        take = np.asarray(perm, dtype=np.intp)
-        dvth, dbeta = self.variation.systematic_units(
-            x[take], y[take], run_l[take], run_r[take], dist[take],
-            np.asarray(polarity),
-        )
-        counts_arr = np.asarray(counts)
-        starts = np.concatenate(([0], np.cumsum(counts_arr)[:-1]))
-        dvth_mean = np.add.reduceat(dvth, starts) / counts_arr
-        dbeta_mean = np.add.reduceat(dbeta, starts) / counts_arr
-
-        out = []
-        seg = 0
-        for __ in placements:
-            deltas = {}
-            for device in mosfets:
-                delta = DeviceDelta(
-                    dvth=float(dvth_mean[seg]),
-                    dbeta_rel=float(dbeta_mean[seg]),
-                )
-                if self.corner is not None:
-                    delta = delta + self.corner.delta_for(device.polarity)
-                deltas[device.name] = delta
-                seg += 1
-            out.append(deltas)
-        return out
+            self._groups = (np.asarray(order, dtype=np.intp),
+                            np.asarray(counts), np.asarray(polarity))
+            self._groups_units = units
+        return self._groups
 
     def _penalty_metrics(self, placement: Placement) -> Metrics:
         """Finite-but-terrible metrics for a non-converging placement."""
@@ -342,6 +365,11 @@ class PlacementEvaluator:
     def clear_cache(self) -> None:
         """Drop memoised results (counters are kept)."""
         self._cache.clear()
+
+    def clear_op_cache(self) -> None:
+        """Drop the stored operating points, so the next evaluation of a
+        placement solves its DC systems instead of reusing them."""
+        self._warm.clear_library()
 
     def systematic_spread(self, placement: Placement) -> dict[str, float]:
         """Per-pair delta-V_th spread [V] — a diagnostic, not an objective.

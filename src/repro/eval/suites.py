@@ -17,29 +17,24 @@ forced by the simulator substrate are noted inline and in DESIGN.md.
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
 from repro.eval.metrics import Metrics
-from repro.eval.warm import (
-    bind_system,
-    dc_features,
-    geometry_for,
-    seed_dc,
-    store_dc,
-)
+from repro.eval.warm import dc_features, geometry_for, seed_dc, store_dc
 from repro.layout.placement import Placement
 from repro.netlist.circuit import Circuit
 from repro.netlist.devices import Capacitor, Mosfet, Vcvs, VoltageSource
 from repro.netlist.library import AnalogBlock
 from repro.route.estimator import total_wirelength
 from repro.sim.ac import logspace_frequencies, solve_ac
+from repro.sim.compiled import compiled_system
 from repro.sim.dc import DcResult, solve_dc
 from repro.sim.measures import (
     db,
     dc_gain,
-    phase_margin,
+    phase_margin_at,
     supply_power,
     unity_gain_frequency,
 )
@@ -69,25 +64,32 @@ def _geometry_values(
     }
 
 
-def _node_capacitance(
-    circuit: Circuit, net: str, tech: Technology,
-    deltas: Mapping[str, DeviceDelta],
-) -> float:
-    """Total small-signal capacitance hanging on ``net`` [F]."""
-    total = 0.0
-    for device, port in circuit.net_devices(net):
-        if isinstance(device, Mosfet):
-            caps = device_caps(resolved_params(tech, device, deltas),
-                               device.width, device.length)
-            if port == "d":
-                total += caps.cdb + caps.cgd
-            elif port == "g":
-                total += caps.cgs + caps.cgd
-            elif port == "s":
-                total += caps.csb + caps.cgs
-        elif isinstance(device, Capacitor):
-            total += device.value
-    return total
+def _node_capacitances(
+    circuit: Circuit, nets: tuple[str, ...], tech: Technology
+) -> list[float]:
+    """Total small-signal capacitance hanging on each of ``nets`` [F].
+
+    MOSFET capacitances use the nominal parameters: variation deltas
+    shift only ``vth0`` and ``kp``, which no capacitance reads.
+    """
+    net_map = circuit.net_map()
+    totals = []
+    for net in nets:
+        total = 0.0
+        for device, port in net_map.get(net, ()):
+            if isinstance(device, Mosfet):
+                caps = device_caps(tech.params_for(device.polarity),
+                                   device.width, device.length)
+                if port == "d":
+                    total += caps.cdb + caps.cgd
+                elif port == "g":
+                    total += caps.cgs + caps.cgd
+                elif port == "s":
+                    total += caps.csb + caps.cgs
+            elif isinstance(device, Capacitor):
+                total += device.value
+        totals.append(total)
+    return totals
 
 
 def _device_gm(
@@ -124,10 +126,7 @@ def measure_cm(
     if result is None:
         if x0 is None:
             x0 = warm.get("cm")
-        result = solve_dc(
-            annotated, tech, deltas=deltas, x0=x0,
-            system=bind_system(warm, "cm", annotated, tech, deltas),
-        )
+        result = solve_dc(annotated, tech, deltas=deltas, x0=x0)
         store_dc(warm, "cm", feats, result)
     warm["cm"] = result.x
 
@@ -181,18 +180,24 @@ def measure_comp(
     bench = annotated.copy_with(extra=clamp)
 
     feats = dc_features(deltas)
+    # The three solves differ only in source overrides, so one binding
+    # (made on the first op-cache miss) serves them all.
+    system = None
 
     def imbalance(vdiff: float, key: str) -> float:
+        nonlocal system
         stage = f"comp/{key}"
         result, x0 = seed_dc(warm, stage, feats)
         if result is None:
             if x0 is None:
                 x0 = warm.get("comp")
+            if system is None:
+                system = compiled_system(bench, tech, deltas)
             result = solve_dc(
                 bench, tech, deltas=deltas, x0=x0,
                 source_values={
                     "vvip": vcm + vdiff / 2, "vvin": vcm - vdiff / 2},
-                system=bind_system(warm, "comp", bench, tech, deltas),
+                system=system,
             )
             store_dc(warm, stage, feats, result)
         warm.setdefault("comp", result.x)
@@ -218,14 +223,13 @@ def measure_comp(
         _device_gm(bench, "m5", op, tech, deltas)
         + _device_gm(bench, "m6", op, tech, deltas)
     )
-    c_outp = _node_capacitance(bench, "outp", tech, deltas)
-    c_outn = _node_capacitance(bench, "outn", tech, deltas)
+    c_outp, c_outn, c_p1, c_p2 = _node_capacitances(
+        bench, ("outp", "outn", "p1", "p2"), tech)
     c_out = 0.5 * (c_outp + c_outn)
     tau = c_out / max(gm_latch, 1e-9)
     delay_s = tau * math.log(params["regen_swing"] / params["seed_imbalance"])
 
-    c_internal = (_node_capacitance(bench, "p1", tech, deltas)
-                  + _node_capacitance(bench, "p2", tech, deltas))
+    c_internal = c_p1 + c_p2
     c_switched = c_outp + c_outn + c_internal
     vdd = params["vdd"]
     power_dynamic = params["fclk"] * c_switched * vdd * vdd
@@ -247,6 +251,61 @@ def measure_comp(
 # --------------------------------------------------------------------- OTA
 
 AC_FREQS = logspace_frequencies(1e3, 1e10, points_per_decade=8)
+
+# Warm-dict key: how many leading AC_FREQS points the last sweep needed.
+_AC_SPAN = "ota/ac_span"
+
+
+def _points_read(h: np.ndarray) -> int | None:
+    """How many leading points of the transfer ``h`` the OTA metrics read.
+
+    Gain reads the first point.  GBW and phase margin read every point
+    up to the first downward unity crossing (the phase is unwrapped from
+    low frequency) and interpolate inside that crossing's interval; one
+    point past it is kept too.  ``None`` when ``h`` has no such crossing
+    followed by another point, so the rest of the grid is needed.
+    """
+    mags = np.abs(h)
+    crossings = np.flatnonzero((mags[:-1] >= 1.0) & (1.0 > mags[1:]))
+    if crossings.size and crossings[0] + 2 < len(h):
+        return int(crossings[0]) + 3
+    return None
+
+
+def open_loop_transfers(
+    solve: Callable[[int, int], np.ndarray], warm: Warm
+) -> np.ndarray:
+    """Open-loop transfers, one row per placement, on a leading part of
+    :data:`AC_FREQS` holding every point the OTA metrics read.
+
+    ``solve(lo, hi)`` returns the ``(rows, hi - lo)`` transfers on
+    ``AC_FREQS[lo:hi]``.  The sweep first solves as many points as the
+    last sweep needed (kept in ``warm``) and solves the rest of the grid
+    only when some row needs it.  Each grid point is its own linear
+    solve and the metrics read only a prefix, so they equal the
+    full-grid metrics bit for bit.
+    """
+    n = len(AC_FREQS)
+    span = warm.get(_AC_SPAN, n)
+    h = solve(0, span)
+    needed = [_points_read(row) for row in h]
+    if None in needed and span < n:
+        h = np.concatenate((h, solve(span, n)), axis=1)
+        needed = [_points_read(row) for row in h]
+    warm[_AC_SPAN] = max(n if k is None else k for k in needed)
+    return h
+
+
+def open_loop_metrics(h: np.ndarray) -> tuple[float, float, float]:
+    """``(gain_db, gbw_hz, pm_deg)`` of one :func:`open_loop_transfers`
+    row (0.0 for a gain, GBW or margin that does not exist)."""
+    freqs = AC_FREQS[: len(h)]
+    gain = dc_gain(h)
+    f_unity = unity_gain_frequency(freqs, h)
+    pm = phase_margin_at(freqs, h, f_unity)
+    return (float(db(gain)) if gain > 0 else 0.0,
+            f_unity or 0.0,
+            pm if pm is not None else 0.0)
 
 
 def measure_ota(
@@ -278,10 +337,7 @@ def measure_ota(
         closed = annotated.copy_with(replacements={"vvin": feedback})
         if x0 is None:
             x0 = warm.get("ota")
-        op = solve_dc(
-            closed, tech, deltas=deltas, x0=x0,
-            system=bind_system(warm, "ota", closed, tech, deltas),
-        )
+        op = solve_dc(closed, tech, deltas=deltas, x0=x0)
         store_dc(warm, "ota", feats, op)
     warm["ota"] = op.x
     offset_v = op.voltage("outp") - vcm
@@ -293,23 +349,24 @@ def measure_ota(
         "vvip": dataclasses.replace(vip, ac=+0.5),
         "vvin": dataclasses.replace(vin, ac=-0.5),
     })
-    ac = solve_ac(
-        ac_bench, tech, op.voltages, AC_FREQS, deltas=deltas,
-        system=bind_system(warm, "ota_ac", ac_bench, tech, deltas),
-        nets=("outp",),  # the suite only reads the output transfer
-    )
-    h = ac.transfer("outp")
+    system = compiled_system(ac_bench, tech, deltas)
 
-    gain = dc_gain(h)
-    gbw = unity_gain_frequency(ac.freqs, h) or 0.0
-    pm = phase_margin(ac.freqs, h)
+    def solve(lo: int, hi: int) -> np.ndarray:
+        ac = solve_ac(
+            ac_bench, tech, op.voltages, AC_FREQS[lo:hi], deltas=deltas,
+            system=system,
+            nets=("outp",),  # the suite only reads the output transfer
+        )
+        return ac.transfer("outp")[None]
+
+    gain_db, gbw, pm = open_loop_metrics(open_loop_transfers(solve, warm)[0])
 
     values = {
         "offset_mv": abs(offset_v) * 1e3,
         "offset_signed_mv": offset_v * 1e3,
-        "gain_db": float(db(gain)) if gain > 0 else 0.0,
+        "gain_db": gain_db,
         "gbw_hz": gbw,
-        "pm_deg": pm if pm is not None else 0.0,
+        "pm_deg": pm,
         "power_w": supply_power(params["vdd"], op.current("vvdd")),
     }
     values.update(geometry_for(

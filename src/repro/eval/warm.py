@@ -16,10 +16,7 @@ Two structural facts make aggressive reuse safe here:
 (delta-feature vector, converged :class:`~repro.sim.dc.DcResult`) pairs.
 An exact feature match returns the stored result outright — no solve at
 all; otherwise the nearest library entry in delta space seeds Newton,
-which then typically converges in a third of the cold iterations.  The
-store also binds each stage's testbench against its cached compiled
-topology (:meth:`WarmStore.system_for`), the one place the suites obtain
-an assembler.
+which then typically converges in a third of the cold iterations.
 
 It subclasses ``dict`` and leaves the plain ``warm[key] = result.x``
 last-solution protocol to the suites, so the measurement code runs
@@ -35,11 +32,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.netlist.circuit import Circuit
-from repro.sim.compiled import CompiledSystem, compiled_topology
 from repro.sim.dc import DcResult
 from repro.sim.fastpath import STATS, get_solver_tuning
-from repro.tech import Technology
 from repro.variation import DeviceDelta
 
 
@@ -60,40 +54,49 @@ def dc_features(deltas: Mapping[str, DeviceDelta] | None) -> np.ndarray:
 
 
 class _StageLibrary:
-    """Bounded FIFO of (features, result) pairs for one testbench stage."""
+    """Bounded FIFO of (features, result) pairs for one testbench stage.
 
-    __slots__ = ("entries", "_stack")
+    ``entries`` maps feature tokens to results for exact lookups; the
+    feature stack and the result list mirror it in FIFO order and are
+    kept up to date on every store, so a nearest lookup is one distance
+    pass plus an ``argmin`` that breaks ties towards the oldest entry.
+    """
+
+    __slots__ = ("entries", "_stack", "_results")
 
     def __init__(self) -> None:
-        self.entries: "OrderedDict[bytes, tuple[np.ndarray, DcResult]]" = (
-            OrderedDict()
-        )
+        self.entries: "OrderedDict[bytes, DcResult]" = OrderedDict()
         self._stack: np.ndarray | None = None
+        self._results: list[DcResult] = []
 
     def exact(self, token: bytes) -> DcResult | None:
-        entry = self.entries.get(token)
-        return entry[1] if entry is not None else None
+        return self.entries.get(token)
 
     def nearest(self, feats: np.ndarray) -> DcResult | None:
         """Entry closest to ``feats`` in (Euclidean) delta space."""
-        if not self.entries:
+        if not self._results:
             return None
-        if self._stack is None:
-            self._stack = np.stack([f for f, __ in self.entries.values()])
         diff = self._stack - feats
-        idx = int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
-        for i, (__, result) in enumerate(self.entries.values()):
-            if i == idx:
-                return result
-        return None  # pragma: no cover - loop always reaches idx
+        return self._results[int(np.argmin(np.einsum("ij,ij->i", diff, diff)))]
 
     def add(
         self, token: bytes, feats: np.ndarray, result: DcResult, limit: int
     ) -> None:
-        if token not in self.entries and len(self.entries) >= limit:
-            self.entries.popitem(last=False)
-        self.entries[token] = (feats, result)
-        self._stack = None
+        entries = self.entries
+        if token in entries:
+            # Same features: the newer result keeps the entry's FIFO slot.
+            self._results[list(entries).index(token)] = result
+            entries[token] = result
+            return
+        stack = self._stack
+        if len(entries) >= limit:
+            entries.popitem(last=False)
+            del self._results[0]
+            stack = stack[1:]
+        entries[token] = result
+        self._results.append(result)
+        row = feats[None, :]
+        self._stack = row if stack is None else np.concatenate((stack, row))
 
 
 class WarmStore(dict):
@@ -172,23 +175,6 @@ class WarmStore(dict):
             self._geometry[key] = cached
         return cached
 
-    # ------------------------------------------------------------- binding
-
-    def system_for(
-        self,
-        stage: str,
-        circuit: Circuit,
-        tech: Technology,
-        deltas: Mapping[str, DeviceDelta] | None,
-    ) -> CompiledSystem:
-        """A compiled binding of ``circuit`` for the ``stage`` testbench.
-
-        All placements of a block share one topology per testbench
-        variant (the global topology LRU guarantees it), so repeat
-        evaluations bind against the already-compiled structure.
-        """
-        return compiled_topology(circuit).bind(circuit, tech, deltas)
-
 
 # ---------------------------------------------------- plain-dict-safe helpers
 
@@ -223,15 +209,3 @@ def geometry_for(warm, placement, compute) -> dict:
         return warm.geometry(placement, compute)
     return compute()
 
-
-def bind_system(
-    warm,
-    stage: str,
-    circuit: Circuit,
-    tech: Technology,
-    deltas: Mapping[str, DeviceDelta] | None,
-) -> CompiledSystem | None:
-    """:meth:`WarmStore.system_for`; None for a plain dict."""
-    if isinstance(warm, WarmStore):
-        return warm.system_for(stage, circuit, tech, deltas)
-    return None

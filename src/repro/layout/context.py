@@ -15,6 +15,8 @@ number of times instead of re-scanning rows per unit.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from repro.layout.placement import Placement, UnitId
@@ -116,22 +118,21 @@ def unit_context_arrays(
             raise ValueError("cannot batch placements on different canvases")
 
     units_per_placement: list[list[UnitId]] = []
-    cols_parts, rows_parts, pidx_parts = [], [], []
-    occupancy = np.zeros((len(placements), n_rows, n_cols), dtype=bool)
-    for k, placement in enumerate(placements):
+    flat_cells: list = []
+    for placement in placements:
         assignment = placement.as_dict()
-        units = list(assignment)
-        units_per_placement.append(units)
-        cells = np.array(
-            [assignment[u] for u in units], dtype=np.intp
-        ).reshape(len(units), 2)
-        cols_parts.append(cells[:, 0])
-        rows_parts.append(cells[:, 1])
-        pidx_parts.append(np.full(len(units), k, dtype=np.intp))
-        occupancy[k, cells[:, 1], cells[:, 0]] = True
-    cols = np.concatenate(cols_parts)
-    rows = np.concatenate(rows_parts)
-    pidx = np.concatenate(pidx_parts)
+        units_per_placement.append(list(assignment))
+        flat_cells.extend(assignment.values())
+    counts = [len(units) for units in units_per_placement]
+    cells = np.fromiter(
+        chain.from_iterable(flat_cells), dtype=np.intp,
+        count=2 * len(flat_cells),
+    ).reshape(len(flat_cells), 2)
+    cols = cells[:, 0]
+    rows = cells[:, 1]
+    pidx = np.repeat(np.arange(len(placements), dtype=np.intp), counts)
+    occupancy = np.zeros((len(placements), n_rows, n_cols), dtype=bool)
+    occupancy[pidx, rows, cols] = True
 
     left = _streaks(occupancy)
     right = _streaks(occupancy[..., ::-1])[..., ::-1]

@@ -43,12 +43,33 @@ class Placement:
 
     * every unit sits on a distinct in-bounds cell;
     * ``cells`` and ``occupancy`` are exact inverses.
+
+    Derived values that an evaluation reads more than once (the
+    signature, device centroids, bounding-box area, and what callers key
+    into :meth:`cached`, such as net HPWLs) are memoised until the next
+    mutation.
     """
 
     def __init__(self, canvas: CanvasSpec):
         self.canvas = canvas
         self._cells: dict[UnitId, Cell] = {}
         self._occupancy: dict[Cell, UnitId] = {}
+        self._memo: dict = {}
+
+    def _changed(self) -> None:
+        # Rebind rather than clear: copies may share the old memo.
+        self._memo = {}
+
+    def cached(self, key, compute):
+        """``compute()``, memoised on this placement until it next changes.
+
+        ``key`` must identify everything else the value depends on; the
+        cached value is shared with copies, so callers must not mutate it.
+        """
+        memo = self._memo
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
 
     # ------------------------------------------------------------- mutation
 
@@ -59,6 +80,7 @@ class Placement:
         self._check_free(cell)
         self._cells[unit] = cell
         self._occupancy[cell] = unit
+        self._changed()
 
     def move(self, unit: UnitId, cell: Cell) -> None:
         """Move an existing unit to an empty cell."""
@@ -70,6 +92,7 @@ class Placement:
         del self._occupancy[self._cells[unit]]
         self._cells[unit] = cell
         self._occupancy[cell] = unit
+        self._changed()
 
     def move_many(self, moves: dict[UnitId, Cell]) -> None:
         """Move several units atomically (e.g. a rigid group translation).
@@ -95,6 +118,7 @@ class Placement:
         for unit, cell in moves.items():
             self._cells[unit] = cell
             self._occupancy[cell] = unit
+        self._changed()
 
     def _check_free(self, cell: Cell) -> None:
         if not self.canvas.in_bounds(cell):
@@ -149,6 +173,9 @@ class Placement:
         device (unit-index summation order preserved); the single pass is
         what the routing estimator's per-placement hot path uses.
         """
+        return dict(self.cached("centroids", self._centroids))
+
+    def _centroids(self) -> dict[str, tuple[float, float]]:
         grouped: dict[str, list[tuple[int, Cell]]] = {}
         for (name, k), cell in self._cells.items():
             grouped.setdefault(name, []).append((k, cell))
@@ -174,8 +201,13 @@ class Placement:
 
     def area_cells(self) -> int:
         """Bounding-box area of the whole placement, in cells."""
-        c0, r0, c1, r1 = self.bounding_box()
-        return (c1 - c0 + 1) * (r1 - r0 + 1)
+        return self.cached("area", self._area)
+
+    def _area(self) -> int:
+        if not self._cells:
+            raise ValueError("bounding box of an empty placement")
+        cs, rs = zip(*self._cells.values())
+        return (max(cs) - min(cs) + 1) * (max(rs) - min(rs) + 1)
 
     # ----------------------------------------------------------------- misc
 
@@ -183,6 +215,7 @@ class Placement:
         out = Placement(self.canvas)
         out._cells = dict(self._cells)
         out._occupancy = dict(self._occupancy)
+        out._memo = self._memo
         return out
 
     def as_dict(self) -> dict[UnitId, Cell]:
@@ -191,6 +224,9 @@ class Placement:
 
     def signature(self) -> tuple:
         """Hashable canonical form (sorted by unit id)."""
+        return self.cached("signature", self._signature)
+
+    def _signature(self) -> tuple:
         return tuple(sorted(self._cells.items()))
 
     def __repr__(self) -> str:

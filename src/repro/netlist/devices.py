@@ -38,18 +38,27 @@ class Device:
 
     def __post_init__(self) -> None:
         _check_name(self.name)
-        object.__setattr__(self, "conns", dict(self.conns))
-        missing = [p for p in self.PORTS if p not in self.conns]
-        if missing:
-            raise ValueError(f"{self.name}: missing connections for ports {missing}")
-        extra = [p for p in self.conns if p not in self.PORTS]
-        if extra:
+        conns = dict(self.conns)
+        object.__setattr__(self, "conns", conns)
+        try:
+            # Connectivity is frozen with the device, so its net tuple
+            # is built once here: the compiled engine's structure
+            # signature reads it on every binding.
+            nets = tuple([conns[p] for p in self.PORTS])
+        except KeyError:
+            missing = [p for p in self.PORTS if p not in conns]
+            raise ValueError(
+                f"{self.name}: missing connections for ports {missing}"
+            ) from None
+        if len(conns) != len(nets):
+            extra = [p for p in conns if p not in self.PORTS]
             raise ValueError(f"{self.name}: unknown ports {extra}")
+        object.__setattr__(self, "_nets", nets)
 
     @property
     def nets(self) -> tuple[str, ...]:
         """Nets this device touches, in port order."""
-        return tuple(self.conns[p] for p in self.PORTS)
+        return self._nets
 
     def net(self, port: str) -> str:
         """Net connected to ``port``."""

@@ -109,14 +109,22 @@ def net_hpwl(
 def net_hpwls(
     circuit: Circuit, placement: Placement, tech: Technology
 ) -> dict[str, float]:
-    """HPWL of every signal net [m] from one centroid pass."""
+    """HPWL of every signal net [m] from one centroid pass.
+
+    Memoised on the placement: an evaluation reads it twice (parasitic
+    annotation and the wirelength metric).
+    """
     plan = net_pin_plan(circuit)
-    centroids = placement.device_centroids()
     pitch = tech.grid_pitch
-    return {
-        net: _hpwl(plan.pins_by_net[net], centroids, pitch)
-        for net in plan.nets
-    }
+
+    def compute() -> dict[str, float]:
+        centroids = placement.device_centroids()
+        return {
+            net: _hpwl(plan.pins_by_net[net], centroids, pitch)
+            for net in plan.nets
+        }
+
+    return dict(placement.cached(("net_hpwls", plan, pitch), compute))
 
 
 def total_wirelength(

@@ -39,6 +39,7 @@ from repro.sim.dc import (
     RESIDTOL_I,
     RESIDTOL_V,
     DcResult,
+    _package,
     solve_dc,
 )
 from repro.sim.fastpath import STATS, get_solver_tuning
@@ -72,25 +73,6 @@ def _x0_row(x0, i: int) -> np.ndarray | None:
 
 
 # ------------------------------------------------------------------------ DC
-
-
-def _package_row(
-    bsys: BatchedCompiledSystem, x: np.ndarray, iterations: int
-) -> DcResult:
-    """Package one batch row exactly like :func:`repro.sim.dc._package`."""
-    voltages = {
-        net: (0.0 if is_ground(net) else float(x[bsys.node_index[net]]))
-        for net in bsys.topology.circuit_nets
-    }
-    branch_currents = {
-        name: float(x[row]) for name, row in bsys.branch_index.items()
-    }
-    return DcResult(
-        voltages=voltages,
-        branch_currents=branch_currents,
-        iterations=iterations,
-        x=x,
-    )
 
 
 def _solve_rows(J: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -134,29 +116,33 @@ def _newton_many(
     X = X0.copy()
     n_rows = X.shape[0]
     n_nodes = bsys.n_nodes
+    has_branches = bsys.size > n_nodes
     iters = np.zeros(n_rows, dtype=int)
     converged = np.zeros(n_rows, dtype=bool)
     active = np.arange(n_rows)
     J_frozen = np.empty((n_rows, bsys.size, bsys.size)) if reuse else None
     prev_resid = np.full(n_rows, np.inf)
     frozen_mode = False
+
+    def assemble(X_act, want_jacobian=True):
+        return bsys.assemble_dc_batch(
+            X_act, gmin=gmin, source_scale=source_scale,
+            source_values=source_values, rows=active,
+            want_jacobian=want_jacobian,
+        )
+
     for __ in range(max_iter):
         fresh = True
+        X_act = X[active]
         if frozen_mode:
-            __f, F = bsys.assemble_dc_batch(
-                X[active], gmin=gmin, source_scale=source_scale,
-                source_values=source_values, rows=active,
-                want_jacobian=False,
-            )
-            resid = np.max(np.abs(F), axis=1) if F.shape[1] else \
+            __f, F = assemble(X_act, want_jacobian=False)
+            abs_f = np.abs(F)
+            resid = abs_f.max(axis=1) if F.shape[1] else \
                 np.zeros(active.size)
-            if np.any(resid > REUSE_CONTRACTION * prev_resid[active]):
+            if (resid > REUSE_CONTRACTION * prev_resid[active]).any():
                 # A stalled row spoils the frozen stack for everyone:
                 # refactor the whole active set at the current iterates.
-                J, __f = bsys.assemble_dc_batch(
-                    X[active], gmin=gmin, source_scale=source_scale,
-                    source_values=source_values, rows=active,
-                )
+                J, __f = assemble(X_act)
                 J_frozen[active] = J
                 STATS.jacobian_factorizations += active.size
             else:
@@ -164,76 +150,70 @@ def _newton_many(
                 STATS.jacobian_reuses += active.size
             J = J_frozen[active]
         else:
-            J, F = bsys.assemble_dc_batch(
-                X[active], gmin=gmin, source_scale=source_scale,
-                source_values=source_values, rows=active,
-            )
-            resid = np.max(np.abs(F), axis=1) if F.shape[1] else \
-                np.zeros(active.size)
+            J, F = assemble(X_act)
+            abs_f = np.abs(F)
             if reuse:
+                resid = abs_f.max(axis=1) if F.shape[1] else \
+                    np.zeros(active.size)
                 J_frozen[active] = J
             STATS.jacobian_factorizations += active.size
         iters[active] += 1
         STATS.newton_iterations += active.size
-        contracting = resid <= REUSE_CONTRACTION * prev_resid[active]
-        prev_resid[active] = resid
+        if reuse:
+            contracting = resid <= REUSE_CONTRACTION * prev_resid[active]
+            prev_resid[active] = resid
         dx = _solve_rows(J, F)
         good = np.isfinite(dx).all(axis=1)
-        if not good.all() and not fresh:
+        all_good = bool(good.all())
+        if not all_good and not fresh:
             # Stale factors produced garbage for some rows; retry the
             # whole active set against fresh Jacobians before giving up
             # on any row.
-            J, __f = bsys.assemble_dc_batch(
-                X[active], gmin=gmin, source_scale=source_scale,
-                source_values=source_values, rows=active,
-            )
+            J, __f = assemble(X_act)
             J_frozen[active] = J
             STATS.jacobian_factorizations += active.size
             fresh = True
             dx = _solve_rows(J, F)
             good = np.isfinite(dx).all(axis=1)
-        if not good.all():
+            all_good = bool(good.all())
+        if not all_good:
             # Singular / diverged rows keep their last state and leave the
             # batch; the caller sends them down the scalar homotopy chain.
-            active, F, dx = active[good], F[good], dx[good]
-            contracting = contracting[good]
+            active, X_act, dx = active[good], X_act[good], dx[good]
+            abs_f = abs_f[good]
+            if reuse:
+                contracting = contracting[good]
             if active.size == 0:
                 break
         if n_nodes:
-            v_step = np.max(np.abs(dx[:, :n_nodes]), axis=1)
-            over = v_step > MAX_STEP_V
+            dv = np.abs(dx[:, :n_nodes]).max(axis=1)
+            over = dv > MAX_STEP_V
             if over.any():
-                dx[over] *= (MAX_STEP_V / v_step[over])[:, None]
-        X[active] += dx
+                dx[over] *= (MAX_STEP_V / dv[over])[:, None]
+                dv = np.abs(dx[:, :n_nodes]).max(axis=1)
+        X_act = X_act + dx
+        X[active] = X_act
+        done = np.ones(active.size, dtype=bool)
         if n_nodes:
-            dv = np.max(np.abs(dx[:, :n_nodes]), axis=1)
-            vmax = np.max(np.abs(X[active][:, :n_nodes]), axis=1)
-            resid_i = np.max(np.abs(F[:, :n_nodes]), axis=1)
-        else:
-            dv = vmax = resid_i = np.zeros(active.size)
-        if bsys.size > n_nodes:
-            resid_v = np.max(np.abs(F[:, n_nodes:]), axis=1)
-        else:
-            resid_v = np.zeros(active.size)
-        done = (
-            (dv < ABSTOL_V * (1.0 + vmax))
-            & (resid_i < RESIDTOL_I)
-            & (resid_v < RESIDTOL_V)
-        )
+            vmax = np.abs(X_act[:, :n_nodes]).max(axis=1)
+            done &= dv < ABSTOL_V * (1.0 + vmax)
+            done &= abs_f[:, :n_nodes].max(axis=1) < RESIDTOL_I
+        if has_branches:
+            done &= abs_f[:, n_nodes:].max(axis=1) < RESIDTOL_V
         if fresh:
             converged[active[done]] = True
             active = active[~done]
             if active.size == 0:
                 break
             # Freeze only when every surviving row is contracting.
-            frozen_mode = reuse and bool(np.all(contracting[~done]))
+            frozen_mode = reuse and bool(contracting[~done].all())
         else:
             # Criteria met against a frozen Jacobian are not accepted
             # yet: those rows stay active and the next iteration runs
             # fresh to confirm them.
             frozen_mode = (
                 reuse and not bool(done.any())
-                and bool(np.all(contracting))
+                and bool(contracting.all())
             )
     return X, iters, converged
 
@@ -275,16 +255,17 @@ def solve_dc_many(
     bsys = system if system is not None else batched_system(
         circuits, tech, deltas_list)
     X0 = np.zeros((len(circuits), bsys.size))
-    if x0 is not None:
-        for i in range(len(circuits)):
-            X0[i] = _x0_row(x0, i)
+    if isinstance(x0, np.ndarray) and x0.ndim == 1:
+        X0[:] = x0
+    elif x0 is not None:
+        X0[:] = np.stack(x0)
     X, iters, converged = _newton_many(
         bsys, X0, gmin, 1.0, source_values, max_iter
     )
     results: list[DcResult] = []
     for i, (circuit, deltas) in enumerate(zip(circuits, deltas_list)):
         if converged[i]:
-            results.append(_package_row(bsys, X[i], int(iters[i])))
+            results.append(_package(bsys, X[i], int(iters[i])))
         else:
             # The scalar driver replays plain Newton, then escalates
             # through gmin and source stepping — identical to what the
@@ -307,11 +288,13 @@ def solve_ac_many(
     freqs: np.ndarray,
     deltas_list: DeltasList | None = None,
     system: BatchedCompiledSystem | None = None,
+    nets: Sequence[str] | None = None,
 ) -> list[AcResult]:
     """Small-signal AC of K same-shape circuits over one frequency grid.
 
     All placements and all frequency points solve in a single stacked
     ``np.linalg.solve``; per-placement results match :func:`solve_ac`.
+    ``nets`` restricts the extracted responses, as in :func:`solve_ac`.
     """
     circuits = list(circuits)
     if not circuits:
@@ -324,22 +307,21 @@ def solve_ac_many(
     deltas_list = _deltas(deltas_list, len(circuits))
     if len(circuits) < 2:
         return [
-            solve_ac(c, tech, op, freqs, deltas=d)
+            solve_ac(c, tech, op, freqs, deltas=d, nets=nets)
             for c, op, d in zip(circuits, op_voltages_seq, deltas_list)
         ]
     bsys = system if system is not None else batched_system(
         circuits, tech, deltas_list)
     freqs = np.asarray(freqs, dtype=float)
     X = bsys.solve_ac_batch_many(op_voltages_seq, 2.0 * math.pi * freqs)
-    nets = bsys.topology.circuit_nets
+    wanted = bsys.circuit_nets if nets is None else nets
     results = []
     for i in range(len(circuits)):
-        Xi = np.ascontiguousarray(X[i].T)  # (size, nfreq): one copy, row views
         out = {}
-        for net in nets:
+        for net in wanted:
             if is_ground(net):
                 out[net] = np.zeros(len(freqs), dtype=complex)
             else:
-                out[net] = Xi[bsys.node_index[net]]
+                out[net] = np.ascontiguousarray(X[i, :, bsys.node_index[net]])
         results.append(AcResult(freqs=freqs, node_voltages=out))
     return results

@@ -19,8 +19,9 @@ This module splits that work in two:
 * :class:`CompiledSystem` — a topology *bound* to one circuit instance,
   technology and variation-delta set.  Binding gathers the numeric values
   into flat arrays; after that, DC assembly is a constant-matrix copy plus
-  one vectorized MOSFET-bank evaluation and two ``np.add.at`` scatters —
-  no per-device Python dispatch — and AC analysis exposes the
+  one fused MOSFET-bank kernel (:func:`repro.sim.mosfet
+  .terminal_currents_array`) and three ``np.add.at`` scatters — no
+  per-device Python dispatch — and AC analysis exposes the
   frequency-independent ``(G, C, b)`` triple so all frequency points solve
   as one stacked ``np.linalg.solve`` batch.
 
@@ -53,7 +54,7 @@ from repro.netlist.devices import (
     VoltageSource,
 )
 from repro.netlist.nets import is_ground
-from repro.sim.fastpath import STATS
+from repro.sim.fastpath import STATS, get_solver_tuning
 from repro.sim.mosfet import (
     MosfetArrays,
     device_caps,
@@ -236,6 +237,8 @@ class CompiledTopology:
                 )
 
         self.mos_index = {name: i for i, name in enumerate(self.mos_names)}
+        self.capacitor_slot_index = np.array(
+            [slot for __, slot in self.capacitor_slots], dtype=np.intp)
         # All nets including ground, in first-touch order: circuits sharing
         # a signature share this too (net order derives from device order).
         self.circuit_nets = circuit.nets()
@@ -254,24 +257,24 @@ class CompiledTopology:
         self.cap_sign = np.asarray(cap_sign)
         self.cap_slot = np.asarray(cap_slot, dtype=np.intp)
 
-        d = np.asarray(mos_d, dtype=np.intp)
-        g = np.asarray(mos_g, dtype=np.intp)
-        s = np.asarray(mos_s, dtype=np.intp)
-        b = np.asarray(mos_b, dtype=np.intp)
-        self.mos_d, self.mos_g, self.mos_s, self.mos_b = d, g, s, b
+        # Terminal gather index: row t holds every device's terminal-t
+        # node, so one fancy index yields the kernel's (4, n) input.
+        terms = np.array([mos_d, mos_g, mos_s, mos_b], dtype=np.intp)
+        terms = terms.reshape(4, len(self.mos_names))
+        d, s = terms[0], terms[2]
+        self.mos_terms = terms
         # F rows for [ids at drains, -ids at sources].
         self.mos_f_rows = np.concatenate((d, s))
         # J footprint: add_j(d, t, +gt) and add_j(s, t, -gt) for each
         # terminal t in (d, g, s, b) — eight entries per device, laid out
-        # to match the value vector assemble_dc concatenates.
-        self.mos_j_flat = np.concatenate((
-            d * stride + d, d * stride + g, d * stride + s, d * stride + b,
-            s * stride + d, s * stride + g, s * stride + s, s * stride + b,
-        ))
+        # like the kernel's partial rows followed by their negation.
+        self.mos_j_flat = np.concatenate(
+            (d * stride + terms, s * stride + terms)).ravel()
         nodes = np.arange(self.n_nodes, dtype=np.intp)
         self.node_diag_flat = nodes * stride + nodes
 
         self._banks: dict[Technology, _DeviceBank] = {}
+        self._row_indices: dict[int, _RowIndices] = {}
 
     def device_bank(self, tech: Technology) -> "_DeviceBank":
         """Nominal per-device parameter bank under one technology (cached).
@@ -285,6 +288,13 @@ class CompiledTopology:
             bank = _DeviceBank(self, tech)
             self._banks[tech] = bank
         return bank
+
+    def row_indices(self, n_rows: int) -> "_RowIndices":
+        """Flat stamp indices for ``n_rows`` stacked bindings (cached)."""
+        indices = self._row_indices.get(n_rows)
+        if indices is None:
+            indices = self._row_indices[n_rows] = _RowIndices(self, n_rows)
+        return indices
 
     def bind(
         self,
@@ -314,6 +324,8 @@ class _DeviceBank:
         self.gamma = np.array([p.gamma for p in params])
         self.phi = np.array([p.phi for p in params])
         self.ss = np.array([p.subthreshold_slope for p in params])
+        self.sqrt_phi = np.sqrt(self.phi)
+        self.neg_half_gamma = -self.gamma / 2.0
 
         # Deltas never touch the capacitance coefficients, so the whole
         # MOSFET contribution to the C matrix is fixed per technology.
@@ -334,12 +346,97 @@ class _DeviceBank:
             )
         self.c_mos_ext = C
 
+        self._stacked: dict[int, dict[str, np.ndarray]] = {
+            1: {name: getattr(self, name) for name in (
+                "polarity", "lam", "gamma", "phi", "ss", "sqrt_phi",
+                "neg_half_gamma")},
+        }
+
+    def arrays(self, vth0: np.ndarray, kp_wl: np.ndarray) -> MosfetArrays:
+        """The kernel's parameter vectors with variation-resolved
+        ``vth0`` and ``kp_wl``.
+
+        For ``(rows, n)`` stacks the shared vectors come pre-broadcast to
+        the same shape (cached per row count), so every kernel operation
+        runs one contiguous loop instead of one per row.
+        """
+        rows = 1 if vth0.ndim == 1 else len(vth0)
+        shared = self._stacked.get(rows)
+        if shared is None:
+            shared = self._stacked[rows] = {
+                name: np.broadcast_to(value, vth0.shape).copy()
+                for name, value in self._stacked[1].items()
+            }
+        return MosfetArrays(vth0=vth0, kp_wl=kp_wl, **shared)
+
+
+def _delta_arrays(
+    names: Sequence[str],
+    deltas_list: Sequence[Mapping[str, DeviceDelta] | None],
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(dvth, dbeta_rel)`` stacks, one row per delta set, in bank order.
+
+    Devices absent from a delta set (or a ``None`` set) stay nominal.
+
+    Raises:
+        ValueError: a ``dbeta_rel <= -1`` would make a device's ``kp``
+            non-positive (the check :meth:`MosfetParams.with_deltas`
+            makes per device).
+    """
+    dvth: list[float] = []
+    dbeta: list[float] = []
+    for deltas in deltas_list:
+        for name in names:
+            delta = deltas.get(name) if deltas else None
+            if delta is None:
+                dvth.append(0.0)
+                dbeta.append(0.0)
+                continue
+            if delta.dbeta_rel <= -1.0:
+                raise ValueError(
+                    f"{name}: dbeta_rel would make kp non-positive: "
+                    f"{delta.dbeta_rel}"
+                )
+            dvth.append(delta.dvth)
+            dbeta.append(delta.dbeta_rel)
+    shape = (len(deltas_list), len(names))
+    return (np.array(dvth, dtype=float).reshape(shape),
+            np.array(dbeta, dtype=float).reshape(shape))
+
+
+def _signed_sources(
+    topology: CompiledTopology,
+    base: np.ndarray,
+    source_scale: float,
+    source_values: Mapping[str, float] | None,
+) -> np.ndarray:
+    """Source injections aligned with ``topology.src_rows``.
+
+    ``base`` holds the sources' dc levels on its last axis (one row per
+    placement for a batch); ``source_values`` overrides some of them
+    and ``source_scale`` scales them all.
+    """
+    values = base
+    if source_values:
+        values = values.copy()
+        for i, name in enumerate(topology.source_names):
+            if name in source_values:
+                values[..., i] = source_values[name]
+    values = values * source_scale
+    return topology.src_sign * values[..., topology.src_slot]
+
 
 class CompiledSystem:
     """A compiled topology bound to concrete element values.
 
     The circuit handed in must have the same structure signature as the
     topology (guaranteed when obtained via :func:`compiled_system`).
+    Binding gathers only what DC assembly reads; the AC drive vector and
+    the capacitance matrix are built on first use.
+
+    Raises:
+        ValueError: a variation delta would make a device's ``kp``
+            non-positive.
     """
 
     def __init__(
@@ -355,6 +452,7 @@ class CompiledSystem:
         self.deltas = dict(deltas or {})
         self.node_index = topology.node_index
         self.branch_index = topology.branch_index
+        self.circuit_nets = topology.circuit_nets
         self.n_nodes = topology.n_nodes
         self.size = topology.size
 
@@ -372,17 +470,14 @@ class CompiledSystem:
             np.add.at(G.ravel(), t.lin_flat, t.lin_sign * values[t.lin_slot])
         self._G_ext = G
 
-        # Source levels (DC base values and the constant AC drive vector).
-        self._src_base = np.array(
-            [circuit.device(name).dc for name in t.source_names]
-        )
-        ac_values = np.array(
-            [circuit.device(name).ac for name in t.source_names]
-        )
-        b_ac = np.zeros(stride)
-        if t.ac_rows.size:
-            np.add.at(b_ac, t.ac_rows, t.ac_sign * ac_values[t.ac_slot])
-        self._b_ac = b_ac[: self.size].astype(complex)
+        # Source-dependent pieces are built on first use: DC assembly
+        # keeps the injection vector of the last (scale, overrides) pair,
+        # since a Newton run reuses it on every iteration.
+        self._src_base: np.ndarray | None = None
+        self._src_key: tuple | None = None
+        self._src_injection: np.ndarray | None = None
+        self._b_ac: np.ndarray | None = None
+        self._C: np.ndarray | None = None
 
         # Variation-resolved MOSFET parameters: the cached nominal bank
         # plus per-device delta arrays (dvth adds, dbeta scales kp —
@@ -390,38 +485,14 @@ class CompiledSystem:
         bank = topology.device_bank(tech)
         self._bank = bank
         if self.deltas:
-            dvth = np.zeros(len(t.mos_names))
-            dbeta = np.zeros(len(t.mos_names))
-            for i, name in enumerate(t.mos_names):
-                delta = self.deltas.get(name)
-                if delta is not None:
-                    dvth[i] = delta.dvth
-                    dbeta[i] = delta.dbeta_rel
-            vth0 = bank.vth0 + dvth
-            kp = bank.kp * (1.0 + dbeta)
+            dvth, dbeta = _delta_arrays(t.mos_names, [self.deltas])
+            vth0 = bank.vth0 + dvth[0]
+            kp = bank.kp * (1.0 + dbeta[0])
         else:
             vth0 = bank.vth0
             kp = bank.kp
-        self._mos_arrays = MosfetArrays(
-            polarity=bank.polarity,
-            vth0=vth0,
-            kp_wl=kp * bank.w_over_l,
-            lam=bank.lam,
-            gamma=bank.gamma,
-            phi=bank.phi,
-            ss=bank.ss,
-        )
+        self._mos_arrays = bank.arrays(vth0, kp * bank.w_over_l)
         self._mos_params_cache: dict[str, MosfetParams] | None = None
-
-        # Deltas never change capacitances: the C matrix is the cached
-        # MOSFET part plus this instance's capacitor values.
-        C = bank.c_mos_ext.copy()
-        if t.capacitor_slots:
-            cap_values = np.zeros(t.n_cap_slots)
-            for name, slot in t.capacitor_slots:
-                cap_values[slot] = circuit.device(name).value
-            np.add.at(C.ravel(), t.cap_flat, t.cap_sign * cap_values[t.cap_slot])
-        self._C = C[: self.size, : self.size].copy()
 
     # ------------------------------------------------------------- helpers
 
@@ -452,36 +523,33 @@ class CompiledSystem:
             cache[name] = params
         return params
 
-    def _mos_stamps(
-        self, x_ext: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized MOSFET-bank evaluation at an extended state vector.
+    def _mos_jvals(self, x_ext: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """MOSFET-bank currents and Jacobian values at an extended state.
 
         Returns ``(ids, jvals)`` where ``jvals`` is laid out to match the
         topology's eight-entry-per-device Jacobian footprint.
         """
-        t = self.topology
-        ids, gdd, gdg, gds_, gdb = terminal_currents_array(
-            self._mos_arrays,
-            x_ext[t.mos_d], x_ext[t.mos_g], x_ext[t.mos_s], x_ext[t.mos_b],
-        )
-        jvals = np.concatenate(
-            (gdd, gdg, gds_, gdb, -gdd, -gdg, -gds_, -gdb)
-        )
-        return ids, jvals
+        block = terminal_currents_array(
+            self._mos_arrays, x_ext[self.topology.mos_terms])
+        g = block[1:]
+        return block[0], np.concatenate((g, -g)).ravel()
 
-    def _dc_source_vector(
+    def _source_injection(
         self,
         source_scale: float,
         source_values: Mapping[str, float] | None,
     ) -> np.ndarray:
-        values = self._src_base
-        if source_values:
-            values = values.copy()
-            for i, name in enumerate(self.topology.source_names):
-                if name in source_values:
-                    values[i] = source_values[name]
-        return values * source_scale
+        """Signed source values, aligned with the topology's ``src_rows``."""
+        key = (source_scale, dict(source_values) if source_values else None)
+        if key != self._src_key:
+            if self._src_base is None:
+                self._src_base = np.array([
+                    self.circuit.device(name).dc
+                    for name in self.topology.source_names])
+            self._src_injection = _signed_sources(
+                self.topology, self._src_base, source_scale, source_values)
+            self._src_key = key
+        return self._src_injection
 
     # ------------------------------------------------------------------ DC
 
@@ -494,8 +562,8 @@ class CompiledSystem:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Jacobian and residual of the DC system at state ``x``.
 
-        Assembly is one matrix copy, one vectorized device-bank
-        evaluation and two index scatters.
+        Assembly is one matrix copy, one fused device-bank kernel and
+        three index scatters.
         """
         t = self.topology
         size = self.size
@@ -505,10 +573,10 @@ class CompiledSystem:
         J_ext = self._G_ext.copy()
         F_ext = self._G_ext @ x_ext
         if t.src_rows.size:
-            values = self._dc_source_vector(source_scale, source_values)
-            np.add.at(F_ext, t.src_rows, t.src_sign * values[t.src_slot])
+            np.add.at(F_ext, t.src_rows,
+                      self._source_injection(source_scale, source_values))
         if t.mos_names:
-            ids, jvals = self._mos_stamps(x_ext)
+            ids, jvals = self._mos_jvals(x_ext)
             np.add.at(F_ext, t.mos_f_rows, np.concatenate((ids, -ids)))
             np.add.at(J_ext.ravel(), t.mos_j_flat, jvals)
         F_ext[: self.n_nodes] += gmin * x_ext[: self.n_nodes]
@@ -517,9 +585,41 @@ class CompiledSystem:
 
     # ------------------------------------------------------------------ AC
 
+    def _capacitances(self) -> np.ndarray:
+        """The node-space C matrix, built on first use.
+
+        Deltas never change capacitances: it is the cached MOSFET part
+        plus this instance's capacitor values.
+        """
+        if self._C is None:
+            t = self.topology
+            C = self._bank.c_mos_ext.copy()
+            if t.capacitor_slots:
+                cap_values = np.zeros(t.n_cap_slots)
+                cap_values[t.capacitor_slot_index] = [
+                    self.circuit.device(name).value
+                    for name, __ in t.capacitor_slots]
+                np.add.at(C.ravel(), t.cap_flat,
+                          t.cap_sign * cap_values[t.cap_slot])
+            self._C = C[: self.size, : self.size].copy()
+        return self._C
+
+    def _ac_drive(self) -> np.ndarray:
+        """The constant AC drive vector, built on first use."""
+        if self._b_ac is None:
+            t = self.topology
+            ac_values = np.array(
+                [self.circuit.device(name).ac for name in t.source_names]
+            )
+            b_ac = np.zeros(self.size + 1)
+            if t.ac_rows.size:
+                np.add.at(b_ac, t.ac_rows, t.ac_sign * ac_values[t.ac_slot])
+            self._b_ac = b_ac[: self.size].astype(complex)
+        return self._b_ac
+
     def capacitance_matrix(self) -> np.ndarray:
         """Node-space capacitance matrix (bias-independent, prebuilt)."""
-        return self._C.copy()
+        return self._capacitances().copy()
 
     def _op_vector_ext(self, op_voltages: Mapping[str, float]) -> np.ndarray:
         x_ext = np.zeros(self.size + 1)
@@ -540,13 +640,13 @@ class CompiledSystem:
         call serves every frequency point of an analysis.
         """
         t = self.topology
-        size = self.size
         G_ext = self._G_ext.copy()
         if t.mos_names:
-            __, jvals = self._mos_stamps(self._op_vector_ext(op_voltages))
+            __, jvals = self._mos_jvals(self._op_vector_ext(op_voltages))
             np.add.at(G_ext.ravel(), t.mos_j_flat, jvals)
         G_ext.ravel()[t.node_diag_flat] += gmin
-        return G_ext[:size, :size], self._C, self._b_ac
+        G = G_ext[: self.size, : self.size]
+        return G, self._capacitances(), self._ac_drive()
 
     def solve_ac_batch(
         self,
@@ -570,25 +670,65 @@ class CompiledSystem:
         """
         G, C, b = self.ac_matrices(op_voltages, gmin=gmin)
         omegas = np.asarray(omegas, dtype=float)
-        A = G[None, :, :] + 1j * omegas[:, None, None] * C[None, :, :]
+        A = _ac_system(G, C, omegas)
+        # The solve broadcasts the one right-hand side over every
+        # frequency; no stacked copy is made.
         if rhs is None:
-            # LAPACK reads the broadcast (hence read-only) RHS fine — no
-            # per-call copy needed.
-            B = np.broadcast_to(
-                b[None, :, None], (len(omegas), self.size, 1)
-            )
             start = perf_counter()
-            X = np.linalg.solve(A, B)[..., 0]
+            X = np.linalg.solve(A, b[None, :, None])[..., 0]
             STATS.ac_solve_s += perf_counter() - start
             return X
-        B = np.broadcast_to(
-            np.asarray(rhs, dtype=complex)[None, :, :],
-            (len(omegas),) + rhs.shape,
-        )
         start = perf_counter()
-        X = np.linalg.solve(A, B)
+        X = np.linalg.solve(A, np.asarray(rhs, dtype=complex)[None, :, :])
         STATS.ac_solve_s += perf_counter() - start
         return X
+
+
+def _ac_system(G: np.ndarray, C: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    """``A = G + 1j * omega * C`` for every ``omega``, on the axis before
+    the matrix axes (``G``/``C`` may carry a leading placement axis).
+
+    The real and imaginary planes are filled directly: the same values as
+    the complex expression (``G`` and ``C`` are sums started from +0, so
+    neither holds a -0 the complex product could flip), without its
+    complex temporaries.
+    """
+    A = np.empty(G.shape[:-2] + (len(omegas),) + G.shape[-2:], dtype=complex)
+    A.real[...] = G[..., None, :, :]
+    np.multiply(omegas[:, None, None], C[..., None, :, :], out=A.imag)
+    return A
+
+
+def _row_flat(entries: np.ndarray, n_rows: int, row_size: int) -> np.ndarray:
+    """Flat index of ``entries`` in each of ``n_rows`` stacked rows.
+
+    Row ``i``'s entry ``e`` lands at ``i * row_size + e``, in row-major
+    order, so one 1-D ``np.add.at`` applies exactly the per-row additions,
+    in the same order, that a ``(rows, entries)`` index would.
+    """
+    rows = np.arange(n_rows, dtype=np.intp)[:, None] * row_size
+    return (rows + entries).reshape(-1)
+
+
+class _RowIndices:
+    """Flat (:func:`_row_flat`) scatter/gather indices of one topology's
+    stamps over ``n_rows`` stacked rows (immutable, cached per topology)."""
+
+    def __init__(self, topology: CompiledTopology, n_rows: int):
+        t = topology
+        stride = t.size + 1
+        self.lin = _row_flat(t.lin_flat, n_rows, stride * stride)
+        self.cap = _row_flat(t.cap_flat, n_rows, stride * stride)
+        self.ac = _row_flat(t.ac_rows, n_rows, stride)
+        self.src = _row_flat(t.src_rows, n_rows, stride)
+        self.mos_f = _row_flat(t.mos_f_rows, n_rows, stride)
+        self.diag = _row_flat(t.node_diag_flat, n_rows, stride * stride)
+        # The kernel's (terminal, row, device) input, and its partial
+        # rows' (8, row, device) Jacobian layout.
+        rows = np.arange(n_rows, dtype=np.intp)[None, :, None]
+        self.terms = rows * stride + t.mos_terms[:, None, :]
+        self.mos_j = (rows * (stride * stride)
+                      + t.mos_j_flat.reshape(8, 1, -1)).reshape(-1)
 
 
 class BatchedCompiledSystem:
@@ -637,12 +777,12 @@ class BatchedCompiledSystem:
         self.n_nodes = topology.n_nodes
         self.node_index = topology.node_index
         self.branch_index = topology.branch_index
+        self.circuit_nets = topology.circuit_nets
         self._scalar: list[CompiledSystem | None] = [None] * self.k
 
         t = topology
         k = self.k
         stride = self.size + 1
-        rows = np.arange(k)[:, None]
 
         # Linear conductance stacks (resistor/VCVS values per row).
         lin_values = np.ones((k, t.n_lin_slots))
@@ -651,31 +791,23 @@ class BatchedCompiledSystem:
                 lin_values[i, slot] = 1.0 / circuit.device(name).value
             for name, slot in t.vcvs_slots:
                 lin_values[i, slot] = circuit.device(name).gain
-        G = np.zeros((k, stride * stride))
+        G = np.zeros((k, stride, stride))
         if t.lin_flat.size:
             np.add.at(
-                G, (rows, t.lin_flat[None, :]),
-                t.lin_sign * lin_values[:, t.lin_slot],
+                G.reshape(-1), t.row_indices(k).lin,
+                (t.lin_sign * lin_values[:, t.lin_slot]).reshape(-1),
             )
-        self._G_ext = G.reshape(k, stride, stride)
+        self._G_ext = G
 
-        # Source levels and the constant AC drive vectors.
-        n_src = len(t.source_names)
+        # DC source levels; the AC drive vectors and the capacitance
+        # stacks are built on first use (a DC-only batch never needs
+        # them).
         self._src_base = np.array([
             [circuit.device(name).dc for name in t.source_names]
             for circuit in circuits
-        ]).reshape(k, n_src)
-        ac_values = np.array([
-            [circuit.device(name).ac for name in t.source_names]
-            for circuit in circuits
-        ]).reshape(k, n_src)
-        b_ac = np.zeros((k, stride))
-        if t.ac_rows.size:
-            np.add.at(
-                b_ac, (rows, t.ac_rows[None, :]),
-                t.ac_sign * ac_values[:, t.ac_slot],
-            )
-        self._b_ac = b_ac[:, : self.size].astype(complex)
+        ]).reshape(k, len(t.source_names))
+        self._b_ac: np.ndarray | None = None
+        self._C: np.ndarray | None = None
 
         # Variation-resolved MOSFET banks: the shared nominal bank plus
         # stacked per-row delta arrays (dvth adds, dbeta scales kp —
@@ -684,41 +816,17 @@ class BatchedCompiledSystem:
         self._bank = bank
         n_mos = len(t.mos_names)
         if n_mos:
-            dvth = np.zeros((k, n_mos))
-            dbeta = np.zeros((k, n_mos))
-            for i, deltas in enumerate(deltas_list):
-                if deltas:
-                    for j, name in enumerate(t.mos_names):
-                        delta = deltas.get(name)
-                        if delta is not None:
-                            dvth[i, j] = delta.dvth
-                            dbeta[i, j] = delta.dbeta_rel
+            dvth, dbeta = _delta_arrays(t.mos_names, deltas_list)
             self._vth0 = bank.vth0 + dvth
             self._kp_wl = (bank.kp * (1.0 + dbeta)) * bank.w_over_l
 
-        # Capacitance stacks: the shared MOSFET part plus per-row
-        # capacitor values (the only matrix entries a placement changes).
-        C = np.broadcast_to(
-            bank.c_mos_ext.reshape(1, stride * stride),
-            (k, stride * stride),
-        ).copy()
-        if t.capacitor_slots:
-            cap_values = np.zeros((k, t.n_cap_slots))
-            for i, circuit in enumerate(circuits):
-                for name, slot in t.capacitor_slots:
-                    cap_values[i, slot] = circuit.device(name).value
-            np.add.at(
-                C, (rows, t.cap_flat[None, :]),
-                t.cap_sign * cap_values[:, t.cap_slot],
-            )
-        self._C = np.ascontiguousarray(
-            C.reshape(k, stride, stride)[:, : self.size, : self.size]
-        )
         # Reusable per-iteration DC workspaces keyed by active-set size
         # (the batched Newton driver reassembles every iteration; the
         # active set only ever shrinks, so a handful of buffers serve a
         # whole solve).
         self._dc_workspace: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._src_key: tuple | None = None
+        self._src_injection: np.ndarray | None = None
 
     # ------------------------------------------------------------- helpers
 
@@ -742,38 +850,81 @@ class BatchedCompiledSystem:
                 x_ext[i] = op_voltages[net]
         return x_ext
 
+    def _capacitances(self) -> np.ndarray:
+        """The ``(k, size, size)`` C stacks, built on first use: the
+        shared MOSFET part plus per-row capacitor values (the only
+        matrix entries a placement changes)."""
+        if self._C is None:
+            t = self.topology
+            k = self.k
+            stride = self.size + 1
+            C = np.broadcast_to(
+                self._bank.c_mos_ext, (k, stride, stride)).copy()
+            if t.capacitor_slots:
+                cap_values = np.zeros((k, t.n_cap_slots))
+                cap_values[:, t.capacitor_slot_index] = [
+                    [circuit.device(name).value
+                     for name, __ in t.capacitor_slots]
+                    for circuit in self.circuits]
+                np.add.at(
+                    C.reshape(-1), t.row_indices(k).cap,
+                    (t.cap_sign * cap_values[:, t.cap_slot]).reshape(-1),
+                )
+            self._C = np.ascontiguousarray(C[:, : self.size, : self.size])
+        return self._C
+
+    def _ac_drive(self) -> np.ndarray:
+        """The ``(k, size)`` AC drive vectors, built on first use."""
+        if self._b_ac is None:
+            t = self.topology
+            k = self.k
+            stride = self.size + 1
+            ac_values = np.array([
+                [circuit.device(name).ac for name in t.source_names]
+                for circuit in self.circuits
+            ]).reshape(k, len(t.source_names))
+            b_ac = np.zeros((k, stride))
+            if t.ac_rows.size:
+                np.add.at(
+                    b_ac.reshape(-1), t.row_indices(k).ac,
+                    (t.ac_sign * ac_values[:, t.ac_slot]).reshape(-1),
+                )
+            self._b_ac = b_ac[:, : self.size].astype(complex)
+        return self._b_ac
+
     def _arrays_rows(self, idx: np.ndarray) -> MosfetArrays:
         """The stacked device bank restricted to placement rows ``idx``.
 
-        Only ``vth0`` and ``kp_wl`` carry a placement axis (variation
-        deltas shift nothing else); the shared per-device vectors
-        broadcast against them.
+        Only ``vth0`` and ``kp_wl`` vary by placement (variation deltas
+        shift nothing else).
         """
-        bank = self._bank
-        return MosfetArrays(
-            polarity=bank.polarity,
-            vth0=self._vth0[idx],
-            kp_wl=self._kp_wl[idx],
-            lam=bank.lam,
-            gamma=bank.gamma,
-            phi=bank.phi,
-            ss=bank.ss,
-        )
+        return self._bank.arrays(self._vth0[idx], self._kp_wl[idx])
 
-    def _mos_stamps_rows(
-        self, x_ext: np.ndarray, idx: np.ndarray
+    def _mos_jvals_rows(
+        self, x_ext: np.ndarray, idx: np.ndarray, ri: _RowIndices
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched MOSFET-bank evaluation at extended states ``(A, stride)``."""
-        t = self.topology
-        ids, gdd, gdg, gds_, gdb = terminal_currents_array(
-            self._arrays_rows(idx),
-            x_ext[:, t.mos_d], x_ext[:, t.mos_g],
-            x_ext[:, t.mos_s], x_ext[:, t.mos_b],
-        )
-        jvals = np.concatenate(
-            (gdd, gdg, gds_, gdb, -gdd, -gdg, -gds_, -gdb), axis=1
-        )
-        return ids, jvals
+        """Batched :meth:`CompiledSystem._mos_jvals` at states ``(A, stride)``.
+
+        Returns ``(ids, jvals)``: ``(A, n)`` currents and the flat
+        Jacobian values that pair with ``ri.mos_j``.
+        """
+        block = terminal_currents_array(
+            self._arrays_rows(idx), x_ext.reshape(-1)[ri.terms])
+        g = block[1:]
+        return block[0], np.concatenate((g, -g)).reshape(-1)
+
+    def _source_injection(
+        self,
+        source_scale: float,
+        source_values: Mapping[str, float] | None,
+    ) -> np.ndarray:
+        """Per-row :meth:`CompiledSystem._source_injection`, ``(k, m)``."""
+        key = (source_scale, dict(source_values) if source_values else None)
+        if key != self._src_key:
+            self._src_injection = _signed_sources(
+                self.topology, self._src_base, source_scale, source_values)
+            self._src_key = key
+        return self._src_injection
 
     # ------------------------------------------------------------------ DC
 
@@ -797,17 +948,16 @@ class BatchedCompiledSystem:
         """
         t = self.topology
         size = self.size
-        stride = size + 1
         idx = np.arange(self.k) if rows is None else np.asarray(rows, dtype=np.intp)
         n_active = len(idx)
-        arange = np.arange(n_active)
 
         ws = self._dc_workspace.get(n_active)
         if ws is None:
-            ws = (np.zeros((n_active, stride)),
-                  np.empty((n_active, stride, stride)))
+            ws = (np.zeros((n_active, size + 1)),
+                  np.empty((n_active, size + 1, size + 1)))
             self._dc_workspace[n_active] = ws
         x_ext, G_buf = ws
+        ri = t.row_indices(n_active)
         x_ext[:, :size] = X
         # The spill column of x_ext stays 0 (set at allocation, never
         # written), exactly as a fresh zeros() would give.
@@ -825,33 +975,22 @@ class BatchedCompiledSystem:
             G = np.take(self._G_ext, idx, axis=0, out=G_buf)
         F_ext = (G @ x_ext[..., None])[..., 0]
 
+        # Scatters go through flat views with per-active-size flat
+        # indices: the same per-row sequence of additions as a 2-D index.
+        F_flat = F_ext.reshape(-1)
         if t.src_rows.size:
-            values = self._src_base[idx]
-            if source_values:
-                values = values.copy()
-                for i, name in enumerate(t.source_names):
-                    if name in source_values:
-                        values[:, i] = source_values[name]
-            values = values * source_scale
-            np.add.at(
-                F_ext, (arange[:, None], t.src_rows[None, :]),
-                t.src_sign * values[:, t.src_slot],
-            )
+            injection = self._source_injection(source_scale, source_values)
+            np.add.at(F_flat, ri.src, injection[idx].reshape(-1))
         if t.mos_names:
-            ids, jvals = self._mos_stamps_rows(x_ext, idx)
-            np.add.at(
-                F_ext, (arange[:, None], t.mos_f_rows[None, :]),
-                np.concatenate((ids, -ids), axis=1),
-            )
+            ids, jvals = self._mos_jvals_rows(x_ext, idx, ri)
+            np.add.at(F_flat, ri.mos_f,
+                      np.concatenate((ids, -ids), axis=1).reshape(-1))
             if want_jacobian:
-                np.add.at(
-                    J_ext.reshape(n_active, -1),
-                    (arange[:, None], t.mos_j_flat[None, :]), jvals,
-                )
+                np.add.at(J_ext.reshape(-1), ri.mos_j, jvals)
         F_ext[:, : self.n_nodes] += gmin * x_ext[:, : self.n_nodes]
         if not want_jacobian:
             return None, F_ext[:, :size]
-        J_ext.reshape(n_active, -1)[:, t.node_diag_flat] += gmin
+        J_ext.reshape(-1)[ri.diag] += gmin
         return J_ext[:, :size, :size], F_ext[:, :size]
 
     # ------------------------------------------------------------------ AC
@@ -876,13 +1015,11 @@ class BatchedCompiledSystem:
             x_ext = np.stack([
                 self._op_vector_ext(op) for op in op_voltages_seq
             ])
-            __, jvals = self._mos_stamps_rows(x_ext, np.arange(self.k))
-            np.add.at(
-                G_ext.reshape(self.k, -1),
-                (np.arange(self.k)[:, None], t.mos_j_flat[None, :]), jvals,
-            )
+            ri = t.row_indices(self.k)
+            __, jvals = self._mos_jvals_rows(x_ext, np.arange(self.k), ri)
+            np.add.at(G_ext.reshape(-1), ri.mos_j, jvals)
         G_ext.reshape(self.k, -1)[:, t.node_diag_flat] += gmin
-        return G_ext[:, :size, :size], self._C, self._b_ac
+        return G_ext[:, :size, :size], self._capacitances(), self._ac_drive()
 
     def solve_ac_batch_many(
         self,
@@ -901,18 +1038,11 @@ class BatchedCompiledSystem:
         """
         G, C, b = self.ac_matrices_batch(op_voltages_seq, gmin=gmin)
         omegas = np.asarray(omegas, dtype=float)
-        nfreq = len(omegas)
-        # Fill real/imag planes separately: same values as G + 1j*omega*C
-        # without materialising intermediate complex products.
-        A = np.empty((self.k, nfreq, self.size, self.size), dtype=complex)
-        A.real[...] = G[:, None, :, :]
-        A.imag[...] = omegas[None, :, None, None] * C[:, None, :, :]
-        # Broadcast (read-only) RHS solves fine — no per-call copy.
-        B = np.broadcast_to(
-            b[:, None, :, None], (self.k, nfreq, self.size, 1)
-        )
+        A = _ac_system(G, C, omegas)
+        # The solve broadcasts each placement's right-hand side over the
+        # frequencies; no stacked copy is made.
         start = perf_counter()
-        X = np.linalg.solve(A, B)[..., 0]
+        X = np.linalg.solve(A, b[:, None, :, None])[..., 0]
         STATS.ac_solve_s += perf_counter() - start
         return X
 

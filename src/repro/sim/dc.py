@@ -86,6 +86,7 @@ def _newton(
     """
     x = x0.copy()
     n_nodes = system.n_nodes
+    has_branches = system.size > n_nodes
     for it in range(1, max_iter + 1):
         STATS.newton_iterations += 1
         STATS.jacobian_factorizations += 1
@@ -96,26 +97,25 @@ def _newton(
             dx = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
             return x, it, False
-        if not np.all(np.isfinite(dx)):
+        if not np.isfinite(dx).all():
             return x, it, False
         # Damp: cap the largest node-voltage move per iteration.
-        v_step = np.max(np.abs(dx[:n_nodes])) if n_nodes else 0.0
-        if v_step > MAX_STEP_V:
-            dx *= MAX_STEP_V / v_step
+        dv = float(np.abs(dx[:n_nodes]).max()) if n_nodes else 0.0
+        if dv > MAX_STEP_V:
+            dx *= MAX_STEP_V / dv
+            dv = float(np.abs(dx[:n_nodes]).max())
         x += dx
-        if n_nodes:
-            dv = float(np.max(np.abs(dx[:n_nodes])))
-            vmax = float(np.max(np.abs(x[:n_nodes])))
-            resid_i = float(np.max(np.abs(F[:n_nodes])))
-        else:
-            dv = vmax = resid_i = 0.0
-        if system.size > n_nodes:
-            resid_v = float(np.max(np.abs(F[n_nodes:])))
-        else:
-            resid_v = 0.0
-        if (dv < ABSTOL_V * (1.0 + vmax)
-                and resid_i < RESIDTOL_I and resid_v < RESIDTOL_V):
-            return x, it, True
+        # Convergence: a small voltage step and small KCL and branch
+        # residuals, checked in that order so a step that fails early
+        # skips the remaining reductions (``not <`` keeps NaN failing).
+        if n_nodes and not dv < ABSTOL_V * (1.0 + np.abs(x[:n_nodes]).max()):
+            continue
+        abs_f = np.abs(F)
+        if n_nodes and not abs_f[:n_nodes].max() < RESIDTOL_I:
+            continue
+        if has_branches and not abs_f[n_nodes:].max() < RESIDTOL_V:
+            continue
+        return x, it, True
     return x, max_iter, False
 
 
@@ -194,12 +194,21 @@ def solve_dc(
     )
 
 
-def _package(
-    system: CompiledSystem, x: np.ndarray, iterations: int
-) -> DcResult:
-    voltages = {net: system.voltage(x, net) for net in system.circuit.nets()}
+def _package(system, x: np.ndarray, iterations: int) -> DcResult:
+    """A :class:`DcResult` from solution ``x`` of any assembler.
+
+    ``system`` supplies ``circuit_nets`` (all nets, ground included),
+    ``node_index`` and ``branch_index``: the compiled, batched and
+    reference assemblers all do.
+    """
+    values = x.tolist()
+    index = system.node_index
+    voltages = {
+        net: values[index[net]] if net in index else 0.0
+        for net in system.circuit_nets
+    }
     branch_currents = {
-        name: float(x[row]) for name, row in system.branch_index.items()
+        name: values[row] for name, row in system.branch_index.items()
     }
     return DcResult(
         voltages=voltages,

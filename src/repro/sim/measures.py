@@ -26,14 +26,16 @@ def dc_gain(transfer: np.ndarray) -> float:
 
 def _interp_log_crossing(freqs: np.ndarray, values: np.ndarray, target: float) -> float | None:
     """Frequency where ``values`` first crosses ``target`` going down."""
-    for k in range(1, len(values)):
-        a, b = values[k - 1], values[k]
-        if a >= target > b:
-            # Interpolate in log-frequency for accuracy on dec grids.
-            la, lb = math.log10(freqs[k - 1]), math.log10(freqs[k])
-            frac = (a - target) / (a - b)
-            return 10.0 ** (la + frac * (lb - la))
-    return None
+    values = np.asarray(values)
+    crossings = np.flatnonzero((values[:-1] >= target) & (target > values[1:]))
+    if not crossings.size:
+        return None
+    k = int(crossings[0]) + 1
+    a, b = values[k - 1], values[k]
+    # Interpolate in log-frequency for accuracy on dec grids.
+    la, lb = math.log10(freqs[k - 1]), math.log10(freqs[k])
+    frac = (a - target) / (a - b)
+    return 10.0 ** (la + frac * (lb - la))
 
 
 def bandwidth_3db(freqs: np.ndarray, transfer: np.ndarray) -> float | None:
@@ -55,7 +57,16 @@ def phase_margin(freqs: np.ndarray, transfer: np.ndarray) -> float | None:
     Uses the negative-feedback convention: PM = 180° + phase(H) at
     ``|H| = 1``, with the phase unwrapped from low frequency.
     """
-    f_unity = unity_gain_frequency(freqs, transfer)
+    return phase_margin_at(
+        freqs, transfer, unity_gain_frequency(freqs, transfer))
+
+
+def phase_margin_at(
+    freqs: np.ndarray, transfer: np.ndarray, f_unity: float | None
+) -> float | None:
+    """:func:`phase_margin` at an already-known unity-gain frequency
+    (``None`` when the gain never crosses 1, as
+    :func:`unity_gain_frequency` reports it)."""
     if f_unity is None:
         return None
     phases = np.unwrap(np.angle(transfer))

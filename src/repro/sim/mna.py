@@ -66,8 +66,9 @@ class MnaSystem:
         self.tech = tech
         self.deltas = dict(deltas or {})
 
+        self.circuit_nets = circuit.nets()
         self.node_index: dict[str, int] = {}
-        for net in circuit.nets():
+        for net in self.circuit_nets:
             if not is_ground(net):
                 self.node_index[net] = len(self.node_index)
         self.n_nodes = len(self.node_index)

@@ -190,10 +190,13 @@ class MosfetCaps:
 # The compiled MNA engine evaluates every MOSFET of a circuit in one numpy
 # pass instead of one Python call per device.  The array model below is the
 # exact smoothed square law above, restated branch-free: the drain/source
-# swap becomes an index-free min/max (for either orientation the core
+# swap becomes an index-free select (for either orientation the core
 # arguments are measured from the lower of the two diffusion terminals),
-# and the saturation/triode and softplus/sigmoid pieces become np.where
-# selections over the same piecewise formulas.
+# and the saturation/triode and softplus/sigmoid pieces become
+# elementwise selections over the same piecewise formulas.  On the 5-20
+# device banks of the library circuits numpy's per-call overhead, not
+# arithmetic, is the cost, so the kernel makes as few calls as it can
+# while staying bit-identical to the per-branch formulas.
 
 
 @dataclass(frozen=True)
@@ -203,8 +206,9 @@ class MosfetArrays:
     One entry per MOSFET, all variation deltas already applied.  ``kp_wl``
     folds the geometry in (``kp * width / length``) and ``lam`` is already
     scaled to the actual channel length, so the evaluation itself needs no
-    per-device geometry.  Built by the compiled engine's device bank
-    (:class:`repro.sim.compiled._DeviceBank`).
+    per-device geometry.  ``sqrt_phi`` and ``neg_half_gamma`` are the
+    bias-independent pieces of the body effect.  Built by the compiled
+    engine's device bank (:class:`repro.sim.compiled._DeviceBank`).
     """
 
     polarity: np.ndarray
@@ -214,78 +218,89 @@ class MosfetArrays:
     gamma: np.ndarray
     phi: np.ndarray
     ss: np.ndarray
+    sqrt_phi: np.ndarray
+    neg_half_gamma: np.ndarray
 
 
 # exp() underflows to 0.0 below roughly -745; clipping there keeps the
 # array path free of warnings while matching math.exp semantics exactly.
 _EXP_MIN = -745.0
 
-
-def _softplus_array(u: np.ndarray) -> np.ndarray:
-    e = np.exp(np.clip(u, _EXP_MIN, 30.0))
-    return np.where(u > 30.0, u, np.where(u < -30.0, e, np.log1p(e)))
-
-
-def _sigmoid_array(u: np.ndarray) -> np.ndarray:
-    e = np.exp(np.clip(u, _EXP_MIN, 30.0))
-    mid = 1.0 / (1.0 + np.exp(-np.clip(u, -30.0, 30.0)))
-    return np.where(u > 30.0, 1.0, np.where(u < -30.0, e, mid))
+# A swapped device's outputs are the negated normal-orientation outputs
+# with the drain and source partials exchanged (see _nmos_terminal).
+_SWAP_ROWS = np.array([0, 3, 2, 1, 4])
 
 
-def terminal_currents_array(
-    pa: MosfetArrays,
-    vd: np.ndarray, vg: np.ndarray, vs: np.ndarray, vb: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def terminal_currents_array(pa: MosfetArrays, v: np.ndarray) -> np.ndarray:
     """Vectorized :func:`terminal_currents` over a device bank.
 
-    Returns ``(ids, gdd, gdg, gds_, gdb)`` arrays, one entry per device,
-    with the same polarity and drain/source-swap handling as the scalar
-    model.
+    Args:
+        pa: the bank's parameter vectors (``vth0``/``kp_wl`` may carry
+            leading batch axes; the rest broadcast against them).
+        v: terminal voltages stacked ``(d, g, s, b)`` along the first
+            axis, shape ``(4, ..., n_devices)``.
+
+    Returns:
+        ``(5, ..., n_devices)`` rows ``(ids, gdd, gdg, gds_, gdb)`` with
+        the same polarity and drain/source-swap handling as the scalar
+        model.  Selections use ``np.copyto(..., where=)`` on fresh
+        arrays, which picks exactly what ``np.where`` would.
     """
-    pol = pa.polarity
     # PMOS devices are evaluated as NMOS in negated-voltage space.
-    vd_n, vg_n, vs_n, vb_n = pol * vd, pol * vg, pol * vs, pol * vb
-    swap = vd_n < vs_n
+    vd, vg, vs, vb = pa.polarity * v
+    swap = vd < vs
     # Core arguments referenced to the lower diffusion terminal: this is
     # (vgs, vds, vbs) for the normal orientation and the swapped triple
     # (vg-vd, vs-vd, vb-vd) when the roles of d and s are exchanged.
-    vlo = np.where(swap, vd_n, vs_n)
-    vgs = vg_n - vlo
-    vds = np.abs(vd_n - vs_n)
-    vbs = vb_n - vlo
+    vlo = np.where(swap, vd, vs)
+    vds = np.abs(vd - vs)
 
     # Body effect with the clamped sqrt argument.
-    arg = pa.phi - vbs
+    arg = pa.phi - (vb - vlo)
     clamped = arg < 0.05
-    arg = np.where(clamped, 0.05, arg)
-    sqrt_arg = np.sqrt(arg)
-    dvth_dvbs = np.where(clamped, 0.0, -pa.gamma / (2.0 * sqrt_arg))
-    vth = pa.vth0 + pa.gamma * (sqrt_arg - np.sqrt(pa.phi))
+    sqrt_arg = np.sqrt(np.maximum(arg, 0.05))
+    dvth_dvbs = pa.neg_half_gamma / sqrt_arg
+    np.copyto(dvth_dvbs, 0.0, where=clamped)
+    vth = pa.vth0 + pa.gamma * (sqrt_arg - pa.sqrt_phi)
 
-    u = (vgs - vth) / pa.ss
-    vov = pa.ss * _softplus_array(u)
-    dvov_du = _sigmoid_array(u)
+    # Softplus overdrive and its sigmoid slope share exp(u) and the
+    # |u| > 30 masks.
+    u = ((vg - vlo) - vth) / pa.ss
+    hi = u > 30.0
+    lo = u < -30.0
+    u_top = np.minimum(np.maximum(u, _EXP_MIN), 30.0)
+    e = np.exp(u_top)
+    softplus = np.log1p(e)
+    np.copyto(softplus, e, where=lo)
+    np.copyto(softplus, u, where=hi)
+    vov = pa.ss * softplus
+    dvov_du = 1.0 / (1.0 + np.exp(-np.maximum(u_top, -30.0)))
+    np.copyto(dvov_du, e, where=lo)
+    np.copyto(dvov_du, 1.0, where=hi)
 
     k = pa.kp_wl
-    mod = 1.0 + pa.lam * vds
+    lam = pa.lam
+    mod = 1.0 + lam * vds
     sat = vds >= vov
-    id0 = np.where(sat, 0.5 * k * vov * vov, k * (vov * vds - 0.5 * vds * vds))
-    did_dvov = np.where(sat, k * vov, k * vds) * mod
-    did_dvds = np.where(sat, id0 * pa.lam,
-                        k * (vov - vds) * mod + id0 * pa.lam)
-    ids_c = id0 * mod
-    dgs = did_dvov * dvov_du
-    dbs = did_dvov * (-dvov_du) * dvth_dvbs
-    dds = did_dvds
+    id0 = k * (vov * vds - 0.5 * vds * vds)
+    np.copyto(id0, 0.5 * k * vov * vov, where=sat)
+    id0_lam = id0 * lam
+    did_dvov = k * np.where(sat, vov, vds) * mod
 
-    # Map core partials back through the swap (see _nmos_terminal).
-    ids = np.where(swap, -ids_c, ids_c)
-    gdg = np.where(swap, -dgs, dgs)
-    gds_ = np.where(swap, -dds, -(dgs + dds + dbs))
-    gdb = np.where(swap, -dbs, dbs)
-    gdd = np.where(swap, dgs + dds + dbs, dds)
-    # PMOS: negate the current back; the partials keep their sign.
-    return pol * ids, gdd, gdg, gds_, gdb
+    # Normal-orientation outputs, stacked: ids, gdd, gdg, gds_, gdb.
+    block = np.empty((5,) + vds.shape)
+    np.multiply(id0, mod, out=block[0])
+    dds = np.add(k * (vov - vds) * mod, id0_lam, out=block[1])
+    np.copyto(dds, id0_lam, where=sat)
+    dgs = np.multiply(did_dvov, dvov_du, out=block[2])
+    dbs = np.multiply(-dgs, dvth_dvbs, out=block[4])
+    np.negative(dgs + dds + dbs, out=block[3])
+
+    # Map back through the swap (see _nmos_terminal), then negate the
+    # PMOS current back; the partials keep their sign.
+    np.copyto(block, -block.take(_SWAP_ROWS, axis=0), where=swap)
+    np.multiply(pa.polarity, block[0], out=block[0])
+    return block
 
 
 def device_caps(params: MosfetParams, width: float, length: float) -> MosfetCaps:

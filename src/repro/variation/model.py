@@ -115,46 +115,6 @@ class VariationModel:
             dvth = dvth + self.wpe.dvth_array(dist_to_edge)
         return dvth, dbeta
 
-    def systematic_devices(
-        self,
-        contexts_by_device: Mapping[str, Sequence[UnitContext]],
-        polarity_by_device: Mapping[str, int],
-    ) -> dict[str, DeviceDelta]:
-        """Deterministic deltas of many devices in one vectorized pass.
-
-        Flattens every device's unit contexts into position/neighbourhood
-        arrays, evaluates the fields and LDE models once, and averages
-        per device — numerically the per-device result of
-        :meth:`systematic_device`, without the per-unit Python dispatch.
-        """
-        names = list(contexts_by_device)
-        counts = []
-        flat: list[UnitContext] = []
-        polarity: list[int] = []
-        for name in names:
-            contexts = contexts_by_device[name]
-            if not contexts:
-                raise ValueError("a device needs at least one unit context")
-            counts.append(len(contexts))
-            flat.extend(contexts)
-            polarity.extend([polarity_by_device[name]] * len(contexts))
-        dvth, dbeta = self.systematic_units(
-            np.array([c.x for c in flat]),
-            np.array([c.y for c in flat]),
-            np.array([c.run_left for c in flat], dtype=float),
-            np.array([c.run_right for c in flat], dtype=float),
-            np.array([c.dist_to_edge for c in flat]),
-            np.array(polarity),
-        )
-        counts_arr = np.asarray(counts)
-        starts = np.concatenate(([0], np.cumsum(counts_arr)[:-1]))
-        dvth_mean = np.add.reduceat(dvth, starts) / counts_arr
-        dbeta_mean = np.add.reduceat(dbeta, starts) / counts_arr
-        return {
-            name: DeviceDelta(dvth=float(v), dbeta_rel=float(b))
-            for name, v, b in zip(names, dvth_mean, dbeta_mean)
-        }
-
     def sample_device(
         self,
         contexts: Sequence[UnitContext],

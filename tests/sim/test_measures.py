@@ -96,3 +96,44 @@ class TestBandwidthEdgeCases:
     def test_zero_dc_gain(self):
         h = np.zeros(len(FREQS), dtype=complex)
         assert bandwidth_3db(FREQS, h) is None
+
+
+def _crossing_loop(freqs, values, target):
+    """The scalar first-crossing scan the vectorized search replaced."""
+    for k in range(1, len(values)):
+        a, b = values[k - 1], values[k]
+        if a >= target > b:
+            la, lb = math.log10(freqs[k - 1]), math.log10(freqs[k])
+            frac = (a - target) / (a - b)
+            return 10.0 ** (la + frac * (lb - la))
+    return None
+
+
+class TestCrossingSearch:
+    def test_matches_scalar_scan_bitwise(self):
+        from repro.sim.measures import _interp_log_crossing
+
+        rng = np.random.default_rng(4)
+        freqs = np.logspace(3, 10, 57)
+        for trial in range(2000):
+            values = np.abs(rng.normal(size=57)) * 10 ** rng.uniform(-2, 2)
+            if trial % 3 == 0:
+                values = np.sort(values)[::-1]
+            if trial % 5 == 0:
+                values[rng.integers(0, 57)] = np.nan
+            target = 1.0 if trial % 2 else float(values[0]) / math.sqrt(2.0)
+            want = _crossing_loop(freqs, values, target)
+            got = _interp_log_crossing(freqs, values, target)
+            if want is None:
+                assert got is None
+            else:
+                assert type(got) is type(want)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_phase_margin_at_known_unity_matches(self):
+        from repro.sim.measures import phase_margin_at
+
+        h = two_pole(FREQS)
+        f_unity = unity_gain_frequency(FREQS, h)
+        assert phase_margin_at(FREQS, h, f_unity) == phase_margin(FREQS, h)
+        assert phase_margin_at(FREQS, h, None) is None

@@ -165,6 +165,48 @@ class TestProfile:
         factors = int(line.split()[2].split("/")[0])
         assert factors > 0
 
+    @pytest.mark.parametrize("circuit", ["comp", "ota2s"])
+    def test_profile_full_suite_repeats_simulate(
+        self, circuit, monkeypatch, capsys
+    ):
+        # Each timed full-suite repeat must solve, not read a stored
+        # result: it runs Newton, and an OTA evaluates its MOSFET bank
+        # once more to linearize at the operating point for AC.
+        from repro.cli import CIRCUITS
+        from repro.eval.evaluator import PlacementEvaluator
+        from repro.layout.generators import banded_placement
+        from repro.sim import solver_stats
+        from repro.sim.compiled import CompiledSystem
+
+        profiled = banded_placement(CIRCUITS[circuit](), "ysym").signature()
+        bank_evals = [0]
+        original_jvals = CompiledSystem._mos_jvals
+
+        def mos_jvals(self, x_ext):
+            bank_evals[0] += 1
+            return original_jvals(self, x_ext)
+
+        counts = []
+        original = PlacementEvaluator.evaluate
+
+        def evaluate(self, placement):
+            newton = solver_stats().newton_iterations
+            evals = bank_evals[0]
+            metrics = original(self, placement)
+            if placement.signature() == profiled:
+                counts.append((solver_stats().newton_iterations - newton,
+                               bank_evals[0] - evals))
+            return metrics
+
+        monkeypatch.setattr(CompiledSystem, "_mos_jvals", mos_jvals)
+        monkeypatch.setattr(PlacementEvaluator, "evaluate", evaluate)
+        assert main(["profile", circuit, "--repeats", "3", "--batch", "2"]) == 0
+        assert len(counts) >= 3
+        ac_linearizations = 1 if circuit == "ota2s" else 0
+        for newton, evals in counts:
+            assert newton >= 1
+            assert evals == newton + ac_linearizations
+
 
 #: Stacks a cold ``repro place`` never needs: they load only in the
 #: commands that use them.
