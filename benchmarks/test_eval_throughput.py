@@ -4,8 +4,8 @@ Records evaluations/second of ``PlacementEvaluator.evaluate`` per block
 kind on the compiled engine and on the per-device reference assembler
 (:class:`repro.sim.mna.MnaSystem`, swapped in by the ``mna_reference``
 fixture — the "legacy" loop).  Every evaluation is a cache miss (the
-memoisation cache is cleared between calls), so the numbers measure the
-full pipeline the optimizers pay for: contexts → variation deltas →
+memoisation cache and the operating-point cache are cleared between
+calls), so the numbers measure the full pipeline the optimizers pay for: contexts → variation deltas →
 parasitics → simulation suite.
 
 The compiled engine must be **at least 3× faster on the OTA block**
@@ -40,11 +40,16 @@ BLOCKS = {
 
 
 def _time_evaluations(evaluator, placement, n) -> float:
-    """Seconds per cache-miss evaluation (best single pass of ``n``)."""
+    """Seconds per cache-miss evaluation (best single pass of ``n``).
+
+    Both caches are cleared before every repeat, so each one simulates:
+    an op-cache exact hit would skip the DC solves being compared.
+    """
     evaluator.evaluate(placement)  # warm: topology compile, warm-start vec
     start = time.perf_counter()
     for __ in range(n):
         evaluator.clear_cache()
+        evaluator.clear_op_cache()
         evaluator.evaluate(placement)
     return (time.perf_counter() - start) / n
 

@@ -22,13 +22,13 @@ def mna_reference(monkeypatch):
     form and keep running on the compiled engine.
     """
     from repro.eval import suites
-    from repro.sim import ac, dc, noise, transient
+    from repro.sim import ac, dc
     from repro.sim.mna import MnaSystem
 
     @contextmanager
     def use():
         with monkeypatch.context() as patch:
-            for module in (ac, dc, noise, transient, suites):
+            for module in (ac, dc, suites):
                 patch.setattr(module, "compiled_system", MnaSystem)
             yield
 

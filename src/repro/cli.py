@@ -112,11 +112,18 @@ def _jobs_arg(value: str) -> int:
     return jobs
 
 
-def _batch_arg(value: str) -> int:
-    batch = int(value)
-    if batch < 1:
-        raise argparse.ArgumentTypeError("batch must be >= 1")
-    return batch
+def _count_arg(value: str) -> int:
+    count = int(value)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
+
+
+def _scale_arg(value: str) -> float:
+    scale = float(value)
+    if not scale > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return scale
 
 
 def _add_backend_flag(sub) -> None:
@@ -144,11 +151,11 @@ def _build_parser() -> argparse.ArgumentParser:
                       metavar="circuit", default=None,
                       help="circuit to run (same as --circuit)")
     fig3.add_argument("--circuit", choices=sorted(ALL_CONFIGS), default=None)
-    fig3.add_argument("--scale", type=float, default=1.0,
+    fig3.add_argument("--scale", type=_scale_arg, default=1.0,
                       help="step-budget multiplier")
     fig3.add_argument("--jobs", type=_jobs_arg, default=1,
                       help="worker processes for the per-seed fan-out")
-    fig3.add_argument("--batch", type=_batch_arg, default=1,
+    fig3.add_argument("--batch", type=_count_arg, default=1,
                       help="candidate placements priced per agent turn")
     _add_backend_flag(fig3)
 
@@ -157,11 +164,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "hierarchy", "convergence", "linearity", "dummies", "scaling",
     ])
     ablation.add_argument("--circuit", choices=sorted(CIRCUITS), default="cm")
-    ablation.add_argument("--steps", type=int, default=400)
+    ablation.add_argument("--steps", type=_count_arg, default=400)
     ablation.add_argument("--seed", type=int, default=1)
     ablation.add_argument("--jobs", type=_jobs_arg, default=1,
                           help="worker processes for independent runs")
-    ablation.add_argument("--batch", type=_batch_arg, default=1,
+    ablation.add_argument("--batch", type=_count_arg, default=1,
                           help="candidate placements priced per agent turn")
     _add_backend_flag(ablation)
 
@@ -177,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
     place.add_argument("--jobs", type=_jobs_arg, default=1,
                        help="worker processes (the run executes on the "
                             "shared runtime either way)")
-    place.add_argument("--batch", type=_batch_arg, default=1,
+    place.add_argument("--batch", type=_count_arg, default=1,
                        help="candidate placements priced per agent turn")
     place.add_argument("--warm-policy", metavar="REF",
                        help="policy-store snapshot ('name' or 'name@N') "
@@ -202,7 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "tables into the master policy")
     train.add_argument("--placer", choices=("ql", "flat"), default="ql")
     train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--batch", type=_batch_arg, default=1,
+    train.add_argument("--batch", type=_count_arg, default=1,
                        help="candidate placements priced per agent turn")
     train.add_argument("--jobs", type=_jobs_arg, default=1,
                        help="worker processes the islands fan over "
@@ -319,15 +326,15 @@ def _build_parser() -> argparse.ArgumentParser:
     zoo.add_argument("--min-tier", choices=("exact", "coarse"),
                      default="coarse",
                      help="weakest signature tier a group match may use")
-    zoo.add_argument("--max-sources", type=int, default=4,
+    zoo.add_argument("--max-sources", type=_count_arg, default=4,
                      help="most stored policies folded per agent")
     zoo.add_argument("--policy-dir", metavar="DIR",
                      help="policy store directory (default: ./policies)")
-    zoo.add_argument("--workers", type=int, default=2,
+    zoo.add_argument("--workers", type=_count_arg, default=2,
                      help="train-all: islands per synchronisation round")
-    zoo.add_argument("--rounds", type=int, default=2,
+    zoo.add_argument("--rounds", type=_count_arg, default=2,
                      help="train-all: synchronisation rounds")
-    zoo.add_argument("--steps", type=int, default=150,
+    zoo.add_argument("--steps", type=_count_arg, default=150,
                      help="train-all: optimizer steps per worker per round")
     zoo.add_argument("--seed", type=int, default=0)
     zoo.add_argument("--jobs", type=_jobs_arg, default=1,
@@ -376,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="placement style to evaluate")
     profile.add_argument("--repeats", type=int, default=5,
                          help="timing repeats per stage (best-of is shown)")
-    profile.add_argument("--batch", type=_batch_arg, default=8,
+    profile.add_argument("--batch", type=_count_arg, default=8,
                          help="candidate count for the batched-vs-"
                               "sequential evaluation rows")
     return parser

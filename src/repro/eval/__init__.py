@@ -16,21 +16,16 @@ from repro.eval.batch_suites import (
 from repro.eval.evaluator import FAILURE_PRIMARY, PlacementEvaluator
 from repro.eval.fom import FOM_SPECS, MetricSpec, RATIO_CLAMP, compute_fom
 from repro.eval.metrics import Metrics
-from repro.eval.montecarlo import McResult, monte_carlo
-from repro.eval.robust import WorstCaseEvaluator
-from repro.eval.sensitivity import primary_sensitivities, rank_sensitivities
 from repro.eval.suites import measure_cm, measure_comp, measure_ota
 
 __all__ = [
     "BATCH_SUITES",
     "FAILURE_PRIMARY",
     "FOM_SPECS",
-    "McResult",
     "MetricSpec",
     "Metrics",
     "PlacementEvaluator",
     "RATIO_CLAMP",
-    "WorstCaseEvaluator",
     "compute_fom",
     "measure_cm",
     "measure_cm_many",
@@ -38,7 +33,4 @@ __all__ = [
     "measure_comp_many",
     "measure_ota",
     "measure_ota_many",
-    "monte_carlo",
-    "primary_sensitivities",
-    "rank_sensitivities",
 ]

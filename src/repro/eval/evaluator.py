@@ -50,8 +50,6 @@ class PlacementEvaluator:
         cost_area_weight: strength of the multiplicative area term in
             :meth:`cost` (0 disables it).
         cache_size: maximum number of memoised placements (LRU eviction).
-        corner: optional global process corner applied on top of the
-            local variation field (see :mod:`repro.variation.corners`).
         objective: preference weights conditioning the :meth:`cost`
             composition (see :class:`~repro.eval.objective
             .ObjectiveWeights`); ``None`` means the default vector,
@@ -65,7 +63,6 @@ class PlacementEvaluator:
         variation: VariationModel | None = None,
         cost_area_weight: float = 0.05,
         cache_size: int = 50_000,
-        corner=None,
         objective: ObjectiveWeights | None = None,
     ):
         if cost_area_weight < 0:
@@ -78,7 +75,6 @@ class PlacementEvaluator:
         self.variation = variation
         self.cost_area_weight = cost_area_weight
         self.objective = objective if objective is not None else ObjectiveWeights()
-        self.corner = corner
         self.sim_count = 0
         self.cache_hits = 0
         self.sim_failures = 0
@@ -148,18 +144,12 @@ class PlacementEvaluator:
         dbeta_mean = (np.add.reduceat(dbeta, starts) / counts_arr).tolist()
 
         names = [device.name for device in mosfets]
-        if self.corner is not None:
-            shifts = [self.corner.delta_for(device.polarity)
-                      for device in mosfets]
         n = len(names)
-        out = []
-        for lo in range(0, n * k, n):
-            deltas = map(DeviceDelta, dvth_mean[lo:lo + n],
-                         dbeta_mean[lo:lo + n])
-            if self.corner is not None:
-                deltas = map(DeviceDelta.__add__, deltas, shifts)
-            out.append(dict(zip(names, deltas)))
-        return out
+        return [
+            dict(zip(names, map(DeviceDelta, dvth_mean[lo:lo + n],
+                                dbeta_mean[lo:lo + n])))
+            for lo in range(0, n * k, n)
+        ]
 
     def _unit_groups(
         self, units: list, mosfets

@@ -160,8 +160,8 @@ def device_contexts_all(
     """Contexts of every device's units, grouped by device, in unit order.
 
     One grid pass serves the whole placement — callers that need several
-    devices (the evaluator, Monte-Carlo) should use this instead of
-    calling :func:`device_contexts` per device.
+    devices should use this instead of calling :func:`device_contexts`
+    per device.
     """
     contexts = unit_contexts(placement, tech)
     grouped: dict[str, list[tuple[int, UnitContext]]] = {}

@@ -1,7 +1,7 @@
 """Execution backends: where independent work items actually run.
 
 Every experiment driver in the repo fans out *independent* pieces of work
-— one optimizer run per seed, one Monte-Carlo chunk per draw range, one
+— one optimizer run per seed, one run per island and training round, one
 scaling instance per circuit size.  A backend is the single seam through
 which that fan-out happens:
 

@@ -277,7 +277,7 @@ class ClusterBackend:
 
         Worker deaths are survived transparently: the dead slot's tasks
         are re-issued (each at most ``max_reissue`` times) so plain
-        drivers — fig3, campaigns, Monte-Carlo — never observe a death.
+        drivers — fig3, campaigns, ablations — never observe a death.
         The first item whose execution *fails* raises
         :class:`WorkerTaskError`, mirroring the pool backend.
         """

@@ -28,9 +28,10 @@ without any networking at all:
   property the serial ≡ pool ≡ cluster invariant rests on.
 
 * **Task codecs** — the coordinator does not restrict itself to
-  specs: ``map(fn, items)`` over arbitrary picklable work (Monte-Carlo
-  chunks, test functions) falls back to a base64-pickle codec with the
-  function shipped by ``module:qualname`` reference.  The blessed
+  specs: ``map(fn, items)`` over arbitrary picklable work (specs that
+  carry a built block or a callable builder, test functions) falls back
+  to a base64-pickle codec with the function shipped by
+  ``module:qualname`` reference.  The blessed
   :class:`RunSpec` / :class:`AttemptEnvelope` paths stay pure JSON.
 
 Keys need care: spec keys are hashable trees of tuples/strings/numbers
@@ -435,7 +436,7 @@ def encode_task(fn: Callable, item: Any) -> dict:
 
     The blessed pairs — ``execute_run`` over a :class:`RunSpec` and
     ``_execute_attempt`` over an :class:`AttemptEnvelope` — travel as
-    pure JSON.  Everything else (Monte-Carlo chunks, test fns) falls
+    pure JSON.  Everything else (block-carrying specs, test fns) falls
     back to a base64-pickle payload with ``fn`` shipped by reference.
     """
     if fn is execute_run and isinstance(item, RunSpec):

@@ -27,8 +27,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
+import operator
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro.core.qlearning import EXPLORATIONS, MERGE_HOWS
 from repro.eval.metrics import Metrics
@@ -64,6 +66,50 @@ def _check_schema_version(data: Mapping[str, Any], what: str) -> None:
         )
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+#: Scalar field kinds a request schema declares: kind -> (what the error
+#: message asks for, predicate).  ``"int"`` is handled separately because
+#: it also normalises the value.
+_FIELD_KINDS = {
+    "real": ("a number", _is_real),
+    "real?": ("a number or null", lambda v: v is None or _is_real(v)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "str?": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "map": ("an object", lambda v: isinstance(v, Mapping)),
+}
+
+
+def _check_types(request, kinds: Mapping[str, str]) -> None:
+    """Type-check a request's scalar fields, naming the first bad one.
+
+    Integer fields must be ``operator.index``-able and are normalised to
+    ``int`` in place; ``bool`` is rejected wherever a number is expected
+    (JSON ``true`` must not run a 1-step job).
+
+    Raises:
+        TypeError: a field holds the wrong type.
+    """
+    for name, kind in kinds.items():
+        value = getattr(request, name)
+        if kind == "int":
+            want = "an integer"
+            if not isinstance(value, bool):
+                try:
+                    object.__setattr__(request, name, operator.index(value))
+                    continue
+                except TypeError:
+                    pass
+        else:
+            want, ok = _FIELD_KINDS[kind]
+            if ok(value):
+                continue
+        raise TypeError(f"{name} must be {want}, got {value!r}")
+
+
 def _from_json(cls, data: Mapping[str, Any]):
     """Shared ``from_json_dict``: validate version, reject unknown keys."""
     _check_schema_version(data, cls.__name__)
@@ -75,10 +121,6 @@ def _from_json(cls, data: Mapping[str, Any]):
         )
     kwargs = dict(data)
     kwargs["schema_version"] = SCHEMA_VERSION
-    # JSON turned tuples into lists; coerce the tuple-typed fields back.
-    for key in ("spice_canvas", "spice_inputs", "spice_outputs"):
-        if kwargs.get(key) is not None:
-            kwargs[key] = tuple(kwargs[key])
     return cls(**kwargs)
 
 
@@ -157,17 +199,35 @@ class PlacementRequest:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
+        _check_types(self, {
+            "circuit": "str?", "spice": "str?", "spice_kind": "str",
+            "spice_name": "str", "placer": "str", "steps": "int",
+            "seed": "int", "batch": "int", "target": "real?",
+            "stop_at_target": "bool", "epsilon_decay_frac": "real",
+            "ql_worse_tolerance": "real?", "warm_policy": "str?",
+            "warm_start_how": "str", "exploration": "str",
+            "spice_params": "map", "zoo": "map", "objective": "map",
+            "schema_version": "int",
+        })
         # Normalise sequence-typed fields so a request built with lists
         # (e.g. straight from JSON) equals one built with tuples.
         for name in ("spice_canvas", "spice_inputs", "spice_outputs"):
             value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, tuple(value))
+            if value is None:
+                continue
+            if isinstance(value, str) or not isinstance(value, Iterable):
+                raise TypeError(f"{name} must be a list, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
         object.__setattr__(self, "spice_params", dict(self.spice_params))
         object.__setattr__(self, "zoo", dict(self.zoo))
+        for key, value in self.objective.items():
+            if not _is_real(value):
+                raise TypeError(
+                    f"objective weight {key!r} must be a number, "
+                    f"got {value!r}")
         object.__setattr__(
             self, "objective",
-            {key: float(value) for key, value in dict(self.objective).items()},
+            {key: float(value) for key, value in self.objective.items()},
         )
         if (self.circuit is None) == (self.spice is None):
             raise ValueError(
@@ -301,6 +361,15 @@ class TrainRequest:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
+        _check_types(self, {
+            "circuit": "str?", "workers": "int", "rounds": "int",
+            "steps": "int", "placer": "str", "merge_how": "str",
+            "seed": "int", "batch": "int", "target": "real?",
+            "target_scale": "real", "stop_at_target": "bool",
+            "warm_policy": "str?", "save_policy": "str?",
+            "prune_min_visits": "int", "prune_min_abs_q": "real",
+            "schema_version": "int",
+        })
         if not self.circuit:
             raise ValueError("a train request needs a circuit= registry key")
         if self.placer not in TRAINABLE_PLACER_KINDS:

@@ -2,11 +2,11 @@
 
 A compact but real analog simulator: modified nodal analysis with a
 smoothed square-law MOSFET model, damped-Newton DC with gmin/source
-stepping, small-signal AC, and backward-Euler transient.  It stands in for
-the Spectre/Calibre flow the paper used — the metrics the placement loop
-optimizes (offset, mismatch, gain, bandwidth, phase margin, delay, power)
-are all first-order functions of device parameter deltas and parasitics,
-which this engine models faithfully.
+stepping, and small-signal AC.  It stands in for the Spectre/Calibre
+flow the paper used — the metrics the placement loop optimizes (offset,
+mismatch, gain, bandwidth, phase margin, delay, power) are all
+first-order functions of device parameter deltas and parasitics, which
+this engine models faithfully.
 
 Every analysis runs on one engine, the compiled MNA assembler of
 :mod:`repro.sim.compiled` (:func:`solve_dc_many` / :func:`solve_ac_many`
@@ -28,7 +28,7 @@ from repro.sim.compiled import (
     structure_signature,
     topology_cache_info,
 )
-from repro.sim.dc import ConvergenceError, DcResult, dc_sweep, solve_dc
+from repro.sim.dc import ConvergenceError, DcResult, solve_dc
 from repro.sim.fastpath import (
     SolverStats,
     SolverTuning,
@@ -55,12 +55,6 @@ from repro.sim.mosfet import (
     terminal_currents,
     terminal_currents_array,
 )
-from repro.sim.noise import NoiseResult, solve_noise
-from repro.sim.transient import (
-    TransientResult,
-    solve_transient,
-    step_waveform,
-)
 
 __all__ = [
     "AcResult",
@@ -71,11 +65,9 @@ __all__ = [
     "DcResult",
     "MosfetArrays",
     "MosfetCaps",
-    "NoiseResult",
     "OpPoint",
     "SolverStats",
     "SolverTuning",
-    "TransientResult",
     "bandwidth_3db",
     "batched_system",
     "clear_topology_cache",
@@ -83,7 +75,6 @@ __all__ = [
     "compiled_topology",
     "db",
     "dc_gain",
-    "dc_sweep",
     "device_caps",
     "gain_margin_db",
     "get_solver_tuning",
@@ -97,9 +88,6 @@ __all__ = [
     "solve_ac_many",
     "solve_dc",
     "solve_dc_many",
-    "solve_noise",
-    "solve_transient",
-    "step_waveform",
     "structure_signature",
     "supply_power",
     "terminal_currents",

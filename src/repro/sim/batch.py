@@ -17,9 +17,6 @@ take *sequences* and return one result per circuit:
 
 For fewer than two circuits both drivers loop the scalar entry point, so
 callers can thread batches unconditionally.
-Noise and transient analyses have no batched form; batch them by
-looping :func:`repro.sim.noise.solve_noise` /
-:func:`repro.sim.transient.solve_transient`.
 """
 
 from __future__ import annotations

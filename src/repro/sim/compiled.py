@@ -30,9 +30,9 @@ row/column ``size`` of an extended matrix which is sliced away after
 scatter, so no stamp needs a conditional.
 
 The per-device :class:`repro.sim.mna.MnaSystem` implements the same
-assembler interface (``assemble_dc`` / ``solve_ac_batch`` /
-``capacitance_matrix`` / ``idx`` / ``voltage`` / ``mosfet_params``); it
-is the reference the equivalence tests compare this engine against and
+assembler interface (``assemble_dc`` / ``solve_ac_batch`` and the
+``node_index`` / ``branch_index`` / ``circuit_nets`` numbering); it is
+the reference the equivalence tests compare this engine against and
 is never loaded on the placement path.
 """
 
@@ -60,11 +60,8 @@ from repro.sim.mosfet import (
     device_caps,
     terminal_currents_array,
 )
-from repro.tech import MosfetParams, Technology
+from repro.tech import Technology
 from repro.variation import DeviceDelta
-
-#: Matrix index the assemblers report for the reference (ground) node.
-GROUND = -1
 
 # Slot 0 of the linear value vector is pinned to the constant 1.0 so that
 # source-row / branch-current entries (always ±1) share the same
@@ -236,7 +233,6 @@ class CompiledTopology:
                     f"no compiled stamp for device type {type(device).__name__}"
                 )
 
-        self.mos_index = {name: i for i, name in enumerate(self.mos_names)}
         self.capacitor_slot_index = np.array(
             [slot for __, slot in self.capacitor_slots], dtype=np.intp)
         # All nets including ground, in first-touch order: circuits sharing
@@ -313,7 +309,6 @@ class _DeviceBank:
         params = [tech.params_for(p) for p in topology.mos_polarity]
         widths = np.asarray(topology.mos_widths, dtype=float)
         lengths = np.asarray(topology.mos_lengths, dtype=float)
-        self.params = params
         self.polarity = np.array([float(p.polarity) for p in params])
         self.vth0 = np.array([p.vth0 for p in params])
         self.kp = np.array([p.kp for p in params])
@@ -492,36 +487,8 @@ class CompiledSystem:
             vth0 = bank.vth0
             kp = bank.kp
         self._mos_arrays = bank.arrays(vth0, kp * bank.w_over_l)
-        self._mos_params_cache: dict[str, MosfetParams] | None = None
 
     # ------------------------------------------------------------- helpers
-
-    def idx(self, net: str) -> int:
-        """Matrix index of a net (GROUND for the reference node)."""
-        if is_ground(net):
-            return GROUND
-        return self.node_index[net]
-
-    def voltage(self, x: np.ndarray, net: str) -> float:
-        """Voltage of ``net`` under state vector ``x``."""
-        i = self.idx(net)
-        return 0.0 if i == GROUND else float(x[i])
-
-    def mosfet_params(self, name: str) -> MosfetParams:
-        """Variation-resolved parameter set of a MOSFET (lazily built)."""
-        cache = self._mos_params_cache
-        if cache is None:
-            cache = self._mos_params_cache = {}
-        params = cache.get(name)
-        if params is None:
-            params = self._bank.params[self.topology.mos_index[name]]
-            delta = self.deltas.get(name)
-            if delta is not None:
-                params = params.with_deltas(
-                    dvth=delta.dvth, dbeta_rel=delta.dbeta_rel
-                )
-            cache[name] = params
-        return params
 
     def _mos_jvals(self, x_ext: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """MOSFET-bank currents and Jacobian values at an extended state.
@@ -617,10 +584,6 @@ class CompiledSystem:
             self._b_ac = b_ac[: self.size].astype(complex)
         return self._b_ac
 
-    def capacitance_matrix(self) -> np.ndarray:
-        """Node-space capacitance matrix (bias-independent, prebuilt)."""
-        return self._capacitances().copy()
-
     def _op_vector_ext(self, op_voltages: Mapping[str, float]) -> np.ndarray:
         x_ext = np.zeros(self.size + 1)
         for net in self.topology.mos_nets:
@@ -652,7 +615,6 @@ class CompiledSystem:
         self,
         op_voltages: Mapping[str, float],
         omegas: np.ndarray,
-        rhs: np.ndarray | None = None,
         gmin: float = 1e-12,
     ) -> np.ndarray:
         """Solve the AC system at every angular frequency in one batch.
@@ -660,26 +622,17 @@ class CompiledSystem:
         Args:
             op_voltages: DC bias by net name.
             omegas: angular frequencies [rad/s].
-            rhs: optional right-hand-side matrix ``(size, m)`` replacing
-                the circuit's own AC drives (used by the noise analysis);
-                default is the single-column source drive.
 
         Returns:
-            ``(nfreq, size)`` complex solutions, or ``(nfreq, size, m)``
-            when ``rhs`` is given.
+            ``(nfreq, size)`` complex solutions.
         """
         G, C, b = self.ac_matrices(op_voltages, gmin=gmin)
         omegas = np.asarray(omegas, dtype=float)
         A = _ac_system(G, C, omegas)
         # The solve broadcasts the one right-hand side over every
         # frequency; no stacked copy is made.
-        if rhs is None:
-            start = perf_counter()
-            X = np.linalg.solve(A, b[None, :, None])[..., 0]
-            STATS.ac_solve_s += perf_counter() - start
-            return X
         start = perf_counter()
-        X = np.linalg.solve(A, np.asarray(rhs, dtype=complex)[None, :, :])
+        X = np.linalg.solve(A, b[None, :, None])[..., 0]
         STATS.ac_solve_s += perf_counter() - start
         return X
 

@@ -1,4 +1,4 @@
-"""Newton–Raphson DC operating-point and DC-sweep analyses.
+"""Newton–Raphson DC operating-point analysis.
 
 Solution strategy, in escalation order:
 
@@ -19,7 +19,6 @@ from typing import Mapping
 import numpy as np
 
 from repro.netlist.circuit import Circuit
-from repro.netlist.devices import CurrentSource, VoltageSource
 from repro.sim.compiled import CompiledSystem, compiled_system
 from repro.sim.fastpath import STATS
 from repro.tech import Technology
@@ -136,13 +135,14 @@ def solve_dc(
         tech: technology for device models.
         deltas: variation-resolved per-device parameter shifts.
         x0: warm-start vector from a previous solve of the *same* system
-            layout (same circuit shape); dramatically speeds up sweeps.
+            layout (same circuit shape).
         source_values: per-source dc overrides (name → value).
         gmin: final stabilising conductance.
         max_iter: Newton budget per homotopy stage.
         system: prebuilt assembler for ``circuit`` — skips construction
-            entirely (callers like ``dc_sweep`` and the transient driver
-            reuse one system across many solves).
+            entirely (the comparator suite reuses one system for its
+            three solves; the batched driver's fallback passes a row of
+            its batched binding).
 
     Raises:
         ConvergenceError: if no strategy converges.
@@ -216,59 +216,3 @@ def _package(system, x: np.ndarray, iterations: int) -> DcResult:
         iterations=iterations,
         x=x,
     )
-
-
-def _require_source(circuit: Circuit, name: str) -> None:
-    """Raise unless ``name`` is an independent source of ``circuit``.
-
-    Source overrides (sweep points, transient waveforms) only ever
-    replace a :class:`VoltageSource` or :class:`CurrentSource` value;
-    any other name would be silently ignored.
-
-    Raises:
-        KeyError: no device named ``name``.
-        ValueError: the device is not an independent source.
-    """
-    if name not in circuit:
-        raise KeyError(f"no source named {name!r}")
-    device = circuit.device(name)
-    if not isinstance(device, (VoltageSource, CurrentSource)):
-        raise ValueError(
-            f"{name!r} is a {type(device).__name__}, not an independent "
-            "voltage or current source"
-        )
-
-
-def dc_sweep(
-    circuit: Circuit,
-    tech: Technology,
-    source_name: str,
-    values: np.ndarray,
-    deltas: Mapping[str, DeviceDelta] | None = None,
-) -> list[DcResult]:
-    """Sweep one source's DC value, warm-starting each point.
-
-    The assembler is built once and reused for every sweep point — only
-    the source override changes between solves.
-
-    Args:
-        source_name: a voltage or current source in the circuit.
-        values: sequence of source values to visit, in order.
-
-    Raises:
-        KeyError: no device named ``source_name``.
-        ValueError: ``source_name`` is not an independent source.
-    """
-    _require_source(circuit, source_name)
-    system = compiled_system(circuit, tech, deltas)
-    results: list[DcResult] = []
-    x0: np.ndarray | None = None
-    for value in values:
-        result = solve_dc(
-            circuit, tech, deltas=deltas, x0=x0,
-            source_values={source_name: float(value)},
-            system=system,
-        )
-        results.append(result)
-        x0 = result.x
-    return results

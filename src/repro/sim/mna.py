@@ -39,10 +39,12 @@ from repro.netlist.devices import (
     VoltageSource,
 )
 from repro.netlist.nets import is_ground
-from repro.sim.compiled import GROUND
 from repro.sim.mosfet import device_caps, terminal_currents
 from repro.tech import Technology
 from repro.variation import DeviceDelta
+
+#: Matrix index :meth:`MnaSystem.idx` reports for the ground node.
+GROUND = -1
 
 
 class MnaSystem:
@@ -100,10 +102,6 @@ class MnaSystem:
         i = self.idx(net)
         return 0.0 if i == GROUND else float(x[i])
 
-    def mosfet_params(self, name: str):
-        """Variation-resolved parameter set of a MOSFET."""
-        return self._mos_params[name]
-
     def _source_value(
         self, device, overrides: Mapping[str, float] | None
     ) -> float:
@@ -128,8 +126,7 @@ class MnaSystem:
                 convergence robustness.
             source_scale: multiplies every independent source value —
                 the knob source-stepping homotopy turns.
-            source_values: per-source overrides (used by the transient
-                analysis to evaluate waveforms at a time point).
+            source_values: per-source dc overrides (name → value).
 
         Returns:
             ``(J, F)`` with ``J @ dx = -F`` being the Newton update system.
@@ -324,20 +321,15 @@ class MnaSystem:
         self,
         op_voltages: Mapping[str, float],
         omegas: np.ndarray,
-        rhs: np.ndarray | None = None,
     ) -> np.ndarray:
         """Solve the AC system one frequency point at a time.
 
-        Same signature and return shapes as
-        :meth:`repro.sim.compiled.CompiledSystem.solve_ac_batch`:
-        ``(nfreq, size)``, or ``(nfreq, size, m)`` when an ``(size, m)``
-        ``rhs`` replaces the circuit's own AC drives.
+        Same signature and ``(nfreq, size)`` return shape as
+        :meth:`repro.sim.compiled.CompiledSystem.solve_ac_batch`.
         """
         omegas = np.asarray(omegas, dtype=float)
-        shape = (len(omegas), self.size) + (
-            () if rhs is None else np.shape(rhs)[1:])
-        X = np.empty(shape, dtype=complex)
+        X = np.empty((len(omegas), self.size), dtype=complex)
         for k, omega in enumerate(omegas):
             A, b = self.assemble_ac(op_voltages, omega=float(omega))
-            X[k] = np.linalg.solve(A, b if rhs is None else rhs)
+            X[k] = np.linalg.solve(A, b)
         return X

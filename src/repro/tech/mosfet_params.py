@@ -3,7 +3,7 @@
 The simulator (:mod:`repro.sim.mosfet`) uses a smoothed square-law model, so
 the parameter set here is deliberately compact: threshold voltage, process
 transconductance, channel-length modulation, body effect and the few
-capacitance coefficients the AC/transient analyses need.
+capacitance coefficients the AC analysis needs.
 
 Layout-dependent effects enter as *deltas* applied on top of these nominal
 values (see :mod:`repro.variation`), never by editing the nominal set.

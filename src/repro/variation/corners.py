@@ -1,12 +1,10 @@
 """Global process corners (TT/FF/SS/FS/SF).
 
 Corners are die-to-die shifts — every device of a polarity moves
-together — so they cannot create mismatch by themselves.  They matter for
-two reasons: absolute metrics (gain, delay, power) move with them, and
-the *sensitivity* of a layout's mismatch to the local variation field can
-change at a skewed corner.  The experiments use them for robustness
-sweeps: a placement optimized at TT should hold its advantage at the
-skewed corners.
+together — so they cannot create mismatch by themselves; absolute
+metrics (gain, delay, power) move with them.  :meth:`ProcessCorner
+.deltas` turns a corner into per-device parameter deltas any analysis
+accepts.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ it cannot be optimized by the placer — the paper points this out: random
 variation is handled by sizing, systematic variation by layout.  The model
 is still needed for two things:
 
-* Monte-Carlo offset studies in the examples (total = systematic + random);
+* offset studies in the examples (total = systematic + random);
 * the sanity anchor that placement optimization leaves the random floor
   untouched (tested in ``tests/variation``).
 """

@@ -28,7 +28,6 @@ from repro.netlist.library import (
 from repro.service.corpus import corpus_registry
 from repro.sim import compiled
 from repro.variation import DeviceDelta
-from repro.variation.corners import corner
 
 BUILDERS = {
     "cm": current_mirror,
@@ -67,7 +66,7 @@ def test_deltas_for_is_deltas_for_many_row_bitwise(kind):
 def _context_path_deltas(evaluator, placement):
     """Device deltas the way ``deltas_for`` used to build them: unit
     contexts grouped per device, one vectorized model pass over all of
-    them, per-device means, then the corner shift."""
+    them, then per-device means."""
     grouped = device_contexts_all(placement, evaluator.tech)
     mosfets = evaluator.block.circuit.mosfets()
     flat = [ctx for m in mosfets for ctx in grouped[m.name]]
@@ -81,24 +80,18 @@ def _context_path_deltas(evaluator, placement):
         np.repeat([m.polarity for m in mosfets], counts),
     )
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    deltas = {
+    return {
         m.name: DeviceDelta(float(v), float(b))
         for m, v, b in zip(mosfets,
                            np.add.reduceat(dvth, starts) / counts,
                            np.add.reduceat(dbeta, starts) / counts)
     }
-    if evaluator.corner is not None:
-        deltas = {m.name: deltas[m.name]
-                  + evaluator.corner.delta_for(m.polarity) for m in mosfets}
-    return deltas
 
 
-@pytest.mark.parametrize("corner_name", [None, "fs"])
 @pytest.mark.parametrize("kind", sorted(BUILDERS))
-def test_deltas_for_matches_the_context_path(kind, corner_name):
+def test_deltas_for_matches_the_context_path(kind):
     block = BUILDERS[kind]()
-    evaluator = PlacementEvaluator(
-        block, corner=corner(corner_name) if corner_name else None)
+    evaluator = PlacementEvaluator(block)
     placements = [
         banded_placement(block, style)
         for style in ("sequential", "ysym", "common_centroid")
@@ -112,8 +105,6 @@ def test_deltas_for_matches_the_context_path(kind, corner_name):
             want = evaluator.variation.systematic_device(
                 device_contexts(placement, m.name, evaluator.tech),
                 m.polarity)
-            if evaluator.corner is not None:
-                want = want + evaluator.corner.delta_for(m.polarity)
             got = deltas[m.name]
             assert got.dvth == pytest.approx(want.dvth, rel=1e-12, abs=1e-15)
             assert got.dbeta_rel == pytest.approx(

@@ -161,22 +161,23 @@ class TestClusterBitIdentity:
             assert backend.map(_square, [4]) == [16]
         assert first == second
 
-    def test_monte_carlo_statistics_identical(self):
-        # The pickle task codec path: _McChunk work units ship whole
-        # blocks/placements by value, not as registry-keyed specs.
-        import numpy as np
-        from repro.eval.montecarlo import monte_carlo
-        from repro.layout import banded_placement
+    def test_block_builder_specs_identical(self):
+        # The pickle task codec path: a spec carrying a built block has no
+        # JSON wire form, so it ships to the workers by value.
         from repro.netlist import current_mirror
+        from repro.runtime.spec import execute_run
+        from repro.runtime.wire import CODEC_PICKLE, encode_task
 
         block = current_mirror()
-        placement = banded_placement(block, "common_centroid")
-        serial = monte_carlo(block, placement, n_runs=12, seed=5)
+        specs = [
+            RunSpec(key=("block", seed), builder=block, placer="ql",
+                    seed=seed, max_steps=20, target_from_symmetric=True)
+            for seed in (1, 2, 3)
+        ]
+        assert all(encode_task(execute_run, spec)["codec"] == CODEC_PICKLE
+                   for spec in specs)
+        serial = self._canon(map_runs(specs, SerialBackend()))
         with ClusterBackend() as backend:
             _thread_workers(backend, 2)
-            clustered = monte_carlo(block, placement, n_runs=12, seed=5,
-                                    backend=backend)
-        assert np.array_equal(serial.samples, clustered.samples)
-        assert serial.mean == clustered.mean
-        assert serial.std == clustered.std
-        assert serial.failures == clustered.failures
+            clustered = self._canon(map_runs(specs, backend))
+        assert serial == clustered

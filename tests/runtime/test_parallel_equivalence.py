@@ -1,18 +1,15 @@
 """Serial and parallel backends must be result-identical.
 
 The runtime's whole contract: a run's outcome depends only on its spec,
-and merging is keyed (seed, draw index), never completion order — so
+and merging is keyed (seed, worker index), never completion order — so
 ``--jobs N`` changes wall-clock, not results.  Verified end-to-end here
-for the Fig. 3 driver on the current mirror and for Monte-Carlo.
+for the Fig. 3 driver on the current mirror and for island training.
 """
 
-import numpy as np
 import pytest
 
-from repro.eval import monte_carlo
 from repro.experiments import ExperimentConfig, run_fig3
-from repro.layout import banded_placement
-from repro.netlist import current_mirror, five_transistor_ota
+from repro.netlist import current_mirror
 from repro.runtime import ProcessPoolBackend, SerialBackend
 
 CM_FAST = ExperimentConfig(
@@ -104,27 +101,3 @@ class TestIslandCampaignEquivalence:
                  b.master_entries)
             assert (a.merge.added, a.merge.updated, a.merge.kept) == \
                 (b.merge.added, b.merge.updated, b.merge.kept)
-
-
-class TestMonteCarloEquivalence:
-    def test_statistics_identical(self):
-        block = current_mirror()
-        placement = banded_placement(block, "common_centroid")
-        serial = monte_carlo(block, placement, n_runs=20, seed=5)
-        parallel = monte_carlo(block, placement, n_runs=20, seed=5,
-                               backend=ProcessPoolBackend(jobs=2))
-        assert serial.metric == parallel.metric
-        assert serial.failures == parallel.failures
-        assert np.array_equal(serial.samples, parallel.samples)
-        assert serial.mean == parallel.mean
-        assert serial.std == parallel.std
-
-    def test_draws_independent_of_chunking(self):
-        # n_runs spanning several chunks vs a prefix of a longer run:
-        # draw i depends only on (seed, i).
-        block = five_transistor_ota()
-        placement = banded_placement(block, "ysym")
-        short = monte_carlo(block, placement, n_runs=9, seed=2)
-        longer = monte_carlo(block, placement, n_runs=18, seed=2)
-        assert short.failures == 0  # alignment below assumes no drops
-        assert np.array_equal(short.samples, longer.samples[:9])

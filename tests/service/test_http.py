@@ -16,6 +16,26 @@ from repro.service.service import PlacementService
 
 QUICK = dict(circuit="ota5t", steps=30, seed=1)
 
+# Wrongly typed /place payloads and the field each error must name.  Each
+# must be refused at submit: run anyway, it would execute a different job
+# (``steps``: ``true`` is 1 step; ``seed``: null draws OS entropy) or fail
+# inside the job (a 500 under ``?wait=1``).
+BAD_PAYLOADS = [
+    pytest.param({"circuit": "cm", "steps": 10.5}, "steps", id="float-steps"),
+    pytest.param({"circuit": "cm", "steps": True}, "steps", id="bool-steps"),
+    pytest.param({"circuit": "cm", "steps": 5, "seed": None}, "seed",
+                 id="null-seed"),
+    pytest.param({"circuit": "cm", "steps": 5, "seed": "x"}, "seed",
+                 id="str-seed"),
+    pytest.param({"circuit": "cm", "steps": 5, "target": "x"}, "target",
+                 id="str-target"),
+    pytest.param({"circuit": ["cm"], "steps": 5}, "circuit",
+                 id="list-circuit"),
+    pytest.param({"spice": 123, "steps": 5}, "spice", id="int-spice"),
+    pytest.param({"circuit": "cm", "steps": 5, "warm_policy": 7},
+                 "warm_policy", id="int-warm-policy"),
+]
+
 
 @pytest.fixture()
 def served(tmp_path):
@@ -119,6 +139,12 @@ class TestRoutes:
             _post_json(url + "/place", {"circuit": "dac", "steps": 5})
         assert err.value.code == 400
         assert "unknown circuit" in json.loads(err.value.read())["error"]
+
+
+@pytest.mark.parametrize("payload,field", BAD_PAYLOADS)
+def test_bad_payload_rejected_by_the_schema(payload, field):
+    with pytest.raises(TypeError, match=field):
+        PlacementRequest.from_json_dict(payload)
 
 
 class TestServingBitIdentity:
@@ -229,6 +255,18 @@ class TestWaitedPlace:
             _post_json(url + "/place?wait=1", {"circuit": "dac", "steps": 5})
         assert err.value.code == 400
         assert "unknown circuit" in json.loads(err.value.read())["error"]
+
+
+    @pytest.mark.parametrize("payload,field", BAD_PAYLOADS)
+    def test_waited_bad_payload_is_400(self, served_durable, payload,
+                                       field):
+        url, service = served_durable
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post_json(url + "/place?wait=1", payload)
+        assert err.value.code == 400
+        assert field in json.loads(err.value.read())["error"]
+        # Rejected at submit: no job was created.
+        assert sum(service.jobs.counts().values()) == 0
 
 
 class TestInlineSpiceServing:

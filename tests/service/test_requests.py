@@ -90,6 +90,17 @@ class TestTrainRequestSchema:
         with pytest.raises(ValueError, match="prune"):
             TrainRequest(circuit="cm", prune_min_visits=-1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("circuit", ["cm"]), ("workers", 2.0), ("rounds", True),
+        ("steps", "9"), ("seed", None), ("target", "x"),
+        ("target_scale", False), ("stop_at_target", 1),
+        ("warm_policy", 3), ("save_policy", 1), ("prune_min_abs_q", "0"),
+    ])
+    def test_rejects_wrongly_typed_fields(self, field, value):
+        payload = {"circuit": "cm", field: value}
+        with pytest.raises(TypeError, match=field):
+            TrainRequest.from_json_dict(payload)
+
     def test_dispatch_by_shape(self):
         assert isinstance(
             request_from_json_dict({"circuit": "cm", "workers": 2}),

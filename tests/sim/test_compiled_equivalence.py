@@ -3,7 +3,7 @@
 The compiled MNA engine (cached topology, vectorized stamping, batched AC
 solves) must be *behaviour-preserving*: for every library block, under
 nominal parameters, a skewed global corner and random per-device deltas,
-DC / AC / noise / transient results must match the per-device reference
+DC and AC results must match the per-device reference
 assembler (:class:`repro.sim.mna.MnaSystem`, swapped in by the
 ``mna_reference`` fixture) to tight tolerances, and reusing one cached
 topology across many placements must never change metrics.
@@ -30,9 +30,6 @@ from repro.sim import (
     compiled_system,
     solve_ac,
     solve_dc,
-    solve_noise,
-    solve_transient,
-    step_waveform,
     structure_signature,
     topology_cache_info,
 )
@@ -53,10 +50,6 @@ BUILDERS = {
 # A handful of frequency points spanning the band is enough to exercise
 # the batched assembly; the grid itself is identical for both assemblers.
 FREQS = np.logspace(4, 9, 6)
-
-# Net used as the noise output (must not be clamped by a voltage source).
-NOISE_OUTPUT = {"cm": "bias", "comp": "outp", "ota": "outp",
-                "ota5t": "outp", "ota2s": "outp"}
 
 
 def _dc_circuit(name, block):
@@ -143,64 +136,21 @@ class TestAnalysisEquivalence:
                 rtol=1e-10, atol=1e-10,
             ), f"AC transfer mismatch on net {net!r}"
 
-    def test_noise_matches_legacy(self, name, block, variant, mna_reference):
-        circuit = _dc_circuit(name, block)
-        deltas = _variants(name, circuit)[variant]
-        output = NOISE_OUTPUT[name]
-
-        def run():
-            op = solve_dc(circuit, TECH, deltas=deltas)
-            return solve_noise(block.circuit, TECH, op.voltages, FREQS,
-                               output, deltas=deltas)
-
-        with mna_reference():
-            legacy = run()
-        compiled = run()
-        assert np.allclose(compiled.output_psd, legacy.output_psd,
-                           rtol=1e-9, atol=0.0)
-        for device, psd in legacy.contributions.items():
-            assert np.allclose(compiled.contributions[device], psd,
-                               rtol=1e-9, atol=0.0)
-
-    def test_transient_matches_legacy(self, name, block, variant,
-                                      mna_reference):
-        circuit = _dc_circuit(name, block)
-        deltas = _variants(name, circuit)[variant]
-        if name == "cm":
-            waveforms = {"vprobeout": step_waveform(0.4e-9, 0.55, 0.60)}
-        else:
-            vcm = block.params["vcm"]
-            waveforms = {"vvip": step_waveform(0.4e-9, vcm, vcm + 0.05)}
-
-        def run():
-            return solve_transient(
-                circuit, TECH, t_stop=1.2e-9, dt=0.3e-9, deltas=deltas,
-                waveforms=waveforms)
-
-        with mna_reference():
-            legacy = run()
-        compiled = run()
-        for net, wave in legacy.node_voltages.items():
-            assert np.allclose(compiled.node_voltages[net], wave,
-                               rtol=0.0, atol=1e-10)
-
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_reference_solve_ac_batch_contract(name):
-    """``MnaSystem.solve_ac_batch`` keeps the compiled signature and return
-    shapes — ``(nfreq, size)``, or ``(nfreq, size, m)`` with an RHS."""
+    """``MnaSystem.solve_ac_batch`` keeps the compiled signature and
+    ``(nfreq, size)`` return shape."""
     block = BUILDERS[name]()
     bench = _ac_bench(name, block.circuit)
     op = solve_dc(_dc_circuit(name, block), TECH).voltages
     compiled = compiled_system(bench, TECH)
     reference = MnaSystem(bench, TECH)
     omegas = 2.0 * np.pi * FREQS
-    rhs = np.eye(compiled.size, 3, dtype=complex)
-    for kwargs in ({}, {"rhs": rhs}):
-        want = compiled.solve_ac_batch(op, omegas, **kwargs)
-        got = reference.solve_ac_batch(op, omegas, **kwargs)
-        assert got.shape == want.shape
-        assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
+    want = compiled.solve_ac_batch(op, omegas)
+    got = reference.solve_ac_batch(op, omegas)
+    assert got.shape == want.shape == (len(FREQS), compiled.size)
+    assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
 
 
 class TestMetricsEquivalence:
@@ -286,8 +236,6 @@ def test_reference_fixture_swaps_the_assembler(mna_reference):
         PlacementEvaluator(block).evaluate(banded_placement(block, "ysym"))
         op = solve_dc(circuit, TECH)
         solve_ac(_ac_bench("ota5t", circuit), TECH, op.voltages, FREQS)
-        solve_noise(circuit, TECH, op.voltages, FREQS, "outp")
-        solve_transient(circuit, TECH, t_stop=0.6e-9, dt=0.3e-9)
     assert topology_cache_info()["misses"] == 0
     solve_dc(circuit, TECH)
     assert topology_cache_info()["misses"] == 1

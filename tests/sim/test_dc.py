@@ -3,7 +3,6 @@ tests that every library block's operating point converges and is sane."""
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.netlist import (
@@ -17,7 +16,7 @@ from repro.netlist import (
     five_transistor_ota,
     folded_cascode_ota,
 )
-from repro.sim import dc_sweep, solve_dc
+from repro.sim import solve_dc
 from repro.sim.mosfet import terminal_currents
 from repro.tech import generic_tech_40
 
@@ -125,32 +124,6 @@ class TestWarmStartAndSweep:
         warm = solve_dc(block.circuit, TECH, x0=cold.x)
         assert warm.iterations <= cold.iterations
         assert warm.voltage("outp") == pytest.approx(cold.voltage("outp"), abs=1e-6)
-
-    def test_dc_sweep_input(self):
-        block = five_transistor_ota()
-        values = np.linspace(0.5, 0.7, 5)
-        results = dc_sweep(block.circuit, TECH, "vvip", values)
-        outs = [r.voltage("outp") for r in results]
-        # Rising vip steers current away from m2's branch: output rises
-        # monotonically (NMOS input, PMOS mirror load).
-        assert all(outs[i] < outs[i + 1] for i in range(len(outs) - 1))
-
-    def test_sweep_unknown_source_rejected(self):
-        block = five_transistor_ota()
-        with pytest.raises(KeyError, match="source"):
-            dc_sweep(block.circuit, TECH, "nosuch", np.array([0.5]))
-
-    def test_sweep_of_a_non_source_rejected(self):
-        # Overrides only apply to independent sources: sweeping a MOSFET
-        # used to return identical solutions for every point.
-        block = current_mirror()
-        with pytest.raises(ValueError, match="'mref' is a Mosfet"):
-            dc_sweep(block.circuit, TECH, "mref", [0.1, 0.5, 0.9])
-
-    def test_sweep_of_a_current_source(self):
-        block = current_mirror()
-        results = dc_sweep(block.circuit, TECH, "iref", [10e-6, 20e-6])
-        assert results[0].voltage("bias") < results[1].voltage("bias")
 
 
 @pytest.mark.parametrize("builder", [

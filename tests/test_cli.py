@@ -105,8 +105,9 @@ class TestFig3:
         assert "claims:" in out
 
     def test_bad_scale_rejected(self):
-        with pytest.raises(ValueError, match="factor"):
+        with pytest.raises(SystemExit) as exc:
             main(["fig3", "--circuit", "cm", "--scale", "0"])
+        assert exc.value.code == 2
 
 
 class TestTrain:
@@ -268,6 +269,24 @@ class TestParser:
     def test_command_required(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("argv", [
+        ["fig3", "cm", "--scale", "0"],
+        ["fig3", "cm", "--scale", "-1"],
+        ["ablation", "hierarchy", "--steps", "0"],
+        ["zoo", "match", "--max-sources", "0"],
+        ["zoo", "train-all", "--workers", "0"],
+        ["zoo", "train-all", "--rounds", "0"],
+        ["zoo", "train-all", "--steps", "0"],
+        ["place", "--batch", "0"],
+    ], ids=" ".join)
+    def test_non_positive_counts_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert f"argument {argv[-2]}: must be" in err
 
 
 class TestTrainServiceFlags:

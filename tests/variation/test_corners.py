@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.eval import PlacementEvaluator
-from repro.layout import banded_placement
-from repro.netlist import current_mirror, five_transistor_ota
+from repro.netlist import five_transistor_ota
 from repro.variation import CORNERS, DeviceDelta, ProcessCorner, corner
 
 
@@ -39,48 +37,3 @@ class TestCornerDefinitions:
         ckt = five_transistor_ota().circuit
         deltas = corner("ss").deltas(ckt)
         assert set(deltas) == {m.name for m in ckt.mosfets()}
-
-
-class TestCornerEvaluation:
-    def test_corner_shifts_absolute_metrics(self):
-        block = five_transistor_ota()
-        placement = banded_placement(block, "common_centroid")
-        tt = PlacementEvaluator(block).evaluate(placement)
-        ss = PlacementEvaluator(block, corner=corner("ss")).evaluate(placement)
-        # Slow corner: less current, less power and bandwidth.
-        assert ss["power_w"] < tt["power_w"]
-        assert ss["gbw_hz"] < tt["gbw_hz"]
-
-    def test_corner_alone_creates_no_field_scale_mismatch(self):
-        """A die-wide shift moves every matched device together: the only
-        corner-induced mismatch is the channel-length-modulation residue
-        of shifted operating points (sub-0.2 %), nowhere near the ~2.4 %
-        the non-linear field causes."""
-        from repro.variation import default_variation_model
-        block = current_mirror()
-        placement = banded_placement(block, "common_centroid")
-        novar = default_variation_model(1e-4, kind="none", with_lde=False)
-        clean = PlacementEvaluator(block, variation=novar)
-        skewed = PlacementEvaluator(block, variation=novar, corner=corner("ss"))
-        assert clean.evaluate(placement).primary_value < 0.2
-        assert skewed.evaluate(placement).primary_value < 0.2
-
-    def test_optimized_layout_holds_at_corners(self):
-        """The paper's technology-agnostic claim, corner flavoured: a
-        layout that beats symmetric at TT still beats it at every skewed
-        corner (the local field, not the global corner, is what placement
-        fights)."""
-        from repro.core import MultiLevelPlacer
-        from repro.layout import PlacementEnv
-        block = current_mirror()
-        tt_eval = PlacementEvaluator(block)
-        sym = banded_placement(block, "ysym")
-        target = tt_eval.cost(sym)
-        env = PlacementEnv(block, tt_eval.cost)
-        placer = MultiLevelPlacer(env, seed=1, worse_tolerance=0.2,
-                                  sim_counter=lambda: tt_eval.sim_count)
-        optimized = placer.optimize(max_steps=250, target=target).best_placement
-        for name in ("ff", "ss", "fs", "sf"):
-            ev = PlacementEvaluator(block, corner=corner(name))
-            assert (ev.evaluate(optimized).primary_value
-                    < ev.evaluate(sym).primary_value), name
