@@ -18,16 +18,32 @@ Set ``EVAL_THROUGHPUT_SMOKE=1`` (the CI benchmark-smoke job does) to run
 in shape-only mode: fewer repetitions, and only the *shape* is asserted —
 both assemblers work and agree — without wall-clock multipliers, which
 are meaningless on noisy shared runners.
+
+``test_front_end_vs_frozen_path`` times the front end a placement pays
+before it simulates — ``deltas_for`` plus ``annotate_parasitics`` — on
+fresh random-walk placements of cm, comp and ota2s, each path with a
+fresh evaluator, against the frozen raster-and-recompute copy in the
+root ``conftest.py``.  Both must agree bit for bit; outside smoke mode
+the live path must be at least 2× faster.
 """
 
 import os
+import struct
 import time
 
 import pytest
 
 from repro.eval.evaluator import PlacementEvaluator
-from repro.layout.generators import banded_placement
-from repro.netlist.library import comparator, current_mirror, folded_cascode_ota
+from repro.layout.generators import banded_placement, random_walk_placements
+from repro.layout.placement import Placement
+from repro.netlist.devices import Capacitor
+from repro.netlist.library import (
+    comparator,
+    current_mirror,
+    folded_cascode_ota,
+    two_stage_ota,
+)
+from repro.route.parasitics import annotate_parasitics
 
 SMOKE = os.environ.get("EVAL_THROUGHPUT_SMOKE", "") not in ("", "0")
 EVALS = 3 if SMOKE else 10
@@ -94,3 +110,89 @@ def test_eval_throughput_compiled_vs_legacy(benchmark, kind, mna_reference):
             f"compiled engine only {speedup:.2f}x faster on OTA "
             f"(legacy {legacy_s * 1e3:.2f} ms, compiled {compiled_s * 1e3:.2f} ms)"
         )
+
+
+FRONT_END_BLOCKS = {
+    "cm": current_mirror,
+    "comp": comparator,
+    "ota2s": two_stage_ota,
+}
+FRONT_END_PLACEMENTS = 24 if SMOKE else 200
+# Interleaved passes per path; the gate compares the fastest of each.
+FRONT_END_ROUNDS = 5
+
+
+def _unmemoised(placement):
+    """A copy of ``placement`` that shares no memoised values with it."""
+    out = Placement(placement.canvas)
+    for unit, cell in placement.as_dict().items():
+        out.place(unit, cell)
+    return out
+
+
+def _front_end_pass(block, walk, deltas, annotate):
+    """(µs per placement, outputs) of one pass with a fresh evaluator."""
+    evaluator = PlacementEvaluator(block)
+    placements = [_unmemoised(p) for p in walk]
+    outputs = []
+    start = time.perf_counter()
+    for placement in placements:
+        outputs.append((deltas(evaluator, placement),
+                        annotate(block.circuit, placement, evaluator.tech)))
+    elapsed = time.perf_counter() - start
+    return elapsed / len(placements) * 1e6, outputs
+
+
+def _output_bits(deltas, circuit):
+    return (
+        [(name, struct.pack("<dd", d.dvth, d.dbeta_rel))
+         for name, d in deltas.items()],
+        [(device.name, struct.pack("<d", device.value))
+         for device in circuit if device.name.startswith("cpar_")],
+    )
+
+
+@pytest.mark.benchmark(group="eval")
+@pytest.mark.parametrize("kind", sorted(FRONT_END_BLOCKS))
+def test_front_end_vs_frozen_path(benchmark, kind, frozen_front_end):
+    frozen_deltas, frozen_caps = frozen_front_end
+    block = FRONT_END_BLOCKS[kind]()
+    walk = random_walk_placements(block, FRONT_END_PLACEMENTS, seed=17)
+
+    def frozen_annotate(circuit, placement, tech):
+        return circuit.copy_with(extra=[
+            Capacitor(f"cpar_{net}", {"a": net, "b": "gnd"}, value=cap)
+            for net, cap in frozen_caps(circuit, placement, tech).items()
+        ])
+
+    def live_deltas(evaluator, placement):
+        return evaluator.deltas_for(placement)
+
+    live_us, frozen_us = [], []
+    for __ in range(1 if SMOKE else FRONT_END_ROUNDS):
+        us, frozen_out = _front_end_pass(
+            block, walk, frozen_deltas, frozen_annotate)
+        frozen_us.append(us)
+        us, live_out = _front_end_pass(
+            block, walk, live_deltas, annotate_parasitics)
+        live_us.append(us)
+    benchmark.pedantic(
+        lambda: _front_end_pass(block, walk, live_deltas, annotate_parasitics),
+        rounds=1, iterations=1)
+
+    for live, frozen in zip(live_out, frozen_out):
+        assert _output_bits(*live) == _output_bits(*frozen)
+    speedup = min(frozen_us) / min(live_us)
+    benchmark.extra_info.update({
+        "block": kind,
+        "placements": len(walk),
+        "frozen_us_per_placement": round(min(frozen_us), 1),
+        "live_us_per_placement": round(min(live_us), 1),
+        "speedup": round(speedup, 2),
+        "smoke": SMOKE,
+    })
+    if not SMOKE:
+        assert speedup >= 2.0, (
+            f"front end only {speedup:.2f}x faster on {kind} "
+            f"(frozen {min(frozen_us):.1f} us, live {min(live_us):.1f} us "
+            f"per placement)")

@@ -31,7 +31,7 @@ from repro.eval.suites import (
     _device_gm,
     _geometry_values,
     _node_capacitances,
-    open_loop_metrics,
+    open_loop_metrics_rows,
     open_loop_transfers,
 )
 from repro.layout.placement import Placement
@@ -246,9 +246,10 @@ def measure_ota_many(
     transfers = open_loop_transfers(solve, warm)
 
     out = []
-    for circuit, placement, op, h in zip(annotated, placements, ops, transfers):
+    for circuit, placement, op, (gain_db, gbw, pm) in zip(
+        annotated, placements, ops, open_loop_metrics_rows(transfers)
+    ):
         offset_v = op.voltage("outp") - vcm
-        gain_db, gbw, pm = open_loop_metrics(h)
         values = {
             "offset_mv": abs(offset_v) * 1e3,
             "offset_signed_mv": offset_v * 1e3,

@@ -25,8 +25,8 @@ from repro.eval.metrics import Metrics
 from repro.eval.objective import ObjectiveWeights
 from repro.eval.suites import SUITES, Warm
 from repro.eval.warm import WarmStore
-from repro.layout.context import unit_context_arrays
-from repro.layout.placement import Placement
+from repro.layout.context import cell_geometry, diffusion_runs
+from repro.layout.placement import CanvasSpec, Placement
 from repro.netlist.library import AnalogBlock
 from repro.route.parasitics import annotate_parasitics
 from repro.sim.dc import ConvergenceError
@@ -37,6 +37,104 @@ from repro.variation import DeviceDelta, VariationModel, default_variation_model
 # converge: bad enough that no optimizer keeps them, finite enough that
 # rewards and FOMs stay well-defined.
 FAILURE_PRIMARY = 1.0e6
+
+
+def _run_pairs(
+    n_cols: int, shorter: int, longest: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(col, run_left, run_right)`` of every cell of an ``n_cols``-wide
+    row with every run pair it can have (``run_left <= col``,
+    ``run_right < n_cols - col``) whose streak ``run_left + run_right +
+    1`` lies in ``(shorter, longest]``, column-major."""
+    col, left, right = np.ogrid[:n_cols, :longest, :longest]
+    streak = left + right + 1
+    return np.nonzero((left <= col) & (right < n_cols - col)
+                      & (streak > shorter) & (streak <= longest))
+
+
+class _DeltaTable:
+    """Systematic unit deltas of one canvas, memoised per unit context.
+
+    ``index`` maps a context key ``(cell, (run_left, run_right),
+    polarity)`` to its column in ``values``, whose two rows are the
+    units' ``dvth`` and ``dbeta_rel``.  Values come from
+    :meth:`VariationModel.systematic_units` — the one place field, LOD
+    and WPE terms are composed.  A model call pays a fixed cost of dozens
+    of small numpy calls before its first element, so a miss fills whole
+    (row, polarity) pairs: every cell of the row with every run pair
+    whose streak is at most ``streak``, the longest any placement has
+    had.  Later moves are lookups until a longer streak turns up, which
+    fills only the new, longer run pairs.  A row holds at most ``cols *
+    streak * (streak + 1) / 2`` contexts per polarity: 220 when a
+    10-column row fills up, a few thousand for a few units on a
+    100-column canvas.
+    """
+
+    __slots__ = ("canvas", "model", "tech", "index", "values", "streak",
+                 "_filled")
+
+    def __init__(
+        self, canvas: CanvasSpec, model: VariationModel, tech: Technology
+    ):
+        self.canvas = canvas
+        self.model = model
+        self.tech = tech
+        self.index: dict[tuple, int] = {}
+        self.values = np.empty((2, 0))
+        self.streak = 0
+        # The streak each (row, polarity) is filled up to.
+        self._filled: dict[tuple[int, int], int] = {}
+
+    def lookup(
+        self, cells: list, runs: list, polarity: list[int]
+    ) -> list[int]:
+        """Columns in ``values`` of units on ``cells`` with ``polarity``,
+        given the placement's :func:`~repro.layout.context
+        .diffusion_runs`.
+
+        Contexts the table lacks are filled first, in one model call.
+        """
+        index = self.index
+        try:
+            return [index[cell, runs[cell[1]][cell[0]], pol]
+                    for cell, pol in zip(cells, polarity)]
+        except KeyError:
+            keys = [(cell, runs[cell[1]][cell[0]], pol)
+                    for cell, pol in zip(cells, polarity)]
+            self._fill(keys, runs)
+            return [index[key] for key in keys]
+
+    def _fill(self, keys: list, runs: list) -> None:
+        """Fill the (row, polarity) pairs of the ``keys`` the table lacks
+        up to the longest streak seen so far, ``runs`` included."""
+        self.streak = max(self.streak, max(
+            left + right + 1 for row in runs for left, right in row))
+        # The (row, polarity) of every key the table lacks.
+        missing = dict.fromkeys(
+            (key[0][1], key[2]) for key in keys if key not in self.index)
+        cols, lefts, rights, rows, pols = [], [], [], [], []
+        for row, pol in missing:
+            col, left, right = _run_pairs(
+                self.canvas.cols, self._filled.get((row, pol), 0),
+                self.streak)
+            self._filled[row, pol] = self.streak
+            cols.append(col)
+            lefts.append(left)
+            rights.append(right)
+            rows.append(np.full(len(col), row))
+            pols.append(np.full(len(col), pol))
+        col, left, right, rows, polarity = map(
+            np.concatenate, (cols, lefts, rights, rows, pols))
+        x, y, dist = cell_geometry(
+            col, rows, self.canvas.cols, self.canvas.rows, self.tech)
+        start = self.values.shape[1]
+        self.values = np.concatenate((self.values, self.model.systematic_units(
+            x, y, left.astype(float), right.astype(float), dist, polarity)),
+            axis=1)
+        self.index.update(zip(
+            zip(zip(col.tolist(), rows.tolist()),
+                zip(left.tolist(), right.tolist()), polarity.tolist()),
+            range(start, start + len(col))))
 
 
 class PlacementEvaluator:
@@ -67,6 +165,8 @@ class PlacementEvaluator:
     ):
         if cost_area_weight < 0:
             raise ValueError("cost_area_weight cannot be negative")
+        if cache_size < 1:
+            raise ValueError(f"cache_size must be at least 1, got {cache_size}")
         self.block = block
         self.tech = tech if tech is not None else generic_tech_40()
         if variation is None:
@@ -81,8 +181,9 @@ class PlacementEvaluator:
         self._cache: OrderedDict[tuple, Metrics] = OrderedDict()
         self._cache_size = cache_size
         self._warm: Warm = WarmStore()
-        self._groups_units: list | None = None
-        self._groups: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._groups: tuple[frozenset, tuple] | None = None
+        self._device_names = [m.name for m in block.circuit.mosfets()]
+        self._tables: dict[CanvasSpec, _DeltaTable] = {}
         if block.kind not in SUITES:
             raise ValueError(f"no measurement suite for kind {block.kind!r}")
         self._suite = SUITES[block.kind]
@@ -92,58 +193,66 @@ class PlacementEvaluator:
     def deltas_for(self, placement: Placement) -> dict[str, DeviceDelta]:
         """Variation-resolved parameter delta of every placeable device.
 
-        The K=1 case of :meth:`deltas_for_many`: all units' contexts and
-        the variation model evaluate as flat arrays in one pass.
+        The K=1 case of :meth:`deltas_for_many`: every unit's delta is a
+        lookup in the evaluator's table of unit contexts, and each device
+        takes the mean of its units' deltas.
         """
         return self._deltas_rows([placement])[0]
 
     def deltas_for_many(
         self, placements: Sequence[Placement]
     ) -> list[dict[str, DeviceDelta]]:
-        """Variation deltas of K candidate placements in one fused pass.
+        """Variation deltas of K same-canvas candidate placements.
 
-        One stacked occupancy-grid pass derives every unit context and one
-        vectorized variation-model evaluation covers all units of all
-        candidates; per-placement results match :meth:`deltas_for`.
+        Every unit of every candidate is keyed by its integer context
+        (cell, diffusion runs, polarity); contexts none of the
+        evaluator's earlier placements had are evaluated in one
+        :meth:`VariationModel.systematic_units` call, and the rest are
+        table lookups.  Per-placement results match :meth:`deltas_for`.
+
+        Raises:
+            ValueError: the placements lie on different canvases.
+            KeyError: a device has no placed units.
         """
         return self._deltas_rows(list(placements))
 
     def _deltas_rows(
         self, placements: list[Placement]
     ) -> list[dict[str, DeviceDelta]]:
-        """Per-placement device deltas from flat unit-context arrays.
+        """Per-placement device deltas from gathered unit deltas.
 
+        A unit's systematic delta depends only on small integers — its
+        cell, its left and right diffusion runs (from
+        :func:`~repro.layout.context.diffusion_runs`) and its device's
+        polarity — so the evaluator memoises it per context and canvas.
         Each device's delta is the mean of its units' deltas, taken in
         unit-index order (the order :meth:`VariationModel
         .systematic_device` averages in).
         """
         if not placements:
             return []
-        mosfets = self.block.circuit.mosfets()
-        units_lists, x, y, run_l, run_r, dist = unit_context_arrays(
-            placements, self.tech
-        )
-        # Unit orders may differ between placements, but every placement
-        # of the block has the same units per device, so the counts and
-        # polarities of any one of them serve the whole batch.
-        perms = []
-        offset = 0
-        for units in units_lists:
-            order, counts, polarity = self._unit_groups(units, mosfets)
-            perms.append(order + offset if offset else order)
-            offset += len(units)
-        take = perms[0] if len(perms) == 1 else np.concatenate(perms)
+        canvas = placements[0].canvas
+        if any(p.canvas != canvas for p in placements):
+            raise ValueError("cannot batch placements on different canvases")
+        table = self._delta_table(canvas)
+        take: list[int] = []
+        counts_rows = []
+        for placement in placements:
+            assignment = placement.as_dict()
+            units, polarity, counts, starts = self._unit_groups(assignment)
+            take += table.lookup(list(map(assignment.__getitem__, units)),
+                                 diffusion_runs(placement), polarity)
+            counts_rows.append(counts)
         k = len(placements)
-        dvth, dbeta = self.variation.systematic_units(
-            x[take], y[take], run_l[take], run_r[take], dist[take],
-            np.tile(polarity, k) if k > 1 else polarity,
-        )
-        counts_arr = np.tile(counts, k) if k > 1 else counts
-        starts = np.concatenate(([0], np.cumsum(counts_arr)[:-1]))
-        dvth_mean = (np.add.reduceat(dvth, starts) / counts_arr).tolist()
-        dbeta_mean = (np.add.reduceat(dbeta, starts) / counts_arr).tolist()
+        if k > 1:
+            counts = np.concatenate(counts_rows)
+            starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        # Rows reduce independently and bit for bit like 1-D arrays.
+        dvth_mean, dbeta_mean = (
+            np.add.reduceat(table.values[:, take], starts, axis=1) / counts
+        ).tolist()
 
-        names = [device.name for device in mosfets]
+        names = self._device_names
         n = len(names)
         return [
             dict(zip(names, map(DeviceDelta, dvth_mean[lo:lo + n],
@@ -151,40 +260,48 @@ class PlacementEvaluator:
             for lo in range(0, n * k, n)
         ]
 
-    def _unit_groups(
-        self, units: list, mosfets
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Device-major, unit-index-sorted positions into ``units``.
+    def _delta_table(self, canvas: CanvasSpec) -> "_DeltaTable":
+        table = self._tables.get(canvas)
+        if table is None:
+            table = self._tables[canvas] = _DeltaTable(
+                canvas, self.variation, self.tech)
+        return table
 
-        Returns ``(order, counts, polarity)``: ``units[order]`` lists each
-        MOSFET's units (in circuit order) by unit index, ``counts`` the
-        units per device and ``polarity`` one entry per ordered unit.
-        Placements copied from one another keep their unit order, so the
-        result is kept for the last order seen.
+    def _unit_groups(
+        self, assignment: Mapping
+    ) -> tuple[list, list[int], np.ndarray, np.ndarray]:
+        """Each MOSFET's placed units (in circuit order), by unit index.
+
+        Returns ``(units, polarity, counts, starts)``: ``units`` lists the
+        units device-major, ``polarity`` holds one entry per listed unit,
+        ``counts`` the units per device and ``starts`` each device's
+        first position in ``units``.  Every placement of a block holds
+        the same units, so the result is kept for as long as the
+        placements hold exactly the units it lists.
 
         Raises:
             KeyError: a device has no placed units.
         """
-        if units != self._groups_units:
-            by_device: dict[str, list[tuple[int, int]]] = {}
-            for i, (name, k) in enumerate(units):
-                by_device.setdefault(name, []).append((k, i))
-            order: list[int] = []
-            counts: list[int] = []
-            polarity: list[int] = []
-            for device in mosfets:
-                entries = by_device.get(device.name)
-                if not entries:
-                    raise KeyError(
-                        f"device {device.name!r} has no placed units")
-                entries.sort()
-                order.extend(i for __, i in entries)
-                counts.append(len(entries))
-                polarity.extend([device.polarity] * len(entries))
-            self._groups = (np.asarray(order, dtype=np.intp),
-                            np.asarray(counts), np.asarray(polarity))
-            self._groups_units = units
-        return self._groups
+        if self._groups is not None and assignment.keys() == self._groups[0]:
+            return self._groups[1]
+        by_device: dict[str, list[int]] = {}
+        for name, index in assignment:
+            by_device.setdefault(name, []).append(index)
+        units: list = []
+        polarity: list[int] = []
+        counts: list[int] = []
+        for device in self.block.circuit.mosfets():
+            indices = by_device.get(device.name)
+            if not indices:
+                raise KeyError(f"device {device.name!r} has no placed units")
+            units.extend((device.name, index) for index in sorted(indices))
+            polarity.extend([device.polarity] * len(indices))
+            counts.append(len(indices))
+        counts_arr = np.asarray(counts)
+        starts = np.concatenate(([0], np.cumsum(counts_arr)[:-1]))
+        groups = (units, polarity, counts_arr, starts)
+        self._groups = (frozenset(assignment), groups)
+        return groups
 
     def _penalty_metrics(self, placement: Placement) -> Metrics:
         """Finite-but-terrible metrics for a non-converging placement."""

@@ -33,10 +33,9 @@ from repro.sim.compiled import compiled_system
 from repro.sim.dc import DcResult, solve_dc
 from repro.sim.measures import (
     db,
-    dc_gain,
-    phase_margin_at,
+    log_crossing_at,
+    phase_margin_from,
     supply_power,
-    unity_gain_frequency,
 )
 from repro.sim.mosfet import device_caps, terminal_currents
 from repro.tech import Technology
@@ -256,20 +255,29 @@ AC_FREQS = logspace_frequencies(1e3, 1e10, points_per_decade=8)
 _AC_SPAN = "ota/ac_span"
 
 
-def _points_read(h: np.ndarray) -> int | None:
-    """How many leading points of the transfer ``h`` the OTA metrics read.
+def _unity_crossings(mags: np.ndarray) -> np.ndarray:
+    """Per row of ``mags``, the index ``i`` of its first downward unity
+    crossing (``mags[i] >= 1 > mags[i + 1]``), or -1 for a row without
+    one."""
+    down = (mags[:, :-1] >= 1.0) & (1.0 > mags[:, 1:])
+    if not down.shape[1]:
+        return np.full(len(mags), -1)
+    return np.where(down.any(axis=1), down.argmax(axis=1), -1)
+
+
+def _points_read(h: np.ndarray) -> list[int | None]:
+    """How many leading points of each row of the transfers ``h`` the
+    OTA metrics read.
 
     Gain reads the first point.  GBW and phase margin read every point
     up to the first downward unity crossing (the phase is unwrapped from
     low frequency) and interpolate inside that crossing's interval; one
-    point past it is kept too.  ``None`` when ``h`` has no such crossing
+    point past it is kept too.  ``None`` for a row with no such crossing
     followed by another point, so the rest of the grid is needed.
     """
-    mags = np.abs(h)
-    crossings = np.flatnonzero((mags[:-1] >= 1.0) & (1.0 > mags[1:]))
-    if crossings.size and crossings[0] + 2 < len(h):
-        return int(crossings[0]) + 3
-    return None
+    n = h.shape[1]
+    return [int(i) + 3 if 0 <= i < n - 2 else None
+            for i in _unity_crossings(np.abs(h))]
 
 
 def open_loop_transfers(
@@ -288,10 +296,10 @@ def open_loop_transfers(
     n = len(AC_FREQS)
     span = warm.get(_AC_SPAN, n)
     h = solve(0, span)
-    needed = [_points_read(row) for row in h]
+    needed = _points_read(h)
     if None in needed and span < n:
         h = np.concatenate((h, solve(span, n)), axis=1)
-        needed = [_points_read(row) for row in h]
+        needed = _points_read(h)
     warm[_AC_SPAN] = max(n if k is None else k for k in needed)
     return h
 
@@ -299,13 +307,29 @@ def open_loop_transfers(
 def open_loop_metrics(h: np.ndarray) -> tuple[float, float, float]:
     """``(gain_db, gbw_hz, pm_deg)`` of one :func:`open_loop_transfers`
     row (0.0 for a gain, GBW or margin that does not exist)."""
-    freqs = AC_FREQS[: len(h)]
-    gain = dc_gain(h)
-    f_unity = unity_gain_frequency(freqs, h)
-    pm = phase_margin_at(freqs, h, f_unity)
-    return (float(db(gain)) if gain > 0 else 0.0,
-            f_unity or 0.0,
-            pm if pm is not None else 0.0)
+    return open_loop_metrics_rows(h[None])[0]
+
+
+def open_loop_metrics_rows(h: np.ndarray) -> list[tuple[float, float, float]]:
+    """:func:`open_loop_metrics` of every row of ``h``.
+
+    The magnitudes, crossings and unwrapped phases of all rows come from
+    one array pass each; every element equals its one-row value, so each
+    row's metrics do too.
+    """
+    freqs = AC_FREQS[: h.shape[1]]
+    log_freqs = np.log10(freqs)
+    mags = np.abs(h)
+    phases = np.unwrap(np.angle(h))
+    out = []
+    for row_mags, row_phases, i in zip(mags, phases, _unity_crossings(mags)):
+        gain = float(row_mags[0])
+        gbw = pm = 0.0
+        if i >= 0:
+            gbw = log_crossing_at(freqs, row_mags, int(i) + 1, 1.0)
+            pm = phase_margin_from(log_freqs, row_phases, gbw)
+        out.append((float(db(gain)) if gain > 0 else 0.0, gbw, pm))
+    return out
 
 
 def measure_ota(

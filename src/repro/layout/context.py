@@ -6,16 +6,19 @@ neighbour extends the diffusion — the standard abutted-row abstraction),
 and its distance to the canvas edge (the well-boundary proxy the WPE model
 uses).
 
-The batch entry points (:func:`unit_contexts`,
-:func:`device_contexts_all`) rasterize the placement into one boolean
-occupancy grid and compute every position, diffusion run and edge
-distance array-wise — the evaluation loop touches each cell a constant
-number of times instead of re-scanning rows per unit.
+Diffusion runs come from one scan of the placement's occupancy map
+(:func:`diffusion_runs`): each row's occupied columns fold into a bit
+mask, and the runs of a mask are scanned once and cached, so a placement
+costs one pass over its units plus a lookup per row.  Positions and edge
+distances depend only on a unit's cell (:func:`cell_geometry`).  The
+whole-placement entry points (:func:`unit_contexts`,
+:func:`device_contexts_all`), the scalar :func:`unit_context` and the
+evaluator's table of unit deltas all read the same scan.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,135 +26,92 @@ from repro.layout.placement import Placement, UnitId
 from repro.tech import Technology
 from repro.variation import UnitContext
 
-
-def _run_length(placement: Placement, col: int, row: int, step: int) -> int:
-    """Contiguous occupied cells starting one step away in ±col direction."""
-    count = 0
-    c = col + step
-    while placement.canvas.in_bounds((c, row)) and placement.unit_at((c, row)) is not None:
-        count += 1
-        c += step
-    return count
+Runs = tuple[int, int]
 
 
-def unit_context(
-    placement: Placement, unit: UnitId, tech: Technology
-) -> UnitContext:
-    """Context of a single unit (position, diffusion runs, edge distance)."""
-    col, row = placement.cell_of(unit)
-    pitch = tech.grid_pitch
-    x = (col + 0.5) * pitch
-    y = (row + 0.5) * pitch
-    dist_to_edge = pitch * min(
-        col + 0.5,
-        placement.canvas.cols - col - 0.5,
-        row + 0.5,
-        placement.canvas.rows - row - 0.5,
-    )
-    return UnitContext(
-        x=x,
-        y=y,
-        run_left=_run_length(placement, col, row, -1),
-        run_right=_run_length(placement, col, row, +1),
-        dist_to_edge=dist_to_edge,
-    )
+@lru_cache(maxsize=4096)
+def _row_runs(mask: int, cols: int) -> tuple[Runs, ...]:
+    """``(run_left, run_right)`` of every column of one occupancy row.
 
-
-def _streaks(occ: np.ndarray) -> np.ndarray:
-    """Per-cell length of the contiguous occupied run ending at that cell.
-
-    Computed along the last axis (columns) without Python-level scanning:
-    the running cumsum minus its value at the most recent gap.  Works on a
-    single ``(rows, cols)`` grid or a stacked ``(k, rows, cols)`` batch.
+    Bit ``c`` of ``mask`` is set when column ``c`` is occupied; a run
+    counts the contiguous occupied cells next to a column on that side.
+    Free columns read ``(0, 0)``.
     """
-    cumulative = np.cumsum(occ, axis=-1)
-    at_gaps = np.where(occ, 0, cumulative)
-    last_gap = np.maximum.accumulate(at_gaps, axis=-1)
-    return cumulative - last_gap
+    out: list[Runs] = []
+    start = 0
+    for col in range(cols + 1):
+        if col < cols and mask >> col & 1:
+            continue
+        # Columns start..col-1 are one occupied streak; col is free.
+        out.extend((k - start, col - 1 - k) for k in range(start, col))
+        if col < cols:
+            out.append((0, 0))
+        start = col + 1
+    return tuple(out)
 
 
-def unit_contexts(
-    placement: Placement, tech: Technology
-) -> dict[UnitId, UnitContext]:
-    """Contexts for every placed unit (single vectorized grid pass).
+def diffusion_runs(placement: Placement) -> list[tuple[Runs, ...]]:
+    """Per row, per column ``(run_left, run_right)`` of the occupancy map.
 
-    Thin wrapper over :func:`unit_context_arrays` — one algorithm serves
-    both the scalar and the candidate-batch paths.
+    ``diffusion_runs(p)[row][col]`` holds the runs of cell ``(col,
+    row)``; one pass over the placed units builds each row's mask.
     """
-    if not len(placement):
-        return {}
-    units_lists, x, y, run_left, run_right, dist = unit_context_arrays(
-        [placement], tech
-    )
-    return {
-        unit: UnitContext(
-            x=float(x[i]),
-            y=float(y[i]),
-            run_left=int(run_left[i]),
-            run_right=int(run_right[i]),
-            dist_to_edge=float(dist[i]),
-        )
-        for i, unit in enumerate(units_lists[0])
-    }
+    canvas = placement.canvas
+    masks = [0] * canvas.rows
+    for col, row in placement.occupied_cells():
+        masks[row] |= 1 << col
+    return [_row_runs(mask, canvas.cols) for mask in masks]
 
 
-def unit_context_arrays(
-    placements: "list[Placement]", tech: Technology
-) -> tuple[list[list[UnitId]], np.ndarray, np.ndarray, np.ndarray,
-           np.ndarray, np.ndarray]:
-    """Flat context arrays of every unit of K same-canvas placements.
-
-    One stacked occupancy-grid pass serves the whole candidate batch.
-    Returns ``(units_per_placement, x, y, run_left, run_right,
-    dist_to_edge)`` where the arrays are flat in placement-major order —
-    placement ``p``'s unit ``i`` (of ``units_per_placement[p]``, in
-    ``as_dict`` order) lands at flat index ``sum(earlier counts) + i``.
-    The per-unit values are exactly :func:`unit_contexts`'s, without the
-    per-unit ``UnitContext`` object construction.
-    """
-    if not placements:
-        return [], *(np.zeros(0) for __ in range(5))
-    n_cols = placements[0].canvas.cols
-    n_rows = placements[0].canvas.rows
-    for p in placements[1:]:
-        if p.canvas.cols != n_cols or p.canvas.rows != n_rows:
-            raise ValueError("cannot batch placements on different canvases")
-
-    units_per_placement: list[list[UnitId]] = []
-    flat_cells: list = []
-    for placement in placements:
-        assignment = placement.as_dict()
-        units_per_placement.append(list(assignment))
-        flat_cells.extend(assignment.values())
-    counts = [len(units) for units in units_per_placement]
-    cells = np.fromiter(
-        chain.from_iterable(flat_cells), dtype=np.intp,
-        count=2 * len(flat_cells),
-    ).reshape(len(flat_cells), 2)
-    cols = cells[:, 0]
-    rows = cells[:, 1]
-    pidx = np.repeat(np.arange(len(placements), dtype=np.intp), counts)
-    occupancy = np.zeros((len(placements), n_rows, n_cols), dtype=bool)
-    occupancy[pidx, rows, cols] = True
-
-    left = _streaks(occupancy)
-    right = _streaks(occupancy[..., ::-1])[..., ::-1]
-    run_left = np.where(
-        cols > 0, left[pidx, rows, np.maximum(cols - 1, 0)], 0
-    )
-    run_right = np.where(
-        cols < n_cols - 1,
-        right[pidx, rows, np.minimum(cols + 1, n_cols - 1)], 0,
-    )
-
+def cell_geometry(
+    cols: np.ndarray, rows: np.ndarray, n_cols: int, n_rows: int,
+    tech: Technology,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(x, y, dist_to_edge)`` [m] of cells on an ``n_cols x n_rows``
+    canvas, from integer column and row arrays."""
     pitch = tech.grid_pitch
     x = (cols + 0.5) * pitch
     y = (rows + 0.5) * pitch
     dist_to_edge = pitch * np.minimum.reduce(
         (cols + 0.5, n_cols - cols - 0.5, rows + 0.5, n_rows - rows - 0.5)
     )
-    return (units_per_placement, x, y,
-            run_left.astype(float), run_right.astype(float), dist_to_edge)
+    return x, y, dist_to_edge
+
+
+def unit_context(
+    placement: Placement, unit: UnitId, tech: Technology
+) -> UnitContext:
+    """Context of a single unit: its entry of :func:`unit_contexts`.
+
+    Raises:
+        KeyError: the unit is not placed.
+    """
+    placement.cell_of(unit)
+    return unit_contexts(placement, tech)[unit]
+
+
+def unit_contexts(
+    placement: Placement, tech: Technology
+) -> dict[UnitId, UnitContext]:
+    """Contexts for every placed unit, from one occupancy scan."""
+    if not len(placement):
+        return {}
+    assignment = placement.as_dict()
+    runs = diffusion_runs(placement)
+    cols, rows = (np.array(axis, dtype=np.intp)
+                  for axis in zip(*assignment.values()))
+    x, y, dist = cell_geometry(
+        cols, rows, placement.canvas.cols, placement.canvas.rows, tech)
+    return {
+        unit: UnitContext(
+            x=float(x[i]),
+            y=float(y[i]),
+            run_left=runs[row][col][0],
+            run_right=runs[row][col][1],
+            dist_to_edge=float(dist[i]),
+        )
+        for i, (unit, (col, row)) in enumerate(assignment.items())
+    }
 
 
 def device_contexts_all(
@@ -159,9 +119,9 @@ def device_contexts_all(
 ) -> dict[str, list[UnitContext]]:
     """Contexts of every device's units, grouped by device, in unit order.
 
-    One grid pass serves the whole placement — callers that need several
-    devices should use this instead of calling :func:`device_contexts`
-    per device.
+    One occupancy scan serves the whole placement — callers that need
+    several devices should use this instead of calling
+    :func:`device_contexts` per device.
     """
     contexts = unit_contexts(placement, tech)
     grouped: dict[str, list[tuple[int, UnitContext]]] = {}

@@ -136,6 +136,10 @@ class Placement:
     def unit_at(self, cell: Cell) -> UnitId | None:
         return self._occupancy.get(cell)
 
+    def occupied_cells(self):
+        """Live view of the occupied cells (the occupancy map's keys)."""
+        return self._occupancy.keys()
+
     def is_free(self, cell: Cell) -> bool:
         return self.canvas.in_bounds(cell) and cell not in self._occupancy
 
@@ -170,24 +174,24 @@ class Placement:
         """Centroids of every placed device in one pass over the units.
 
         Numerically identical to calling :meth:`device_centroid` per
-        device (unit-index summation order preserved); the single pass is
-        what the routing estimator's per-placement hot path uses.
+        device: cell coordinates are integers, so their sums are exact in
+        any order.  The single accumulation pass is what the routing
+        estimator's per-placement hot path uses.
         """
         return dict(self.cached("centroids", self._centroids))
 
     def _centroids(self) -> dict[str, tuple[float, float]]:
-        grouped: dict[str, list[tuple[int, Cell]]] = {}
-        for (name, k), cell in self._cells.items():
-            grouped.setdefault(name, []).append((k, cell))
-        out = {}
-        for name, cells in grouped.items():
-            cells.sort(key=lambda kc: kc[0])
-            n = float(len(cells))
-            out[name] = (
-                sum(c for __, (c, __r) in cells) / n,
-                sum(r for __, (__c, r) in cells) / n,
-            )
-        return out
+        sums: dict[str, list[int]] = {}
+        for (name, __), (c, r) in self._cells.items():
+            acc = sums.get(name)
+            if acc is None:
+                sums[name] = [c, r, 1]
+            else:
+                acc[0] += c
+                acc[1] += r
+                acc[2] += 1
+        return {name: (c / float(n), r / float(n))
+                for name, (c, r, n) in sums.items()}
 
     def bounding_box(self, units: list[UnitId] | None = None) -> tuple[int, int, int, int]:
         """(col_min, row_min, col_max, row_max) of the chosen units (or all)."""

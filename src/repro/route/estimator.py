@@ -15,6 +15,7 @@ the placed units — and folds min/max per net.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from weakref import WeakKeyDictionary
 
 from repro.layout.placement import Placement
@@ -50,6 +51,31 @@ class NetPinPlan:
             net for net, pins in self.pins_by_net.items()
             if not is_rail(net) and len(pins) >= 2
         ]
+        # A device attached twice sits at one centroid, so each net's
+        # bounding box reads its distinct devices only (a net on a single
+        # device reads it twice: its HPWL is 0).
+        self._net_pins = []
+        for net in self.nets:
+            devices = tuple(dict.fromkeys(self.pins_by_net[net]))
+            if len(devices) == 1:
+                devices *= 2
+            self._net_pins.append((net, itemgetter(*devices)))
+
+    def hpwls(
+        self, centroids: dict[str, tuple[float, float]], pitch: float
+    ) -> dict[str, float]:
+        """HPWL of every signal net [m] given the device centroids."""
+        xs = {}
+        ys = {}
+        for name, (c, r) in centroids.items():
+            xs[name] = (c + 0.5) * pitch
+            ys[name] = (r + 0.5) * pitch
+        out = {}
+        for net, pins in self._net_pins:
+            px = pins(xs)
+            py = pins(ys)
+            out[net] = (max(px) - min(px)) + (max(py) - min(py))
+        return out
 
 
 _PLAN_CACHE: "WeakKeyDictionary[Circuit, NetPinPlan]" = WeakKeyDictionary()
@@ -116,15 +142,9 @@ def net_hpwls(
     """
     plan = net_pin_plan(circuit)
     pitch = tech.grid_pitch
-
-    def compute() -> dict[str, float]:
-        centroids = placement.device_centroids()
-        return {
-            net: _hpwl(plan.pins_by_net[net], centroids, pitch)
-            for net in plan.nets
-        }
-
-    return dict(placement.cached(("net_hpwls", plan, pitch), compute))
+    return dict(placement.cached(
+        ("net_hpwls", plan, pitch),
+        lambda: plan.hpwls(placement.device_centroids(), pitch)))
 
 
 def total_wirelength(

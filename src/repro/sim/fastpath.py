@@ -44,6 +44,11 @@ class SolverTuning:
     op_cache: bool = True
     op_cache_size: int = 64
 
+    def __post_init__(self) -> None:
+        if self.op_cache_size < 1:
+            raise ValueError(
+                f"op_cache_size must be at least 1, got {self.op_cache_size}")
+
 
 _tuning = SolverTuning()
 

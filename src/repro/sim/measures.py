@@ -30,7 +30,14 @@ def _interp_log_crossing(freqs: np.ndarray, values: np.ndarray, target: float) -
     crossings = np.flatnonzero((values[:-1] >= target) & (target > values[1:]))
     if not crossings.size:
         return None
-    k = int(crossings[0]) + 1
+    return log_crossing_at(freqs, values, int(crossings[0]) + 1, target)
+
+
+def log_crossing_at(
+    freqs: np.ndarray, values: np.ndarray, k: int, target: float
+) -> float:
+    """Frequency where ``values`` crosses ``target`` between grid points
+    ``k - 1`` and ``k``."""
     a, b = values[k - 1], values[k]
     # Interpolate in log-frequency for accuracy on dec grids.
     la, lb = math.log10(freqs[k - 1]), math.log10(freqs[k])
@@ -69,8 +76,16 @@ def phase_margin_at(
     :func:`unity_gain_frequency` reports it)."""
     if f_unity is None:
         return None
-    phases = np.unwrap(np.angle(transfer))
-    phase_at_unity = float(np.interp(math.log10(f_unity), np.log10(freqs), phases))
+    return phase_margin_from(
+        np.log10(freqs), np.unwrap(np.angle(transfer)), f_unity)
+
+
+def phase_margin_from(
+    log_freqs: np.ndarray, phases: np.ndarray, f_unity: float
+) -> float:
+    """:func:`phase_margin_at` from the unwrapped ``phases`` [rad] on the
+    ``log10`` frequency grid."""
+    phase_at_unity = float(np.interp(math.log10(f_unity), log_freqs, phases))
     return 180.0 + math.degrees(phase_at_unity)
 
 

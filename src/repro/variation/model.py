@@ -102,8 +102,12 @@ class VariationModel:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized :meth:`systematic_unit` over flat unit arrays.
 
-        Returns per-unit ``(dvth, dbeta_rel)`` arrays; one call serves all
-        units of all devices — of a whole candidate batch — at once.
+        Returns per-unit ``(dvth, dbeta_rel)`` arrays.  Each element
+        depends only on its own unit's inputs, which is what lets the
+        evaluator call this once per batch of new unit contexts and keep
+        the results in a table (:class:`~repro.eval.evaluator
+        .PlacementEvaluator`); it is the one place field, LOD and WPE
+        terms are composed.
         """
         dvth = field_values(self.vth_field, x, y)
         dbeta = field_values(self.beta_field, x, y)

@@ -1,23 +1,35 @@
 """Bit-identity and cost contracts of the evaluation fast path.
 
-* ``deltas_for`` is the K=1 case of ``deltas_for_many``'s array path, so
-  one placement gets the same bits alone as inside a batch, and the same
-  bits as the per-device context path it replaced;
+* ``deltas_for`` is the K=1 case of ``deltas_for_many``, so one placement
+  gets the same bits alone as inside a batch, and the same bits as the
+  per-device context path;
+* the tabulated deltas and the one-pass parasitic capacitances equal,
+  bit for bit, a frozen copy of the raster-and-recompute front end
+  (``frozen_front_end`` in the root ``conftest.py``) on every library
+  block and corpus deck, under non-default variation models too;
+* the delta table stays small on a wide, sparse canvas;
+* mixed canvases and missing devices are rejected;
 * the op cache's nearest-neighbour lookup equals a brute-force argmin
   over its entries in FIFO order, ties and evictions included;
 * a comparator evaluation binds its clamped testbench once for its
   three DC solves.
 """
 
+import math
+import random
 import struct
+from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.eval.evaluator import PlacementEvaluator
 from repro.eval.warm import _StageLibrary
 from repro.layout.context import device_contexts, device_contexts_all
 from repro.layout.generators import banded_placement, random_walk_placements
+from repro.layout.placement import CanvasSpec, Placement
 from repro.netlist.library import (
     comparator,
     current_mirror,
@@ -25,9 +37,15 @@ from repro.netlist.library import (
     folded_cascode_ota,
     two_stage_ota,
 )
+from repro.route.parasitics import annotate_parasitics, parasitic_caps
 from repro.service.corpus import corpus_registry
 from repro.sim import compiled
-from repro.variation import DeviceDelta
+from repro.tech import generic_tech_40
+from repro.variation import (
+    CompositeField,
+    DeviceDelta,
+    default_variation_model,
+)
 
 BUILDERS = {
     "cm": current_mirror,
@@ -109,6 +127,137 @@ def test_deltas_for_matches_the_context_path(kind):
             assert got.dvth == pytest.approx(want.dvth, rel=1e-12, abs=1e-15)
             assert got.dbeta_rel == pytest.approx(
                 want.dbeta_rel, rel=1e-12, abs=1e-15)
+
+
+#: The five library blocks and the 11 corpus decks.
+ALL_BLOCKS = sorted(corpus_registry().builders)
+
+
+@lru_cache(maxsize=None)
+def _block(name):
+    return corpus_registry().builders[name]()
+
+
+class _ValueOnlyField:
+    """A third-party field: the scalar ``value()`` and no array method."""
+
+    def value(self, x, y):
+        return 1.5e-3 * math.sin(x * 7.0e5 + 0.3) * math.cos(y * 4.0e5)
+
+
+MODELS = ("nonlinear", "linear", "none", "no_lde", "value_only")
+
+
+def _model(kind, block, tech):
+    extent = max(block.canvas) * tech.grid_pitch
+    if kind == "no_lde":
+        return default_variation_model(extent, with_lde=False)
+    if kind != "value_only":
+        return default_variation_model(extent, kind=kind)
+    base = default_variation_model(extent)
+    return replace(
+        base,
+        vth_field=CompositeField((base.vth_field, _ValueOnlyField())),
+        beta_field=CompositeField((_ValueOnlyField(),)),
+    )
+
+
+def _reinserted(placement, rng):
+    """The same placement with its units placed in shuffled order."""
+    items = list(placement.as_dict().items())
+    rng.shuffle(items)
+    out = Placement(placement.canvas)
+    for unit, cell in items:
+        out.place(unit, cell)
+    return out
+
+
+def _float_bits(values):
+    return {key: struct.pack("<d", value) for key, value in values.items()}
+
+
+@pytest.mark.parametrize("name", ALL_BLOCKS)
+@given(kind=st.sampled_from(MODELS),
+       style=st.sampled_from(("sequential", "ysym", "common_centroid")),
+       seed=st.integers(0, 2**16), order_seed=st.integers(0, 2**16))
+@settings(max_examples=5, deadline=None)
+def test_front_end_matches_frozen_copy_bitwise(
+        frozen_front_end, name, kind, style, seed, order_seed):
+    frozen_deltas, frozen_caps = frozen_front_end
+    block = _block(name)
+    tech = generic_tech_40()
+    evaluator = PlacementEvaluator(
+        block, tech=tech, variation=_model(kind, block, tech))
+    walk = random_walk_placements(block, 8, style=style, seed=seed)
+    for placement in walk:
+        assert _bits(evaluator.deltas_for(placement)) == _bits(
+            frozen_deltas(evaluator, placement))
+        want = _float_bits(frozen_caps(block.circuit, placement, tech))
+        got = parasitic_caps(block.circuit, placement, tech)
+        assert list(got) == list(want)
+        assert _float_bits(got) == want
+        annotated = annotate_parasitics(block.circuit, placement, tech)
+        assert _float_bits({
+            device.name[len("cpar_"):]: device.value
+            for device in annotated if device.name.startswith("cpar_")
+        }) == want
+
+    rng = random.Random(order_seed)
+    batch = [_reinserted(p, rng) for p in walk]
+    # Every context is in the table by now, and a fresh evaluator prices
+    # the whole batch's contexts in one model call: both agree bitwise.
+    fresh = PlacementEvaluator(block, tech=tech, variation=evaluator.variation)
+    for rows in (evaluator.deltas_for_many(batch),
+                 fresh.deltas_for_many(batch)):
+        assert len(rows) == len(batch)
+        for placement, row in zip(batch, rows):
+            assert _bits(row) == _bits(frozen_deltas(evaluator, placement))
+
+
+def test_deltas_for_many_rejects_mixed_canvases():
+    block = current_mirror()
+    evaluator = PlacementEvaluator(block)
+    placement = banded_placement(block, "ysym")
+    wider = Placement(CanvasSpec(placement.canvas.cols + 1,
+                                 placement.canvas.rows))
+    for unit, cell in placement.as_dict().items():
+        wider.place(unit, cell)
+    with pytest.raises(ValueError, match="different canvases"):
+        evaluator.deltas_for_many([placement, wider])
+
+
+def test_deltas_for_names_a_device_without_units():
+    block = current_mirror()
+    evaluator = PlacementEvaluator(block)
+    full = banded_placement(block, "ysym")
+    missing = block.circuit.mosfets()[-1].name
+    partial = Placement(full.canvas)
+    for unit, cell in full.as_dict().items():
+        if unit[0] != missing:
+            partial.place(unit, cell)
+    evaluator.deltas_for(full)
+    with pytest.raises(KeyError, match=repr(missing)):
+        evaluator.deltas_for(partial)
+
+
+def test_delta_table_stays_small_on_a_wide_sparse_canvas(frozen_front_end):
+    """A 100-column canvas holds up to 171,700 (cell, runs) pairs per row
+    and polarity; the table keeps only those whose streak fits the
+    longest streak a row has had."""
+    frozen_deltas, __ = frozen_front_end
+    block = current_mirror()
+    evaluator = PlacementEvaluator(block)
+    banded = banded_placement(block, "ysym")
+    wide = CanvasSpec(100, banded.canvas.rows)
+    for shift in (0, 46, 100 - banded.canvas.cols):
+        placement = Placement(wide)
+        for unit, (col, row) in banded.as_dict().items():
+            placement.place(unit, (col + shift, row))
+        assert _bits(evaluator.deltas_for(placement)) == _bits(
+            frozen_deltas(evaluator, placement))
+    streak = banded.canvas.cols
+    bound = wide.rows * 2 * wide.cols * streak * (streak + 1) // 2
+    assert len(evaluator._tables[wide].index) <= bound
 
 
 class _Result:

@@ -122,6 +122,21 @@ class TestCost:
         with pytest.raises(ValueError, match="cost_area_weight"):
             PlacementEvaluator(current_mirror(), cost_area_weight=-1.0)
 
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_cache_size_below_one_rejected(self, size):
+        # A zero-size LRU would have nothing to evict on its first store.
+        with pytest.raises(ValueError, match="cache_size"):
+            PlacementEvaluator(current_mirror(), cache_size=size)
+
+    def test_cache_size_one_keeps_the_last_placement(self):
+        ev = PlacementEvaluator(current_mirror(), cache_size=1)
+        a = banded_placement(ev.block, "sequential")
+        b = banded_placement(ev.block, "ysym")
+        ev.evaluate(a)
+        ev.evaluate(b)
+        ev.evaluate(b)
+        assert (ev.sim_count, ev.cache_hits) == (2, 1)
+
 
 class TestVariationCoupling:
     def test_zero_variation_zero_mismatch(self):

@@ -2,7 +2,8 @@
 metrics read, and the metrics equal those of the full grid bit for bit.
 
 * synthetic transfers (crossings anywhere, none at all, several, phase
-  wraps) through the sweep with every starting span;
+  wraps) through the sweep with every starting span, one row at a time
+  and all rows at once;
 * real library OTAs: the sweep against one full-grid ``solve_ac`` at the
   same operating point.
 """
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.eval.suites import (
     AC_FREQS,
     open_loop_metrics,
+    open_loop_metrics_rows,
     open_loop_transfers,
 )
 from repro.layout.generators import random_walk_placements
@@ -91,6 +93,9 @@ def test_sweep_metrics_equal_full_grid_bitwise(rows, span):
     assert len(grid.calls) == 1 or grid.calls[1] == (grid.calls[0][1], N)
     for row, full in zip(swept, h):
         assert _bits(open_loop_metrics(row)) == _bits(_full_grid_metrics(full))
+    # All rows at once, as the batched suite reads them.
+    for metrics, full in zip(open_loop_metrics_rows(swept), h):
+        assert _bits(metrics) == _bits(_full_grid_metrics(full))
     # The next sweep starts from what this one needed.
     assert 1 <= warm["ota/ac_span"] <= N
 

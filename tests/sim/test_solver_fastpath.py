@@ -25,6 +25,7 @@ from repro.netlist.library import (
 )
 from repro.route.parasitics import annotate_parasitics
 from repro.sim import (
+    SolverTuning,
     logspace_frequencies,
     reset_solver_stats,
     solve_ac,
@@ -189,6 +190,14 @@ class TestOpCache:
             for k in range(3):
                 store.store("cm", feats + k, result)
         assert len(store._library["cm"].entries) == 2
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_op_cache_size_below_one_rejected(self, size):
+        with pytest.raises(ValueError, match="op_cache_size"):
+            SolverTuning(op_cache_size=size)
+        with pytest.raises(ValueError, match="op_cache_size"):
+            with solver_tuning(op_cache_size=size):
+                pass
 
     def test_evaluator_warm_is_store(self):
         block = current_mirror()
