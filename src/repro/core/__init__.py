@@ -4,14 +4,15 @@
   agent + per-group unit agents, interleaved, episodic).
 * :class:`FlatQPlacer` — single-table ablation control.
 * :class:`SimulatedAnnealingPlacer` — the paper's non-ML baseline.
-* :class:`RandomSearchPlacer` — sanity floor.
 
-All placers share the :class:`Placer` protocol and report a
-:class:`PlacerResult` with the paper's bookkeeping (best quality,
-simulations used, sims-to-target, convergence history).
+All three run one optimize loop, :class:`repro.core.optimizer.BasePlacer`:
+it counts simulations, applies the step/budget/target stops and episode
+restarts, and reports a :class:`PlacerResult` with the paper's
+bookkeeping (best quality, simulations used, sims-to-target, convergence
+history).  Each placer supplies only its agent turns.
 """
 
-from repro.core.annealing import RandomSearchPlacer, SimulatedAnnealingPlacer
+from repro.core.annealing import SimulatedAnnealingPlacer
 from repro.core.hierarchy import FlatQPlacer, MultiLevelPlacer
 from repro.core.optimizer import (
     BudgetTracker,
@@ -45,7 +46,6 @@ __all__ = [
     "ProposingAgent",
     "QAgent",
     "QTable",
-    "RandomSearchPlacer",
     "RewardConfig",
     "SimulatedAnnealingPlacer",
     "epsilon_greedy",

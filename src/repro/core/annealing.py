@@ -12,6 +12,11 @@ turn draws ``k`` random legal moves from the current placement, prices
 them in one batched objective call, and Metropolis-tests them *in
 proposal order*, committing the first acceptance.  ``k = 1`` is exactly
 classic SA — same RNG stream, same acceptance sequence.
+
+The run itself is the shared loop of
+:class:`~repro.core.optimizer.BasePlacer`; SA adds only its single turn,
+the geometric cooling step after every turn, and its acceptance
+diagnostics.  It never restarts.
 """
 
 from __future__ import annotations
@@ -21,15 +26,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.optimizer import (
-    BudgetTracker,
-    Outcome,
-    PlacerResult,
-    Proposal,
-    price_proposals,
-)
+from repro.core.optimizer import BasePlacer, Outcome, Proposal
 from repro.layout.env import PlacementEnv
-from repro.layout.placement import Placement
 
 
 class _SaTurn:
@@ -89,7 +87,7 @@ class _SaTurn:
         return cost
 
 
-class SimulatedAnnealingPlacer:
+class SimulatedAnnealingPlacer(BasePlacer):
     """Metropolis SA on a placement environment.
 
     Args:
@@ -120,30 +118,15 @@ class SimulatedAnnealingPlacer:
             raise ValueError("need 0 < t_end_frac <= t_start_frac")
         if not 0.0 <= p_group_move <= 1.0:
             raise ValueError(f"p_group_move must be in [0, 1], got {p_group_move}")
-        if batch < 1:
-            raise ValueError(f"batch must be >= 1, got {batch}")
-        self.env = env
+        super().__init__(env, batch, sim_counter)
         self.t_start_frac = t_start_frac
         self.t_end_frac = t_end_frac
         self.p_group_move = p_group_move
-        self.batch = batch
         self.rng = np.random.default_rng(seed)
-        self._objective_calls = 0
-        self._sim_counter = sim_counter if sim_counter is not None else (
-            lambda: self._objective_calls
-        )
         self.accepted = 0
         self.proposed = 0
         self.temperature = 0.0
-        self.turn_cost = 0.0
-
-    def _cost(self) -> float:
-        self._objective_calls += 1
-        return self.env.cost()
-
-    def _cost_many(self, placements: list[Placement]) -> list[float]:
-        self._objective_calls += len(placements)
-        return self.env.cost_many(placements)
+        self._decay = 1.0
 
     def _propose(self) -> tuple[str, str, int, int] | None:
         """Pick a random legal move: ("group"/"unit", group, local, dir)."""
@@ -162,132 +145,23 @@ class SimulatedAnnealingPlacer:
                     return ("unit", group, local, d)
         return None
 
-    def optimize(
-        self,
-        max_steps: int,
-        target: float | None = None,
-        sim_budget: int | None = None,
-        stop_at_target: bool = False,
-    ) -> PlacerResult:
-        """Run annealing for ``max_steps`` turns.
+    def _turns(self) -> list[_SaTurn]:
+        return [_SaTurn(self)]
 
-        Temperature decays geometrically from ``t_start_frac * C0`` to
-        ``t_end_frac * C0`` across the step budget.
-        """
-        if max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-        self.env.reset()
-        initial = self._cost()
-        tracker = BudgetTracker(
-            target=target, sim_budget=sim_budget,
-            best_cost=initial, best_placement=self.env.placement.copy(),
-        )
-        tracker.update(initial, self.env.placement, self._sim_counter())
-
+    def _begin(self, initial: float, max_steps: int) -> None:
+        """Temperature decays geometrically from ``t_start_frac * C0`` to
+        ``t_end_frac * C0`` across the step budget."""
         t_start = self.t_start_frac * max(initial, 1e-12)
         t_end = self.t_end_frac * max(initial, 1e-12)
-        decay = (t_end / t_start) ** (1.0 / max_steps)
-
-        turn = _SaTurn(self)
-        cost = initial
+        self._decay = (t_end / t_start) ** (1.0 / max_steps)
         self.temperature = t_start
-        steps = 0
-        while steps < max_steps:
-            self.turn_cost = cost
-            new_cost = price_proposals(turn, self.batch, self._cost_many)
-            if new_cost is None:
-                break
-            cost = new_cost
-            steps += 1
-            self.temperature *= decay
-            tracker.update(cost, self.env.placement, self._sim_counter())
-            if tracker.out_of_budget(self._sim_counter()):
-                break
-            if stop_at_target and tracker.reached_target:
-                break
 
-        return PlacerResult(
-            best_placement=tracker.best_placement,
-            best_cost=tracker.best_cost,
-            initial_cost=initial,
-            sims_used=self._sim_counter(),
-            steps=steps,
-            reached_target=tracker.reached_target,
-            sims_to_target=tracker.sims_to_target,
-            history=tracker.history,
-            diagnostics={
-                "accepted": self.accepted,
-                "proposed": self.proposed,
-                "acceptance_rate": self.accepted / max(1, self.proposed),
-            },
-        )
+    def _after_turn(self) -> None:
+        self.temperature *= self._decay
 
-
-class RandomSearchPlacer:
-    """Uniform random legal walk — the sanity floor for both real optimizers."""
-
-    def __init__(
-        self,
-        env: PlacementEnv,
-        seed: int = 0,
-        sim_counter: Callable[[], int] | None = None,
-    ):
-        self.env = env
-        self.rng = np.random.default_rng(seed)
-        self._objective_calls = 0
-        self._sim_counter = sim_counter if sim_counter is not None else (
-            lambda: self._objective_calls
-        )
-
-    def _cost(self) -> float:
-        self._objective_calls += 1
-        return self.env.cost()
-
-    def optimize(
-        self,
-        max_steps: int,
-        target: float | None = None,
-        sim_budget: int | None = None,
-        stop_at_target: bool = False,
-    ) -> PlacerResult:
-        """Take random legal moves, tracking the best placement seen."""
-        self.env.reset()
-        initial = self._cost()
-        tracker = BudgetTracker(
-            target=target, sim_budget=sim_budget,
-            best_cost=initial, best_placement=self.env.placement.copy(),
-        )
-        tracker.update(initial, self.env.placement, self._sim_counter())
-        steps = 0
-        while steps < max_steps:
-            group = self.env.group_names[
-                int(self.rng.integers(len(self.env.group_names)))
-            ]
-            legal = self.env.legal_unit_actions(group)
-            group_legal = self.env.legal_group_actions(group)
-            if legal and (not group_legal or self.rng.random() < 0.75):
-                local, d = legal[int(self.rng.integers(len(legal)))]
-                self.env.step_unit(group, local, d)
-            elif group_legal:
-                d = group_legal[int(self.rng.integers(len(group_legal)))]
-                self.env.step_group(group, d)
-            else:
-                steps += 1
-                continue
-            cost = self._cost()
-            tracker.update(cost, self.env.placement, self._sim_counter())
-            steps += 1
-            if tracker.out_of_budget(self._sim_counter()):
-                break
-            if stop_at_target and tracker.reached_target:
-                break
-        return PlacerResult(
-            best_placement=tracker.best_placement,
-            best_cost=tracker.best_cost,
-            initial_cost=initial,
-            sims_used=self._sim_counter(),
-            steps=steps,
-            reached_target=tracker.reached_target,
-            sims_to_target=tracker.sims_to_target,
-            history=tracker.history,
-        )
+    def _diagnostics(self) -> dict:
+        return {
+            "accepted": self.accepted,
+            "proposed": self.proposed,
+            "acceptance_rate": self.accepted / max(1, self.proposed),
+        }

@@ -28,13 +28,20 @@ same trajectory); larger batches add speculative candidates whose priced
 outcomes accelerate learning and land in the evaluator's cache.
 
 Learning is **episodic**: after ``episode_length`` agent steps the
-environment resets to the initial placement while all Q-tables persist —
+environment restarts (from the best placement seen, or the initial one)
+while all Q-tables persist —
 this is how Q-learning "improves over time by gradually refining its
 policy" across restarts, the property the paper contrasts against SA.
 
 :class:`FlatQPlacer` is the ablation control: one agent, one Q-table over
 the whole placement, no hierarchy — used to demonstrate the scalability
 claim (Q-table growth).
+
+Both placers run the shared loop of
+:class:`~repro.core.optimizer.BasePlacer` (counting, stops, episode
+restarts, the result); what they share beyond it — the annealed
+tolerance rule, the exploration schedule step and the tables snapshot —
+lives in :class:`_QPlacer`.
 """
 
 from __future__ import annotations
@@ -43,61 +50,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.optimizer import (
-    BudgetTracker,
-    Outcome,
-    PlacerResult,
-    Proposal,
-    price_proposals,
-)
+from repro.core.optimizer import BasePlacer, Outcome, Proposal
 from repro.core.policy import EpsilonSchedule
 from repro.core.qlearning import MergeStats, QAgent, QTable
 from repro.core.rewards import RewardConfig, shaped_reward
 from repro.layout.env import PlacementEnv
 from repro.layout.placement import Placement
-
-# Tables snapshots (export_tables()/warm_start_from()) are plain
-# ``dict[tuple, QTable]`` mappings keyed by agent address: ``("top",)``
-# for the group-level agent, ``("bottom", <group>)`` per group agent,
-# ``("agent",)`` for the flat placer — so a group literally named
-# ``"top"`` can never collide with the top agent.
-
-
-def _warm_start_agents(
-    agents: "dict[tuple, QAgent]",
-    tables: "dict[tuple, QTable]",
-    how: str,
-) -> "dict[tuple, MergeStats]":
-    """Fold a tables snapshot into live agents; shared by both placers."""
-    unknown = set(tables) - set(agents)
-    if unknown:
-        raise ValueError(
-            f"snapshot carries tables for unknown agents {sorted(unknown)}; "
-            f"placer has {sorted(agents)}"
-        )
-    return {
-        key: agents[key].table.merge(table, how=how)
-        for key, table in tables.items()
-    }
-
-
-def _annealed_keep(
-    worse_tolerance: float | None,
-    step: int,
-    max_steps: int,
-    cost: float,
-    new_cost: float,
-) -> bool:
-    """The shared move-acceptance rule of both Q-learning placers.
-
-    Accept unless the move worsens the current cost by more than the
-    tolerance, which anneals linearly from ``worse_tolerance`` to zero
-    across the step budget; ``None`` disables reverting entirely.
-    """
-    if worse_tolerance is None:
-        return True
-    tolerance = worse_tolerance * max(0.0, 1.0 - step / max(1, max_steps))
-    return new_cost <= cost * (1.0 + tolerance)
 
 
 class _QTurn:
@@ -217,7 +175,94 @@ class _BottomTurn(_QTurn):
         self.placer.env.undo_unit(self.group, action[0], action[1])
 
 
-class MultiLevelPlacer:
+class _QPlacer(BasePlacer):
+    """What both Q-learning placers share on top of the optimize loop.
+
+    The move-acceptance rule, the exploration-schedule step every agent
+    cools on, and the tables snapshot (:meth:`export_tables` /
+    :meth:`warm_start_from`) over the agents :meth:`_agents` names.
+    """
+
+    def __init__(
+        self,
+        env: PlacementEnv,
+        reward_config: RewardConfig | None,
+        episode_length: int,
+        worse_tolerance: float | None,
+        batch: int,
+        sim_counter: Callable[[], int] | None,
+    ):
+        if episode_length < 1:
+            raise ValueError(f"episode_length must be >= 1, got {episode_length}")
+        if worse_tolerance is not None and worse_tolerance < 0:
+            raise ValueError("worse_tolerance cannot be negative")
+        super().__init__(env, batch, sim_counter)
+        self.reward_config = reward_config if reward_config is not None else RewardConfig()
+        self.episode_length = episode_length
+        self.worse_tolerance = worse_tolerance
+
+    def schedule_step(self) -> int:
+        """Global step all agents share for their exploration schedule."""
+        return self._step
+
+    def keep_move(self, cost: float, new_cost: float) -> bool:
+        """The tolerance rule: accept unless too much worse than now.
+
+        The tolerance anneals linearly from ``worse_tolerance`` to zero
+        across the step budget; ``None`` disables reverting entirely.
+        """
+        if self.worse_tolerance is None:
+            return True
+        tolerance = self.worse_tolerance * max(
+            0.0, 1.0 - self._step / self._max_steps
+        )
+        return new_cost <= cost * (1.0 + tolerance)
+
+    def _agents(self) -> "dict[tuple, QAgent]":
+        """Every agent, keyed by its snapshot address."""
+        raise NotImplementedError
+
+    def export_tables(self) -> "dict[tuple, QTable]":
+        """Snapshot every agent's Q-table, keyed by agent address.
+
+        The snapshot is an independent copy — safe to ship across a
+        process boundary or to keep merging into a master policy while
+        this placer keeps learning.  Addresses are ``("top",)`` and
+        ``("bottom", <group>)`` for :class:`MultiLevelPlacer` and
+        ``("agent",)`` for :class:`FlatQPlacer`, so a group literally
+        named ``"top"`` can never collide with the top agent.
+        """
+        return {key: agent.table.copy() for key, agent in self._agents().items()}
+
+    def warm_start_from(
+        self, tables: "dict[tuple, QTable]", how: str = "theirs"
+    ) -> "dict[tuple, MergeStats]":
+        """Seed this placer's agents from an exported tables snapshot.
+
+        Args:
+            tables: an :meth:`export_tables` snapshot (typically the
+                island campaign's master policy).  Agents missing from
+                the snapshot start cold; unknown addresses are an error.
+            how: :meth:`QTable.merge` conflict rule applied entry-wise
+                against whatever the agents already learned.
+
+        Returns:
+            Per-agent merge statistics, keyed like the snapshot.
+        """
+        agents = self._agents()
+        unknown = set(tables) - set(agents)
+        if unknown:
+            raise ValueError(
+                f"snapshot carries tables for unknown agents {sorted(unknown)}; "
+                f"placer has {sorted(agents)}"
+            )
+        return {
+            key: agents[key].table.merge(table, how=how)
+            for key, table in tables.items()
+        }
+
+
+class MultiLevelPlacer(_QPlacer):
     """The paper's placer.
 
     Every proposed move is priced by the simulator before it is kept: a
@@ -279,22 +324,13 @@ class MultiLevelPlacer:
         exploration: str = "epsilon",
         ucb_c: float = 0.5,
     ):
-        if episode_length < 1:
-            raise ValueError(f"episode_length must be >= 1, got {episode_length}")
         if episode_restart not in ("best", "initial"):
             raise ValueError(
                 f"episode_restart must be 'best' or 'initial', got {episode_restart!r}"
             )
-        if worse_tolerance is not None and worse_tolerance < 0:
-            raise ValueError("worse_tolerance cannot be negative")
-        if batch < 1:
-            raise ValueError(f"batch must be >= 1, got {batch}")
-        self.env = env
-        self.reward_config = reward_config if reward_config is not None else RewardConfig()
-        self.episode_length = episode_length
+        super().__init__(env, reward_config, episode_length, worse_tolerance,
+                         batch, sim_counter)
         self.episode_restart = episode_restart
-        self.worse_tolerance = worse_tolerance
-        self.batch = batch
         epsilon = epsilon if epsilon is not None else EpsilonSchedule()
         seed_seq = np.random.SeedSequence(seed)
         children = seed_seq.spawn(1 + len(env.group_names))
@@ -306,115 +342,21 @@ class MultiLevelPlacer:
                          exploration=exploration, ucb_c=ucb_c)
             for name, child in zip(env.group_names, children[1:])
         }
-        self._objective_calls = 0
-        self._sim_counter = sim_counter if sim_counter is not None else (
-            lambda: self._objective_calls
-        )
-        self._global_step = 0
-        self._max_steps = 1
-        self.turn_cost = 0.0
-        self.turn_initial = 0.0
-        self.turn_target: float | None = None
 
-    # ------------------------------------------------------------- internals
-
-    def _cost(self) -> float:
-        self._objective_calls += 1
-        return self.env.cost()
-
-    def _cost_many(self, placements: list[Placement]) -> list[float]:
-        self._objective_calls += len(placements)
-        return self.env.cost_many(placements)
-
-    def schedule_step(self) -> int:
-        """Global step all agents share for their exploration schedule."""
-        return self._global_step
-
-    def keep_move(self, cost: float, new_cost: float) -> bool:
-        """The tolerance rule: accept unless too much worse than now."""
-        return _annealed_keep(
-            self.worse_tolerance, self._global_step, self._max_steps,
-            cost, new_cost,
-        )
-
-    # --------------------------------------------------------------- public
-
-    def optimize(
-        self,
-        max_steps: int,
-        target: float | None = None,
-        sim_budget: int | None = None,
-        stop_at_target: bool = False,
-    ) -> PlacerResult:
-        """Run interleaved multi-agent Q-learning.
-
-        Args:
-            max_steps: total agent turns across all agents and episodes
-                (each turn prices up to ``batch`` candidates).
-            target: target cost (sims-to-target is recorded; with
-                ``stop_at_target`` the run ends there).
-            sim_budget: stop once this many simulator calls were spent.
-            stop_at_target: stop as soon as the target is met.
-        """
-        if max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-        self._max_steps = max_steps
-        self._global_step = 0
-        self.env.reset()
-        initial = self._cost()
-        tracker = BudgetTracker(
-            target=target, sim_budget=sim_budget,
-            best_cost=initial, best_placement=self.env.placement.copy(),
-        )
-        tracker.update(initial, self.env.placement, self._sim_counter())
-
-        turns: list[_QTurn] = [_TopTurn(self, self.top_agent)]
-        turns += [
+    def _turns(self) -> list[_QTurn]:
+        return [_TopTurn(self, self.top_agent)] + [
             _BottomTurn(self, self.bottom_agents[name], name)
             for name in self.env.group_names
         ]
 
-        cost = initial
-        self.turn_initial = initial
-        self.turn_target = target
-        steps = 0
-        episode_steps = 0
-        done = False
-        while not done:
-            for turn in turns:
-                self.turn_cost = cost
-                new_cost = price_proposals(turn, self.batch, self._cost_many)
-                if new_cost is not None:
-                    cost = new_cost
-                steps += 1
-                episode_steps += 1
-                self._global_step = steps
-                tracker.update(cost, self.env.placement, self._sim_counter())
-                if steps >= max_steps or tracker.out_of_budget(self._sim_counter()):
-                    done = True
-                    break
-                if stop_at_target and tracker.reached_target:
-                    done = True
-                    break
-                if episode_steps >= self.episode_length:
-                    if self.episode_restart == "best":
-                        self.env.placement = tracker.best_placement.copy()
-                    else:
-                        self.env.reset()
-                    cost = self._cost()
-                    episode_steps = 0
+    def _restart(self, best: Placement) -> None:
+        if self.episode_restart == "best":
+            self.env.placement = best.copy()
+        else:
+            self.env.reset()
 
-        return PlacerResult(
-            best_placement=tracker.best_placement,
-            best_cost=tracker.best_cost,
-            initial_cost=initial,
-            sims_used=self._sim_counter(),
-            steps=steps,
-            reached_target=tracker.reached_target,
-            sims_to_target=tracker.sims_to_target,
-            history=tracker.history,
-            diagnostics=self.table_sizes(),
-        )
+    def _diagnostics(self) -> dict:
+        return self.table_sizes()
 
     def table_sizes(self) -> dict:
         """Q-table growth diagnostics (the scalability ablation's metric)."""
@@ -429,41 +371,11 @@ class MultiLevelPlacer:
             "total_entries": self.top_agent.table.n_entries + sum(bottom.values()),
         }
 
-    # ------------------------------------------------------- shared policy
-
     def _agents(self) -> "dict[tuple, QAgent]":
         agents: dict[tuple, QAgent] = {("top",): self.top_agent}
         for name, agent in self.bottom_agents.items():
             agents[("bottom", name)] = agent
         return agents
-
-    def export_tables(self) -> "dict[tuple, QTable]":
-        """Snapshot every agent's Q-table, keyed by agent address.
-
-        The snapshot is an independent copy — safe to ship across a
-        process boundary or to keep merging into a master policy while
-        this placer keeps learning.  Addresses are ``("top",)`` and
-        ``("bottom", <group>)``, so group names can never collide with
-        the top agent (see the persistence namespace fix).
-        """
-        return {key: agent.table.copy() for key, agent in self._agents().items()}
-
-    def warm_start_from(
-        self, tables: "dict[tuple, QTable]", how: str = "theirs"
-    ) -> "dict[tuple, MergeStats]":
-        """Seed this placer's agents from an exported tables snapshot.
-
-        Args:
-            tables: an :meth:`export_tables` snapshot (typically the
-                island campaign's master policy).  Agents missing from
-                the snapshot start cold; unknown addresses are an error.
-            how: :meth:`QTable.merge` conflict rule applied entry-wise
-                against whatever the agents already learned.
-
-        Returns:
-            Per-agent merge statistics, keyed like the snapshot.
-        """
-        return _warm_start_agents(self._agents(), tables, how)
 
 
 class _FlatTurn(_QTurn):
@@ -492,7 +404,7 @@ class _FlatTurn(_QTurn):
         self.placer.env.undo_unit(action[0], action[1], action[2])
 
 
-class FlatQPlacer:
+class FlatQPlacer(_QPlacer):
     """Single-agent, single-table Q-learning — the no-hierarchy ablation.
 
     One Q-table over the *entire* placement state (all unit offsets,
@@ -500,7 +412,8 @@ class FlatQPlacer:
     beyond toy sizes the state space explodes — which is exactly the
     scalability point the paper's hierarchy addresses.  Turns run through
     the same propose/observe protocol (and ``batch`` knob) as
-    :class:`MultiLevelPlacer`.
+    :class:`MultiLevelPlacer`; episodes always restart from the initial
+    placement.
     """
 
     def __init__(
@@ -518,112 +431,22 @@ class FlatQPlacer:
         exploration: str = "epsilon",
         ucb_c: float = 0.5,
     ):
-        if batch < 1:
-            raise ValueError(f"batch must be >= 1, got {batch}")
-        self.env = env
-        self.reward_config = reward_config if reward_config is not None else RewardConfig()
-        self.episode_length = episode_length
-        self.worse_tolerance = worse_tolerance
-        self.batch = batch
+        super().__init__(env, reward_config, episode_length, worse_tolerance,
+                         batch, sim_counter)
         self.agent = QAgent(
             alpha, gamma, epsilon if epsilon is not None else EpsilonSchedule(),
             np.random.default_rng(seed),
             exploration=exploration, ucb_c=ucb_c,
         )
-        self._objective_calls = 0
-        self._sim_counter = sim_counter if sim_counter is not None else (
-            lambda: self._objective_calls
-        )
-        self._global_step = 0
-        self._max_steps = 1
-        self.turn_cost = 0.0
-        self.turn_initial = 0.0
-        self.turn_target: float | None = None
 
-    def _cost(self) -> float:
-        self._objective_calls += 1
-        return self.env.cost()
+    def _turns(self) -> list[_QTurn]:
+        return [_FlatTurn(self, self.agent)]
 
-    def _cost_many(self, placements: list[Placement]) -> list[float]:
-        self._objective_calls += len(placements)
-        return self.env.cost_many(placements)
+    def _diagnostics(self) -> dict:
+        return {
+            "states": self.agent.table.n_states,
+            "entries": self.agent.table.n_entries,
+        }
 
-    def schedule_step(self) -> int:
-        return self._global_step
-
-    def keep_move(self, cost: float, new_cost: float) -> bool:
-        return _annealed_keep(
-            self.worse_tolerance, self._global_step, self._max_steps,
-            cost, new_cost,
-        )
-
-    def optimize(
-        self,
-        max_steps: int,
-        target: float | None = None,
-        sim_budget: int | None = None,
-        stop_at_target: bool = False,
-    ) -> PlacerResult:
-        """Run flat Q-learning (same protocol as :class:`MultiLevelPlacer`)."""
-        self._max_steps = max_steps
-        self._global_step = 0
-        self.env.reset()
-        initial = self._cost()
-        tracker = BudgetTracker(
-            target=target, sim_budget=sim_budget,
-            best_cost=initial, best_placement=self.env.placement.copy(),
-        )
-        tracker.update(initial, self.env.placement, self._sim_counter())
-        turn = _FlatTurn(self, self.agent)
-        cost = initial
-        self.turn_initial = initial
-        self.turn_target = target
-        steps = 0
-        episode_steps = 0
-        while steps < max_steps:
-            self.turn_cost = cost
-            self._global_step = steps
-            new_cost = price_proposals(turn, self.batch, self._cost_many)
-            if new_cost is None:
-                break
-            cost = new_cost
-            steps += 1
-            episode_steps += 1
-            tracker.update(cost, self.env.placement, self._sim_counter())
-            if tracker.out_of_budget(self._sim_counter()):
-                break
-            if stop_at_target and tracker.reached_target:
-                break
-            if episode_steps >= self.episode_length:
-                self.env.reset()
-                cost = self._cost()
-                episode_steps = 0
-
-        return PlacerResult(
-            best_placement=tracker.best_placement,
-            best_cost=tracker.best_cost,
-            initial_cost=initial,
-            sims_used=self._sim_counter(),
-            steps=steps,
-            reached_target=tracker.reached_target,
-            sims_to_target=tracker.sims_to_target,
-            history=tracker.history,
-            diagnostics={
-                "states": self.agent.table.n_states,
-                "entries": self.agent.table.n_entries,
-            },
-        )
-
-    # ------------------------------------------------------- shared policy
-
-    def export_tables(self) -> "dict[tuple, QTable]":
-        """Snapshot the single agent's Q-table (see
-        :meth:`MultiLevelPlacer.export_tables`)."""
-        return {("agent",): self.agent.table.copy()}
-
-    def warm_start_from(
-        self, tables: "dict[tuple, QTable]", how: str = "theirs"
-    ) -> "dict[tuple, MergeStats]":
-        """Seed the single agent from an exported snapshot (see
-        :meth:`MultiLevelPlacer.warm_start_from`)."""
-        return _warm_start_agents({("agent",): self.agent}, tables, how)
+    def _agents(self) -> "dict[tuple, QAgent]":
+        return {("agent",): self.agent}

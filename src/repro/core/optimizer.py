@@ -17,13 +17,22 @@ every agent in the repo is built around:
 With ``k = 1`` the propose/observe round is exactly the classic
 select → apply → price → learn → keep/revert step, so batching is purely
 a throughput knob: trajectories are unchanged.
+
+:class:`BasePlacer` is the one optimize loop every placer runs: it counts
+objective calls, prices round-robin agent turns through
+:func:`price_proposals`, applies the step, simulation-budget and target
+stops, restarts episodes and reports the :class:`PlacerResult`.  A placer
+supplies only its agent turns and its hooks (restart rule, per-turn
+cooling, diagnostics).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
+from repro.layout.env import PlacementEnv
 from repro.layout.placement import Placement
 
 
@@ -194,3 +203,146 @@ class BudgetTracker:
     @property
     def reached_target(self) -> bool:
         return self.sims_to_target is not None
+
+
+class BasePlacer:
+    """The optimize loop all placers share.
+
+    Agents take turns in round-robin order; each turn is one
+    :func:`price_proposals` round.  A turn with no legal move passes to
+    the next agent, and a placer whose only agent has no move stops.  The
+    step, simulation-budget and target stops are checked after every
+    turn, before the episode restart: every ``episode_length`` turns the
+    environment goes back to :meth:`_restart`'s placement and is
+    re-priced (``None`` never restarts).
+
+    Args:
+        env: placement environment (owns the objective hook).
+        batch: candidate moves priced per agent turn.
+        sim_counter: callable returning cumulative simulator evaluations
+            (pass ``lambda: evaluator.sim_count``); defaults to counting
+            objective calls.
+    """
+
+    episode_length: int | None = None
+
+    def __init__(
+        self,
+        env: PlacementEnv,
+        batch: int = 1,
+        sim_counter: Callable[[], int] | None = None,
+    ):
+        if batch < 1:
+            raise ValueError(f"batch must be >= 1, got {batch}")
+        self.env = env
+        self.batch = batch
+        self._objective_calls = 0
+        self._sim_counter = sim_counter if sim_counter is not None else (
+            lambda: self._objective_calls
+        )
+        self._step = 0
+        self._max_steps = 1
+        self.turn_cost = 0.0
+        self.turn_initial = 0.0
+        self.turn_target: float | None = None
+
+    def _cost(self) -> float:
+        self._objective_calls += 1
+        return self.env.cost()
+
+    def _cost_many(self, placements: list[Placement]) -> list[float]:
+        self._objective_calls += len(placements)
+        return self.env.cost_many(placements)
+
+    # ------------------------------------------------------------- hooks
+
+    def _turns(self) -> list[ProposingAgent]:
+        """The agents' turns, in round-robin order."""
+        raise NotImplementedError
+
+    def _begin(self, initial: float, max_steps: int) -> None:
+        """Run-start hook, after the initial placement is priced."""
+
+    def _after_turn(self) -> None:
+        """Hook run after every counted turn."""
+
+    def _restart(self, best: Placement) -> None:
+        """Move the environment to the next episode's start."""
+        self.env.reset()
+
+    def _diagnostics(self) -> dict:
+        return {}
+
+    # -------------------------------------------------------------- loop
+
+    def optimize(
+        self,
+        max_steps: int,
+        target: float | None = None,
+        sim_budget: int | None = None,
+        stop_at_target: bool = False,
+    ) -> PlacerResult:
+        """Run agent turns until a stop fires.
+
+        Args:
+            max_steps: total agent turns across all agents and episodes
+                (each turn prices up to ``batch`` candidates).
+            target: target cost (sims-to-target is recorded; with
+                ``stop_at_target`` the run ends there).
+            sim_budget: stop once this many simulator calls were spent.
+            stop_at_target: stop as soon as the target is met.
+        """
+        if max_steps < 1:
+            raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+        self._max_steps = max_steps
+        self._step = 0
+        self.env.reset()
+        initial = self._cost()
+        tracker = BudgetTracker(
+            target=target, sim_budget=sim_budget,
+            best_cost=initial, best_placement=self.env.placement.copy(),
+        )
+        tracker.update(initial, self.env.placement, self._sim_counter())
+        self.turn_initial = initial
+        self.turn_target = target
+        self._begin(initial, max_steps)
+
+        turns = self._turns()
+        cost = initial
+        episode_steps = 0
+        for turn in itertools.cycle(turns):
+            self.turn_cost = cost
+            new_cost = price_proposals(turn, self.batch, self._cost_many)
+            if new_cost is not None:
+                cost = new_cost
+            elif len(turns) == 1:
+                break
+            self._step += 1
+            episode_steps += 1
+            self._after_turn()
+            tracker.update(cost, self.env.placement, self._sim_counter())
+            if (
+                self._step >= max_steps
+                or tracker.out_of_budget(self._sim_counter())
+                or (stop_at_target and tracker.reached_target)
+            ):
+                break
+            if (
+                self.episode_length is not None
+                and episode_steps >= self.episode_length
+            ):
+                self._restart(tracker.best_placement)
+                cost = self._cost()
+                episode_steps = 0
+
+        return PlacerResult(
+            best_placement=tracker.best_placement,
+            best_cost=tracker.best_cost,
+            initial_cost=initial,
+            sims_used=self._sim_counter(),
+            steps=self._step,
+            reached_target=tracker.reached_target,
+            sims_to_target=tracker.sims_to_target,
+            history=tracker.history,
+            diagnostics=self._diagnostics(),
+        )

@@ -17,13 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.policy import (
-    EpsilonSchedule,
-    epsilon_greedy,
-    epsilon_greedy_topk,
-    ucb_select,
-    ucb_topk,
-)
+from repro.core.policy import EpsilonSchedule, epsilon_greedy_topk, ucb_topk
 
 #: Conflict rules :meth:`QTable.merge` understands — the single source
 #: every merge-rule validation (specs, campaigns, CLI choices) refers to.
@@ -298,36 +292,23 @@ class QAgent:
         self.table = QTable()
         self.steps = 0
 
-    def select(self, state, legal_actions: list, step: int | None = None):
-        """One exploratory action pick (epsilon-greedy or UCB).
-
-        Args:
-            state: current state.
-            legal_actions: non-empty candidate actions.
-            step: schedule position; pass the *optimizer's global* step in
-                multi-agent settings so all agents cool together (an agent
-                acting 1/N of the time would otherwise stay explorative N
-                times longer).  Defaults to this agent's own counter.
-        """
-        t = self.steps if step is None else step
-        self.steps += 1
-        if self.exploration == "ucb":
-            return ucb_select(
-                self.table.actions(state), self.table.visit_counts(state),
-                legal_actions, t, self.ucb_c,
-            )
-        eps = self.epsilon.value(t)
-        return epsilon_greedy(self.table.actions(state), legal_actions, eps, self.rng)
-
     def select_many(
         self, state, legal_actions: list, k: int, step: int | None = None
     ) -> list:
         """The exploratory action plus up to ``k - 1`` ranked extras.
 
-        One *selection event* (one schedule step, the same RNG draws as
-        :meth:`select` for the first action), returning the candidate set
-        a batched evaluator prices in one shot.  ``k = 1`` is exactly
-        :meth:`select`.
+        One *selection event* (one schedule step; the first action is the
+        epsilon-greedy or UCB pick), returning the candidate set a batched
+        evaluator prices in one shot.  ``k = 1`` is a single pick.
+
+        Args:
+            state: current state.
+            legal_actions: non-empty candidate actions.
+            k: most candidates returned.
+            step: schedule position; pass the *optimizer's global* step in
+                multi-agent settings so all agents cool together (an agent
+                acting 1/N of the time would otherwise stay explorative N
+                times longer).  Defaults to this agent's own counter.
         """
         t = self.steps if step is None else step
         self.steps += 1

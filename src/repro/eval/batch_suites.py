@@ -4,10 +4,15 @@ One-to-one batched counterparts of the scalar protocols in
 :mod:`repro.eval.suites`: each takes K parasitic-annotated circuit
 variants plus their variation deltas and produces K metric sets, running
 every DC and AC analysis of the protocol as one placement-batched solve
-(:mod:`repro.sim.batch`).  The measurement *protocol* — probe sources,
-clamps, feedback trick, derived quantities — is identical line for line;
-only the solver calls are batched, so per-placement metrics match the
-scalar suites to solver tolerance.
+(:mod:`repro.sim.batch`).  The benches — probe sources, clamps,
+feedback trick — are built as in the scalar suites, and each solved row
+is turned into metrics by the scalar suite's own post-solve function
+(:func:`~repro.eval.suites.cm_metrics`,
+:func:`~repro.eval.suites.comp_metrics`,
+:func:`~repro.eval.suites.ota_metrics`); only the solver calls are
+batched, so per-placement metrics match the scalar suites to solver
+tolerance.  Unlike the scalar suites, a batch re-solves rows whose
+operating point is an exact op-cache hit (the hit only seeds Newton).
 
 Warm-start semantics: the scalar suites thread one warm vector through
 consecutive evaluations; the batched suites seed every placement of a
@@ -18,7 +23,7 @@ behind.
 
 from __future__ import annotations
 
-import math
+import dataclasses
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -28,20 +33,19 @@ from repro.eval.suites import (
     AC_FREQS,
     OFFSET_PROBE_V,
     Warm,
-    _device_gm,
-    _geometry_values,
-    _node_capacitances,
+    cm_metrics,
+    comp_metrics,
     open_loop_metrics_rows,
     open_loop_transfers,
+    ota_metrics,
 )
+from repro.eval.warm import dc_features, seed_dc_rows, store_dc
 from repro.layout.placement import Placement
 from repro.netlist.circuit import Circuit
 from repro.netlist.devices import Vcvs, VoltageSource
 from repro.netlist.library import AnalogBlock
 from repro.sim.batch import solve_ac_many, solve_dc_many
 from repro.sim.compiled import batched_system
-from repro.sim.measures import supply_power
-from repro.eval.warm import dc_features, geometry_for, seed_dc_rows, store_dc
 from repro.tech import Technology
 from repro.variation import DeviceDelta
 
@@ -77,8 +81,6 @@ def measure_cm_many(
     warm: Warm,
 ) -> list[Metrics]:
     """Batched :func:`repro.eval.suites.measure_cm`."""
-    iref = block.params["iref"]
-    probes = block.params["probe_sources"]
     bsys = batched_system(
         annotated, tech, deltas_seq, check_signatures=False)
     feats_rows = [dc_features(d) for d in deltas_seq]
@@ -89,21 +91,8 @@ def measure_cm_many(
         store_dc(warm, "cm", feats, result)
     warm["cm"] = results[-1].x
 
-    out = []
-    for circuit, placement, result in zip(annotated, placements, results):
-        currents = [abs(result.current(p)) for p in probes]
-        values = {
-            "mismatch_pct": 100.0 * max(abs(i - iref) for i in currents) / iref,
-            "power_w": supply_power(
-                block.params["vdd"], result.current("vvdd")),
-        }
-        for probe, current in zip(probes, currents):
-            values[f"i_{probe}_ua"] = current * 1e6
-        values.update(geometry_for(
-        warm, placement,
-        lambda: _geometry_values(block, circuit, placement, tech)))
-        out.append(Metrics(kind="cm", primary="mismatch_pct", values=values))
-    return out
+    return [cm_metrics(block, placement, tech, warm, result)
+            for placement, result in zip(placements, results)]
 
 
 # -------------------------------------------------------------------- COMP
@@ -148,51 +137,12 @@ def measure_comp_many(
     plus = imbalances(+2 * OFFSET_PROBE_V, "plus")
     minus = imbalances(-2 * OFFSET_PROBE_V, "minus")
 
-    out = []
-    for bench, circuit, placement, op, rp, rm, deltas in zip(
-        benches, annotated, placements, ops, plus, minus, deltas_seq
-    ):
-        d0 = op.current("vclampp") - op.current("vclampn")
-        dp = rp.current("vclampp") - rp.current("vclampn")
-        dm = rm.current("vclampp") - rm.current("vclampn")
-        gm_diff = (dp - dm) / (4 * OFFSET_PROBE_V)
-        if abs(gm_diff) < 1e-12:
-            offset_v = float("inf")
-        else:
-            offset_v = -d0 / gm_diff
-
-        gm_latch = 0.5 * (
-            _device_gm(bench, "m3", op, tech, deltas)
-            + _device_gm(bench, "m4", op, tech, deltas)
-        ) + 0.5 * (
-            _device_gm(bench, "m5", op, tech, deltas)
-            + _device_gm(bench, "m6", op, tech, deltas)
-        )
-        c_outp, c_outn, c_p1, c_p2 = _node_capacitances(
-            bench, ("outp", "outn", "p1", "p2"), tech)
-        c_out = 0.5 * (c_outp + c_outn)
-        tau = c_out / max(gm_latch, 1e-9)
-        delay_s = tau * math.log(
-            params["regen_swing"] / params["seed_imbalance"])
-
-        c_internal = c_p1 + c_p2
-        c_switched = c_outp + c_outn + c_internal
-        vdd = params["vdd"]
-        power_dynamic = params["fclk"] * c_switched * vdd * vdd
-        power_static = supply_power(vdd, op.current("vvdd"))
-
-        values = {
-            "offset_mv": abs(offset_v) * 1e3,
-            "offset_signed_mv": offset_v * 1e3,
-            "delay_s": delay_s,
-            "power_w": power_dynamic + power_static,
-            "gm_latch_s": gm_latch,
-        }
-        values.update(geometry_for(
-        warm, placement,
-        lambda: _geometry_values(block, circuit, placement, tech)))
-        out.append(Metrics(kind="comp", primary="offset_mv", values=values))
-    return out
+    return [
+        comp_metrics(block, bench, placement, tech, deltas, warm,
+                     op, rp, rm)
+        for bench, placement, deltas, op, rp, rm in zip(
+            benches, placements, deltas_seq, ops, plus, minus)
+    ]
 
 
 # --------------------------------------------------------------------- OTA
@@ -207,11 +157,6 @@ def measure_ota_many(
     warm: Warm,
 ) -> list[Metrics]:
     """Batched :func:`repro.eval.suites.measure_ota`."""
-    import dataclasses
-
-    params = block.params
-    vcm = params["vcm"]
-
     feedback = Vcvs("vvin", {"p": "vin", "n": "gnd", "cp": "outp", "cn": "gnd"},
                     gain=1.0)
     closed = [c.copy_with(replacements={"vvin": feedback}) for c in annotated]
@@ -245,24 +190,11 @@ def measure_ota_many(
 
     transfers = open_loop_transfers(solve, warm)
 
-    out = []
-    for circuit, placement, op, (gain_db, gbw, pm) in zip(
-        annotated, placements, ops, open_loop_metrics_rows(transfers)
-    ):
-        offset_v = op.voltage("outp") - vcm
-        values = {
-            "offset_mv": abs(offset_v) * 1e3,
-            "offset_signed_mv": offset_v * 1e3,
-            "gain_db": gain_db,
-            "gbw_hz": gbw,
-            "pm_deg": pm,
-            "power_w": supply_power(params["vdd"], op.current("vvdd")),
-        }
-        values.update(geometry_for(
-        warm, placement,
-        lambda: _geometry_values(block, circuit, placement, tech)))
-        out.append(Metrics(kind="ota", primary="offset_mv", values=values))
-    return out
+    return [
+        ota_metrics(block, placement, tech, warm, op, open_loop)
+        for placement, op, open_loop in zip(
+            placements, ops, open_loop_metrics_rows(transfers))
+    ]
 
 
 BATCH_SUITES = {

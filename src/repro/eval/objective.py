@@ -80,9 +80,6 @@ class ObjectiveWeights:
         """Whether this vector reproduces the historical scalar cost."""
         return self == ObjectiveWeights()
 
-    def to_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
     @classmethod
     def from_mapping(
         cls, data: Mapping[str, Any] | None

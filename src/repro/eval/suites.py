@@ -53,14 +53,17 @@ def resolved_params(tech: Technology, device: Mosfet, deltas: Mapping[str, Devic
     return params.with_deltas(dvth=delta.dvth, dbeta_rel=delta.dbeta_rel)
 
 
-def _geometry_values(
-    block: AnalogBlock, circuit: Circuit, placement: Placement, tech: Technology
+def _geometry(
+    block: AnalogBlock, placement: Placement, tech: Technology, warm: Warm
 ) -> dict[str, float]:
-    cell_area_um2 = tech.cell_area() * 1e12
-    return {
-        "area_um2": placement.area_cells() * cell_area_um2,
-        "wirelength_um": total_wirelength(block.circuit, placement, tech) * 1e6,
-    }
+    """Bounding-box area and estimated wirelength of a placement."""
+    def compute():
+        cell_area_um2 = tech.cell_area() * 1e12
+        return {
+            "area_um2": placement.area_cells() * cell_area_um2,
+            "wirelength_um": total_wirelength(block.circuit, placement, tech) * 1e6,
+        }
+    return geometry_for(warm, placement, compute)
 
 
 def _node_capacitances(
@@ -119,7 +122,6 @@ def measure_cm(
     Each output is probed by a fixed-voltage source; static mismatch is
     the worst-case percentage deviation of |I_probe| from I_ref.
     """
-    iref = block.params["iref"]
     feats = dc_features(deltas)
     result, x0 = seed_dc(warm, "cm", feats)
     if result is None:
@@ -128,20 +130,28 @@ def measure_cm(
         result = solve_dc(annotated, tech, deltas=deltas, x0=x0)
         store_dc(warm, "cm", feats, result)
     warm["cm"] = result.x
+    return cm_metrics(block, placement, tech, warm, result)
 
+
+def cm_metrics(
+    block: AnalogBlock,
+    placement: Placement,
+    tech: Technology,
+    warm: Warm,
+    result: DcResult,
+) -> Metrics:
+    """The current-mirror metrics of one solved bench (shared with the
+    batched suite)."""
+    iref = block.params["iref"]
     probes = block.params["probe_sources"]
     currents = [abs(result.current(p)) for p in probes]
-    mismatch_pct = 100.0 * max(abs(i - iref) for i in currents) / iref
-
     values = {
-        "mismatch_pct": mismatch_pct,
+        "mismatch_pct": 100.0 * max(abs(i - iref) for i in currents) / iref,
         "power_w": supply_power(block.params["vdd"], result.current("vvdd")),
     }
     for probe, current in zip(probes, currents):
         values[f"i_{probe}_ua"] = current * 1e6
-    values.update(geometry_for(
-        warm, placement,
-        lambda: _geometry_values(block, annotated, placement, tech)))
+    values.update(_geometry(block, placement, tech, warm))
     return Metrics(kind="cm", primary="mismatch_pct", values=values)
 
 
@@ -183,7 +193,7 @@ def measure_comp(
     # (made on the first op-cache miss) serves them all.
     system = None
 
-    def imbalance(vdiff: float, key: str) -> float:
+    def imbalance(vdiff: float, key: str) -> DcResult:
         nonlocal system
         stage = f"comp/{key}"
         result, x0 = seed_dc(warm, stage, feats)
@@ -202,19 +212,39 @@ def measure_comp(
         warm.setdefault("comp", result.x)
         if key == "balanced":
             warm["comp"] = result.x
-            warm["comp_op"] = result  # type: ignore[assignment]
-        return result.current("vclampp") - result.current("vclampn")
+        return result
 
-    d0 = imbalance(0.0, "balanced")
-    dp = imbalance(+2 * OFFSET_PROBE_V, "plus")
-    dm = imbalance(-2 * OFFSET_PROBE_V, "minus")
+    op = imbalance(0.0, "balanced")
+    plus = imbalance(+2 * OFFSET_PROBE_V, "plus")
+    minus = imbalance(-2 * OFFSET_PROBE_V, "minus")
+    return comp_metrics(block, bench, placement, tech, deltas, warm,
+                        op, plus, minus)
+
+
+def comp_metrics(
+    block: AnalogBlock,
+    bench: Circuit,
+    placement: Placement,
+    tech: Technology,
+    deltas: Mapping[str, DeviceDelta],
+    warm: Warm,
+    op: DcResult,
+    plus: DcResult,
+    minus: DcResult,
+) -> Metrics:
+    """The comparator metrics of one clamped bench solved at the
+    balanced (``op``) and the two probe inputs (shared with the batched
+    suite)."""
+    params = block.params
+    d0 = op.current("vclampp") - op.current("vclampn")
+    dp = plus.current("vclampp") - plus.current("vclampn")
+    dm = minus.current("vclampp") - minus.current("vclampn")
     gm_diff = (dp - dm) / (4 * OFFSET_PROBE_V)
     if abs(gm_diff) < 1e-12:
         offset_v = float("inf")
     else:
         offset_v = -d0 / gm_diff
 
-    op: DcResult = warm["comp_op"]  # type: ignore[assignment]
     gm_latch = 0.5 * (
         _device_gm(bench, "m3", op, tech, deltas)
         + _device_gm(bench, "m4", op, tech, deltas)
@@ -241,9 +271,7 @@ def measure_comp(
         "power_w": power_dynamic + power_static,
         "gm_latch_s": gm_latch,
     }
-    values.update(geometry_for(
-        warm, placement,
-        lambda: _geometry_values(block, annotated, placement, tech)))
+    values.update(_geometry(block, placement, tech, warm))
     return Metrics(kind="comp", primary="offset_mv", values=values)
 
 
@@ -347,9 +375,6 @@ def measure_ota(
     input-referred offset.  AC: the original open-loop netlist is
     linearized at that operating point and driven differentially.
     """
-    params = block.params
-    vcm = params["vcm"]
-
     feats = dc_features(deltas)
     op, x0 = seed_dc(warm, "ota", feats)
     if op is None:
@@ -364,7 +389,6 @@ def measure_ota(
         op = solve_dc(closed, tech, deltas=deltas, x0=x0)
         store_dc(warm, "ota", feats, op)
     warm["ota"] = op.x
-    offset_v = op.voltage("outp") - vcm
 
     vip = annotated.device("vvip")
     vin = annotated.device("vvin")
@@ -383,8 +407,23 @@ def measure_ota(
         )
         return ac.transfer("outp")[None]
 
-    gain_db, gbw, pm = open_loop_metrics(open_loop_transfers(solve, warm)[0])
+    open_loop = open_loop_metrics(open_loop_transfers(solve, warm)[0])
+    return ota_metrics(block, placement, tech, warm, op, open_loop)
 
+
+def ota_metrics(
+    block: AnalogBlock,
+    placement: Placement,
+    tech: Technology,
+    warm: Warm,
+    op: DcResult,
+    open_loop: tuple[float, float, float],
+) -> Metrics:
+    """The OTA metrics of one closed-loop operating point and its
+    :func:`open_loop_metrics` (shared with the batched suite)."""
+    params = block.params
+    offset_v = op.voltage("outp") - params["vcm"]
+    gain_db, gbw, pm = open_loop
     values = {
         "offset_mv": abs(offset_v) * 1e3,
         "offset_signed_mv": offset_v * 1e3,
@@ -393,9 +432,7 @@ def measure_ota(
         "pm_deg": pm,
         "power_w": supply_power(params["vdd"], op.current("vvdd")),
     }
-    values.update(geometry_for(
-        warm, placement,
-        lambda: _geometry_values(block, annotated, placement, tech)))
+    values.update(_geometry(block, placement, tech, warm))
     return Metrics(kind="ota", primary="offset_mv", values=values)
 
 

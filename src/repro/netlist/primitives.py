@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.netlist.circuit import Circuit
-from repro.netlist.devices import Mosfet
 
 
 class GroupKind(enum.Enum):
@@ -110,18 +109,6 @@ class SuperGroup:
             raise ValueError(f"super-group {self.name!r} needs at least two groups")
         if len(set(self.groups)) != len(self.groups):
             raise ValueError(f"super-group {self.name!r} lists a group twice")
-
-
-def _same_size(a: Mosfet, b: Mosfet) -> bool:
-    return (
-        a.polarity == b.polarity
-        and abs(a.width - b.width) < 1e-12
-        and abs(a.length - b.length) < 1e-12
-    )
-
-
-def _is_diode_connected(m: Mosfet) -> bool:
-    return m.net("d") == m.net("g")
 
 
 def detect_groups(circuit: Circuit) -> tuple[list[Group], list[MatchedPair]]:

@@ -66,11 +66,6 @@ def mark_expendable_worker(expendable: bool = True) -> None:
     _EXPENDABLE_WORKER = expendable
 
 
-def in_expendable_worker() -> bool:
-    """Whether this process has been marked expendable."""
-    return _EXPENDABLE_WORKER
-
-
 class WorkerKilled(RuntimeError):
     """A ``"kill"`` fault fired where the process must survive.
 

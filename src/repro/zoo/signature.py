@@ -51,10 +51,6 @@ class GroupSignature:
     internal_pairs: int
 
     @property
-    def n_members(self) -> int:
-        return len(self.members)
-
-    @property
     def coarse(self) -> tuple:
         """The kind/polarity/arity tier (unit counts dropped)."""
         return (self.kind, tuple(p for p, __ in self.members))

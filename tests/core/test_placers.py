@@ -13,7 +13,6 @@ from repro.core import (
     MultiLevelPlacer,
     Placer,
     PlacerResult,
-    RandomSearchPlacer,
     SimulatedAnnealingPlacer,
 )
 from repro.layout import PlacementEnv
@@ -39,8 +38,8 @@ ALL_PLACERS = [
     MultiLevelPlacer,
     FlatQPlacer,
     SimulatedAnnealingPlacer,
-    RandomSearchPlacer,
 ]
+Q_PLACERS = [MultiLevelPlacer, FlatQPlacer]
 
 
 @pytest.mark.parametrize("placer_cls", ALL_PLACERS)
@@ -91,6 +90,35 @@ class TestEveryPlacer:
         assert result.sims_to_target is not None
 
 
+class TestSharedLoop:
+    """Contracts of the one optimize loop all placers run."""
+
+    @pytest.mark.parametrize("placer_cls", ALL_PLACERS)
+    def test_no_legal_move(self, placer_cls, monkeypatch):
+        # A single-agent placer stops at the first turn with no move; the
+        # multi-level placer passes the turn on, so stubbing only the
+        # group moves leaves its unit agents all 50 turns.
+        env = make_env()
+        monkeypatch.setattr(env, "legal_group_actions", lambda name: [])
+        if placer_cls is not MultiLevelPlacer:
+            monkeypatch.setattr(env, "legal_unit_actions", lambda group: [])
+        result = placer_cls(env, seed=0).optimize(max_steps=50)
+        if placer_cls is MultiLevelPlacer:
+            assert result.steps == 50
+        else:
+            assert result.steps == 0
+            assert result.best_cost == result.initial_cost
+            assert result.sims_used == 1
+
+    def test_no_restart_after_last_step(self):
+        # The start, 200 turns and one restart between the two episodes;
+        # the stop check runs before the restart, so none follows step 200.
+        placer = FlatQPlacer(make_env(), episode_length=100, seed=0)
+        result = placer.optimize(max_steps=200)
+        assert result.steps == 200
+        assert result.sims_used == 202
+
+
 class TestMultiLevelSpecifics:
     def test_table_sizes_reported(self):
         placer = MultiLevelPlacer(make_env(), seed=0)
@@ -106,17 +134,22 @@ class TestMultiLevelSpecifics:
         result = placer.optimize(max_steps=100)
         assert result.best_cost <= result.initial_cost
 
+    # The input checks are shared: each one covers every placer it binds.
+
     def test_bad_episode_length_rejected(self):
-        with pytest.raises(ValueError, match="episode_length"):
-            MultiLevelPlacer(make_env(), episode_length=0)
+        for placer_cls in Q_PLACERS:
+            with pytest.raises(ValueError, match="episode_length"):
+                placer_cls(make_env(), episode_length=0)
 
     def test_bad_tolerance_rejected(self):
-        with pytest.raises(ValueError, match="worse_tolerance"):
-            MultiLevelPlacer(make_env(), worse_tolerance=-0.1)
+        for placer_cls in Q_PLACERS:
+            with pytest.raises(ValueError, match="worse_tolerance"):
+                placer_cls(make_env(), worse_tolerance=-0.1)
 
     def test_bad_max_steps_rejected(self):
-        with pytest.raises(ValueError, match="max_steps"):
-            MultiLevelPlacer(make_env(), seed=0).optimize(max_steps=0)
+        for placer_cls in ALL_PLACERS:
+            with pytest.raises(ValueError, match="max_steps"):
+                placer_cls(make_env(), seed=0).optimize(max_steps=0)
 
     def test_episodes_reset_environment(self):
         env = make_env()

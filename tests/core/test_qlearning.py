@@ -70,7 +70,7 @@ class TestSelection:
     def test_select_advances_own_counter(self):
         agent = QAgent(epsilon=EpsilonSchedule(1.0, 0.0, 10))
         for __ in range(5):
-            agent.select("s", ["a"])
+            agent.select_many("s", ["a"], 1)
         assert agent.steps == 5
 
     def test_global_step_overrides_schedule_position(self):
@@ -78,15 +78,15 @@ class TestSelection:
                        rng=np.random.default_rng(1))
         agent.table.set("s", "best", 10.0)
         # At global step >= 10 epsilon is 0: always greedy.
-        picks = {agent.select("s", ["best", "other"], step=10) for __ in range(50)}
+        picks = {agent.select_many("s", ["best", "other"], 1, step=10)[0] for __ in range(50)}
         assert picks == {"best"}
 
     def test_deterministic_given_seed(self):
         a = QAgent(rng=np.random.default_rng(42))
         b = QAgent(rng=np.random.default_rng(42))
         actions = ["x", "y", "z"]
-        seq_a = [a.select("s", actions) for __ in range(20)]
-        seq_b = [b.select("s", actions) for __ in range(20)]
+        seq_a = [a.select_many("s", actions, 1)[0] for __ in range(20)]
+        seq_b = [b.select_many("s", actions, 1)[0] for __ in range(20)]
         assert seq_a == seq_b
 
 

@@ -66,7 +66,7 @@ class TestQAgentUcbMode:
     def test_select_consumes_no_rng(self):
         agent = QAgent(exploration="ucb", rng=np.random.default_rng(42))
         before = agent.rng.bit_generator.state
-        agent.select("s", [0, 1, 2])
+        agent.select_many("s", [0, 1, 2], 1)
         agent.select_many("s", [0, 1, 2], k=2)
         assert agent.rng.bit_generator.state == before
         assert agent.steps == 2
@@ -77,7 +77,7 @@ class TestQAgentUcbMode:
         # agent to the other.
         agent.table.set("s", 0, 1.0, visits=30)
         agent.table.set("s", 1, 1.0, visits=1)
-        assert agent.select("s", [0, 1]) == 1
+        assert agent.select_many("s", [0, 1], 1)[0] == 1
 
     def test_two_ucb_agents_agree_exactly(self):
         # Determinism across instances: no RNG, no hidden state beyond
@@ -86,8 +86,8 @@ class TestQAgentUcbMode:
         for table in (a.table, b.table):
             table.set("s", 0, 0.4, visits=3)
             table.set("s", 1, 0.2, visits=1)
-        trace_a = [a.select("s", [0, 1, 2]) for _ in range(10)]
-        trace_b = [b.select("s", [0, 1, 2]) for _ in range(10)]
+        trace_a = [a.select_many("s", [0, 1, 2], 1)[0] for _ in range(10)]
+        trace_b = [b.select_many("s", [0, 1, 2], 1)[0] for _ in range(10)]
         assert trace_a == trace_b
 
     def test_epsilon_mode_unchanged_default(self):
