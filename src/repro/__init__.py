@@ -49,7 +49,6 @@ _EXPORTS = {
     "Placement": "repro.layout",
     "PlacementEnv": "repro.layout",
     "banded_placement": "repro.layout",
-    "initial_placement": "repro.layout",
     "render_placement": "repro.layout",
     "AnalogBlock": "repro.netlist",
     "Circuit": "repro.netlist",

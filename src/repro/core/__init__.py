@@ -24,9 +24,7 @@ from repro.core.optimizer import (
     price_proposals,
 )
 from repro.core.persistence import (
-    load_placer_tables,
     load_tables_snapshot,
-    save_placer_tables,
     save_tables_snapshot,
 )
 from repro.core.policy import EpsilonSchedule, epsilon_greedy, epsilon_greedy_topk
@@ -50,10 +48,8 @@ __all__ = [
     "SimulatedAnnealingPlacer",
     "epsilon_greedy",
     "epsilon_greedy_topk",
-    "load_placer_tables",
     "load_tables_snapshot",
     "price_proposals",
-    "save_placer_tables",
     "save_tables_snapshot",
     "shaped_reward",
 ]

@@ -1,34 +1,22 @@
-"""Q-table serialization — pause/resume for long placement campaigns.
+"""Q-table serialization — policy snapshots for training and serving.
 
 States and actions are hashable trees of ints/strings/tuples, so they
 serialise exactly through ``repr`` and parse back with
 :func:`ast.literal_eval` (no pickle, no code execution); numpy scalars
 that leak into states or actions through batched evaluation arrays are
 coerced to plain Python first, because their reprs (``np.int64(3)``)
-would not parse back.  A saved :class:`MultiLevelPlacer` snapshot
-carries the top table plus every bottom agent's table keyed by group
-name, each agent's schedule step counter, and each agent's RNG state —
-everything learning-related, so a placer restored from a snapshot
-continues *exactly* the trajectory the saved one would have taken (see
-``tests/core/test_persistence.py``).
+would not parse back.
 
-Payload format history:
+A snapshot is an ``export_tables()`` mapping (agent address → Q-table):
+:func:`save_tables_snapshot` / :func:`load_tables_snapshot` persist it
+with JSON-able metadata beside it.  The island-training driver
+checkpoints its master policy through them, and the policy store
+versions its snapshots through :func:`tables_snapshot_payload`.
 
-* **version 3** (written now): each Q-table entry serialises as a
-  ``[value, visits]`` pair, carrying the per-entry visit counts behind
-  the ``"visits"`` merge rule and :meth:`QTable.prune`.
-* **version 2**: ``steps`` and ``rng`` namespace the top agent under
-  ``"top"`` and the group agents under a nested ``"bottom"`` mapping, so
-  a group literally named ``top`` can no longer corrupt the top agent's
-  counters on load.  Entries are bare floats (visits load as 0).
-* **version 1** (legacy, still read): flat ``steps``/``rng`` dicts that
-  mixed the top agent's entry with group names.
-
-The island-training driver checkpoints its master policy through the
-same machinery: :func:`save_tables_snapshot` /
-:func:`load_tables_snapshot` persist an ``export_tables()`` snapshot
-(agent-address → Q-table) using the exact per-table encoding of
-:func:`save_placer_tables`.
+Each Q-table entry serialises as a ``[value, visits]`` pair (payload
+version 3), carrying the per-entry visit counts behind the ``"visits"``
+merge rule and :meth:`QTable.prune`.  Version-2 entries, bare floats,
+still load (their visits load as 0).
 """
 
 from __future__ import annotations
@@ -40,10 +28,9 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.hierarchy import MultiLevelPlacer
-from repro.core.qlearning import QAgent, QTable
+from repro.core.qlearning import QTable
 
-#: Payload schema version written by :func:`save_placer_tables`.
+#: Payload schema version written by :func:`save_tables_snapshot`.
 PAYLOAD_VERSION = 3
 
 
@@ -82,7 +69,7 @@ def qtable_from_dict(data: dict[str, dict]) -> QTable:
     """Rebuild a Q-table from :func:`qtable_to_dict` output.
 
     Accepts both the version-3 ``[value, visits]`` pairs and the bare
-    floats of version-1/2 payloads (whose visits load as 0).
+    floats of version-2 payloads (whose visits load as 0).
     """
     table = QTable()
     for state_repr, actions in data.items():
@@ -95,104 +82,6 @@ def qtable_from_dict(data: dict[str, dict]) -> QTable:
             else:
                 table.set(state, action, float(entry))
     return table
-
-
-def _rng_state(agent: QAgent) -> dict:
-    return agent.rng.bit_generator.state
-
-
-def _set_rng_state(agent: QAgent, state: dict) -> None:
-    agent.rng.bit_generator.state = state
-
-
-def placer_payload(placer: MultiLevelPlacer) -> dict:
-    """The JSON-compatible snapshot :func:`save_placer_tables` writes."""
-    return {
-        "version": PAYLOAD_VERSION,
-        "top": qtable_to_dict(placer.top_agent.table),
-        "bottom": {
-            name: qtable_to_dict(agent.table)
-            for name, agent in placer.bottom_agents.items()
-        },
-        "steps": {
-            "top": placer.top_agent.steps,
-            "bottom": {
-                name: agent.steps
-                for name, agent in placer.bottom_agents.items()
-            },
-        },
-        "rng": {
-            "top": _rng_state(placer.top_agent),
-            "bottom": {
-                name: _rng_state(agent)
-                for name, agent in placer.bottom_agents.items()
-            },
-        },
-    }
-
-
-def save_placer_tables(placer: MultiLevelPlacer, path: str | Path) -> None:
-    """Write all of a placer's Q-tables (and agent RNG states) to JSON."""
-    Path(path).write_text(json.dumps(placer_payload(placer)))
-
-
-def _top_entry(payload_section: dict, version: int) -> Any:
-    """The top agent's entry from a ``steps``/``rng`` section."""
-    return payload_section["top"]
-
-
-def _bottom_entry(payload_section: dict, version: int, name: str) -> Any:
-    """One group agent's entry from a ``steps``/``rng`` section.
-
-    Version-1 payloads stored group entries flat beside the top agent's
-    ``"top"`` key — the collision version 2 fixes by nesting groups
-    under ``"bottom"``; legacy snapshots are still read with the
-    historical (flat) lookup, collision and all.
-    """
-    if version >= 2:
-        return payload_section["bottom"][name]
-    return payload_section[name]
-
-
-def restore_placer_payload(placer: MultiLevelPlacer, payload: dict) -> None:
-    """Restore a placer's learning state from :func:`placer_payload` output.
-
-    Raises:
-        ValueError: if the saved group set does not match the placer's.
-    """
-    version = int(payload.get("version", 1))
-    saved_groups = set(payload["bottom"])
-    have_groups = set(placer.bottom_agents)
-    if saved_groups != have_groups:
-        raise ValueError(
-            f"saved tables are for groups {sorted(saved_groups)}, "
-            f"placer has {sorted(have_groups)}"
-        )
-    placer.top_agent.table = qtable_from_dict(payload["top"])
-    placer.top_agent.steps = int(_top_entry(payload["steps"], version))
-    for name, agent in placer.bottom_agents.items():
-        agent.table = qtable_from_dict(payload["bottom"][name])
-        agent.steps = int(_bottom_entry(payload["steps"], version, name))
-    rng_states = payload.get("rng")
-    if rng_states is not None:
-        _set_rng_state(placer.top_agent, _top_entry(rng_states, version))
-        for name, agent in placer.bottom_agents.items():
-            _set_rng_state(agent, _bottom_entry(rng_states, version, name))
-
-
-def load_placer_tables(placer: MultiLevelPlacer, path: str | Path) -> None:
-    """Restore Q-tables saved by :func:`save_placer_tables`.
-
-    The placer must have the same group structure as the one saved.
-    Snapshots that carry RNG states (everything written since they were
-    introduced) restore them too, making a resumed run reproduce the
-    uninterrupted trajectory; older table-only and version-1 flat-key
-    snapshots still load.
-
-    Raises:
-        ValueError: if the saved group set does not match the placer's.
-    """
-    restore_placer_payload(placer, json.loads(Path(path).read_text()))
 
 
 # --------------------------------------------------------------- snapshots

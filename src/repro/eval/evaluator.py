@@ -463,12 +463,6 @@ class PlacementEvaluator:
 
     # ------------------------------------------------------------ utilities
 
-    def reset_counters(self) -> None:
-        """Zero the simulation/cache counters (cache content is kept)."""
-        self.sim_count = 0
-        self.cache_hits = 0
-        self.sim_failures = 0
-
     def clear_cache(self) -> None:
         """Drop memoised results (counters are kept)."""
         self._cache.clear()

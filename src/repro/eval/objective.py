@@ -75,11 +75,6 @@ class ObjectiveWeights:
                 "metric anchors the cost"
             )
 
-    @property
-    def is_default(self) -> bool:
-        """Whether this vector reproduces the historical scalar cost."""
-        return self == ObjectiveWeights()
-
     @classmethod
     def from_mapping(
         cls, data: Mapping[str, Any] | None

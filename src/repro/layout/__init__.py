@@ -16,7 +16,6 @@ from repro.layout.context import (
 from repro.layout.dummies import (
     active_units,
     dummy_area_overhead,
-    dummy_count,
     is_dummy,
     with_dummy_halo,
 )
@@ -24,7 +23,6 @@ from repro.layout.env import PlacementEnv
 from repro.layout.generators import (
     STYLES,
     banded_placement,
-    initial_placement,
     random_walk_placements,
 )
 from repro.layout.svg import placement_to_svg, save_placement_svg
@@ -61,10 +59,8 @@ __all__ = [
     "device_contexts_all",
     "device_labels",
     "dummy_area_overhead",
-    "dummy_count",
     "group_move_is_legal",
     "group_shape",
-    "initial_placement",
     "is_connected",
     "is_dummy",
     "legal_group_moves",

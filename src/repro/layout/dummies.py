@@ -65,11 +65,6 @@ def with_dummy_halo(placement: Placement, adjacency: int = 8) -> Placement:
     return out
 
 
-def dummy_count(placement: Placement) -> int:
-    """Number of dummy units in a placement."""
-    return sum(1 for u in placement.units if is_dummy(u))
-
-
 def dummy_area_overhead(placement: Placement) -> float:
     """Relative bounding-box area growth caused by the dummies.
 

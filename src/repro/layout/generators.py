@@ -127,11 +127,6 @@ def banded_placement(
     return placement
 
 
-def initial_placement(block: AnalogBlock) -> Placement:
-    """The optimizer's starting point: SFG-ordered sequential placement."""
-    return banded_placement(block, style="sequential")
-
-
 def random_walk_placements(
     block: AnalogBlock,
     count: int,

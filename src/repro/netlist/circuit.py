@@ -38,12 +38,6 @@ class Circuit:
         self._devices[device.name] = device
         return device
 
-    def add_all(self, devices: Mapping[str, Device] | list[Device]) -> None:
-        """Add several devices at once."""
-        items = devices.values() if isinstance(devices, Mapping) else devices
-        for device in items:
-            self.add(device)
-
     def copy_with(self, replacements: Mapping[str, Device] | None = None,
                   extra: list[Device] | None = None) -> "Circuit":
         """A new circuit with some devices replaced and/or appended.
@@ -80,10 +74,6 @@ class Circuit:
         if name not in self._devices:
             raise KeyError(f"no device named {name!r} in circuit {self.name!r}")
         return self._devices[name]
-
-    @property
-    def devices(self) -> tuple[Device, ...]:
-        return tuple(self._devices.values())
 
     def mosfets(self) -> tuple[Mosfet, ...]:
         """All MOSFETs, in insertion order."""

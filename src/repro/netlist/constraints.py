@@ -32,7 +32,7 @@ stages:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.netlist.circuit import Circuit
 from repro.netlist.devices import Capacitor, Device, Mosfet, Resistor

@@ -9,7 +9,7 @@ evaluation testbenches are ordinary circuits simulated by the same engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import ClassVar, Mapping
 
 
@@ -70,10 +70,6 @@ class Device:
     def is_placeable(self) -> bool:
         return False
 
-    def renamed(self, new_name: str) -> "Device":
-        """A copy of this device under another name."""
-        return replace(self, name=new_name)
-
 
 @dataclass(frozen=True)
 class Mosfet(Device):
@@ -118,10 +114,6 @@ class Mosfet(Device):
     def unit_width(self) -> float:
         """Drawn width of one unit finger [m]."""
         return self.width / self.n_units
-
-    def unit_names(self) -> tuple[str, ...]:
-        """Stable identifiers of this device's units, e.g. ``m1[0]``."""
-        return tuple(f"{self.name}[{i}]" for i in range(self.n_units))
 
 
 @dataclass(frozen=True)

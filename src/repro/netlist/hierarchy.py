@@ -157,11 +157,6 @@ class HierarchicalCircuit:
     def instances(self) -> tuple[Instance, ...]:
         return tuple(self._instances.values())
 
-    @property
-    def is_flat(self) -> bool:
-        """True when the deck uses no hierarchy at all."""
-        return not self._subckts and not self._instances
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HierarchicalCircuit):
             return NotImplemented

@@ -8,10 +8,8 @@ injected into the simulated netlist.
 
 from repro.route.estimator import (
     NetPinPlan,
-    net_hpwl,
     net_hpwls,
     net_pin_plan,
-    net_pin_positions,
     signal_nets,
     total_wirelength,
 )
@@ -20,10 +18,8 @@ from repro.route.parasitics import annotate_parasitics, parasitic_caps
 __all__ = [
     "NetPinPlan",
     "annotate_parasitics",
-    "net_hpwl",
     "net_hpwls",
     "net_pin_plan",
-    "net_pin_positions",
     "parasitic_caps",
     "signal_nets",
     "total_wirelength",

@@ -31,8 +31,7 @@ class NetPinPlan:
         nets: signal nets (non-rail, >= 2 placeable pins), in circuit
             net order.
         pins_by_net: every net → placeable device names pinning it, one
-            entry per (device, port) attachment in device order — exactly
-            the pin list :func:`net_pin_positions` produces.
+            entry per (device, port) attachment in device order.
     """
 
     def __init__(self, circuit: Circuit):
@@ -93,43 +92,6 @@ def net_pin_plan(circuit: Circuit) -> NetPinPlan:
 def signal_nets(circuit: Circuit) -> list[str]:
     """Nets that the router would actually route between placeable devices."""
     return list(net_pin_plan(circuit).nets)
-
-
-def net_pin_positions(
-    circuit: Circuit, placement: Placement, net: str, tech: Technology
-) -> list[tuple[float, float]]:
-    """Physical pin positions [m] of a net's placeable-device pins.
-
-    One pin per (device, port) attachment, at the device's unit centroid.
-    """
-    positions = []
-    pitch = tech.grid_pitch
-    for device, __ in circuit.net_devices(net):
-        if not device.is_placeable:
-            continue
-        cc, cr = placement.device_centroid(device.name)
-        positions.append(((cc + 0.5) * pitch, (cr + 0.5) * pitch))
-    return positions
-
-
-def _hpwl(
-    pins: tuple[str, ...],
-    centroids: dict[str, tuple[float, float]],
-    pitch: float,
-) -> float:
-    xs = [(centroids[name][0] + 0.5) * pitch for name in pins]
-    ys = [(centroids[name][1] + 0.5) * pitch for name in pins]
-    return (max(xs) - min(xs)) + (max(ys) - min(ys))
-
-
-def net_hpwl(
-    circuit: Circuit, placement: Placement, net: str, tech: Technology
-) -> float:
-    """Half-perimeter wirelength of one net [m] (0 for degenerate nets)."""
-    pins = net_pin_plan(circuit).pins_by_net.get(net, ())
-    if len(pins) < 2:
-        return 0.0
-    return _hpwl(pins, placement.device_centroids(), tech.grid_pitch)
 
 
 def net_hpwls(

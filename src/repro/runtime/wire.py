@@ -2,7 +2,8 @@
 
 Everything a :class:`~repro.runtime.cluster.ClusterBackend` puts on a
 TCP socket is defined here, in one place, so the protocol can be tested
-without any networking at all:
+on its own: the codecs without any socket, the framing over a
+``socket.socketpair()``:
 
 * **Framing** — length-prefixed JSON.  Each frame is a 4-byte
   big-endian length followed by that many bytes of UTF-8 JSON.  Frames
@@ -54,7 +55,6 @@ from typing import Any, Callable, Hashable
 
 from repro.core.persistence import tables_from_payload, tables_to_payload
 from repro.core.optimizer import PlacerResult
-from repro.eval.metrics import Metrics  # noqa: F401 — re-exported type
 from repro.runtime.faults import Fault, FaultPlan
 from repro.runtime.resilience import AttemptEnvelope, _execute_attempt
 from repro.runtime.spec import RunOutcome, RunSpec, execute_run
@@ -92,41 +92,6 @@ def encode_frame(payload: Any) -> bytes:
             f"{MAX_FRAME_BYTES}-byte limit"
         )
     return _HEADER.pack(len(body)) + body
-
-
-def decode_frame(data: bytes) -> Any:
-    """Decode exactly one complete frame from ``data``.
-
-    Raises:
-        FrameError: the buffer is torn (shorter than its declared
-            length), carries trailing bytes, declares an oversized
-            body, or the body is not valid JSON.
-    """
-    if len(data) < HEADER_BYTES:
-        raise FrameError(
-            f"torn frame: {len(data)} bytes is shorter than the "
-            f"{HEADER_BYTES}-byte header"
-        )
-    (length,) = _HEADER.unpack(data[:HEADER_BYTES])
-    if length > MAX_FRAME_BYTES:
-        raise FrameError(
-            f"frame declares {length} bytes, over the "
-            f"{MAX_FRAME_BYTES}-byte limit"
-        )
-    body = data[HEADER_BYTES:]
-    if len(body) < length:
-        raise FrameError(
-            f"torn frame: header declares {length} bytes, "
-            f"only {len(body)} present"
-        )
-    if len(body) > length:
-        raise FrameError(
-            f"frame carries {len(body) - length} trailing bytes"
-        )
-    try:
-        return json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FrameError(f"frame body is not valid JSON: {exc}") from exc
 
 
 def send_frame(sock: socket.socket, payload: Any) -> None:

@@ -39,7 +39,6 @@ from repro.service.requests import (
     metrics_to_dict,
     placement_from_dict,
     placement_to_dict,
-    request_from_json_dict,
 )
 
 #: Lazily-resolved exports → defining module (PEP 562).
@@ -86,7 +85,6 @@ __all__ = [
     "placement_from_dict",
     "placement_to_dict",
     "replay_journal",
-    "request_from_json_dict",
     "serve",
 ]
 

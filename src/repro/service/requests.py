@@ -7,8 +7,8 @@ This is the single wire format every entry point now speaks:
 * :class:`TrainRequest` — one island-model training campaign (``repro
   train``, ``/train``);
 * :class:`PlacementResult` — the one result shape a
-  :class:`~repro.runtime.spec.RunOutcome`, a fig3 row and a
-  :class:`~repro.train.campaign.CampaignResult` all normalize into.
+  :class:`~repro.runtime.spec.RunOutcome` and a
+  :class:`~repro.train.campaign.CampaignResult` both normalize into.
 
 Schemas are versioned (:data:`SCHEMA_VERSION`): payloads carry their
 version, readers accept anything up to the current one and reject newer
@@ -455,17 +455,16 @@ def metrics_from_dict(data: Mapping[str, Any] | None) -> Metrics | None:
 class PlacementResult:
     """The one result shape every placement entry point produces.
 
-    ``RunOutcome`` (single runs), fig3 rows and ``CampaignResult``
-    (training) all normalize into this via the ``from_*`` constructors;
+    ``RunOutcome`` (single runs) and ``CampaignResult`` (training)
+    normalize into this via the ``from_*`` constructors;
     the CLI renders it, the HTTP layer serialises it, and two entry
     points given the same request produce *equal* ``to_json_dict()``
     payloads — the serving contract.
 
     Attributes:
-        kind: producing entry point — ``"place"``, ``"train"`` or
-            ``"fig3"``.
+        kind: producing entry point — ``"place"`` or ``"train"``.
         circuit: circuit label.
-        placer: placer kind (or fig3 algorithm name).
+        placer: placer kind.
         seed: base RNG seed of the run.
         steps: step budget (per worker per round for campaigns).
         batch: agent-turn batch size.
@@ -614,33 +613,6 @@ class PlacementResult:
             detail=campaign,
         )
 
-    @classmethod
-    def from_fig3_row(cls, fig3_result, row, *,
-                      seed: int = 0, steps: int = 0,
-                      batch: int = 1) -> "PlacementResult":
-        """Normalize one row of a :class:`~repro.experiments.fig3.Fig3Result`."""
-        return cls(
-            kind="fig3",
-            circuit=fig3_result.circuit,
-            placer=row.algorithm,
-            seed=seed,
-            steps=steps,
-            batch=batch,
-            best_cost=float(row.metrics.primary_value),
-            initial_cost=None,
-            target=float(fig3_result.target),
-            reached_target=row.sims_to_target is not None,
-            sims_used=int(row.sims_total),
-            sims_to_target=(
-                None if row.sims_to_target is None else int(row.sims_to_target)
-            ),
-            history=[],
-            placement=placement_to_dict(row.placement),
-            metrics=metrics_to_dict(row.metrics),
-            params={"fom": float(row.fom)},
-            detail=fig3_result,
-        )
-
 
 def canonical_request_json(request: Any) -> str:
     """The canonical serialisation of a request: sorted keys, no spaces.
@@ -659,18 +631,3 @@ def canonical_request_hash(request: Any) -> str:
     """sha256 of :func:`canonical_request_json` — the dedup identity."""
     digest = hashlib.sha256(canonical_request_json(request).encode("utf-8"))
     return digest.hexdigest()
-
-
-def request_from_json_dict(data: Mapping[str, Any]):
-    """Dispatch a JSON payload to the right request class by shape.
-
-    Payloads carrying campaign fields (``workers``/``rounds``/
-    ``merge_how``/...) parse as :class:`TrainRequest`; everything else as
-    :class:`PlacementRequest`.  The HTTP layer routes by endpoint instead
-    and calls the classes directly; this helper is for generic clients.
-    """
-    train_only = {"workers", "rounds", "merge_how", "save_policy",
-                  "target_scale", "prune_min_visits", "prune_min_abs_q"}
-    if train_only & set(data):
-        return TrainRequest.from_json_dict(data)
-    return PlacementRequest.from_json_dict(data)

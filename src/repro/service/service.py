@@ -379,9 +379,8 @@ class PlacementService:
     ):
         """Run the paper's Fig. 3 comparison for one configured circuit.
 
-        Returns the full :class:`~repro.experiments.fig3.Fig3Result`
-        (thin CLI clients render it; rows normalize into
-        :class:`PlacementResult` via ``PlacementResult.from_fig3_row``).
+        Returns the full :class:`~repro.experiments.fig3.Fig3Result`,
+        which thin CLI clients render.
         """
         from repro.experiments import ALL_CONFIGS, run_fig3
 

@@ -34,7 +34,6 @@ from repro.sim.fastpath import (
     SolverTuning,
     get_solver_tuning,
     reset_solver_stats,
-    set_solver_tuning,
     solver_stats,
     solver_tuning,
 )
@@ -42,7 +41,6 @@ from repro.sim.measures import (
     bandwidth_3db,
     db,
     dc_gain,
-    gain_margin_db,
     phase_margin,
     supply_power,
     unity_gain_frequency,
@@ -76,12 +74,10 @@ __all__ = [
     "db",
     "dc_gain",
     "device_caps",
-    "gain_margin_db",
     "get_solver_tuning",
     "logspace_frequencies",
     "phase_margin",
     "reset_solver_stats",
-    "set_solver_tuning",
     "solver_stats",
     "solver_tuning",
     "solve_ac",

@@ -42,10 +42,6 @@ class AcResult:
             raise KeyError(f"no net named {net!r} in AC result")
         return self.node_voltages[net]
 
-    def differential(self, net_p: str, net_n: str) -> np.ndarray:
-        """Complex differential response ``v(net_p) - v(net_n)``."""
-        return self.transfer(net_p) - self.transfer(net_n)
-
 
 def logspace_frequencies(f_start: float, f_stop: float, points_per_decade: int = 10) -> np.ndarray:
     """Logarithmic frequency grid, SPICE ``dec`` style."""

@@ -54,7 +54,7 @@ from repro.netlist.devices import (
     VoltageSource,
 )
 from repro.netlist.nets import is_ground
-from repro.sim.fastpath import STATS, get_solver_tuning
+from repro.sim.fastpath import STATS
 from repro.sim.mosfet import (
     MosfetArrays,
     device_caps,

@@ -58,14 +58,6 @@ def get_solver_tuning() -> SolverTuning:
     return _tuning
 
 
-def set_solver_tuning(tuning: SolverTuning) -> None:
-    """Replace the process-wide fast-path configuration."""
-    global _tuning
-    if not isinstance(tuning, SolverTuning):
-        raise TypeError(f"expected SolverTuning, got {type(tuning)!r}")
-    _tuning = tuning
-
-
 @contextmanager
 def solver_tuning(**overrides) -> Iterator[SolverTuning]:
     """Scope tuning overrides to a ``with`` block.

@@ -89,20 +89,6 @@ def phase_margin_from(
     return 180.0 + math.degrees(phase_at_unity)
 
 
-def gain_margin_db(freqs: np.ndarray, transfer: np.ndarray) -> float | None:
-    """Gain margin [dB] at the -180° phase crossing, if any."""
-    phases = np.degrees(np.unwrap(np.angle(transfer)))
-    for k in range(1, len(phases)):
-        a, b = phases[k - 1], phases[k]
-        if a > -180.0 >= b:
-            frac = (a + 180.0) / (a - b)
-            mag = np.abs(transfer[k - 1]) + frac * (np.abs(transfer[k]) - np.abs(transfer[k - 1]))
-            if mag <= 0:
-                return None
-            return float(-db(mag))
-    return None
-
-
 def supply_power(voltage: float, branch_current: float) -> float:
     """Power delivered by a supply [W].
 

@@ -67,14 +67,6 @@ class Technology:
             return self.pmos
         raise ValueError(f"polarity must be +1 or -1, got {polarity}")
 
-    def cell_to_metres(self, cells: float) -> float:
-        """Convert a distance in grid cells to metres."""
-        return cells * self.grid_pitch
-
-    def unit_area(self) -> float:
-        """Silicon area of one unit device [m^2]."""
-        return self.unit_width * self.unit_length
-
     def cell_area(self) -> float:
         """Area of one placement grid cell [m^2]."""
         return self.grid_pitch * self.grid_pitch

@@ -6,7 +6,7 @@ process variation is a *deterministic spatial field* over the die plus
 deterministic field exactly — and nothing more.  This package provides:
 
 * :mod:`repro.variation.gradients` — composable spatial fields (linear,
-  quadratic, sinusoidal, radial) representing process gradients;
+  quadratic, sinusoidal) representing process gradients;
 * :mod:`repro.variation.lde` — neighbourhood effects: STI/LOD stress and
   well-proximity (WPE) threshold shifts keyed to a unit's surroundings;
 * :mod:`repro.variation.mismatch` — Pelgrom-law random mismatch;
@@ -18,30 +18,22 @@ from repro.variation.gradients import (
     CompositeField,
     LinearGradient,
     QuadraticGradient,
-    RadialGradient,
     ScalarField,
     SinusoidalGradient,
-    UniformField,
 )
-from repro.variation.corners import CORNERS, ProcessCorner, corner
 from repro.variation.lde import LodStressModel, UnitContext, WellProximityModel
 from repro.variation.mismatch import PelgromMismatch
 from repro.variation.model import DeviceDelta, VariationModel, default_variation_model
 
 __all__ = [
-    "CORNERS",
     "CompositeField",
     "DeviceDelta",
     "LinearGradient",
     "LodStressModel",
     "PelgromMismatch",
-    "ProcessCorner",
-    "corner",
     "QuadraticGradient",
-    "RadialGradient",
     "ScalarField",
     "SinusoidalGradient",
-    "UniformField",
     "UnitContext",
     "VariationModel",
     "WellProximityModel",

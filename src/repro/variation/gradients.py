@@ -8,7 +8,7 @@ so they compose freely through :class:`CompositeField`.
 The distinction the whole reproduction leans on:
 
 * a **linear** field is cancelled exactly by common-centroid placement;
-* **quadratic / sinusoidal / radial** fields are not — they are the
+* **quadratic / sinusoidal** fields are not — they are the
   "non-linear variation" of the paper's title and the reason unconventional
   placements can win.
 """
@@ -45,23 +45,6 @@ def field_values(
     if batch is not None:
         return batch(x, y)
     return np.array([field_.value(xi, yi) for xi, yi in zip(x, y)])
-
-
-@dataclass(frozen=True)
-class UniformField:
-    """A constant offset everywhere — shifts all devices equally.
-
-    Useful as a control: a uniform shift changes absolute performance but
-    can never create mismatch, so optimizers must be indifferent to it.
-    """
-
-    level: float = 0.0
-
-    def value(self, x: float, y: float) -> float:
-        return self.level
-
-    def values(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.full(np.shape(x), self.level)
 
 
 @dataclass(frozen=True)
@@ -153,36 +136,6 @@ class SinusoidalGradient:
 
 
 @dataclass(frozen=True)
-class RadialGradient:
-    """Gaussian bump/dip centred at ``(x0, y0)`` — a local hot spot.
-
-    ``value = amplitude * exp(-r^2 / (2 * sigma^2))``.
-    Models localized effects such as a nearby heater, a stress concentration
-    or thickness non-uniformity.
-    """
-
-    amplitude: float
-    sigma: float
-    x0: float = 0.0
-    y0: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-
-    def value(self, x: float, y: float) -> float:
-        dx = x - self.x0
-        dy = y - self.y0
-        return self.amplitude * math.exp(-(dx * dx + dy * dy) / (2.0 * self.sigma**2))
-
-    def values(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        dx = x - self.x0
-        dy = y - self.y0
-        return self.amplitude * np.exp(
-            -(dx * dx + dy * dy) / (2.0 * self.sigma**2))
-
-
-@dataclass(frozen=True)
 class CompositeField:
     """Sum of component fields.
 
@@ -202,23 +155,3 @@ class CompositeField:
         for f in self.fields:
             out = out + field_values(f, x, y)
         return out
-
-    def plus(self, other: ScalarField) -> "CompositeField":
-        """A new composite with one more component."""
-        return CompositeField((*self.fields, other))
-
-
-def field_span(field_: ScalarField, extent: float, samples: int = 21) -> float:
-    """Peak-to-peak field value over a square die ``[0, extent]^2``.
-
-    A diagnostic used by tests and examples to calibrate field magnitudes
-    (e.g. "the systematic V_th span across the canvas is ~8 mV").
-    """
-    if samples < 2:
-        raise ValueError("need at least 2 samples per axis")
-    values = [
-        field_.value(extent * i / (samples - 1), extent * j / (samples - 1))
-        for i in range(samples)
-        for j in range(samples)
-    ]
-    return max(values) - min(values)

@@ -62,17 +62,6 @@ class PelgromMismatch:
             float(rng.normal(0.0, self.sigma_beta(width, length))),
         )
 
-    def device_sigma_vth(self, width: float, length: float, n_units: int) -> float:
-        """Effective V_th sigma of ``n_units`` identical units in parallel.
-
-        Parallel units average their thresholds to first order, so the
-        device-level sigma shrinks by ``sqrt(n_units)`` — the familiar
-        "bigger device matches better" rule.
-        """
-        if n_units < 1:
-            raise ValueError(f"n_units must be >= 1, got {n_units}")
-        return self.sigma_vth(width, length) / math.sqrt(n_units)
-
     @staticmethod
     def _check_dims(width: float, length: float) -> None:
         if width <= 0 or length <= 0:

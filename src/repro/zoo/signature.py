@@ -50,18 +50,14 @@ class GroupSignature:
     members: tuple[tuple[int, int], ...]
     internal_pairs: int
 
-    @property
-    def coarse(self) -> tuple:
-        """The kind/polarity/arity tier (unit counts dropped)."""
-        return (self.kind, tuple(p for p, __ in self.members))
-
     def key(self) -> str:
         """Compact string form, e.g. ``"diff_pair|+1x3,+1x3|p1"``."""
         geom = ",".join(f"{p:+d}x{u}" for p, u in self.members)
         return f"{self.kind}|{geom}|p{self.internal_pairs}"
 
     def coarse_key(self) -> str:
-        """String form of :attr:`coarse`, e.g. ``"diff_pair|+1,+1"``."""
+        """The kind/polarity/arity tier (unit counts dropped), e.g.
+        ``"diff_pair|+1,+1"``."""
         return f"{self.kind}|{','.join(f'{p:+d}' for p, __ in self.members)}"
 
     @classmethod

@@ -7,11 +7,9 @@ import pytest
 
 from repro.core import MultiLevelPlacer, QTable
 from repro.core.persistence import (
-    load_placer_tables,
     load_tables_snapshot,
     qtable_from_dict,
     qtable_to_dict,
-    save_placer_tables,
     save_tables_snapshot,
     tables_from_payload,
     tables_to_payload,
@@ -19,11 +17,11 @@ from repro.core.persistence import (
 from repro.layout import PlacementEnv
 from repro.netlist import (
     AnalogBlock,
+    Circuit,
     Group,
     GroupKind,
     MatchedPair,
     Mosfet,
-    Circuit,
     SuperGroup,
     current_mirror,
     five_transistor_ota,
@@ -35,8 +33,7 @@ def area_objective(placement):
 
 
 def hostile_block() -> AnalogBlock:
-    """A block whose first group is literally named ``top`` — the name
-    that used to collide with the top agent's entries in flat payloads."""
+    """A block whose first group is literally named ``top``."""
     ckt = Circuit("hostile")
     kw = dict(polarity=+1, width=1e-6, length=0.5e-6, n_units=2)
     ckt.add(Mosfet("m1", {"d": "a", "g": "b", "s": "gnd", "b": "gnd"}, **kw))
@@ -52,6 +49,13 @@ def hostile_block() -> AnalogBlock:
         canvas=(4, 4),
         input_nets=("a",),
     )
+
+
+def snapshot_round_trip(placer, path):
+    """A placer's tables after a trip through a snapshot file."""
+    save_tables_snapshot(placer.export_tables(), path)
+    tables, _ = load_tables_snapshot(path)
+    return tables
 
 
 class TestQTableRoundTrip:
@@ -81,108 +85,58 @@ class TestPlacerRoundTrip:
         env = PlacementEnv(five_transistor_ota(), area_objective)
         placer = MultiLevelPlacer(env, seed=1)
         placer.optimize(max_steps=60)
-        path = tmp_path / "tables.json"
-        save_placer_tables(placer, path)
+        tables = snapshot_round_trip(placer, tmp_path / "tables.json")
 
-        env2 = PlacementEnv(five_transistor_ota(), area_objective)
-        fresh = MultiLevelPlacer(env2, seed=1)
-        load_placer_tables(fresh, path)
-
-        assert (fresh.top_agent.table.n_entries
-                == placer.top_agent.table.n_entries)
+        fresh = MultiLevelPlacer(
+            PlacementEnv(five_transistor_ota(), area_objective), seed=1)
+        fresh.warm_start_from(tables)
+        assert (sorted(fresh.top_agent.table.items())
+                == sorted(placer.top_agent.table.items()))
         for name, agent in placer.bottom_agents.items():
             twin = fresh.bottom_agents[name]
-            assert twin.table.n_entries == agent.table.n_entries
-            assert twin.steps == agent.steps
+            assert sorted(twin.table.items()) == sorted(agent.table.items())
 
     def test_resumed_placer_still_optimizes(self, tmp_path):
         env = PlacementEnv(five_transistor_ota(), area_objective)
         placer = MultiLevelPlacer(env, seed=1)
         placer.optimize(max_steps=40)
-        path = tmp_path / "tables.json"
-        save_placer_tables(placer, path)
+        tables = snapshot_round_trip(placer, tmp_path / "tables.json")
 
-        env2 = PlacementEnv(five_transistor_ota(), area_objective)
-        resumed = MultiLevelPlacer(env2, seed=2)
-        load_placer_tables(resumed, path)
+        resumed = MultiLevelPlacer(
+            PlacementEnv(five_transistor_ota(), area_objective), seed=2)
+        resumed.warm_start_from(tables)
         result = resumed.optimize(max_steps=40)
         assert result.best_cost <= result.initial_cost
-
-    def test_midrun_snapshot_resumes_identical_trajectory(self, tmp_path):
-        """Save mid-campaign, restore into a fresh placer, and the resumed
-        half runs *identically* to the uninterrupted one: snapshots carry
-        tables, schedule steps and RNG states — the whole learning state."""
-        # Uninterrupted: one placer, two optimize legs.
-        env_a = PlacementEnv(five_transistor_ota(), area_objective)
-        uninterrupted = MultiLevelPlacer(env_a, seed=13)
-        uninterrupted.optimize(max_steps=50)
-        second_leg = uninterrupted.optimize(max_steps=50)
-
-        # Interrupted: run the first leg, snapshot, resume elsewhere.
-        env_b = PlacementEnv(five_transistor_ota(), area_objective)
-        first = MultiLevelPlacer(env_b, seed=13)
-        first.optimize(max_steps=50)
-        path = tmp_path / "snapshot.json"
-        save_placer_tables(first, path)
-
-        env_c = PlacementEnv(five_transistor_ota(), area_objective)
-        resumed_placer = MultiLevelPlacer(env_c, seed=999)  # seed overwritten
-        load_placer_tables(resumed_placer, path)
-        resumed = resumed_placer.optimize(max_steps=50)
-
-        assert resumed.best_cost == second_leg.best_cost
-        assert resumed.steps == second_leg.steps
-        assert [c for __, c in resumed.history] == [
-            c for __, c in second_leg.history]
-        assert (resumed.best_placement.as_dict()
-                == second_leg.best_placement.as_dict())
-
-    def test_rng_state_round_trips(self, tmp_path):
-        env = PlacementEnv(five_transistor_ota(), area_objective)
-        placer = MultiLevelPlacer(env, seed=4)
-        placer.optimize(max_steps=25)
-        path = tmp_path / "tables.json"
-        save_placer_tables(placer, path)
-
-        twin = MultiLevelPlacer(
-            PlacementEnv(five_transistor_ota(), area_objective), seed=4)
-        load_placer_tables(twin, path)
-        assert (twin.top_agent.rng.bit_generator.state
-                == placer.top_agent.rng.bit_generator.state)
-        draws_a = placer.top_agent.rng.random(5).tolist()
-        draws_b = twin.top_agent.rng.random(5).tolist()
-        assert draws_a == draws_b
-
-    def test_table_only_snapshot_still_loads(self, tmp_path):
-        """Backward compatibility: snapshots without RNG states load fine."""
-        import json
-
-        env = PlacementEnv(five_transistor_ota(), area_objective)
-        placer = MultiLevelPlacer(env, seed=1)
-        placer.optimize(max_steps=20)
-        path = tmp_path / "tables.json"
-        save_placer_tables(placer, path)
-        payload = json.loads(path.read_text())
-        del payload["rng"]
-        path.write_text(json.dumps(payload))
-
-        fresh = MultiLevelPlacer(
-            PlacementEnv(five_transistor_ota(), area_objective), seed=1)
-        load_placer_tables(fresh, path)
-        assert (fresh.top_agent.table.n_entries
-                == placer.top_agent.table.n_entries)
 
     def test_group_mismatch_rejected(self, tmp_path):
         env = PlacementEnv(five_transistor_ota(), area_objective)
         placer = MultiLevelPlacer(env, seed=1)
         placer.optimize(max_steps=20)
-        path = tmp_path / "tables.json"
-        save_placer_tables(placer, path)
+        tables = snapshot_round_trip(placer, tmp_path / "tables.json")
 
-        other_env = PlacementEnv(current_mirror(), area_objective)
-        other = MultiLevelPlacer(other_env, seed=1)
-        with pytest.raises(ValueError, match="groups"):
-            load_placer_tables(other, path)
+        other = MultiLevelPlacer(
+            PlacementEnv(current_mirror(), area_objective), seed=1)
+        with pytest.raises(ValueError, match="unknown agents"):
+            other.warm_start_from(tables)
+
+
+class TestHostileGroupNames:
+    def test_group_named_top_does_not_corrupt_top_agent(self, tmp_path):
+        env = PlacementEnv(hostile_block(), area_objective)
+        placer = MultiLevelPlacer(env, seed=5)
+        placer.optimize(max_steps=40)
+        group_agent = placer.bottom_agents["top"]
+        assert placer.top_agent.table.n_entries > 0
+        assert group_agent.table.n_entries > 0
+
+        tables = snapshot_round_trip(placer, tmp_path / "tables.json")
+        twin = MultiLevelPlacer(
+            PlacementEnv(hostile_block(), area_objective), seed=99)
+        twin.warm_start_from(tables)
+        assert (sorted(twin.top_agent.table.items())
+                == sorted(placer.top_agent.table.items()))
+        assert (sorted(twin.bottom_agents["top"].table.items())
+                == sorted(group_agent.table.items()))
 
 
 class TestNumpyScalars:
@@ -210,89 +164,9 @@ class TestNumpyScalars:
         placer = MultiLevelPlacer(env, batch=3, seed=2)
         placer.optimize(max_steps=30)
         assert placer.top_agent.table.n_entries > 0
-        path = tmp_path / "tables.json"
-        save_placer_tables(placer, path)  # json.dumps under the hood
-        twin = MultiLevelPlacer(
-            PlacementEnv(five_transistor_ota(), area_objective), seed=2)
-        load_placer_tables(twin, path)
-        assert (sorted(twin.top_agent.table.items())
+        restored = snapshot_round_trip(placer, tmp_path / "tables.json")
+        assert (sorted(restored[("top",)].items())
                 == sorted(placer.top_agent.table.items()))
-
-
-class TestHostileGroupNames:
-    def test_group_named_top_does_not_corrupt_top_agent(self, tmp_path):
-        env = PlacementEnv(hostile_block(), area_objective)
-        placer = MultiLevelPlacer(env, seed=5)
-        placer.optimize(max_steps=40)
-        group_agent = placer.bottom_agents["top"]
-        assert placer.top_agent.steps != group_agent.steps  # distinct counters
-
-        path = tmp_path / "tables.json"
-        save_placer_tables(placer, path)
-        twin = MultiLevelPlacer(
-            PlacementEnv(hostile_block(), area_objective), seed=99)
-        load_placer_tables(twin, path)
-
-        assert twin.top_agent.steps == placer.top_agent.steps
-        assert twin.bottom_agents["top"].steps == group_agent.steps
-        assert (twin.top_agent.rng.bit_generator.state
-                == placer.top_agent.rng.bit_generator.state)
-        assert (twin.bottom_agents["top"].rng.bit_generator.state
-                == group_agent.rng.bit_generator.state)
-
-    def test_hostile_resume_reproduces_trajectory(self, tmp_path):
-        env_a = PlacementEnv(hostile_block(), area_objective)
-        uninterrupted = MultiLevelPlacer(env_a, seed=8)
-        uninterrupted.optimize(max_steps=30)
-        second_leg = uninterrupted.optimize(max_steps=30)
-
-        env_b = PlacementEnv(hostile_block(), area_objective)
-        first = MultiLevelPlacer(env_b, seed=8)
-        first.optimize(max_steps=30)
-        path = tmp_path / "snapshot.json"
-        save_placer_tables(first, path)
-        resumed_placer = MultiLevelPlacer(
-            PlacementEnv(hostile_block(), area_objective), seed=1234)
-        load_placer_tables(resumed_placer, path)
-        resumed = resumed_placer.optimize(max_steps=30)
-
-        assert resumed.best_cost == second_leg.best_cost
-        # sims counters restart on the resumed placer; costs must match.
-        assert [c for __, c in resumed.history] == [
-            c for __, c in second_leg.history]
-
-    def test_legacy_flat_payload_still_loads(self, tmp_path):
-        """Version-1 snapshots (flat steps/rng keyed by group name beside
-        'top') load with the historical lookup."""
-        env = PlacementEnv(five_transistor_ota(), area_objective)
-        placer = MultiLevelPlacer(env, seed=3)
-        placer.optimize(max_steps=25)
-        payload = {
-            "top": qtable_to_dict(placer.top_agent.table),
-            "bottom": {
-                name: qtable_to_dict(agent.table)
-                for name, agent in placer.bottom_agents.items()
-            },
-            "steps": {
-                "top": placer.top_agent.steps,
-                **{name: agent.steps
-                   for name, agent in placer.bottom_agents.items()},
-            },
-            "rng": {
-                "top": placer.top_agent.rng.bit_generator.state,
-                **{name: agent.rng.bit_generator.state
-                   for name, agent in placer.bottom_agents.items()},
-            },
-        }
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps(payload))
-
-        twin = MultiLevelPlacer(
-            PlacementEnv(five_transistor_ota(), area_objective), seed=3)
-        load_placer_tables(twin, path)
-        assert twin.top_agent.steps == placer.top_agent.steps
-        for name, agent in placer.bottom_agents.items():
-            assert twin.bottom_agents[name].steps == agent.steps
 
 
 class TestTablesSnapshots:

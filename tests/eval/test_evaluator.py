@@ -74,15 +74,6 @@ class TestDeterminismAndCache:
         ev.evaluate(banded_placement(ev.block, "ysym"))
         assert ev.sim_count == 2
 
-    def test_reset_counters(self):
-        ev = PlacementEvaluator(current_mirror())
-        ev.evaluate(banded_placement(ev.block, "sequential"))
-        ev.sim_failures = 3  # as if some runs had failed to converge
-        ev.reset_counters()
-        assert ev.sim_count == 0
-        assert ev.cache_hits == 0
-        assert ev.sim_failures == 0
-
     def test_lru_eviction_keeps_hot_entries(self):
         ev = PlacementEvaluator(current_mirror(), cache_size=2)
         hot = banded_placement(ev.block, "sequential")

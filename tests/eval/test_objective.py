@@ -17,7 +17,6 @@ class TestValidation:
     def test_defaults(self):
         w = ObjectiveWeights()
         assert (w.matching, w.area, w.noise, w.parasitics) == (1, 1, 0, 0)
-        assert w.is_default
 
     def test_from_mapping_roundtrip_and_empty(self):
         assert ObjectiveWeights.from_mapping({}) == ObjectiveWeights()
@@ -25,7 +24,7 @@ class TestValidation:
         w = ObjectiveWeights.from_mapping(
             {"matching": 2.0, "noise": 0.5})
         assert (w.matching, w.noise) == (2.0, 0.5)
-        assert not w.is_default
+        assert w != ObjectiveWeights()
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="speed"):

@@ -7,7 +7,6 @@ from repro.layout.dummies import (
     DUMMY_DEVICE,
     active_units,
     dummy_area_overhead,
-    dummy_count,
     is_dummy,
     with_dummy_halo,
 )
@@ -31,7 +30,7 @@ class TestHalo:
         # 3 active cells in a row: halo = 3 above + 3 below + 2 left/right
         # columns x 3 rows minus the corners already counted... simply:
         # bounding box grows to 5x3 = 15 cells, 3 active -> 12 dummies.
-        assert dummy_count(haloed) == 12
+        assert len(haloed) - len(active_units(haloed)) == 12
         assert len(active_units(haloed)) == 3
 
     def test_original_untouched(self, row):
@@ -50,7 +49,7 @@ class TestHalo:
         p.place(("m", 0), (0, 0))
         haloed = with_dummy_halo(p)
         # Corner cell: only 3 in-bounds neighbours.
-        assert dummy_count(haloed) == 3
+        assert len(haloed) - len(active_units(haloed)) == 3
 
     def test_double_halo_rejected(self, row):
         haloed = with_dummy_halo(row)
@@ -60,7 +59,7 @@ class TestHalo:
     def test_four_adjacency_halo_smaller(self, row):
         eight = with_dummy_halo(row, adjacency=8)
         four = with_dummy_halo(row, adjacency=4)
-        assert dummy_count(four) < dummy_count(eight)
+        assert len(four) < len(eight)  # same active units in both
 
     def test_deterministic(self, row):
         a = with_dummy_halo(row)

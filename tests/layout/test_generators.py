@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.layout import banded_placement, initial_placement, is_connected
+from repro.layout import PlacementEnv, banded_placement, is_connected
 from repro.netlist import (
     comparator,
     current_mirror,
@@ -116,7 +116,8 @@ class TestStyleGeometry:
 
     def test_initial_placement_is_sequential(self):
         block = comparator()
-        assert (initial_placement(block).signature()
+        env = PlacementEnv(block, lambda placement: 0.0)
+        assert (env.placement.signature()
                 == banded_placement(block, "sequential").signature())
 
     def test_deterministic(self):

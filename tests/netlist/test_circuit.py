@@ -41,14 +41,6 @@ class TestBuild:
         names = [d.name for d in simple_circuit()]
         assert names == ["vvdd", "vin", "rload", "m1"]
 
-    def test_add_all_list(self):
-        ckt = Circuit("c")
-        ckt.add_all([
-            VoltageSource("v1", {"p": "a", "n": "gnd"}),
-            Resistor("r1", {"a": "a", "b": "gnd"}),
-        ])
-        assert len(ckt) == 2
-
 
 class TestQueries:
     def test_nets_first_touch_order(self):

@@ -26,9 +26,6 @@ class TestMosfet:
         m = nmos(width=4e-6, n_units=4)
         assert m.unit_width == pytest.approx(1e-6)
 
-    def test_unit_names(self):
-        assert nmos(n_units=2).unit_names() == ("m1[0]", "m1[1]")
-
     def test_polarity_predicates(self):
         assert nmos(polarity=+1).is_nmos
         assert not nmos(polarity=+1).is_pmos
@@ -60,11 +57,6 @@ class TestMosfet:
     def test_invalid_name_rejected(self):
         with pytest.raises(ValueError, match="invalid"):
             nmos(name="m 1")
-
-    def test_renamed(self):
-        m = nmos().renamed("m2")
-        assert m.name == "m2"
-        assert m.width == nmos().width
 
     def test_unknown_port_lookup(self):
         with pytest.raises(KeyError):

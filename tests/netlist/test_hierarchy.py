@@ -84,7 +84,6 @@ class TestFlatten:
     def test_flatten_of_flat_circuit_is_identity(self):
         hc = HierarchicalCircuit("plain")
         hc.add(_nmos("m1", "d1", "g1", "gnd"))
-        assert hc.is_flat
         flat = hc.flatten()
         assert isinstance(flat, Flattened) and flat.scopes == ()
         assert {d.name for d in flat.circuit} == {"m1"}

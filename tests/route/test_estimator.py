@@ -4,7 +4,7 @@ import pytest
 
 from repro.layout import banded_placement
 from repro.netlist import current_mirror, five_transistor_ota
-from repro.route import net_hpwl, net_pin_positions, signal_nets, total_wirelength
+from repro.route import net_hpwls, net_pin_plan, signal_nets, total_wirelength
 from repro.tech import generic_tech_40
 
 TECH = generic_tech_40()
@@ -35,26 +35,25 @@ class TestSignalNets:
 class TestHpwl:
     def test_pin_positions_per_attachment(self):
         block = five_transistor_ota()
-        placement = banded_placement(block, "sequential")
         # Net "x": m1 drain + mp1 drain + mp1 gate + mp2 gate = 4 pins
         # (3 devices, mp1 attached twice).
-        pins = net_pin_positions(block.circuit, placement, "x", TECH)
-        assert len(pins) == 4
+        assert len(net_pin_plan(block.circuit).pins_by_net["x"]) == 4
 
     def test_hpwl_zero_for_degenerate(self):
+        # A net on a single placeable device is not routed: no HPWL.
         block = five_transistor_ota()
         placement = banded_placement(block, "sequential")
-        assert net_hpwl(block.circuit, placement, "vip", TECH) == 0.0
+        assert "vip" not in net_hpwls(block.circuit, placement, TECH)
 
     def test_hpwl_positive_for_spanning_net(self):
         block = five_transistor_ota()
         placement = banded_placement(block, "sequential")
-        assert net_hpwl(block.circuit, placement, "tail", TECH) > 0
+        assert net_hpwls(block.circuit, placement, TECH)["tail"] > 0
 
     def test_hpwl_shrinks_when_devices_close(self):
         block = current_mirror()
         near = banded_placement(block, "sequential")
-        hp_near = net_hpwl(block.circuit, near, "bias", TECH)
+        hp_near = net_hpwls(block.circuit, near, TECH)["bias"]
         # Spread the mirror apart: move mo2's units to the far corner area.
         far = near.copy()
         free = [
@@ -65,15 +64,13 @@ class TestHpwl:
         ]
         targets = {("mo2", k): free[-(k + 1)] for k in range(4)}
         far.move_many(targets)
-        hp_far = net_hpwl(block.circuit, far, "bias", TECH)
+        hp_far = net_hpwls(block.circuit, far, TECH)["bias"]
         assert hp_far > hp_near
 
     def test_total_wirelength_sums_nets(self):
         block = five_transistor_ota()
         placement = banded_placement(block, "sequential")
         total = total_wirelength(block.circuit, placement, TECH)
-        parts = sum(
-            net_hpwl(block.circuit, placement, n, TECH)
-            for n in signal_nets(block.circuit)
-        )
+        hpwls = net_hpwls(block.circuit, placement, TECH)
+        parts = sum(hpwls[n] for n in signal_nets(block.circuit))
         assert total == pytest.approx(parts)

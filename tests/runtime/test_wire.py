@@ -1,15 +1,18 @@
 """Property tests for the cluster wire protocol.
 
-The protocol is pure functions over bytes and dicts, so everything here
-runs without a socket (plus a few socketpair cases for the stream side):
-frames round-trip or raise :class:`FrameError` — they never silently
-truncate — and a :class:`RunSpec` that crosses the wire is *equal* to
-the one that was sent, off-schema fields included.  That identity is
-the foundation of the serial ≡ pool ≡ cluster guarantee.
+The codecs are pure functions over dicts, so their tests run without a
+socket; the framing tests read through :func:`recv_frame` over a
+``socket.socketpair()``, the reader the cluster uses.  Frames
+round-trip or raise :class:`FrameError` — they never silently truncate
+— and a :class:`RunSpec` that crosses the wire is *equal* to the one
+that was sent, off-schema fields included.  That identity is the
+foundation of the serial ≡ pool ≡ cluster guarantee.
 """
 
 import json
 import socket
+import threading
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +22,6 @@ from repro.runtime.wire import (
     HEADER_BYTES,
     MAX_FRAME_BYTES,
     FrameError,
-    decode_frame,
     decode_key,
     encode_frame,
     encode_key,
@@ -89,30 +91,59 @@ def specs(draw):
     )
 
 
+@contextmanager
+def stream(data: bytes):
+    """A socket that reads ``data`` and then a clean EOF.
+
+    A thread writes the bytes: a payload larger than the socket buffer
+    would block ``sendall`` until the reader drains it.
+    """
+    writer, reader = socket.socketpair()
+
+    def feed():
+        try:
+            writer.sendall(data)
+            writer.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass  # the reader closed early; the test reports why
+
+    thread = threading.Thread(target=feed)
+    thread.start()
+    try:
+        yield reader
+    finally:
+        reader.close()
+        thread.join(timeout=10)
+        writer.close()
+    assert not thread.is_alive()
+
+
 class TestFraming:
     @given(json_values)
     @settings(max_examples=60, deadline=None)
     def test_round_trip_identity(self, payload):
-        assert decode_frame(encode_frame(payload)) == payload
+        with stream(encode_frame(payload)) as sock:
+            assert recv_frame(sock) == payload
+            assert recv_frame(sock) is None
 
     @given(json_values, st.data())
     @settings(max_examples=60, deadline=None)
     def test_torn_frame_rejected(self, payload, data):
         frame = encode_frame(payload)
-        cut = data.draw(st.integers(min_value=0, max_value=len(frame) - 1))
-        with pytest.raises(FrameError, match="torn"):
-            decode_frame(frame[:cut])
+        # An empty stream is a clean EOF, not a torn frame.
+        cut = data.draw(st.integers(min_value=1, max_value=len(frame) - 1))
+        with stream(frame[:cut]) as sock:
+            with pytest.raises(FrameError, match="mid-frame|between"):
+                recv_frame(sock)
 
     @given(json_values)
     @settings(max_examples=30, deadline=None)
     def test_trailing_bytes_rejected(self, payload):
-        with pytest.raises(FrameError, match="trailing"):
-            decode_frame(encode_frame(payload) + b"x")
-
-    def test_oversized_declaration_rejected(self):
-        header = (MAX_FRAME_BYTES + 1).to_bytes(HEADER_BYTES, "big")
-        with pytest.raises(FrameError, match="limit"):
-            decode_frame(header)
+        # A stray byte after a frame starts a next frame that never ends.
+        with stream(encode_frame(payload) + b"x") as sock:
+            assert recv_frame(sock) == payload
+            with pytest.raises(FrameError, match="mid-frame"):
+                recv_frame(sock)
 
     def test_oversized_body_rejected_on_encode(self, monkeypatch):
         monkeypatch.setattr("repro.runtime.wire.MAX_FRAME_BYTES", 16)
@@ -122,8 +153,9 @@ class TestFraming:
     def test_non_json_body_rejected(self):
         body = b"\xff\xfe not json"
         frame = len(body).to_bytes(HEADER_BYTES, "big") + body
-        with pytest.raises(FrameError, match="JSON"):
-            decode_frame(frame)
+        with stream(frame) as sock:
+            with pytest.raises(FrameError, match="JSON"):
+                recv_frame(sock)
 
 
 class TestStreamFraming:

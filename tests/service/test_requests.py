@@ -15,7 +15,6 @@ from repro.service import (
     metrics_to_dict,
     placement_from_dict,
     placement_to_dict,
-    request_from_json_dict,
 )
 
 
@@ -100,16 +99,6 @@ class TestTrainRequestSchema:
         payload = {"circuit": "cm", field: value}
         with pytest.raises(TypeError, match=field):
             TrainRequest.from_json_dict(payload)
-
-    def test_dispatch_by_shape(self):
-        assert isinstance(
-            request_from_json_dict({"circuit": "cm", "workers": 2}),
-            TrainRequest,
-        )
-        assert isinstance(
-            request_from_json_dict({"circuit": "cm", "steps": 10}),
-            PlacementRequest,
-        )
 
 
 class TestPlacementCodec:

@@ -101,11 +101,6 @@ class TestCommonSourceAmp:
         # Device output conductance and junction caps shift it slightly.
         assert bw == pytest.approx(f_expected, rel=0.30)
 
-    def test_differential_helper(self):
-        diff = self.result.differential("out", "in")
-        single = self.result.transfer("out") - self.result.transfer("in")
-        assert np.allclose(diff, single)
-
 
 class TestValidation:
     def test_frequency_grid_validation(self):

@@ -9,7 +9,6 @@ from repro.sim import (
     bandwidth_3db,
     db,
     dc_gain,
-    gain_margin_db,
     phase_margin,
     supply_power,
     unity_gain_frequency,
@@ -72,20 +71,6 @@ class TestTwoPole:
         h = two_pole(FREQS, a0=1000.0, fp1=1e4, fp2=1e7)
         pm = phase_margin(FREQS, h)
         assert pm == pytest.approx(52.0, abs=4.0)
-
-    def test_gain_margin_exists_for_two_pole_with_delay(self):
-        # A two-pole system never quite reaches -180, so no gain margin.
-        h = two_pole(FREQS)
-        assert gain_margin_db(FREQS, h) is None
-
-    def test_three_pole_gain_margin(self):
-        # Phase hits -180 at f = 1e6 where |H| = a0/200; with a0 = 100 the
-        # gain margin is +20*log10(2) = 6 dB.
-        h = 100.0 / ((1 + 1j * FREQS / 1e4)
-                     * (1 + 1j * FREQS / 1e6)
-                     * (1 + 1j * FREQS / 1e6))
-        gm = gain_margin_db(FREQS, h)
-        assert gm == pytest.approx(6.0, abs=1.0)
 
 
 class TestBandwidthEdgeCases:

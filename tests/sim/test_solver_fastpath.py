@@ -35,7 +35,7 @@ from repro.sim import (
     solver_tuning,
 )
 from repro.tech import generic_tech_40
-from repro.variation import DeviceDelta, corner
+from repro.variation import DeviceDelta
 
 BUILDERS = {
     "cm": current_mirror,
@@ -59,11 +59,12 @@ REFERENCE = dict(jacobian_reuse=False, op_cache=False)
 def _delta_regimes(block):
     """Nominal, corner-shifted and randomly varied device deltas."""
     mosfets = list(block.circuit.mosfets())
-    ss = corner("ss")
+    # Slow-slow: +30 mV of threshold and -8 % of beta, both polarities.
+    ss = DeviceDelta(dvth=0.030, dbeta_rel=-0.08)
     rng = np.random.default_rng(7)
     return {
         "nominal": {},
-        "corner": {m.name: ss.delta_for(m.polarity) for m in mosfets},
+        "corner": {m.name: ss for m in mosfets},
         "random": {
             m.name: DeviceDelta(
                 dvth=float(rng.normal(0.0, 5e-3)),

@@ -27,12 +27,6 @@ class TestGenericTech40:
         with pytest.raises(ValueError, match="polarity"):
             tech.params_for(0)
 
-    def test_cell_to_metres(self, tech):
-        assert tech.cell_to_metres(3) == pytest.approx(3 * tech.grid_pitch)
-
-    def test_unit_area(self, tech):
-        assert tech.unit_area() == pytest.approx(tech.unit_width * tech.unit_length)
-
     def test_cell_area(self, tech):
         assert tech.cell_area() == pytest.approx(tech.grid_pitch**2)
 

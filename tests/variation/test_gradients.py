@@ -1,7 +1,5 @@
 """Unit + property tests for spatial gradient fields."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,22 +7,10 @@ from repro.variation import (
     CompositeField,
     LinearGradient,
     QuadraticGradient,
-    RadialGradient,
     SinusoidalGradient,
-    UniformField,
 )
-from repro.variation.gradients import field_span
 
 coords = st.floats(min_value=-1e-3, max_value=1e-3, allow_nan=False)
-
-
-class TestUniformField:
-    @given(coords, coords)
-    def test_constant_everywhere(self, x, y):
-        assert UniformField(0.005).value(x, y) == 0.005
-
-    def test_zero_default(self):
-        assert UniformField().value(1.0, 2.0) == 0.0
 
 
 class TestLinearGradient:
@@ -102,41 +88,14 @@ class TestSinusoidalGradient:
         assert f.value(0.5, 0.0) == pytest.approx(f.value(0.5, 123.0))
 
 
-class TestRadialGradient:
-    def test_peak_at_centre(self):
-        f = RadialGradient(amplitude=2.0, sigma=1.0, x0=1.0, y0=1.0)
-        assert f.value(1.0, 1.0) == pytest.approx(2.0)
-
-    def test_decay(self):
-        f = RadialGradient(amplitude=2.0, sigma=1.0)
-        assert f.value(0.0, 0.0) > f.value(1.0, 0.0) > f.value(2.0, 0.0) > 0.0
-
-    def test_isotropy(self):
-        f = RadialGradient(amplitude=1.0, sigma=0.7)
-        r = 1.3
-        assert f.value(r, 0.0) == pytest.approx(f.value(0.0, r))
-        assert f.value(r / math.sqrt(2), r / math.sqrt(2)) == pytest.approx(
-            f.value(r, 0.0)
-        )
-
-    def test_bad_sigma_rejected(self):
-        with pytest.raises(ValueError, match="sigma"):
-            RadialGradient(amplitude=1.0, sigma=0.0)
-
-
 class TestCompositeField:
     def test_empty_is_zero(self):
         assert CompositeField().value(5.0, -3.0) == 0.0
 
     def test_sum_of_components(self):
-        f = CompositeField((UniformField(1.0), UniformField(2.5)))
-        assert f.value(0.0, 0.0) == pytest.approx(3.5)
-
-    def test_plus_returns_new(self):
-        base = CompositeField((UniformField(1.0),))
-        extended = base.plus(UniformField(1.0))
-        assert base.value(0, 0) == 1.0
-        assert extended.value(0, 0) == 2.0
+        f = CompositeField((LinearGradient(gx=1.0, gy=0.0),
+                            LinearGradient(gx=0.0, gy=2.5)))
+        assert f.value(1.0, 1.0) == pytest.approx(3.5)
 
     @given(coords, coords)
     def test_matches_manual_sum(self, x, y):
@@ -146,16 +105,3 @@ class TestCompositeField:
         )
         f = CompositeField(parts)
         assert f.value(x, y) == pytest.approx(sum(p.value(x, y) for p in parts))
-
-
-class TestFieldSpan:
-    def test_uniform_has_zero_span(self):
-        assert field_span(UniformField(3.0), extent=1.0) == 0.0
-
-    def test_linear_span(self):
-        f = LinearGradient(gx=1.0, gy=0.0)
-        assert field_span(f, extent=2.0) == pytest.approx(2.0)
-
-    def test_needs_two_samples(self):
-        with pytest.raises(ValueError, match="samples"):
-            field_span(UniformField(), extent=1.0, samples=1)

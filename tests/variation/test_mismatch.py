@@ -23,15 +23,6 @@ class TestSigmas:
         sigma = self.model.sigma_vth(1e-6, 0.15e-6)
         assert 1e-3 < sigma < 20e-3
 
-    def test_device_sigma_shrinks_with_units(self):
-        one = self.model.device_sigma_vth(1e-6, 1e-6, n_units=1)
-        four = self.model.device_sigma_vth(1e-6, 1e-6, n_units=4)
-        assert four == pytest.approx(one / 2)
-
-    def test_zero_units_rejected(self):
-        with pytest.raises(ValueError, match="n_units"):
-            self.model.device_sigma_vth(1e-6, 1e-6, n_units=0)
-
     def test_bad_dimensions_rejected(self):
         with pytest.raises(ValueError, match="dimensions"):
             self.model.sigma_vth(0.0, 1e-6)

@@ -14,7 +14,14 @@ from repro.variation import (
     WellProximityModel,
     default_variation_model,
 )
-from repro.variation.gradients import CompositeField, field_span
+from repro.variation.gradients import field_values
+
+
+def field_span(field_, extent):
+    """Peak-to-peak of a field over a 21 x 21 grid on ``[0, extent]^2``."""
+    x, y = np.meshgrid(np.linspace(0.0, extent, 21),
+                       np.linspace(0.0, extent, 21))
+    return np.ptp(field_values(field_, x.ravel(), y.ravel()))
 
 
 def ctx_at(x_um, y_um, **kw):
