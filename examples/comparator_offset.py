@@ -25,7 +25,6 @@ from repro import (
     generic_tech_40,
 )
 from repro.layout import device_contexts
-from repro.sim.mosfet import terminal_currents
 
 
 def mc_offsets(block, placement, n_runs: int = 60, seed: int = 0) -> np.ndarray:

@@ -43,11 +43,10 @@ from repro.layout.generators import (
     random_walk_placements,
 )
 from repro.layout.render import render_placement
-from repro.layout.svg import save_placement_svg
-from repro.netlist.spice import to_spice
 from repro.route.parasitics import annotate_parasitics
 from repro.runtime import make_backend
 from repro.service import PlacementRequest, TrainRequest, default_registry
+from repro.service.service import PlacementService
 from repro.sim import reset_solver_stats, solve_ac, solve_dc, solver_stats
 from repro.tech import generic_tech_40
 
@@ -96,8 +95,6 @@ def _backend_from_args(args):
 
 def _make_service(args, registry=None):
     """A :class:`PlacementService` configured from common CLI flags."""
-    from repro.service.service import PlacementService
-
     return PlacementService(
         registry=registry,
         backend=_backend_from_args(args),
@@ -458,6 +455,8 @@ def _cmd_ablation(args) -> int:
 
 
 def _cmd_spice(args) -> int:
+    from repro.netlist.spice import to_spice
+
     block = CIRCUITS[args.circuit]()
     sys.stdout.write(to_spice(block.circuit, generic_tech_40()))
     return 0
@@ -481,6 +480,8 @@ def _cmd_place(args) -> int:
           f"({result.sims_used} total)")
     print(render_placement(placement, block.circuit))
     if args.svg:
+        from repro.layout.svg import save_placement_svg
+
         save_placement_svg(placement, block.circuit, args.svg)
         print(f"wrote {args.svg}")
     return 0
@@ -522,6 +523,8 @@ def _cmd_train(args) -> int:
     if result.policy:
         print(f"stored policy {result.policy}")
     if args.svg:
+        from repro.layout.svg import save_placement_svg
+
         save_placement_svg(placement, block.circuit, args.svg)
         print(f"wrote {args.svg}")
     return 0
@@ -530,7 +533,6 @@ def _cmd_train(args) -> int:
 def _cmd_serve(args) -> int:
     from repro.runtime.resilience import RetryPolicy
     from repro.service.http import serve
-    from repro.service.service import PlacementService
 
     retry = None
     if args.retries > 0 or args.attempt_timeout is not None:

@@ -12,24 +12,31 @@ bookkeeping (best quality, simulations used, sims-to-target, convergence
 history).  Each placer supplies only its agent turns.
 """
 
-from repro.core.annealing import SimulatedAnnealingPlacer
-from repro.core.hierarchy import FlatQPlacer, MultiLevelPlacer
-from repro.core.optimizer import (
-    BudgetTracker,
-    Outcome,
-    Placer,
-    PlacerResult,
-    Proposal,
-    ProposingAgent,
-    price_proposals,
-)
-from repro.core.persistence import (
-    load_tables_snapshot,
-    save_tables_snapshot,
-)
-from repro.core.policy import EpsilonSchedule, epsilon_greedy, epsilon_greedy_topk
-from repro.core.qlearning import MergeStats, QAgent, QTable
-from repro.core.rewards import RewardConfig, shaped_reward
+#: Export → defining module (PEP 562): exports load on first access, so
+#: a Q-learning run does not load simulated annealing or
+#: the policy-file codec.
+_LAZY = {
+    "SimulatedAnnealingPlacer": "repro.core.annealing",
+    "FlatQPlacer": "repro.core.hierarchy",
+    "MultiLevelPlacer": "repro.core.hierarchy",
+    "BudgetTracker": "repro.core.optimizer",
+    "Outcome": "repro.core.optimizer",
+    "Placer": "repro.core.optimizer",
+    "PlacerResult": "repro.core.optimizer",
+    "Proposal": "repro.core.optimizer",
+    "ProposingAgent": "repro.core.optimizer",
+    "price_proposals": "repro.core.optimizer",
+    "load_tables_snapshot": "repro.core.persistence",
+    "save_tables_snapshot": "repro.core.persistence",
+    "EpsilonSchedule": "repro.core.policy",
+    "epsilon_greedy": "repro.core.policy",
+    "epsilon_greedy_topk": "repro.core.policy",
+    "MergeStats": "repro.core.qlearning",
+    "QAgent": "repro.core.qlearning",
+    "QTable": "repro.core.qlearning",
+    "RewardConfig": "repro.core.rewards",
+    "shaped_reward": "repro.core.rewards",
+}
 
 __all__ = [
     "BudgetTracker",
@@ -53,3 +60,12 @@ __all__ = [
     "save_tables_snapshot",
     "shaped_reward",
 ]
+
+
+def __getattr__(name: str):
+    module_name = _LAZY.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(module_name), name)

@@ -33,9 +33,12 @@ from repro.layout.env import PlacementEnv
 class _SaTurn:
     """One annealing turn as a :class:`ProposingAgent`.
 
-    ``propose`` draws up to ``k`` random legal moves (the first draw is
-    exactly the classic single proposal); ``observe`` Metropolis-tests
-    the priced candidates in order and commits the first acceptance.
+    ``propose`` draws up to ``k`` random legal moves from the current
+    placement (the first draw is exactly the classic single proposal),
+    snapshots the speculative ones and applies the first on the live
+    placement; ``observe`` Metropolis-tests the priced candidates in
+    order and commits the first acceptance, undoing the first draw
+    unless that is the one accepted.
     """
 
     def __init__(self, placer: "SimulatedAnnealingPlacer"):
@@ -44,9 +47,9 @@ class _SaTurn:
     def _apply(self, action) -> None:
         kind, group, local, direction = action
         if kind == "group":
-            self.placer.env.step_group(group, direction)
+            self.placer.env.move_group(group, direction)
         else:
-            self.placer.env.step_unit(group, local, direction)
+            self.placer.env.move_unit(group, local, direction)
 
     def _undo(self, action) -> None:
         kind, group, local, direction = action
@@ -57,23 +60,31 @@ class _SaTurn:
 
     def propose(self, k: int) -> list[Proposal]:
         placer = self.placer
-        proposals: list[Proposal] = []
+        actions = []
         for __ in range(k):
             action = placer._propose()
             if action is None:
                 break
+            actions.append(action)
+        if not actions:
+            return []
+        speculative = []
+        for action in actions[1:]:
             self._apply(action)
-            proposals.append(Proposal(
+            speculative.append(Proposal(
                 action=action, placement=placer.env.placement.copy(),
             ))
             self._undo(action)
-        return proposals
+        self._apply(actions[0])
+        return [Proposal(action=actions[0], placement=placer.env.placement),
+                *speculative]
 
     def observe(self, outcomes: Sequence[Outcome]) -> float:
         placer = self.placer
         cost = placer.turn_cost
         placer.proposed += len(outcomes)
-        for outcome in outcomes:
+        first = outcomes[0].proposal.action
+        for i, outcome in enumerate(outcomes):
             delta = outcome.cost - cost
             accept = (
                 delta <= 0
@@ -82,8 +93,11 @@ class _SaTurn:
             )
             if accept:
                 placer.accepted += 1
-                self._apply(outcome.proposal.action)
+                if i:
+                    self._undo(first)
+                    self._apply(outcome.proposal.action)
                 return outcome.cost
+        self._undo(first)
         return cost
 
 

@@ -15,17 +15,21 @@ are performed in an interleaved manner, ensuring conflict-free movement
 between agents").
 
 Every turn runs through the batched candidate protocol of
-:mod:`repro.core.optimizer`: the agent *proposes* its ε-greedy move plus
-up to ``batch - 1`` greedy runners-up as placement snapshots, the whole
+:mod:`repro.core.optimizer`: the agent *proposes* its ε-greedy move,
+applied once on the live placement and priced there, plus up to
+``batch - 1`` greedy runners-up as placement snapshots; the whole
 candidate set is priced in **one batched objective call**
 (:meth:`repro.layout.env.PlacementEnv.cost_many`, which reaches
 ``PlacementEvaluator.evaluate_many`` and the placement-batched compiled
-solver underneath), and the agent *observes* all outcomes — committing
-only the primary move under the usual tolerance rule while
-Bellman-updating its Q-table from every candidate.  With ``batch = 1``
-the round is exactly the classic step (same RNG stream, same updates,
-same trajectory); larger batches add speculative candidates whose priced
-outcomes accelerate learning and land in the evaluator's cache.
+solver underneath), and the agent *observes* all outcomes —
+Bellman-updating its Q-table from every candidate, then keeping the
+primary move under the usual tolerance rule or undoing it.  Moves come
+from the action masks, so the agents apply them without the legality
+re-check of the public ``PlacementEnv.step_*``.  With ``batch = 1`` the
+round is exactly the classic select → apply → price → learn → keep/undo
+step (same RNG stream, same updates, same trajectory, no snapshot);
+larger batches add speculative candidates whose priced outcomes
+accelerate learning and land in the evaluator's cache.
 
 Learning is **episodic**: after ``episode_length`` agent steps the
 environment restarts (from the best placement seen, or the initial one)
@@ -63,10 +67,11 @@ class _QTurn:
 
     Subclasses supply the level specifics (state encoding, legal moves,
     apply/undo); this base implements the protocol: ``propose`` selects
-    the ε-greedy action plus greedy runners-up and snapshots each
-    candidate placement (applying and immediately undoing the move on the
-    live environment), ``observe`` Bellman-updates from every outcome and
-    commits the primary move iff the placer's tolerance rule keeps it.
+    the ε-greedy action plus greedy runners-up, snapshots each runner-up
+    (applied and undone on the live environment) and then applies the
+    primary move on the live placement, which is priced as it stands;
+    ``observe`` Bellman-updates from every outcome and undoes the
+    primary move unless the placer's tolerance rule keeps it.
     """
 
     def __init__(self, placer, agent: QAgent):
@@ -96,19 +101,24 @@ class _QTurn:
         legal = self.legal_actions()
         if not legal:
             return []
-        actions = self.agent.select_many(
+        primary, *runners_up = self.agent.select_many(
             self._state, legal, k, step=placer.schedule_step()
         )
-        proposals = []
-        for action in actions:
+        speculative = []
+        for action in runners_up:
             self.apply(action)
-            proposals.append(Proposal(
+            speculative.append(Proposal(
                 action=action,
                 placement=placer.env.placement.copy(),
                 next_state=self.state(),
             ))
             self.undo(action)
-        return proposals
+        self.apply(primary)
+        return [Proposal(
+            action=primary,
+            placement=placer.env.placement,
+            next_state=self.state(),
+        ), *speculative]
 
     def observe(self, outcomes: Sequence[Outcome]) -> float:
         placer = self.placer
@@ -124,8 +134,8 @@ class _QTurn:
             )
         primary = outcomes[0]
         if placer.keep_move(cost, primary.cost):
-            self.apply(primary.proposal.action)
             return primary.cost
+        self.undo(primary.proposal.action)
         return cost
 
 
@@ -145,7 +155,7 @@ class _TopTurn(_QTurn):
 
     def apply(self, action):
         env = self.placer.env
-        env.step_group(env.group_names[action[0]], action[1])
+        env.move_group(env.group_names[action[0]], action[1])
 
     def undo(self, action):
         env = self.placer.env
@@ -163,13 +173,10 @@ class _BottomTurn(_QTurn):
         return self.placer.env.group_state(self.group)
 
     def legal_actions(self):
-        return [
-            tuple(a)
-            for a in self.placer.env.legal_unit_actions(self.group)
-        ]
+        return self.placer.env.legal_unit_actions(self.group)
 
     def apply(self, action):
-        self.placer.env.step_unit(self.group, action[0], action[1])
+        self.placer.env.move_unit(self.group, action[0], action[1])
 
     def undo(self, action):
         self.placer.env.undo_unit(self.group, action[0], action[1])
@@ -398,7 +405,7 @@ class _FlatTurn(_QTurn):
         return actions
 
     def apply(self, action):
-        self.placer.env.step_unit(action[0], action[1], action[2])
+        self.placer.env.move_unit(action[0], action[1], action[2])
 
     def undo(self, action):
         self.placer.env.undo_unit(action[0], action[1], action[2])

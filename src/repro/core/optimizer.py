@@ -5,18 +5,20 @@ PlacerResult``) this module defines the **batched candidate protocol**
 every agent in the repo is built around:
 
 * :meth:`ProposingAgent.propose` returns up to ``k`` candidate moves as
-  :class:`Proposal` snapshots — the primary candidate first (the move the
-  agent would have made unbatched), then the runners-up it wants priced
-  speculatively;
+  :class:`Proposal` objects — the primary candidate first (the move the
+  agent would have made unbatched), applied once on the live placement
+  and priced there, then the speculative runners-up, each a snapshot
+  copy (applied and undone on the live placement);
 * the driver prices all candidate placements in **one batched objective
   call** (:func:`price_proposals`);
 * :meth:`ProposingAgent.observe` receives every :class:`Outcome`, learns
-  from all of them, commits at most the one move its acceptance rule
-  keeps, and returns the new current cost.
+  from all of them, keeps the primary move or undoes it (committing a
+  runner-up instead where the acceptance rule picks one), and returns
+  the new current cost.
 
-With ``k = 1`` the propose/observe round is exactly the classic
-select → apply → price → learn → keep/revert step, so batching is purely
-a throughput knob: trajectories are unchanged.
+With ``k = 1`` the round has no snapshot at all: it is exactly the
+classic select → apply → price → learn → keep/undo step, so batching is
+purely a throughput knob: trajectories are unchanged.
 
 :class:`BasePlacer` is the one optimize loop every placer runs: it counts
 objective calls, prices round-robin agent turns through
@@ -79,8 +81,9 @@ class Proposal:
 
     Attributes:
         action: agent-specific action encoding (opaque to the driver).
-        placement: snapshot of the placement after the move (safe to hand
-            to a batched objective; the live environment is unchanged).
+        placement: the placement after the move — the live one for the
+            primary proposal (the move is applied until ``observe``
+            keeps or undoes it), a snapshot copy for a runner-up.
         next_state: agent-state the move reaches (``None`` for agents
             without state, e.g. simulated annealing).
     """
@@ -112,8 +115,9 @@ class ProposingAgent(Protocol):
         """Up to ``k`` candidate moves from the current state.
 
         The first proposal is the primary candidate (the move the
-        unbatched agent would make); the rest are speculative.  An empty
-        list means no legal move exists.
+        unbatched agent would make), left applied on the live placement;
+        the rest are speculative snapshots.  An empty list means no legal
+        move exists (and the placement is untouched).
         """
         ...
 
@@ -121,12 +125,12 @@ class ProposingAgent(Protocol):
         """Learn from every outcome, commit at most one of the moves.
 
         Which candidate (if any) is committed is the agent's acceptance
-        rule: the Q-learning placers only ever commit the primary under
-        their tolerance rule; simulated annealing Metropolis-tests the
-        outcomes in proposal order and commits the first acceptance.
-        Returns the cost the environment is left at (the committed
-        outcome's cost, or the pre-turn cost when everything was
-        rejected).
+        rule: the Q-learning placers keep the applied primary under their
+        tolerance rule or undo it; simulated annealing Metropolis-tests
+        the outcomes in proposal order and commits the first acceptance
+        (undoing the primary first when a runner-up wins).  Returns the
+        cost the environment is left at (the committed outcome's cost,
+        or the pre-turn cost when everything was rejected).
         """
         ...
 
@@ -139,7 +143,9 @@ def price_proposals(
     """One propose → batch-price → observe round.
 
     Returns the post-turn cost, or ``None`` when the agent had no legal
-    move (the environment is untouched in that case).
+    move (the environment is untouched in that case).  Between the two
+    calls the primary move stands applied on the live placement, which
+    is the first placement priced.
     """
     proposals = agent.propose(k)
     if not proposals:

@@ -48,10 +48,6 @@ class MergeStats:
     updated: int = 0
     kept: int = 0
 
-    @property
-    def total(self) -> int:
-        return self.added + self.updated + self.kept
-
     def __iadd__(self, other: "MergeStats") -> "MergeStats":
         self.added += other.added
         self.updated += other.updated

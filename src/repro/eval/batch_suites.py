@@ -44,8 +44,7 @@ from repro.layout.placement import Placement
 from repro.netlist.circuit import Circuit
 from repro.netlist.devices import Vcvs, VoltageSource
 from repro.netlist.library import AnalogBlock
-from repro.sim.batch import solve_ac_many, solve_dc_many
-from repro.sim.compiled import batched_system
+from repro.sim.batch import batched_system, solve_ac_many, solve_dc_many
 from repro.tech import Technology
 from repro.variation import DeviceDelta
 

@@ -20,7 +20,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.eval.batch_suites import BATCH_SUITES
 from repro.eval.metrics import Metrics
 from repro.eval.objective import ObjectiveWeights
 from repro.eval.suites import SUITES, Warm
@@ -393,6 +392,8 @@ class PlacementEvaluator:
         if len(reps) == 1:
             metrics_list = [self._simulate(reps[0])]
         else:
+            from repro.eval.batch_suites import BATCH_SUITES
+
             batch_suite = BATCH_SUITES[self.block.kind]
             deltas_seq = self.deltas_for_many(reps)
             annotated = [

@@ -7,40 +7,42 @@ baseline styles (paper Fig. 1), the placement → variation-context bridge,
 and the :class:`PlacementEnv` the RL agents drive.
 """
 
-from repro.layout.context import (
-    device_contexts,
-    device_contexts_all,
-    unit_context,
-    unit_contexts,
-)
-from repro.layout.dummies import (
-    active_units,
-    dummy_area_overhead,
-    is_dummy,
-    with_dummy_halo,
-)
-from repro.layout.env import PlacementEnv
-from repro.layout.generators import (
-    STYLES,
-    banded_placement,
-    random_walk_placements,
-)
-from repro.layout.svg import placement_to_svg, save_placement_svg
-from repro.layout.moves import (
-    DIRECTIONS,
-    apply_group_move,
-    apply_unit_move,
-    connected_unit_moves,
-    group_move_is_legal,
-    group_shape,
-    is_connected,
-    legal_group_moves,
-    legal_unit_moves,
-    neighbours,
-    unit_move_is_legal,
-)
-from repro.layout.placement import CanvasSpec, Cell, Placement, UnitId
-from repro.layout.render import device_labels, render_placement
+#: Export → defining module (PEP 562): exports load on first access, so
+#: the placement loop does not load the SVG writer,
+#: which only ``--svg`` needs.
+_LAZY = {
+    "device_contexts": "repro.layout.context",
+    "device_contexts_all": "repro.layout.context",
+    "unit_context": "repro.layout.context",
+    "unit_contexts": "repro.layout.context",
+    "active_units": "repro.layout.dummies",
+    "dummy_area_overhead": "repro.layout.dummies",
+    "is_dummy": "repro.layout.dummies",
+    "with_dummy_halo": "repro.layout.dummies",
+    "PlacementEnv": "repro.layout.env",
+    "STYLES": "repro.layout.generators",
+    "banded_placement": "repro.layout.generators",
+    "random_walk_placements": "repro.layout.generators",
+    "placement_to_svg": "repro.layout.svg",
+    "save_placement_svg": "repro.layout.svg",
+    "DIRECTIONS": "repro.layout.moves",
+    "apply_group_move": "repro.layout.moves",
+    "apply_unit_move": "repro.layout.moves",
+    "connected_unit_moves": "repro.layout.moves",
+    "group_move_is_legal": "repro.layout.moves",
+    "group_shape": "repro.layout.moves",
+    "is_connected": "repro.layout.moves",
+    "legal_group_moves": "repro.layout.moves",
+    "legal_unit_moves": "repro.layout.moves",
+    "neighbours": "repro.layout.moves",
+    "unit_move_is_legal": "repro.layout.moves",
+    "CanvasSpec": "repro.layout.placement",
+    "Cell": "repro.layout.placement",
+    "Placement": "repro.layout.placement",
+    "UnitId": "repro.layout.placement",
+    "device_labels": "repro.layout.render",
+    "render_placement": "repro.layout.render",
+}
 
 __all__ = [
     "CanvasSpec",
@@ -75,3 +77,12 @@ __all__ = [
     "unit_move_is_legal",
     "with_dummy_halo",
 ]
+
+
+def __getattr__(name: str):
+    module_name = _LAZY.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(module_name), name)

@@ -54,13 +54,11 @@ def diffusion_runs(placement: Placement) -> list[tuple[Runs, ...]]:
     """Per row, per column ``(run_left, run_right)`` of the occupancy map.
 
     ``diffusion_runs(p)[row][col]`` holds the runs of cell ``(col,
-    row)``; one pass over the placed units builds each row's mask.
+    row)``; each row's mask is a slice of the placement's occupancy
+    mask (:meth:`Placement.row_masks`).
     """
-    canvas = placement.canvas
-    masks = [0] * canvas.rows
-    for col, row in placement.occupied_cells():
-        masks[row] |= 1 << col
-    return [_row_runs(mask, canvas.cols) for mask in masks]
+    cols = placement.canvas.cols
+    return [_row_runs(mask, cols) for mask in placement.row_masks()]
 
 
 def cell_geometry(

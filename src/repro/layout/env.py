@@ -23,12 +23,13 @@ from repro.layout.moves import (
     apply_group_move,
     apply_unit_move,
     connected_unit_moves,
+    direction_steps,
     group_move_is_legal,
     group_shape,
     legal_group_moves,
     unit_move_is_legal,
 )
-from repro.layout.placement import Placement, UnitId
+from repro.layout.placement import Placement, UnitId, grid_bit
 from repro.netlist.library import AnalogBlock
 
 Objective = Callable[[Placement], float]
@@ -70,10 +71,14 @@ class PlacementEnv:
                 device = block.circuit.device(name)
                 units.extend((name, k) for k in range(device.n_units))
             self._group_units[group.name] = units
-        self._device_index = {
+        device_index = {
             name: i
             for group in block.groups
             for i, name in enumerate(group.devices)
+        }
+        self._unit_device_index = {
+            name: [device_index[device] for device, __ in units]
+            for name, units in self._group_units.items()
         }
         self.placement = banded_placement(block, style="sequential")
 
@@ -83,11 +88,6 @@ class PlacementEnv:
         """Re-seed the placement (returns the live object)."""
         self.placement = banded_placement(self.block, style=style)
         return self.placement
-
-    def group_units(self, group_name: str) -> list[UnitId]:
-        if group_name not in self._group_units:
-            raise KeyError(f"no group named {group_name!r}")
-        return list(self._group_units[group_name])
 
     def cost(self) -> float:
         """Objective value of the current placement."""
@@ -115,22 +115,23 @@ class PlacementEnv:
         Sorted tuple of ``(device_index_within_group, dcol, drow)`` with
         offsets measured from the group's bounding-box corner.
         """
-        units = self._group_units[group_name]
-        cells = [self.placement.cell_of(u) for u in units]
+        cells = self.placement.cells_of(self._group_units[group_name])
         c0 = min(c for c, __ in cells)
         r0 = min(r for __, r in cells)
         entries = [
-            (self._device_index[unit[0]], cell[0] - c0, cell[1] - r0)
-            for unit, cell in zip(units, cells)
+            (index, c - c0, r - r0)
+            for index, (c, r) in zip(
+                self._unit_device_index[group_name], cells)
         ]
-        return tuple(sorted(entries))
+        entries.sort()
+        return tuple(entries)
 
     def global_state(self) -> tuple:
         """Top-level state: quantized centroid of every group, in order."""
         out = []
-        for name in self.group_names:
-            units = self._group_units[name]
-            cells = [self.placement.cell_of(u) for u in units]
+        cells_of = self.placement.cells_of
+        for units in self._group_units.values():
+            cells = cells_of(units)
             n = len(cells)
             out.append((
                 round(sum(c for c, __ in cells) / n),
@@ -141,15 +142,24 @@ class PlacementEnv:
     # -------------------------------------------------------------- actions
 
     def legal_unit_actions(self, group_name: str) -> list[tuple[int, int]]:
-        """Legal (unit_local_index, direction_index) pairs for a group."""
-        cells = [self.placement.cell_of(u) for u in self._group_units[group_name]]
-        is_free = self.placement.is_free
+        """Legal (unit_local_index, direction_index) pairs for a group.
+
+        The shape-cached cut analysis names the directions that keep the
+        group connected; a target is then tested against the
+        placement's free-cell mask.
+        """
+        placement = self.placement
+        cells = placement.cells_of(self._group_units[group_name])
         moves = connected_unit_moves(group_shape(cells), self.adjacency)
+        width = placement.canvas.mask_width
+        steps = direction_steps(width)
+        free = placement.free_mask()
         actions = []
-        for local, ((c, r), unit_moves) in enumerate(zip(cells, moves)):
+        for local, (cell, unit_moves) in enumerate(zip(cells, moves)):
+            bit = grid_bit(cell, width)
             for k in unit_moves:
-                dc, dr = DIRECTIONS[k]
-                if is_free((c + dc, r + dr)):
+                step = steps[k]
+                if free & (bit << step if step > 0 else bit >> -step):
                     actions.append((local, k))
         return actions
 
@@ -177,6 +187,21 @@ class PlacementEnv:
             return False
         apply_group_move(self.placement, units, direction)
         return True
+
+    def move_unit(self, group_name: str, unit_local: int, direction_index: int) -> None:
+        """Apply a unit move that :meth:`legal_unit_actions` just offered.
+
+        The agents' path: it skips the legality check :meth:`step_unit`
+        repeats.
+        """
+        unit = self._group_units[group_name][unit_local]
+        apply_unit_move(self.placement, unit, DIRECTIONS[direction_index])
+
+    def move_group(self, group_name: str, direction_index: int) -> None:
+        """Apply a group move that :meth:`legal_group_actions` just offered
+        (the agents' path, without :meth:`step_group`'s check)."""
+        apply_group_move(self.placement, self._group_units[group_name],
+                         DIRECTIONS[direction_index])
 
     def undo_unit(self, group_name: str, unit_local: int, direction_index: int) -> None:
         """Undo a unit move by applying the opposite direction."""

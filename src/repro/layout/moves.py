@@ -10,14 +10,17 @@ the plain statement of the rule it must agree with.
 
 Group-level actions translate a whole group rigidly by one of the same
 eight directions; they are legal when every target cell is free (or being
-vacated by the group itself).
+vacated by the group itself).  :func:`group_move_is_legal` states that
+rule unit by unit; :func:`legal_group_moves`, the mask the agents read,
+tests it as one shift of the group's cell mask against the placement's
+(see :func:`repro.layout.placement.grid_bit`).
 """
 
 from __future__ import annotations
 
 import functools
 
-from repro.layout.placement import Cell, Placement, UnitId
+from repro.layout.placement import Cell, Placement, UnitId, grid_bit
 
 # The eight king moves, ordered E, NE, N, NW, W, SW, S, SE.
 DIRECTIONS: tuple[Cell, ...] = (
@@ -63,6 +66,13 @@ def group_shape(cells: list[Cell]) -> tuple[Cell, ...]:
     return tuple((c - c0, r - r0) for c, r in cells)
 
 
+@functools.lru_cache(maxsize=64)
+def direction_steps(width: int) -> tuple[int, ...]:
+    """Per :data:`DIRECTIONS` entry, the bit shift of one king move in a
+    cell mask ``width`` bits a row (see :func:`repro.layout.placement.grid_bit`)."""
+    return tuple(dc + dr * width for dc, dr in DIRECTIONS)
+
+
 @functools.lru_cache(maxsize=1024)
 def connected_unit_moves(
     shape: tuple[Cell, ...], adjacency: int = 8
@@ -74,37 +84,52 @@ def connected_unit_moves(
     cell is not a member and touches every component.  One component
     analysis per unit replaces a flood fill per candidate direction, and
     the result depends only on geometry, so it is memoised per shape
-    (see :func:`group_shape`) for every circuit at once.  Whether the
-    target is in bounds and free is the caller's check.
+    (see :func:`group_shape`) for every circuit at once.  The components
+    are grown as cell masks (one bit per cell, a spare column and row
+    around the shape): a flood-fill step is a few shifts, and a target
+    touches a component iff it lies in the component's grown halo.
+    Whether the target is in bounds and free is the caller's check.
     """
-    members = set(shape)
-    if len(members) != len(shape):
+    if adjacency not in (4, 8):
+        raise ValueError(f"adjacency must be 4 or 8, got {adjacency}")
+    king = adjacency == 8
+    c0 = min(c for c, __ in shape)
+    r0 = min(r for __, r in shape)
+    width = max(c for c, __ in shape) - c0 + 3
+    bits = [grid_bit((c - c0, r - r0), width) for c, r in shape]
+    members = 0
+    for bit in bits:
+        members |= bit
+    if members.bit_count() != len(shape):
         raise ValueError("duplicate cells in connectivity check")
+    moves = direction_steps(width)
     out = []
-    for cell in shape:
-        label: dict[Cell, int] = {}
-        n_components = 0
-        for start in shape:
-            if start == cell or start in label:
-                continue
-            label[start] = n_components
-            stack = [start]
-            while stack:
-                for nb in neighbours(stack.pop(), adjacency):
-                    if nb in members and nb != cell and nb not in label:
-                        label[nb] = n_components
-                        stack.append(nb)
-            n_components += 1
-        c, r = cell
+    for bit in bits:
+        rest = members & ~bit
+        halos = []
+        while rest:
+            component = rest & -rest
+            while True:
+                row = component | component << 1 | component >> 1
+                if king:
+                    halo = row | row << width | row >> width
+                else:
+                    halo = row | component << width | component >> width
+                grown = halo & rest
+                if grown == component:
+                    break
+                component = grown
+            halos.append(halo)
+            rest ^= component
         legal = []
-        for k, (dc, dr) in enumerate(DIRECTIONS):
-            target = (c + dc, r + dr)
-            if target in members:
+        for k, move in enumerate(moves):
+            target = bit << move if move > 0 else bit >> -move
+            if target & members:
                 continue
-            touched = {
-                label[nb] for nb in neighbours(target, adjacency) if nb in label
-            }
-            if len(touched) == n_components:
+            for halo in halos:
+                if not target & halo:
+                    break
+            else:
                 legal.append(k)
         out.append(tuple(legal))
     return tuple(out)
@@ -167,10 +192,20 @@ def group_move_is_legal(
 def legal_group_moves(
     placement: Placement, group_units: list[UnitId]
 ) -> list[int]:
-    """Indices into :data:`DIRECTIONS` legal as rigid group translations."""
+    """Indices into :data:`DIRECTIONS` legal as rigid group translations.
+
+    The rule of :func:`group_move_is_legal` on cell masks: a translation
+    is legal iff the shifted group lands only on in-bounds cells that
+    are free or held by the group itself.
+    """
+    width = placement.canvas.mask_width
+    group = 0
+    for unit in group_units:
+        group |= grid_bit(placement.cell_of(unit), width)
+    blocked = ~(placement.free_mask() | group)
     return [
-        k for k, direction in enumerate(DIRECTIONS)
-        if group_move_is_legal(placement, group_units, direction)
+        k for k, step in enumerate(direction_steps(width))
+        if not (group << step if step > 0 else group >> -step) & blocked
     ]
 
 

@@ -6,14 +6,41 @@ loop, so it is deliberately small and fast: two dictionaries kept in sync,
 with O(1) move/occupancy queries.
 
 Unit identifiers are ``(device_name, unit_index)`` tuples throughout.
+
+Alongside the two dictionaries a placement keeps its occupancy as one
+small integer, a bit per cell (:func:`grid_bit`), so that the action
+masks test a whole group's targets with a shift and an ``&``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 UnitId = tuple[str, int]
 Cell = tuple[int, int]  # (col, row)
+
+
+def grid_bit(cell: Cell, width: int) -> int:
+    """The bit of ``cell`` in a row-major cell mask ``width`` bits a row.
+
+    Masks keep one spare column and row on every side of the cells they
+    describe (``width`` is the column count plus two), so shifting a
+    mask of in-bounds cells one step in any king direction never wraps
+    a cell into another row.
+    """
+    c, r = cell
+    return 1 << ((r + 1) * width + c + 1)
+
+
+@functools.lru_cache(maxsize=64)
+def _inside_mask(cols: int, rows: int) -> int:
+    width = cols + 2
+    row = ((1 << cols) - 1) << 1
+    mask = 0
+    for r in range(rows):
+        mask |= row << ((r + 1) * width)
+    return mask
 
 
 @dataclass(frozen=True)
@@ -35,6 +62,16 @@ class CanvasSpec:
     def n_cells(self) -> int:
         return self.cols * self.rows
 
+    @property
+    def mask_width(self) -> int:
+        """Bits per row of this canvas's cell masks (see :func:`grid_bit`)."""
+        return self.cols + 2
+
+    @property
+    def inside_mask(self) -> int:
+        """Cell mask of every in-bounds cell."""
+        return _inside_mask(self.cols, self.rows)
+
 
 class Placement:
     """Mutable unit → cell assignment on a canvas.
@@ -54,6 +91,7 @@ class Placement:
         self.canvas = canvas
         self._cells: dict[UnitId, Cell] = {}
         self._occupancy: dict[Cell, UnitId] = {}
+        self._mask = 0
         self._memo: dict = {}
 
     def _changed(self) -> None:
@@ -80,18 +118,22 @@ class Placement:
         self._check_free(cell)
         self._cells[unit] = cell
         self._occupancy[cell] = unit
+        self._mask |= grid_bit(cell, self.canvas.mask_width)
         self._changed()
 
     def move(self, unit: UnitId, cell: Cell) -> None:
         """Move an existing unit to an empty cell."""
         if unit not in self._cells:
             raise KeyError(f"unit {unit} is not placed")
-        if cell == self._cells[unit]:
+        old = self._cells[unit]
+        if cell == old:
             return
         self._check_free(cell)
-        del self._occupancy[self._cells[unit]]
+        del self._occupancy[old]
         self._cells[unit] = cell
         self._occupancy[cell] = unit
+        width = self.canvas.mask_width
+        self._mask ^= grid_bit(old, width) | grid_bit(cell, width)
         self._changed()
 
     def move_many(self, moves: dict[UnitId, Cell]) -> None:
@@ -113,11 +155,18 @@ class Placement:
             holder = self._occupancy.get(cell)
             if holder is not None and holder not in moved:
                 raise ValueError(f"cell {cell} occupied by {holder}")
+        width = self.canvas.mask_width
+        vacated = 0
         for unit in moves:
-            del self._occupancy[self._cells[unit]]
+            old = self._cells[unit]
+            del self._occupancy[old]
+            vacated |= grid_bit(old, width)
+        filled = 0
         for unit, cell in moves.items():
             self._cells[unit] = cell
             self._occupancy[cell] = unit
+            filled |= grid_bit(cell, width)
+        self._mask = self._mask & ~vacated | filled
         self._changed()
 
     def _check_free(self, cell: Cell) -> None:
@@ -133,15 +182,31 @@ class Placement:
             raise KeyError(f"unit {unit} is not placed")
         return self._cells[unit]
 
+    def cells_of(self, units) -> list[Cell]:
+        """Cells of ``units``, in order (one :meth:`cell_of` per unit)."""
+        cells = self._cells
+        try:
+            return [cells[unit] for unit in units]
+        except KeyError as exc:
+            raise KeyError(f"unit {exc.args[0]} is not placed") from None
+
     def unit_at(self, cell: Cell) -> UnitId | None:
         return self._occupancy.get(cell)
 
-    def occupied_cells(self):
-        """Live view of the occupied cells (the occupancy map's keys)."""
-        return self._occupancy.keys()
-
     def is_free(self, cell: Cell) -> bool:
         return self.canvas.in_bounds(cell) and cell not in self._occupancy
+
+    def row_masks(self) -> list[int]:
+        """Per canvas row, the occupied columns as bits (bit ``c`` = column ``c``)."""
+        canvas = self.canvas
+        width = canvas.mask_width
+        row_bits = (1 << canvas.cols) - 1
+        return [self._mask >> ((row + 1) * width + 1) & row_bits
+                for row in range(canvas.rows)]
+
+    def free_mask(self) -> int:
+        """Cell mask of the in-bounds cells no unit holds."""
+        return self.canvas.inside_mask & ~self._mask
 
     @property
     def units(self) -> tuple[UnitId, ...]:
@@ -219,6 +284,7 @@ class Placement:
         out = Placement(self.canvas)
         out._cells = dict(self._cells)
         out._occupancy = dict(self._occupancy)
+        out._mask = self._mask
         out._memo = self._memo
         return out
 

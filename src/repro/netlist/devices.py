@@ -107,10 +107,6 @@ class Mosfet(Device):
         return self.polarity > 0
 
     @property
-    def is_pmos(self) -> bool:
-        return self.polarity < 0
-
-    @property
     def unit_width(self) -> float:
         """Drawn width of one unit finger [m]."""
         return self.width / self.n_units

@@ -76,13 +76,6 @@ class AnalogBlock:
         validate_pairs(self.circuit, list(self.groups), list(self.pairs),
                        list(self.super_groups))
 
-    def group_of(self, device_name: str) -> Group:
-        """The group containing ``device_name``."""
-        for group in self.groups:
-            if device_name in group.devices:
-                return group
-        raise KeyError(f"device {device_name!r} is in no group")
-
 
 VDD = 1.1
 

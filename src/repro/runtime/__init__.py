@@ -8,48 +8,37 @@ flag), or across machines (:class:`ClusterBackend`, the
 Backends preserve item order and every payload crosses the wire through
 exact codecs, so serial, pool and cluster runs are result-identical.
 :func:`make_backend` is the one factory every entrypoint shares.
-
-Import note: the cluster layer (sockets, threads, the wire codecs) loads
-lazily via module ``__getattr__``, so a serial or pool run never
-imports it.
 """
 
-from repro.runtime.backend import (
-    AttemptResult,
-    ExecutionBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    WorkerTaskError,
-    make_backend,
-    resolve_backend,
-)
-from repro.runtime.faults import (
-    Fault,
-    FaultPlan,
-    InjectedFault,
-    JournalCrash,
-    JournalFault,
-    WorkerKilled,
-)
-from repro.runtime.resilience import (
-    FailedRun,
-    RetryPolicy,
-    RunReport,
-    resilient_map_runs,
-)
-from repro.runtime.spec import (
-    BUILDERS,
-    RunOutcome,
-    RunSpec,
-    build_block,
-    execute_run,
-    map_runs,
-    outcomes_by_key,
-    symmetric_target,
-)
-
-#: Lazily-resolved exports → defining module (PEP 562).
+#: Export → defining module (PEP 562): exports load on first access, so
+#: a serial run loads neither the retry layer, the
+#: fault-injection plans nor the cluster (sockets, threads, wire codecs).
 _LAZY = {
+    "AttemptResult": "repro.runtime.backend",
+    "ExecutionBackend": "repro.runtime.backend",
+    "ProcessPoolBackend": "repro.runtime.backend",
+    "SerialBackend": "repro.runtime.backend",
+    "WorkerTaskError": "repro.runtime.backend",
+    "make_backend": "repro.runtime.backend",
+    "resolve_backend": "repro.runtime.backend",
+    "Fault": "repro.runtime.faults",
+    "FaultPlan": "repro.runtime.faults",
+    "InjectedFault": "repro.runtime.faults",
+    "JournalCrash": "repro.runtime.faults",
+    "JournalFault": "repro.runtime.faults",
+    "WorkerKilled": "repro.runtime.faults",
+    "FailedRun": "repro.runtime.resilience",
+    "RetryPolicy": "repro.runtime.resilience",
+    "RunReport": "repro.runtime.resilience",
+    "resilient_map_runs": "repro.runtime.resilience",
+    "BUILDERS": "repro.runtime.spec",
+    "RunOutcome": "repro.runtime.spec",
+    "RunSpec": "repro.runtime.spec",
+    "build_block": "repro.runtime.spec",
+    "execute_run": "repro.runtime.spec",
+    "map_runs": "repro.runtime.spec",
+    "outcomes_by_key": "repro.runtime.spec",
+    "symmetric_target": "repro.runtime.spec",
     "ClusterBackend": "repro.runtime.cluster",
     "run_worker": "repro.runtime.cluster",
     "worker_main": "repro.runtime.cluster",

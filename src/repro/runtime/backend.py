@@ -23,10 +23,22 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol, Sequence, TypeVar, runtime_checkable
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Protocol,
+    Sequence,
+    TypeVar,
+    runtime_checkable,
+)
+
+if TYPE_CHECKING:
+    # ``concurrent.futures`` and the process pool (``multiprocessing``
+    # under it) load when a pool backend first runs, not with every
+    # serial run.
+    from concurrent.futures import ProcessPoolExecutor
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -177,6 +189,7 @@ class ProcessPoolBackend:
 
     def _executor(self, n_items: int) -> ProcessPoolExecutor:
         import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
         context = (
             multiprocessing.get_context(self.mp_start_method)
@@ -222,6 +235,7 @@ class ProcessPoolBackend:
         internally until they settle for a real reason.
         """
         import multiprocessing
+        from concurrent.futures import TimeoutError as FutureTimeoutError
         from concurrent.futures.process import BrokenProcessPool
 
         items = list(items)

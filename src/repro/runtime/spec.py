@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Mapping, Sequence
 
-from repro.core.annealing import SimulatedAnnealingPlacer
 from repro.core.hierarchy import FlatQPlacer, MultiLevelPlacer
 from repro.core.optimizer import PlacerResult
 from repro.core.policy import EpsilonSchedule
@@ -366,6 +365,8 @@ def _make_placer(spec: RunSpec, env: PlacementEnv, evaluator: PlacementEvaluator
     # never crosses a process boundary.
     counter = lambda: evaluator.sim_count  # noqa: E731
     if spec.placer == "sa":
+        from repro.core.annealing import SimulatedAnnealingPlacer
+
         return SimulatedAnnealingPlacer(
             env, batch=spec.batch, seed=spec.seed, sim_counter=counter
         )

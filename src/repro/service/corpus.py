@@ -31,10 +31,15 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.netlist.constraints import ConstraintReport, ingest_deck
 from repro.netlist.library import AnalogBlock
 from repro.service.registry import CircuitRegistry, default_registry
+
+if TYPE_CHECKING:
+    # Listing the corpus (every ``place``/``train`` argument parser does)
+    # reads headers only; the ingestion pipeline loads with the first deck.
+    from repro.netlist.constraints import ConstraintReport
 
 #: Environment override for the corpus location (tests, deployments).
 ENV_CORPUS_DIR = "REPRO_CORPUS_DIR"
@@ -215,6 +220,8 @@ def check_corpus(directory: str | Path | None = None) -> tuple[CorpusCheck, ...]
     block-construction failures surface too — this is what the CI
     corpus-check step gates on.
     """
+    from repro.netlist.constraints import ingest_deck
+
     checks = []
     for entry in list_corpus(directory):
         result = ingest_deck(entry.text(), name=entry.name, kind=entry.kind,

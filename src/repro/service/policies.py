@@ -25,10 +25,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.core.persistence import (
-    load_tables_snapshot,
-    tables_snapshot_payload,
-)
 from repro.core.qlearning import PruneStats, QTable
 
 #: Policy names are path components; keep them boring and portable.
@@ -127,6 +123,8 @@ class PolicyStore:
         The caller's tables are never mutated: pruning (always invoked —
         Q-table compaction before every snapshot) runs on copies.
         """
+        from repro.core.persistence import tables_snapshot_payload
+
         pruned: dict[tuple, QTable] = {}
         stats = PruneStats()
         for key, table in tables.items():
@@ -176,6 +174,8 @@ class PolicyStore:
         Raises:
             KeyError: unknown name/version.
         """
+        from repro.core.persistence import load_tables_snapshot
+
         __, __, path = self.resolve(ref)
         return load_tables_snapshot(path)
 

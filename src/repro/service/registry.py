@@ -32,7 +32,6 @@ from repro.netlist.library import (
     folded_cascode_ota,
     two_stage_ota,
 )
-from repro.netlist.constraints import ingest_deck
 
 #: Measurement-suite kinds an inline deck may request.
 BLOCK_KINDS = ("cm", "comp", "ota")
@@ -132,6 +131,8 @@ class CircuitRegistry:
         """
         if kind not in BLOCK_KINDS:
             raise ValueError(f"kind must be one of {BLOCK_KINDS}, got {kind!r}")
+        from repro.netlist.constraints import ingest_deck
+
         result = ingest_deck(text, name=name, kind=kind,
                              params=dict(params or {}))
         result.report.raise_if_errors()

@@ -35,24 +35,11 @@ Robustness is opt-in and layered on the same seams:
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.eval.evaluator import PlacementEvaluator
-from repro.layout.svg import placement_to_svg
 from repro.runtime.backend import ExecutionBackend, make_backend
-from repro.runtime.faults import FaultPlan, JournalFault
-from repro.runtime.resilience import (
-    FailedRun,
-    RetryPolicy,
-    resilient_map_runs,
-)
 from repro.runtime.spec import RunSpec, map_runs
-from repro.service.jobs import (
-    JobManager,
-    JobRecord,
-    validate_result_cache_bounds,
-)
-from repro.service.journal import JobJournal
 from repro.service.policies import PolicyStore
 from repro.service.registry import (
     BUILTIN_CIRCUITS,
@@ -65,6 +52,14 @@ from repro.service.requests import (
     PlacementResult,
     TrainRequest,
 )
+
+if TYPE_CHECKING:
+    # The job manager, its journal and the retry layer load on first
+    # use: a synchronous ``place`` needs none of them.
+    from repro.runtime.faults import FaultPlan, JournalFault
+    from repro.runtime.resilience import RetryPolicy
+    from repro.service.jobs import JobManager, JobRecord
+    from repro.service.journal import JobJournal
 
 #: Where a service stores policies when the caller does not say.
 DEFAULT_POLICY_DIR = "policies"
@@ -140,8 +135,11 @@ class PlacementService:
         self.max_inflight_per_client = max_inflight_per_client
         self.dedup = dedup
         self.result_cache = result_cache
-        validate_result_cache_bounds(result_cache_max_entries,
-                                     result_cache_ttl_s)
+        if result_cache_max_entries is not None or result_cache_ttl_s is not None:
+            from repro.service.jobs import validate_result_cache_bounds
+
+            validate_result_cache_bounds(result_cache_max_entries,
+                                         result_cache_ttl_s)
         self.result_cache_max_entries = result_cache_max_entries
         self.result_cache_ttl_s = result_cache_ttl_s
         self.draining = False
@@ -151,6 +149,8 @@ class PlacementService:
         #: replay done at construction (``None`` without a journal).
         self.recovery = None
         if journal_dir is not None:
+            from repro.service.journal import JobJournal
+
             self.journal = JobJournal(journal_dir, fault=journal_fault)
             had_journal = self.journal.path.exists()
             manager = self._make_jobs()
@@ -161,6 +161,8 @@ class PlacementService:
             self._jobs = manager
 
     def _make_jobs(self) -> JobManager:
+        from repro.service.jobs import JobManager
+
         return JobManager(
             self.execute,
             workers=self.job_workers,
@@ -299,6 +301,8 @@ class PlacementService:
             initial_tables=initial_tables,
         )
         if resilient:
+            from repro.runtime.resilience import FailedRun, resilient_map_runs
+
             report = resilient_map_runs(
                 [spec], self.backend,
                 retry=self.retry, faults=self.fault_plan,
@@ -421,6 +425,8 @@ class PlacementService:
     def render_svg(self, result: PlacementResult, request: Any = None,
                    **kwargs) -> str:
         """Render a result's best placement as an SVG document."""
+        from repro.layout.svg import placement_to_svg
+
         block = self.block_for(result, request=request)
         return placement_to_svg(result.placement_object(), block.circuit,
                                 **kwargs)

@@ -15,44 +15,46 @@ per-device reference assembler the equivalence tests compare it
 against; it is not imported here.
 """
 
-from repro.sim.ac import AcResult, logspace_frequencies, solve_ac
-from repro.sim.batch import solve_ac_many, solve_dc_many
-from repro.sim.compiled import (
-    BatchedCompiledSystem,
-    CompiledSystem,
-    CompiledTopology,
-    batched_system,
-    clear_topology_cache,
-    compiled_system,
-    compiled_topology,
-    structure_signature,
-    topology_cache_info,
-)
-from repro.sim.dc import ConvergenceError, DcResult, solve_dc
-from repro.sim.fastpath import (
-    SolverStats,
-    SolverTuning,
-    get_solver_tuning,
-    reset_solver_stats,
-    solver_stats,
-    solver_tuning,
-)
-from repro.sim.measures import (
-    bandwidth_3db,
-    db,
-    dc_gain,
-    phase_margin,
-    supply_power,
-    unity_gain_frequency,
-)
-from repro.sim.mosfet import (
-    MosfetArrays,
-    MosfetCaps,
-    OpPoint,
-    device_caps,
-    terminal_currents,
-    terminal_currents_array,
-)
+#: Export → defining module (PEP 562): exports load on first access, so
+#: a batch-1 run does not load the placement-batched
+#: solvers of :mod:`repro.sim.batch`.
+_LAZY = {
+    "AcResult": "repro.sim.ac",
+    "logspace_frequencies": "repro.sim.ac",
+    "solve_ac": "repro.sim.ac",
+    "solve_ac_many": "repro.sim.batch",
+    "solve_dc_many": "repro.sim.batch",
+    "BatchedCompiledSystem": "repro.sim.batch",
+    "CompiledSystem": "repro.sim.compiled",
+    "CompiledTopology": "repro.sim.compiled",
+    "batched_system": "repro.sim.batch",
+    "clear_topology_cache": "repro.sim.compiled",
+    "compiled_system": "repro.sim.compiled",
+    "compiled_topology": "repro.sim.compiled",
+    "structure_signature": "repro.sim.compiled",
+    "topology_cache_info": "repro.sim.compiled",
+    "ConvergenceError": "repro.sim.dc",
+    "DcResult": "repro.sim.dc",
+    "solve_dc": "repro.sim.dc",
+    "SolverStats": "repro.sim.fastpath",
+    "SolverTuning": "repro.sim.fastpath",
+    "get_solver_tuning": "repro.sim.fastpath",
+    "reset_solver_stats": "repro.sim.fastpath",
+    "solver_stats": "repro.sim.fastpath",
+    "solver_tuning": "repro.sim.fastpath",
+    "bandwidth_3db": "repro.sim.measures",
+    "db": "repro.sim.measures",
+    "dc_gain": "repro.sim.measures",
+    "phase_margin": "repro.sim.measures",
+    "supply_power": "repro.sim.measures",
+    "unity_gain_frequency": "repro.sim.measures",
+    "MosfetArrays": "repro.sim.mosfet",
+    "MosfetCaps": "repro.sim.mosfet",
+    "OpPoint": "repro.sim.mosfet",
+    "device_caps": "repro.sim.mosfet",
+    "terminal_currents": "repro.sim.mosfet",
+    "terminal_currents_array": "repro.sim.mosfet",
+}
 
 __all__ = [
     "AcResult",
@@ -91,3 +93,12 @@ __all__ = [
     "topology_cache_info",
     "unity_gain_frequency",
 ]
+
+
+def __getattr__(name: str):
+    module_name = _LAZY.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(module_name), name)

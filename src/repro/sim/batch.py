@@ -22,6 +22,7 @@ callers can thread batches unconditionally.
 from __future__ import annotations
 
 import math
+from time import perf_counter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -29,7 +30,15 @@ import numpy as np
 from repro.netlist.circuit import Circuit
 from repro.netlist.nets import is_ground
 from repro.sim.ac import AcResult, solve_ac
-from repro.sim.compiled import BatchedCompiledSystem, batched_system
+from repro.sim.compiled import (
+    CompiledSystem,
+    CompiledTopology,
+    _ac_system,
+    _delta_arrays,
+    _signed_sources,
+    compiled_topology,
+    structure_signature,
+)
 from repro.sim.dc import (
     ABSTOL_V,
     MAX_STEP_V,
@@ -40,8 +49,397 @@ from repro.sim.dc import (
     solve_dc,
 )
 from repro.sim.fastpath import STATS, get_solver_tuning
+from repro.sim.mosfet import MosfetArrays, terminal_currents_array
 from repro.tech import Technology
 from repro.variation import DeviceDelta
+
+def _row_flat(entries: np.ndarray, n_rows: int, row_size: int) -> np.ndarray:
+    """Flat index of ``entries`` in each of ``n_rows`` stacked rows.
+
+    Row ``i``'s entry ``e`` lands at ``i * row_size + e``, in row-major
+    order, so one 1-D ``np.add.at`` applies exactly the per-row additions,
+    in the same order, that a ``(rows, entries)`` index would.
+    """
+    rows = np.arange(n_rows, dtype=np.intp)[:, None] * row_size
+    return (rows + entries).reshape(-1)
+
+
+class _RowIndices:
+    """Flat (:func:`_row_flat`) scatter/gather indices of one topology's
+    stamps over ``n_rows`` stacked rows (immutable, cached per topology)."""
+
+    def __init__(self, topology: CompiledTopology, n_rows: int):
+        t = topology
+        stride = t.size + 1
+        self.lin = _row_flat(t.lin_flat, n_rows, stride * stride)
+        self.cap = _row_flat(t.cap_flat, n_rows, stride * stride)
+        self.ac = _row_flat(t.ac_rows, n_rows, stride)
+        self.src = _row_flat(t.src_rows, n_rows, stride)
+        self.mos_f = _row_flat(t.mos_f_rows, n_rows, stride)
+        self.diag = _row_flat(t.node_diag_flat, n_rows, stride * stride)
+        # The kernel's (terminal, row, device) input, and its partial
+        # rows' (8, row, device) Jacobian layout.
+        rows = np.arange(n_rows, dtype=np.intp)[None, :, None]
+        self.terms = rows * stride + t.mos_terms[:, None, :]
+        self.mos_j = (rows * (stride * stride)
+                      + t.mos_j_flat.reshape(8, 1, -1)).reshape(-1)
+
+
+def _row_indices(topology: CompiledTopology, n_rows: int) -> _RowIndices:
+    """``topology``'s flat stamp indices for ``n_rows`` stacked bindings
+    (cached on the topology)."""
+    indices = topology.row_indices.get(n_rows)
+    if indices is None:
+        indices = topology.row_indices[n_rows] = _RowIndices(topology, n_rows)
+    return indices
+
+
+class BatchedCompiledSystem:
+    """K same-shape circuit instances bound and solved as one batch.
+
+    The optimizers' candidate placements differ only in *values* —
+    parasitic capacitances and variation deltas — never in structure, so
+    their systems share one :class:`CompiledTopology` and stack cleanly:
+    ``(G, C, b)`` gain a leading placement axis, the MOSFET bank becomes
+    ``(K, n_mos)``, and every analysis solves all placements (and, for
+    AC, all frequencies) in a single ``np.linalg.solve`` call.
+
+    Binding is itself batched: element values are gathered into
+    ``(K, n_slots)`` matrices and scattered through the topology's index
+    arrays once for the whole batch — per-row results are numerically
+    identical to K separate :class:`CompiledSystem` bindings (the same
+    scatter sequence runs per row), without K passes of per-device
+    Python.  Scalar bindings for individual rows (needed only on the
+    rare per-placement convergence fallback) are created lazily via
+    :meth:`system`.
+    """
+
+    def __init__(
+        self,
+        topology: CompiledTopology,
+        circuits: Sequence[Circuit],
+        tech: Technology,
+        deltas_list: Sequence[Mapping[str, DeviceDelta] | None] | None = None,
+    ):
+        circuits = list(circuits)
+        if not circuits:
+            raise ValueError("need at least one circuit to batch")
+        if deltas_list is None:
+            deltas_list = [None] * len(circuits)
+        deltas_list = list(deltas_list)
+        if len(deltas_list) != len(circuits):
+            raise ValueError(
+                f"got {len(circuits)} circuits but {len(deltas_list)} delta sets"
+            )
+        self.topology = topology
+        self.circuits = circuits
+        self.tech = tech
+        self.deltas_list = deltas_list
+        self.k = len(circuits)
+        self.size = topology.size
+        self.n_nodes = topology.n_nodes
+        self.node_index = topology.node_index
+        self.branch_index = topology.branch_index
+        self.circuit_nets = topology.circuit_nets
+        self._scalar: list[CompiledSystem | None] = [None] * self.k
+
+        t = topology
+        k = self.k
+        stride = self.size + 1
+
+        # Linear conductance stacks (resistor/VCVS values per row).
+        lin_values = np.ones((k, t.n_lin_slots))
+        for i, circuit in enumerate(circuits):
+            for name, slot in t.resistor_slots:
+                lin_values[i, slot] = 1.0 / circuit.device(name).value
+            for name, slot in t.vcvs_slots:
+                lin_values[i, slot] = circuit.device(name).gain
+        G = np.zeros((k, stride, stride))
+        if t.lin_flat.size:
+            np.add.at(
+                G.reshape(-1), _row_indices(t, k).lin,
+                (t.lin_sign * lin_values[:, t.lin_slot]).reshape(-1),
+            )
+        self._G_ext = G
+
+        # DC source levels; the AC drive vectors and the capacitance
+        # stacks are built on first use (a DC-only batch never needs
+        # them).
+        self._src_base = np.array([
+            [circuit.device(name).dc for name in t.source_names]
+            for circuit in circuits
+        ]).reshape(k, len(t.source_names))
+        self._b_ac: np.ndarray | None = None
+        self._C: np.ndarray | None = None
+
+        # Variation-resolved MOSFET banks: the shared nominal bank plus
+        # stacked per-row delta arrays (dvth adds, dbeta scales kp —
+        # exactly the scalar binding's arithmetic, row-wise).
+        bank = topology.device_bank(tech)
+        self._bank = bank
+        n_mos = len(t.mos_names)
+        if n_mos:
+            dvth, dbeta = _delta_arrays(t.mos_names, deltas_list)
+            self._vth0 = bank.vth0 + dvth
+            self._kp_wl = (bank.kp * (1.0 + dbeta)) * bank.w_over_l
+
+        # Reusable per-iteration DC workspaces keyed by active-set size
+        # (the batched Newton driver reassembles every iteration; the
+        # active set only ever shrinks, so a handful of buffers serve a
+        # whole solve).
+        self._dc_workspace: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._src_key: tuple | None = None
+        self._src_injection: np.ndarray | None = None
+
+    # ------------------------------------------------------------- helpers
+
+    def system(self, i: int) -> CompiledSystem:
+        """Scalar binding of row ``i`` (lazily created and kept)."""
+        bound = self._scalar[i]
+        if bound is None:
+            bound = self.topology.bind(
+                self.circuits[i], self.tech, self.deltas_list[i]
+            )
+            self._scalar[i] = bound
+        return bound
+
+    def _op_vector_ext(self, op_voltages: Mapping[str, float]) -> np.ndarray:
+        x_ext = np.zeros(self.size + 1)
+        for net in self.topology.mos_nets:
+            if net not in op_voltages:
+                raise KeyError(f"operating point missing net {net!r}")
+        for net, i in self.node_index.items():
+            if net in op_voltages:
+                x_ext[i] = op_voltages[net]
+        return x_ext
+
+    def _capacitances(self) -> np.ndarray:
+        """The ``(k, size, size)`` C stacks, built on first use: the
+        shared MOSFET part plus per-row capacitor values (the only
+        matrix entries a placement changes)."""
+        if self._C is None:
+            t = self.topology
+            k = self.k
+            stride = self.size + 1
+            C = np.broadcast_to(
+                self._bank.c_mos_ext, (k, stride, stride)).copy()
+            if t.capacitor_slots:
+                cap_values = np.zeros((k, t.n_cap_slots))
+                cap_values[:, t.capacitor_slot_index] = [
+                    [circuit.device(name).value
+                     for name, __ in t.capacitor_slots]
+                    for circuit in self.circuits]
+                np.add.at(
+                    C.reshape(-1), _row_indices(t, k).cap,
+                    (t.cap_sign * cap_values[:, t.cap_slot]).reshape(-1),
+                )
+            self._C = np.ascontiguousarray(C[:, : self.size, : self.size])
+        return self._C
+
+    def _ac_drive(self) -> np.ndarray:
+        """The ``(k, size)`` AC drive vectors, built on first use."""
+        if self._b_ac is None:
+            t = self.topology
+            k = self.k
+            stride = self.size + 1
+            ac_values = np.array([
+                [circuit.device(name).ac for name in t.source_names]
+                for circuit in self.circuits
+            ]).reshape(k, len(t.source_names))
+            b_ac = np.zeros((k, stride))
+            if t.ac_rows.size:
+                np.add.at(
+                    b_ac.reshape(-1), _row_indices(t, k).ac,
+                    (t.ac_sign * ac_values[:, t.ac_slot]).reshape(-1),
+                )
+            self._b_ac = b_ac[:, : self.size].astype(complex)
+        return self._b_ac
+
+    def _arrays_rows(self, idx: np.ndarray) -> MosfetArrays:
+        """The stacked device bank restricted to placement rows ``idx``.
+
+        Only ``vth0`` and ``kp_wl`` vary by placement (variation deltas
+        shift nothing else).
+        """
+        return self._bank.arrays(self._vth0[idx], self._kp_wl[idx])
+
+    def _mos_jvals_rows(
+        self, x_ext: np.ndarray, idx: np.ndarray, ri: _RowIndices
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Batched :meth:`CompiledSystem._mos_jvals` at states ``(A, stride)``.
+
+        Returns ``(ids, jvals)``: ``(A, n)`` currents and the flat
+        Jacobian values that pair with ``ri.mos_j``.
+        """
+        block = terminal_currents_array(
+            self._arrays_rows(idx), x_ext.reshape(-1)[ri.terms])
+        g = block[1:]
+        return block[0], np.concatenate((g, -g)).reshape(-1)
+
+    def _source_injection(
+        self,
+        source_scale: float,
+        source_values: Mapping[str, float] | None,
+    ) -> np.ndarray:
+        """Per-row :meth:`CompiledSystem._source_injection`, ``(k, m)``."""
+        key = (source_scale, dict(source_values) if source_values else None)
+        if key != self._src_key:
+            self._src_injection = _signed_sources(
+                self.topology, self._src_base, source_scale, source_values)
+            self._src_key = key
+        return self._src_injection
+
+    # ------------------------------------------------------------------ DC
+
+    def assemble_dc_batch(
+        self,
+        X: np.ndarray,
+        gmin: float = 1e-12,
+        source_scale: float = 1.0,
+        source_values: Mapping[str, float] | None = None,
+        rows: np.ndarray | None = None,
+        want_jacobian: bool = True,
+    ) -> tuple[np.ndarray | None, np.ndarray]:
+        """Stacked Jacobians and residuals at states ``X`` of shape (A, size).
+
+        ``rows`` selects the placement subset the states belong to (all
+        placements by default) — the batched Newton driver shrinks the
+        active set as placements converge.  Per-row semantics are exactly
+        :meth:`CompiledSystem.assemble_dc`; ``want_jacobian=False`` skips
+        the Jacobian scatter and returns ``(None, F)``, the residual-only
+        form the frozen-Jacobian iterations use.
+        """
+        t = self.topology
+        size = self.size
+        idx = np.arange(self.k) if rows is None else np.asarray(rows, dtype=np.intp)
+        n_active = len(idx)
+
+        ws = self._dc_workspace.get(n_active)
+        if ws is None:
+            ws = (np.zeros((n_active, size + 1)),
+                  np.empty((n_active, size + 1, size + 1)))
+            self._dc_workspace[n_active] = ws
+        x_ext, G_buf = ws
+        ri = _row_indices(t, n_active)
+        x_ext[:, :size] = X
+        # The spill column of x_ext stays 0 (set at allocation, never
+        # written), exactly as a fresh zeros() would give.
+        if want_jacobian:
+            # The Jacobian is returned to (and may be held by) the
+            # caller, so it gets a fresh gather; F is formed from it
+            # before the device stamps land, saving the second
+            # (n, stride, stride) copy the old G→J_ext split paid.
+            J_ext = np.take(self._G_ext, idx, axis=0)
+            G = J_ext
+        else:
+            # Residual-only assembly: the linear matrix never escapes,
+            # so the reusable workspace buffer serves as scratch.
+            J_ext = None
+            G = np.take(self._G_ext, idx, axis=0, out=G_buf)
+        F_ext = (G @ x_ext[..., None])[..., 0]
+
+        # Scatters go through flat views with per-active-size flat
+        # indices: the same per-row sequence of additions as a 2-D index.
+        F_flat = F_ext.reshape(-1)
+        if t.src_rows.size:
+            injection = self._source_injection(source_scale, source_values)
+            np.add.at(F_flat, ri.src, injection[idx].reshape(-1))
+        if t.mos_names:
+            ids, jvals = self._mos_jvals_rows(x_ext, idx, ri)
+            np.add.at(F_flat, ri.mos_f,
+                      np.concatenate((ids, -ids), axis=1).reshape(-1))
+            if want_jacobian:
+                np.add.at(J_ext.reshape(-1), ri.mos_j, jvals)
+        F_ext[:, : self.n_nodes] += gmin * x_ext[:, : self.n_nodes]
+        if not want_jacobian:
+            return None, F_ext[:, :size]
+        J_ext.reshape(-1)[ri.diag] += gmin
+        return J_ext[:, :size, :size], F_ext[:, :size]
+
+    # ------------------------------------------------------------------ AC
+
+    def ac_matrices_batch(
+        self,
+        op_voltages_seq: Sequence[Mapping[str, float]],
+        gmin: float = 1e-12,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-placement frequency-independent ``(G, C, b)`` stacks.
+
+        ``op_voltages_seq`` supplies one DC bias mapping per placement.
+        """
+        if len(op_voltages_seq) != self.k:
+            raise ValueError(
+                f"need {self.k} operating points, got {len(op_voltages_seq)}"
+            )
+        t = self.topology
+        size = self.size
+        G_ext = self._G_ext.copy()
+        if t.mos_names:
+            x_ext = np.stack([
+                self._op_vector_ext(op) for op in op_voltages_seq
+            ])
+            ri = _row_indices(t, self.k)
+            __, jvals = self._mos_jvals_rows(x_ext, np.arange(self.k), ri)
+            np.add.at(G_ext.reshape(-1), ri.mos_j, jvals)
+        G_ext.reshape(self.k, -1)[:, t.node_diag_flat] += gmin
+        return G_ext[:, :size, :size], self._capacitances(), self._ac_drive()
+
+    def solve_ac_batch_many(
+        self,
+        op_voltages_seq: Sequence[Mapping[str, float]],
+        omegas: np.ndarray,
+        gmin: float = 1e-12,
+    ) -> np.ndarray:
+        """Solve all placements × frequencies in one stacked batch.
+
+        Args:
+            op_voltages_seq: one DC bias mapping per placement.
+            omegas: angular frequencies [rad/s], shared by all placements.
+
+        Returns:
+            ``(k, nfreq, size)`` complex solutions.
+        """
+        G, C, b = self.ac_matrices_batch(op_voltages_seq, gmin=gmin)
+        omegas = np.asarray(omegas, dtype=float)
+        A = _ac_system(G, C, omegas)
+        # The solve broadcasts each placement's right-hand side over the
+        # frequencies; no stacked copy is made.
+        start = perf_counter()
+        X = np.linalg.solve(A, b[:, None, :, None])[..., 0]
+        STATS.ac_solve_s += perf_counter() - start
+        return X
+
+
+def batched_system(
+    circuits: Sequence[Circuit],
+    tech: Technology,
+    deltas_list: Sequence[Mapping[str, DeviceDelta] | None] | None = None,
+    check_signatures: bool = True,
+) -> BatchedCompiledSystem:
+    """Bind K same-shape circuit instances into one placement batch.
+
+    All circuits must share a structure signature (every placement of a
+    block does — parasitic annotation changes capacitor values only); the
+    compiled topology is fetched from the global cache once.
+
+    Args:
+        check_signatures: verify every circuit's signature against the
+            first's.  Callers that construct the batch from one base
+            circuit (the measurement suites) skip the re-derivation.
+    """
+    circuits = list(circuits)
+    if not circuits:
+        raise ValueError("need at least one circuit to batch")
+    topology = compiled_topology(circuits[0])
+    if check_signatures:
+        signature = topology.signature
+        for circuit in circuits[1:]:
+            if structure_signature(circuit) != signature:
+                raise ValueError(
+                    "cannot batch circuits with different structure signatures"
+                )
+    return BatchedCompiledSystem(topology, circuits, tech, deltas_list)
+
 
 DeltasList = Sequence[Mapping[str, DeviceDelta] | None]
 

@@ -23,6 +23,7 @@ from repro.core import (
 )
 from repro.core.annealing import _SaTurn
 from repro.core.hierarchy import _TopTurn
+from repro.eval import PlacementEvaluator
 from repro.layout import PlacementEnv
 from repro.netlist import current_mirror, five_transistor_ota
 from repro.route import total_wirelength
@@ -64,6 +65,46 @@ GOLDEN_CM = {
     SimulatedAnnealingPlacer: (5.749999999999999, 61, 60),
 }
 
+# (best_cost, sims_used, history) at batch=4, recorded before the turns
+# priced the primary move on the live placement (each candidate was then
+# a snapshot applied and undone): five_transistor_ota, wirelength
+# objective, seed=7, max_steps=80.
+GOLDEN_OTA5T_BATCH4 = {
+    MultiLevelPlacer: (8.5, 315, [
+        (1, 11.999999999999998), (247, 11.499999999999998), (251, 11.0),
+        (259, 10.500000000000002), (267, 9.5), (295, 8.999999999999998),
+        (299, 8.5)]),
+    FlatQPlacer: (10.0, 321, [
+        (1, 11.999999999999998), (21, 11.499999999999998),
+        (33, 10.999999999999998), (41, 10.5), (101, 10.0)]),
+    SimulatedAnnealingPlacer: (3.0, 321, [
+        (1, 11.999999999999998), (5, 8.999999999999998), (153, 8.5),
+        (189, 7.499999999999999), (205, 6.999999999999999), (209, 6.0),
+        (217, 5.5), (221, 5.0), (225, 4.5), (245, 3.5000000000000004),
+        (253, 3.5), (269, 3.0)]),
+}
+# The same at batch=4 on current_mirror with the simulator objective
+# (evaluate_many prices the candidates; sims_used counts simulations):
+# seed=3, max_steps=40.
+GOLDEN_CM_SIM_BATCH4 = {
+    MultiLevelPlacer: (3.4823671219185934, 153, [
+        (1, 4.00944795884001), (68, 3.595687744763726),
+        (153, 3.4823671219185934)]),
+    FlatQPlacer: (0.8674098057387293, 150, [
+        (1, 4.00944795884001), (5, 2.2346760801022683),
+        (23, 2.0469320788249536), (43, 2.013456115721092),
+        (117, 1.4409552538328738), (125, 1.3592638209673849),
+        (129, 1.2935455977943657), (133, 1.0374019258643825),
+        (137, 0.8674098057387293)]),
+    SimulatedAnnealingPlacer: (0.09231317167584087, 149, [
+        (1, 4.00944795884001), (4, 3.7428339166523634),
+        (15, 3.5040378155017633), (35, 2.4815524249305465),
+        (51, 2.4804002567771977), (55, 2.4720808771202685),
+        (62, 2.0822569593831046), (66, 0.7986557063218069),
+        (112, 0.12663699458399238), (116, 0.09931260730859533),
+        (138, 0.09360720505663112), (145, 0.09231317167584087)]),
+}
+
 ALL_PLACERS = [MultiLevelPlacer, FlatQPlacer, SimulatedAnnealingPlacer]
 
 
@@ -89,6 +130,26 @@ class TestK1ReproducesPreRefactorTrajectories:
         assert a.best_cost == b.best_cost
         assert a.history == b.history
         assert a.sims_used == b.sims_used
+
+
+@pytest.mark.parametrize("placer_cls", ALL_PLACERS)
+class TestBatch4Trajectories:
+    def test_golden_ota5t(self, placer_cls):
+        result = placer_cls(make_env(), batch=4, seed=7).optimize(
+            max_steps=80)
+        assert (result.best_cost, result.sims_used,
+                result.history) == GOLDEN_OTA5T_BATCH4[placer_cls]
+
+    def test_golden_cm_simulator(self, placer_cls):
+        block = current_mirror()
+        evaluator = PlacementEvaluator(block)
+        env = PlacementEnv(block, evaluator.cost,
+                           objective_many=evaluator.cost_many)
+        result = placer_cls(
+            env, batch=4, seed=3, sim_counter=lambda: evaluator.sim_count,
+        ).optimize(max_steps=40)
+        assert (result.best_cost, result.sims_used,
+                result.history) == GOLDEN_CM_SIM_BATCH4[placer_cls]
 
 
 @pytest.mark.parametrize("placer_cls", ALL_PLACERS)

@@ -119,7 +119,7 @@ class TestFailureSemantics:
 
         monkeypatch.setattr(evaluator, "_suite", flaky)
         monkeypatch.setitem(
-            __import__("repro.eval.evaluator", fromlist=["BATCH_SUITES"])
+            __import__("repro.eval.batch_suites", fromlist=["BATCH_SUITES"])
             .BATCH_SUITES, "cm",
             lambda *a, **k: (_ for _ in ()).throw(
                 ConvergenceError("batch failure")),

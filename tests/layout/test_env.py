@@ -19,14 +19,6 @@ class TestBasics:
     def test_groups_enumerated(self, env):
         assert set(env.group_names) == {"tail", "input_pair", "pload"}
 
-    def test_group_units(self, env):
-        units = env.group_units("input_pair")
-        assert set(units) == {("m1", 0), ("m1", 1), ("m2", 0), ("m2", 1)}
-
-    def test_unknown_group_rejected(self, env):
-        with pytest.raises(KeyError, match="group"):
-            env.group_units("ghost")
-
     def test_cost_calls_objective(self, env):
         assert env.cost() == float(env.placement.area_cells())
 
@@ -66,8 +58,6 @@ class TestStates:
     def test_group_state_distinguishes_devices(self, env):
         """Swapping units of *different* devices changes the state even
         though the occupied cells are identical."""
-        units = env.group_units("input_pair")
-        m1_0 = units.index(("m1", 0))
         state0 = env.group_state("input_pair")
         c1 = env.placement.cell_of(("m1", 0))
         c2 = env.placement.cell_of(("m2", 0))

@@ -1,11 +1,14 @@
-"""Property tests: the shape-cached cut analysis equals the plain rule.
+"""Property tests: the bitmask action masks equal the plain rules.
 
-The plain rule (paper Fig. 2(b)) is: a unit move is legal iff its target
-is free and the group is still connected afterwards.  The placer instead
-looks up, per group shape, which directions keep the group connected
-(:func:`connected_unit_moves`) and only checks the target is free.  These
-tests replay the plain rule with a flood fill on every candidate and
-demand the same legal set in the same ``(unit, direction)`` order.
+The plain unit rule (paper Fig. 2(b)) is: a unit move is legal iff its
+target is free and the group is still connected afterwards.  The placer
+instead looks up, per group shape, which directions keep the group
+connected (:func:`connected_unit_moves`, a cut analysis on cell masks)
+and tests the target against the placement's free-cell mask.  The plain
+group rule is: a rigid translation is legal iff every unit's target is
+in bounds and free or held by the group itself; the placer tests it as
+one shift of the group's cell mask.  These tests replay the plain rules
+cell by cell and demand the same legal sets in the same order.
 """
 
 import numpy as np
@@ -18,11 +21,38 @@ from repro.layout import (
     PlacementEnv,
     connected_unit_moves,
     is_connected,
+    legal_group_moves,
     legal_unit_moves,
     neighbours,
     unit_move_is_legal,
 )
 from repro.netlist import comparator, current_mirror, two_stage_ota
+
+
+def group_units(env, group_name):
+    """The units of ``group_name`` in the environment's action order."""
+    block = env.block
+    group = next(g for g in block.groups if g.name == group_name)
+    return [(name, k) for name in group.devices
+            for k in range(block.circuit.device(name).n_units)]
+
+
+def spec_group_actions(placement, units):
+    """Legal rigid-translation directions by the plain rule, in order."""
+    out = []
+    for k, (dc, dr) in enumerate(DIRECTIONS):
+        ok = True
+        for unit in units:
+            c, r = placement.cell_of(unit)
+            target = (c + dc, r + dr)
+            holder = placement.unit_at(target)
+            if not placement.canvas.in_bounds(target) or (
+                    holder is not None and holder not in units):
+                ok = False
+                break
+        if ok:
+            out.append(k)
+    return out
 
 
 def spec_actions(placement, units, adjacency):
@@ -100,11 +130,67 @@ def test_env_actions_match_plain_rule_along_walks(seed, adjacency):
             group = env.group_names[int(rng.integers(len(env.group_names)))]
             legal = env.legal_unit_actions(group)
             assert legal == spec_actions(
-                env.placement, env.group_units(group), adjacency
+                env.placement, group_units(env, group), adjacency
             )
             if legal:
                 local, k = legal[int(rng.integers(len(legal)))]
                 assert env.step_unit(group, local, k)
+
+
+#: One environment per library block; the group scenes swap in their
+#: own placement.
+SCENE_ENVS = [PlacementEnv(build(), lambda p: 0.0)
+              for build in (current_mirror, comparator, two_stage_ota)]
+
+
+@st.composite
+def group_scenes(draw):
+    """A small canvas holding one library group's units on arbitrary
+    distinct cells (often on an edge) and some obstacle units."""
+    env = draw(st.sampled_from(SCENE_ENVS))
+    group = draw(st.sampled_from(env.group_names))
+    units = group_units(env, group)
+    cols = draw(st.integers(min_value=-(-len(units) // 8), max_value=8))
+    rows = draw(st.integers(min_value=-(-len(units) // cols), max_value=8))
+    all_cells = [(c, r) for r in range(rows) for c in range(cols)]
+    cells = draw(st.permutations(all_cells))[:len(units)]
+    free = [cell for cell in all_cells if cell not in cells]
+    obstacles = draw(st.lists(st.sampled_from(free), unique=True)) if free else []
+    placement = Placement(CanvasSpec(cols, rows))
+    for unit, cell in zip(units, cells):
+        placement.place(unit, cell)
+    for j, cell in enumerate(obstacles):
+        placement.place(("x", j), cell)
+    return env, group, units, placement
+
+
+@given(scene=group_scenes())
+@settings(max_examples=300, deadline=None)
+def test_group_mask_matches_plain_rule(scene):
+    env, group, units, placement = scene
+    env.placement = placement
+    expected = spec_group_actions(placement, units)
+    assert env.legal_group_actions(group) == expected
+    assert legal_group_moves(placement, units) == expected
+
+
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=12, deadline=None)
+def test_env_group_actions_match_plain_rule_along_walks(seed):
+    rng = np.random.default_rng(seed)
+    for build in (current_mirror, comparator, two_stage_ota):
+        env = PlacementEnv(build(), lambda p: 0.0)
+        for __ in range(25):
+            group = env.group_names[int(rng.integers(len(env.group_names)))]
+            legal = env.legal_group_actions(group)
+            assert legal == spec_group_actions(
+                env.placement, group_units(env, group))
+            if legal:
+                env.move_group(group, legal[int(rng.integers(len(legal)))])
+            unit_legal = env.legal_unit_actions(group)
+            if unit_legal:
+                local, k = unit_legal[int(rng.integers(len(unit_legal)))]
+                env.move_unit(group, local, k)
 
 
 def test_single_unit_moves_anywhere_free():

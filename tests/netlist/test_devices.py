@@ -28,7 +28,7 @@ class TestMosfet:
 
     def test_polarity_predicates(self):
         assert nmos(polarity=+1).is_nmos
-        assert not nmos(polarity=+1).is_pmos
+        assert not nmos(polarity=-1).is_nmos
 
     def test_missing_port_rejected(self):
         with pytest.raises(ValueError, match="missing"):

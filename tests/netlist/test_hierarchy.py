@@ -3,7 +3,6 @@
 import pytest
 
 from repro.netlist import (
-    Circuit,
     CurrentSource,
     Flattened,
     HierarchicalCircuit,

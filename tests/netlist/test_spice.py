@@ -104,7 +104,7 @@ class TestParser:
     def test_pmos_model_suffix_fallback(self):
         deck = "mx d g s b my_pmos_model w=1e-6 l=1e-7\nvd d 0 1\nvg g 0 0\nvs s 0 1\nvb b 0 1\n"
         ckt = from_spice(deck)
-        assert ckt.device("x").is_pmos
+        assert ckt.device("x").polarity < 0
 
     def test_orphan_continuation_rejected(self):
         with pytest.raises(SpiceFormatError, match="continuation"):

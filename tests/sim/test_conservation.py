@@ -4,11 +4,9 @@ These are simulator-wide invariants checked with hypothesis across bias
 conditions — KCL must hold at every converged solution, device by device,
 computed independently of the solver's own residual."""
 
-import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.netlist import Circuit, CurrentSource, Mosfet, Resistor, VoltageSource, five_transistor_ota
+from repro.netlist import CurrentSource, Mosfet, Resistor, VoltageSource, five_transistor_ota
 from repro.netlist.nets import is_ground
 from repro.sim import solve_dc
 from repro.sim.mosfet import terminal_currents

@@ -5,8 +5,6 @@ terminal partial derivatives — a wrong Jacobian poisons Newton convergence
 in ways that are miserable to debug downstream.
 """
 
-import math
-
 import pytest
 from hypothesis import given, settings, strategies as st
 

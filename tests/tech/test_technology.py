@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.tech import Technology, generic_tech_40, nominal_nmos_40, nominal_pmos_40
+from repro.tech import generic_tech_40, nominal_nmos_40, nominal_pmos_40
 
 
 @pytest.fixture

@@ -216,6 +216,19 @@ UNUSED_ON_IMPORT = (
     "repro.service.http", "repro.zoo",
 )
 
+#: Modules a builtin-circuit ``repro place`` at batch 1 never runs: deck
+#: ingestion, the SVG writer, simulated annealing, the policy-file codec,
+#: the placement-batched solvers and suites, the retry and fault layers,
+#: the async job manager and its journal, and the process pool.
+UNUSED_BY_PLACE = (
+    "repro.netlist.constraints", "repro.netlist.spice",
+    "repro.netlist.hierarchy", "repro.layout.svg", "repro.core.annealing",
+    "repro.core.persistence", "repro.sim.batch", "repro.eval.batch_suites",
+    "repro.runtime.resilience", "repro.runtime.faults",
+    "repro.service.jobs", "repro.service.journal",
+    "concurrent.futures.process", "multiprocessing",
+)
+
 
 def _src_env() -> dict:
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -225,11 +238,27 @@ def _src_env() -> dict:
 def test_cli_import_does_not_load_scipy():
     code = (
         "import sys, repro.cli; "
-        f"print([m for m in {UNUSED_ON_IMPORT!r} if m in sys.modules])"
+        f"print([m for m in {UNUSED_ON_IMPORT + UNUSED_BY_PLACE!r} "
+        "if m in sys.modules])"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         env=_src_env(), check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_place_loads_only_what_it_runs():
+    code = (
+        "import contextlib, io, sys; from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['place', '--circuit', 'cm', '--steps', '20'])\n"
+        f"print([m for m in {UNUSED_BY_PLACE!r} "
+        "if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=_src_env(), check=True, timeout=120,
     )
     assert out.stdout.strip() == "[]"
 

@@ -30,6 +30,8 @@ KEEP = {
     "bandwidth_3db": "oracle: checked against the early-stop open-loop sweep",
     "is_connected": "oracle: the cut analysis behind the legal-move mask",
     "accounting": "oracle: RunReport's sim accounting in the fault tests",
+    "step_group": "oracle: the checked group step; agents take masked "
+                  "moves through move_group",
     # Helpers that many test files share.
     "server_thread": "test helper: serves repro.service.http in-process",
     "unit_context": "test helper: one unit's layout context",

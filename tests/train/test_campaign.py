@@ -41,7 +41,8 @@ class TestCampaignBasics:
             assert rep.index == i
             totals += rep.sims
             assert rep.sims_total == totals
-            assert rep.merge.total > 0
+            merge = rep.merge
+            assert merge.added + merge.updated + merge.kept > 0
         assert result.total_sims == totals
         # Master only ever grows under a merge.
         sizes = [rep.master_entries for rep in result.rounds]

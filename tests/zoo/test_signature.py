@@ -9,7 +9,6 @@ from repro.zoo import (
     GroupSignature,
     block_signatures,
     circuit_signature,
-    group_signature,
     signature_meta,
 )
 
