@@ -5,28 +5,28 @@ operating point + stacked AC + metric extraction) on a fixed set of 16
 distinct two-stage-OTA candidates, each with its own Monte-Carlo
 variation draw, in two solver configurations:
 
-* **baseline** — a plain warm dict and
-  ``solver_tuning(jacobian_reuse=False, op_cache=False)``: the exact
-  pre-fast-path compiled-engine code path (PR 3's solver);
-* **fast** — a :class:`~repro.eval.warm.WarmStore` at the default
-  tuning: cross-placement operating-point reuse (the DC system is
-  independent of the capacitor-only parasitics, so matching deltas hit
-  bit-exactly), nearest-neighbour Newton seeding and cached placement
-  geometry.
+* **baseline** — a plain warm dict: the suites then seed every DC
+  solve from the last solution only, the pre-op-cache code path (the
+  scalar DC driver always runs plain damped Newton);
+* **fast** — a :class:`~repro.eval.warm.WarmStore`: cross-placement
+  operating-point reuse (the DC system is independent of the
+  capacitor-only parasitics, so matching deltas hit bit-exactly) and
+  nearest-neighbour Newton seeding.
 
 Rounds of both configurations are interleaved and best-of timed so
 machine noise hits both equally.  The fast path's job is to skip the
 DC solve of an operating point it has seen; the AC analysis it cannot
 skip.  So the acceptance target is an absolute per-evaluation saving:
-in the steady state (the placement loop's regime: the variation set
-recurs across candidates, so op-cache hits dominate) the fast path
-saves **at least three quarters of the baseline's DC-solve time** per
-evaluation.  A ratio of whole evaluations would move with every change
-to the AC or Newton cost that the op cache has nothing to do with; the
-ratio is recorded (``fast_vs_baseline``) but not asserted.  A
+in the steady state (every pass repeats the same 16 variation draws,
+so exact op-cache hits serve every DC solve) the fast path saves **at
+least three quarters of the baseline's DC-solve time** per evaluation.
+A ratio of whole evaluations would move with every change to the AC or
+Newton cost that the op cache has nothing to do with; the ratio is
+recorded (``fast_vs_baseline``) but not asserted.  A
 cold-library pass and steady-state solver statistics (Newton
 iterations, warm-hit rate) are recorded in ``extra_info`` alongside
-batch-8 numbers from the placement-batched path.
+batch-8 numbers from the placement-batched path (both with its
+Jacobian reuse, which is always on; they differ only in the warm store).
 
 Set ``SOLVER_SPEED_SMOKE=1`` (CI does — shared runners are too noisy
 for hard wall-clock targets) to run in shape-only mode: fewer rounds,
@@ -47,14 +47,12 @@ from repro.layout.generators import random_walk_placements
 from repro.netlist.library import two_stage_ota
 from repro.route.parasitics import annotate_parasitics
 from repro.sim import reset_solver_stats, solver_stats
-from repro.sim.fastpath import solver_tuning
 from repro.tech import generic_tech_40
 from repro.variation import DeviceDelta
 
 SMOKE = os.environ.get("SOLVER_SPEED_SMOKE", "") not in ("", "0")
 ROUNDS = 2 if SMOKE else 9
 N_CANDIDATES = 16
-BASELINE = dict(jacobian_reuse=False, op_cache=False)
 # Share of the baseline's per-evaluation DC-solve time the fast path must
 # save in the steady state.
 MIN_DC_SAVING = 0.75
@@ -91,8 +89,7 @@ def test_solver_fastpath_speedup(benchmark, monkeypatch):
     # Warm both configurations: topology compile, legacy warm vectors,
     # and (fast only) the operating-point library.
     base_warm, fast_warm = {}, WarmStore()
-    with solver_tuning(**BASELINE):
-        base_metrics = run_pass(base_warm)
+    base_metrics = run_pass(base_warm)
     cold_start = time.perf_counter()
     fast_metrics = run_pass(WarmStore())  # cold library, recorded below
     cold_s = time.perf_counter() - cold_start
@@ -116,12 +113,11 @@ def test_solver_fastpath_speedup(benchmark, monkeypatch):
 
     def interleaved_rounds():
         for __ in range(ROUNDS):
-            with solver_tuning(**BASELINE):
-                dc_clock[0] = 0.0
-                start = time.perf_counter()
-                run_pass(base_warm)
-                base_times.append(time.perf_counter() - start)
-                dc_times.append(dc_clock[0])
+            dc_clock[0] = 0.0
+            start = time.perf_counter()
+            run_pass(base_warm)
+            base_times.append(time.perf_counter() - start)
+            dc_times.append(dc_clock[0])
             start = time.perf_counter()
             run_pass(fast_warm)
             fast_times.append(time.perf_counter() - start)
@@ -146,16 +142,15 @@ def test_solver_fastpath_speedup(benchmark, monkeypatch):
                              placements[s], warm)
 
     batch_times = {}
-    for label, factory, tuning in (
-        ("batch8_baseline_ms", dict, BASELINE),
-        ("batch8_fast_ms", WarmStore, {}),
+    for label, factory in (
+        ("batch8_baseline_ms", dict),
+        ("batch8_fast_ms", WarmStore),
     ):
         warm = factory()
-        with solver_tuning(**tuning):
-            run_batched(warm)  # warm pass
-            best = min(
-                _timed(run_batched, warm) for __ in range(max(2, ROUNDS // 2))
-            )
+        run_batched(warm)  # warm pass
+        best = min(
+            _timed(run_batched, warm) for __ in range(max(2, ROUNDS // 2))
+        )
         batch_times[label] = best / N_CANDIDATES * 1e3
 
     benchmark.extra_info.update({
@@ -178,7 +173,7 @@ def test_solver_fastpath_speedup(benchmark, monkeypatch):
     })
 
     # Shape: the fast path is a pure accelerator — cold- and warm-library
-    # fast metrics agree with the reference configuration.
+    # fast metrics agree with the baseline's.
     for want, got in zip(base_metrics, fast_metrics):
         for key, value in want.values.items():
             assert got.values[key] == pytest.approx(value, rel=1e-8, abs=1e-12)

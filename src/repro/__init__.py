@@ -41,7 +41,6 @@ _EXPORTS = {
     "MultiLevelPlacer": "repro.core",
     "PlacerResult": "repro.core",
     "QAgent": "repro.core",
-    "RewardConfig": "repro.core",
     "SimulatedAnnealingPlacer": "repro.core",
     "Metrics": "repro.eval",
     "PlacementEvaluator": "repro.eval",

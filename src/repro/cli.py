@@ -172,8 +172,9 @@ def _build_parser() -> argparse.ArgumentParser:
     spice = sub.add_parser("spice", help="print a circuit's SPICE deck")
     spice.add_argument("--circuit", choices=sorted(CIRCUITS), default="cm")
 
+    placeable = _placeable_circuits()
     place = sub.add_parser("place", help="optimize a placement")
-    place.add_argument("--circuit", choices=_placeable_circuits(), default="cm")
+    place.add_argument("--circuit", choices=placeable, default="cm")
     place.add_argument("--steps", type=int, default=400)
     place.add_argument("--seed", type=int, default=1)
     place.add_argument("--svg", metavar="PATH",
@@ -194,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "train",
         help="island-model shared-policy training (merged Q-tables)",
     )
-    train.add_argument("circuit", choices=_placeable_circuits())
+    train.add_argument("circuit", choices=placeable)
     train.add_argument("--workers", type=int, default=4,
                        help="islands per synchronisation round")
     train.add_argument("--rounds", type=int, default=3,

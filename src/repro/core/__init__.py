@@ -34,7 +34,6 @@ _LAZY = {
     "MergeStats": "repro.core.qlearning",
     "QAgent": "repro.core.qlearning",
     "QTable": "repro.core.qlearning",
-    "RewardConfig": "repro.core.rewards",
     "shaped_reward": "repro.core.rewards",
 }
 
@@ -51,7 +50,6 @@ __all__ = [
     "ProposingAgent",
     "QAgent",
     "QTable",
-    "RewardConfig",
     "SimulatedAnnealingPlacer",
     "epsilon_greedy",
     "epsilon_greedy_topk",

@@ -101,16 +101,19 @@ class _SaTurn:
         return cost
 
 
+#: Initial and final temperature as fractions of the initial cost
+#: (temperature lives in cost units).
+T_START_FRAC = 0.3
+T_END_FRAC = 1e-3
+#: Probability a proposal is a rigid group move rather than a unit move.
+P_GROUP_MOVE = 0.25
+
+
 class SimulatedAnnealingPlacer(BasePlacer):
     """Metropolis SA on a placement environment.
 
     Args:
         env: placement environment.
-        t_start_frac: initial temperature as a fraction of the initial
-            cost (temperature lives in cost units).
-        t_end_frac: final temperature as a fraction of the initial cost.
-        p_group_move: probability a proposal is a rigid group move rather
-            than a single-unit move.
         batch: candidate moves priced per turn (1 = classic SA; larger
             batches Metropolis-test the candidates in order and commit
             the first acceptance).
@@ -121,21 +124,11 @@ class SimulatedAnnealingPlacer(BasePlacer):
     def __init__(
         self,
         env: PlacementEnv,
-        t_start_frac: float = 0.3,
-        t_end_frac: float = 1e-3,
-        p_group_move: float = 0.25,
         batch: int = 1,
         seed: int = 0,
         sim_counter: Callable[[], int] | None = None,
     ):
-        if not 0 < t_end_frac <= t_start_frac:
-            raise ValueError("need 0 < t_end_frac <= t_start_frac")
-        if not 0.0 <= p_group_move <= 1.0:
-            raise ValueError(f"p_group_move must be in [0, 1], got {p_group_move}")
         super().__init__(env, batch, sim_counter)
-        self.t_start_frac = t_start_frac
-        self.t_end_frac = t_end_frac
-        self.p_group_move = p_group_move
         self.rng = np.random.default_rng(seed)
         self.accepted = 0
         self.proposed = 0
@@ -147,7 +140,7 @@ class SimulatedAnnealingPlacer(BasePlacer):
         groups = self.env.group_names
         for __ in range(20):  # retry if the sampled group has no legal move
             group = groups[int(self.rng.integers(len(groups)))]
-            if self.rng.random() < self.p_group_move:
+            if self.rng.random() < P_GROUP_MOVE:
                 legal = self.env.legal_group_actions(group)
                 if legal:
                     d = legal[int(self.rng.integers(len(legal)))]
@@ -163,10 +156,10 @@ class SimulatedAnnealingPlacer(BasePlacer):
         return [_SaTurn(self)]
 
     def _begin(self, initial: float, max_steps: int) -> None:
-        """Temperature decays geometrically from ``t_start_frac * C0`` to
-        ``t_end_frac * C0`` across the step budget."""
-        t_start = self.t_start_frac * max(initial, 1e-12)
-        t_end = self.t_end_frac * max(initial, 1e-12)
+        """Temperature decays geometrically from ``T_START_FRAC * C0`` to
+        ``T_END_FRAC * C0`` across the step budget."""
+        t_start = T_START_FRAC * max(initial, 1e-12)
+        t_end = T_END_FRAC * max(initial, 1e-12)
         self._decay = (t_end / t_start) ** (1.0 / max_steps)
         self.temperature = t_start
 

@@ -32,8 +32,8 @@ larger batches add speculative candidates whose priced outcomes
 accelerate learning and land in the evaluator's cache.
 
 Learning is **episodic**: after ``episode_length`` agent steps the
-environment restarts (from the best placement seen, or the initial one)
-while all Q-tables persist —
+environment restarts from the best placement seen (the flat ablation
+restarts from the initial one) while all Q-tables persist —
 this is how Q-learning "improves over time by gradually refining its
 policy" across restarts, the property the paper contrasts against SA.
 
@@ -57,7 +57,7 @@ import numpy as np
 from repro.core.optimizer import BasePlacer, Outcome, Proposal
 from repro.core.policy import EpsilonSchedule
 from repro.core.qlearning import MergeStats, QAgent, QTable
-from repro.core.rewards import RewardConfig, shaped_reward
+from repro.core.rewards import shaped_reward
 from repro.layout.env import PlacementEnv
 from repro.layout.placement import Placement
 
@@ -125,9 +125,7 @@ class _QTurn:
         cost = placer.turn_cost
         for outcome in outcomes:
             reward = shaped_reward(
-                cost, outcome.cost, placer.turn_initial, placer.turn_target,
-                placer.reward_config,
-            )
+                cost, outcome.cost, placer.turn_initial, placer.turn_target)
             self.agent.learn(
                 self._state, outcome.proposal.action, reward,
                 outcome.proposal.next_state,
@@ -193,7 +191,6 @@ class _QPlacer(BasePlacer):
     def __init__(
         self,
         env: PlacementEnv,
-        reward_config: RewardConfig | None,
         episode_length: int,
         worse_tolerance: float | None,
         batch: int,
@@ -204,7 +201,6 @@ class _QPlacer(BasePlacer):
         if worse_tolerance is not None and worse_tolerance < 0:
             raise ValueError("worse_tolerance cannot be negative")
         super().__init__(env, batch, sim_counter)
-        self.reward_config = reward_config if reward_config is not None else RewardConfig()
         self.episode_length = episode_length
         self.worse_tolerance = worse_tolerance
 
@@ -289,12 +285,8 @@ class MultiLevelPlacer(_QPlacer):
         gamma: discount factor for all agents.
         epsilon: exploration schedule (shared shape; each agent advances
             its own step counter).
-        reward_config: reward shaping parameters.
-        episode_length: agent steps between environment resets.
-        episode_restart: where episodes restart — ``"best"`` (elitist:
-            resume from the best placement seen, default) or
-            ``"initial"`` (the paper's literal initial-placement restart;
-            kept for the restart ablation).
+        episode_length: agent steps between environment resets; every
+            episode resumes from the best placement seen (elitist).
         worse_tolerance: accepted relative worsening per move (fraction of
             the *current* cost, annealed to zero over the budget);
             ``None`` disables reverting entirely (plain-accept Q-learning,
@@ -312,7 +304,6 @@ class MultiLevelPlacer(_QPlacer):
             agents; UCB replaces the global epsilon schedule with a
             deterministic per-entry visit-count bonus, the natural mode
             when warm-start tables (which carry visits) are loaded.
-        ucb_c: UCB exploration strength (``"ucb"`` mode only).
     """
 
     def __init__(
@@ -321,32 +312,24 @@ class MultiLevelPlacer(_QPlacer):
         alpha: float = 0.3,
         gamma: float = 0.9,
         epsilon: EpsilonSchedule | None = None,
-        reward_config: RewardConfig | None = None,
         episode_length: int = 100,
-        episode_restart: str = "best",
         worse_tolerance: float | None = 0.5,
         batch: int = 1,
         seed: int = 0,
         sim_counter: Callable[[], int] | None = None,
         exploration: str = "epsilon",
-        ucb_c: float = 0.5,
     ):
-        if episode_restart not in ("best", "initial"):
-            raise ValueError(
-                f"episode_restart must be 'best' or 'initial', got {episode_restart!r}"
-            )
-        super().__init__(env, reward_config, episode_length, worse_tolerance,
-                         batch, sim_counter)
-        self.episode_restart = episode_restart
+        super().__init__(env, episode_length, worse_tolerance, batch,
+                         sim_counter)
         epsilon = epsilon if epsilon is not None else EpsilonSchedule()
         seed_seq = np.random.SeedSequence(seed)
         children = seed_seq.spawn(1 + len(env.group_names))
         self.top_agent = QAgent(alpha, gamma, epsilon,
                                 np.random.default_rng(children[0]),
-                                exploration=exploration, ucb_c=ucb_c)
+                                exploration=exploration)
         self.bottom_agents = {
             name: QAgent(alpha, gamma, epsilon, np.random.default_rng(child),
-                         exploration=exploration, ucb_c=ucb_c)
+                         exploration=exploration)
             for name, child in zip(env.group_names, children[1:])
         }
 
@@ -357,10 +340,7 @@ class MultiLevelPlacer(_QPlacer):
         ]
 
     def _restart(self, best: Placement) -> None:
-        if self.episode_restart == "best":
-            self.env.placement = best.copy()
-        else:
-            self.env.reset()
+        self.env.placement = best.copy()
 
     def _diagnostics(self) -> dict:
         return self.table_sizes()
@@ -429,21 +409,19 @@ class FlatQPlacer(_QPlacer):
         alpha: float = 0.3,
         gamma: float = 0.9,
         epsilon: EpsilonSchedule | None = None,
-        reward_config: RewardConfig | None = None,
         episode_length: int = 100,
         worse_tolerance: float | None = 0.5,
         batch: int = 1,
         seed: int = 0,
         sim_counter: Callable[[], int] | None = None,
         exploration: str = "epsilon",
-        ucb_c: float = 0.5,
     ):
-        super().__init__(env, reward_config, episode_length, worse_tolerance,
-                         batch, sim_counter)
+        super().__init__(env, episode_length, worse_tolerance, batch,
+                         sim_counter)
         self.agent = QAgent(
             alpha, gamma, epsilon if epsilon is not None else EpsilonSchedule(),
             np.random.default_rng(seed),
-            exploration=exploration, ucb_c=ucb_c,
+            exploration=exploration,
         )
 
     def _turns(self) -> list[_QTurn]:

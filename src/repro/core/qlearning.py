@@ -244,6 +244,10 @@ class QTable:
         return sum(len(v) for v in self._table.values())
 
 
+#: UCB exploration strength of ``exploration="ucb"`` agents.
+UCB_C = 0.5
+
+
 class QAgent:
     """One tabular Q-learning agent.
 
@@ -256,8 +260,7 @@ class QAgent:
             epsilon-greedy schedule, or ``"ucb"`` for deterministic
             visit-aware UCB selection — the per-entry visit counts the
             table already records drive the exploration bonus instead of
-            the global schedule.
-        ucb_c: UCB exploration strength (only used in ``"ucb"`` mode).
+            the global schedule, at strength :data:`UCB_C`.
     """
 
     def __init__(
@@ -267,7 +270,6 @@ class QAgent:
         epsilon: EpsilonSchedule | None = None,
         rng: np.random.Generator | None = None,
         exploration: str = "epsilon",
-        ucb_c: float = 0.5,
     ):
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
@@ -277,14 +279,11 @@ class QAgent:
             raise ValueError(
                 f"exploration must be one of {EXPLORATIONS}, got {exploration!r}"
             )
-        if ucb_c < 0:
-            raise ValueError(f"ucb_c cannot be negative, got {ucb_c}")
         self.alpha = alpha
         self.gamma = gamma
         self.epsilon = epsilon if epsilon is not None else EpsilonSchedule()
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.exploration = exploration
-        self.ucb_c = ucb_c
         self.table = QTable()
         self.steps = 0
 
@@ -311,7 +310,7 @@ class QAgent:
         if self.exploration == "ucb":
             return ucb_topk(
                 self.table.actions(state), self.table.visit_counts(state),
-                legal_actions, t, self.ucb_c, k,
+                legal_actions, t, UCB_C, k,
             )
         eps = self.epsilon.value(t)
         return epsilon_greedy_topk(

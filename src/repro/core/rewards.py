@@ -10,29 +10,8 @@ maximise exactly "reach the best placement".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class RewardConfig:
-    """Shaping parameters.
-
-    Attributes:
-        scale: multiplier on the normalised improvement.
-        target_bonus: extra reward when a move reaches the target cost.
-        step_penalty: small constant subtracted per move to discourage
-            dithering (0 disables).
-    """
-
-    scale: float = 1.0
-    target_bonus: float = 5.0
-    step_penalty: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-        if self.target_bonus < 0 or self.step_penalty < 0:
-            raise ValueError("bonus/penalty cannot be negative")
+#: Extra reward for a move that crosses the target cost.
+TARGET_BONUS = 5.0
 
 
 def shaped_reward(
@@ -40,7 +19,6 @@ def shaped_reward(
     cost_after: float,
     reference_cost: float,
     target: float | None = None,
-    config: RewardConfig = RewardConfig(),
 ) -> float:
     """Reward for a move that changed the objective.
 
@@ -49,13 +27,11 @@ def shaped_reward(
         cost_after: objective after the move.
         reference_cost: normalisation scale (typically the initial cost);
             must be positive.
-        target: target cost; reaching it earns the terminal bonus.
-        config: shaping parameters.
+        target: target cost; reaching it earns :data:`TARGET_BONUS`.
     """
     if reference_cost <= 0:
         raise ValueError(f"reference_cost must be positive, got {reference_cost}")
-    reward = config.scale * (cost_before - cost_after) / reference_cost
-    reward -= config.step_penalty
+    reward = (cost_before - cost_after) / reference_cost
     if target is not None and cost_after <= target < cost_before:
-        reward += config.target_bonus
+        reward += TARGET_BONUS
     return reward

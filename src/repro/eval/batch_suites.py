@@ -90,7 +90,7 @@ def measure_cm_many(
         store_dc(warm, "cm", feats, result)
     warm["cm"] = results[-1].x
 
-    return [cm_metrics(block, placement, tech, warm, result)
+    return [cm_metrics(block, placement, tech, result)
             for placement, result in zip(placements, results)]
 
 
@@ -137,8 +137,7 @@ def measure_comp_many(
     minus = imbalances(-2 * OFFSET_PROBE_V, "minus")
 
     return [
-        comp_metrics(block, bench, placement, tech, deltas, warm,
-                     op, rp, rm)
+        comp_metrics(block, bench, placement, tech, deltas, op, rp, rm)
         for bench, placement, deltas, op, rp, rm in zip(
             benches, placements, deltas_seq, ops, plus, minus)
     ]
@@ -190,7 +189,7 @@ def measure_ota_many(
     transfers = open_loop_transfers(solve, warm)
 
     return [
-        ota_metrics(block, placement, tech, warm, op, open_loop)
+        ota_metrics(block, placement, tech, op, open_loop)
         for placement, op, open_loop in zip(
             placements, ops, open_loop_metrics_rows(transfers))
     ]

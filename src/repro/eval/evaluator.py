@@ -37,6 +37,10 @@ from repro.variation import DeviceDelta, VariationModel, default_variation_model
 # rewards and FOMs stay well-defined.
 FAILURE_PRIMARY = 1.0e6
 
+# Strength of the multiplicative area term of the cost at
+# ``ObjectiveWeights.area == 1``; a request scales it through that weight.
+AREA_WEIGHT = 0.05
+
 
 def _run_pairs(
     n_cols: int, shorter: int, longest: int
@@ -144,8 +148,6 @@ class PlacementEvaluator:
         tech: technology (defaults to the synthetic 40 nm node).
         variation: variation model; defaults to the calibrated non-linear
             model scaled to the block's canvas.
-        cost_area_weight: strength of the multiplicative area term in
-            :meth:`cost` (0 disables it).
         cache_size: maximum number of memoised placements (LRU eviction).
         objective: preference weights conditioning the :meth:`cost`
             composition (see :class:`~repro.eval.objective
@@ -158,12 +160,9 @@ class PlacementEvaluator:
         block: AnalogBlock,
         tech: Technology | None = None,
         variation: VariationModel | None = None,
-        cost_area_weight: float = 0.05,
         cache_size: int = 50_000,
         objective: ObjectiveWeights | None = None,
     ):
-        if cost_area_weight < 0:
-            raise ValueError("cost_area_weight cannot be negative")
         if cache_size < 1:
             raise ValueError(f"cache_size must be at least 1, got {cache_size}")
         self.block = block
@@ -172,7 +171,6 @@ class PlacementEvaluator:
             extent = max(block.canvas) * self.tech.grid_pitch
             variation = default_variation_model(canvas_extent=extent)
         self.variation = variation
-        self.cost_area_weight = cost_area_weight
         self.objective = objective if objective is not None else ObjectiveWeights()
         self.sim_count = 0
         self.cache_hits = 0
@@ -422,7 +420,7 @@ class PlacementEvaluator:
     def _cost_of(self, placement: Placement, metrics: Metrics) -> float:
         weights = self.objective
         cost = weights.matching * metrics.primary_value
-        area_weight = self.cost_area_weight * weights.area
+        area_weight = AREA_WEIGHT * weights.area
         if area_weight != 0:
             spread = placement.area_cells() / max(1, len(placement))
             cost = cost * (1.0 + area_weight * max(0.0, spread - 1.0))

@@ -8,16 +8,18 @@ condition the scalar objective on user preferences instead of fixing
 it).  The composition is
 
 ``cost = matching * primary``
-``cost *= 1 + (cost_area_weight * area) * max(0, spread - 1)``  (if != 0)
+``cost *= 1 + (AREA_WEIGHT * area) * max(0, spread - 1)``      (if != 0)
 ``cost += noise * power_w + parasitics * wirelength_um``        (if != 0)
 
 where ``primary`` is the suite's headline metric (mismatch %, offset mV),
-``spread`` the bounding-box area per unit, and the noise/parasitics terms
-lean on the proxies every measurement suite already emits (static power
-tracks noise-critical bias currents; estimated wirelength tracks routing
-parasitics).  All metrics and weights are non-negative, so the cost is
-monotone non-decreasing in every weight — raising a weight can only
-penalise the quantity it names.
+``AREA_WEIGHT`` the evaluator's constant 0.05 (a request scales it
+through ``area``), ``spread`` the bounding-box area per unit, and the
+noise/parasitics terms lean on the proxies every measurement suite
+already emits (static power tracks noise-critical bias currents;
+estimated wirelength tracks routing parasitics).  All metrics and
+weights are non-negative, so the cost is monotone non-decreasing in
+every weight — raising a weight can only penalise the quantity it
+names.
 
 **The default vector is bit-identical to the historical scalar cost**:
 ``matching = area = 1.0`` multiply through exactly (IEEE ``1.0 * x == x``)
@@ -44,7 +46,7 @@ class ObjectiveWeights:
         matching: scale on the suite's headline mismatch/offset metric
             (must stay positive — it is the term the paper optimizes).
         area: scale on the evaluator's multiplicative area term (its
-            ``cost_area_weight`` knob is multiplied by this; 0 disables).
+            ``AREA_WEIGHT`` constant is multiplied by this; 0 disables).
         noise: additive weight on the static-power proxy [1/W].
         parasitics: additive weight on the wirelength proxy [1/µm].
     """

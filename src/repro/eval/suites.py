@@ -22,7 +22,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from repro.eval.metrics import Metrics
-from repro.eval.warm import dc_features, geometry_for, seed_dc, store_dc
+from repro.eval.warm import dc_features, seed_dc, store_dc
 from repro.layout.placement import Placement
 from repro.netlist.circuit import Circuit
 from repro.netlist.devices import Capacitor, Mosfet, Vcvs, VoltageSource
@@ -54,16 +54,14 @@ def resolved_params(tech: Technology, device: Mosfet, deltas: Mapping[str, Devic
 
 
 def _geometry(
-    block: AnalogBlock, placement: Placement, tech: Technology, warm: Warm
+    block: AnalogBlock, placement: Placement, tech: Technology
 ) -> dict[str, float]:
     """Bounding-box area and estimated wirelength of a placement."""
-    def compute():
-        cell_area_um2 = tech.cell_area() * 1e12
-        return {
-            "area_um2": placement.area_cells() * cell_area_um2,
-            "wirelength_um": total_wirelength(block.circuit, placement, tech) * 1e6,
-        }
-    return geometry_for(warm, placement, compute)
+    cell_area_um2 = tech.cell_area() * 1e12
+    return {
+        "area_um2": placement.area_cells() * cell_area_um2,
+        "wirelength_um": total_wirelength(block.circuit, placement, tech) * 1e6,
+    }
 
 
 def _node_capacitances(
@@ -130,14 +128,13 @@ def measure_cm(
         result = solve_dc(annotated, tech, deltas=deltas, x0=x0)
         store_dc(warm, "cm", feats, result)
     warm["cm"] = result.x
-    return cm_metrics(block, placement, tech, warm, result)
+    return cm_metrics(block, placement, tech, result)
 
 
 def cm_metrics(
     block: AnalogBlock,
     placement: Placement,
     tech: Technology,
-    warm: Warm,
     result: DcResult,
 ) -> Metrics:
     """The current-mirror metrics of one solved bench (shared with the
@@ -151,7 +148,7 @@ def cm_metrics(
     }
     for probe, current in zip(probes, currents):
         values[f"i_{probe}_ua"] = current * 1e6
-    values.update(_geometry(block, placement, tech, warm))
+    values.update(_geometry(block, placement, tech))
     return Metrics(kind="cm", primary="mismatch_pct", values=values)
 
 
@@ -217,7 +214,7 @@ def measure_comp(
     op = imbalance(0.0, "balanced")
     plus = imbalance(+2 * OFFSET_PROBE_V, "plus")
     minus = imbalance(-2 * OFFSET_PROBE_V, "minus")
-    return comp_metrics(block, bench, placement, tech, deltas, warm,
+    return comp_metrics(block, bench, placement, tech, deltas,
                         op, plus, minus)
 
 
@@ -227,7 +224,6 @@ def comp_metrics(
     placement: Placement,
     tech: Technology,
     deltas: Mapping[str, DeviceDelta],
-    warm: Warm,
     op: DcResult,
     plus: DcResult,
     minus: DcResult,
@@ -271,7 +267,7 @@ def comp_metrics(
         "power_w": power_dynamic + power_static,
         "gm_latch_s": gm_latch,
     }
-    values.update(_geometry(block, placement, tech, warm))
+    values.update(_geometry(block, placement, tech))
     return Metrics(kind="comp", primary="offset_mv", values=values)
 
 
@@ -408,14 +404,13 @@ def measure_ota(
         return ac.transfer("outp")[None]
 
     open_loop = open_loop_metrics(open_loop_transfers(solve, warm)[0])
-    return ota_metrics(block, placement, tech, warm, op, open_loop)
+    return ota_metrics(block, placement, tech, op, open_loop)
 
 
 def ota_metrics(
     block: AnalogBlock,
     placement: Placement,
     tech: Technology,
-    warm: Warm,
     op: DcResult,
     open_loop: tuple[float, float, float],
 ) -> Metrics:
@@ -432,7 +427,7 @@ def ota_metrics(
         "pm_deg": pm,
         "power_w": supply_power(params["vdd"], op.current("vvdd")),
     }
-    values.update(_geometry(block, placement, tech, warm))
+    values.update(_geometry(block, placement, tech))
     return Metrics(kind="ota", primary="offset_mv", values=values)
 
 

@@ -22,7 +22,7 @@ It subclasses ``dict`` and leaves the plain ``warm[key] = result.x``
 last-solution protocol to the suites, so the measurement code runs
 unchanged against a plain dict (and byte-identically to the pre-cache
 behavior); the library kicks in only when the evaluator passes a
-WarmStore and the ``op_cache`` tuning knob is on.
+WarmStore, which it always does.
 """
 
 from __future__ import annotations
@@ -33,8 +33,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.sim.dc import DcResult
-from repro.sim.fastpath import STATS, get_solver_tuning
+from repro.sim.fastpath import STATS
 from repro.variation import DeviceDelta
+
+#: Entries each testbench stage's library keeps (oldest evicted first).
+LIBRARY_SIZE = 64
 
 
 def dc_features(deltas: Mapping[str, DeviceDelta] | None) -> np.ndarray:
@@ -105,7 +108,6 @@ class WarmStore(dict):
     def __init__(self) -> None:
         super().__init__()
         self._library: dict[str, _StageLibrary] = {}
-        self._geometry: "OrderedDict[tuple, dict]" = OrderedDict()
 
     # ------------------------------------------------------------- seeding
 
@@ -116,12 +118,9 @@ class WarmStore(dict):
 
         Returns ``(exact, x0)``: ``exact`` is a reusable converged result
         (identical deltas), ``x0`` a nearest-neighbour Newton seed.  At
-        most one is non-None; both are None on a cold stage or with the
-        cache disabled (callers then fall back to the legacy shared
-        last-solution vector).
+        most one is non-None; both are None on a cold stage (callers
+        then fall back to the legacy shared last-solution vector).
         """
-        if not get_solver_tuning().op_cache:
-            return None, None
         library = self._library.get(stage)
         if library is None:
             STATS.warm_misses += 1
@@ -139,41 +138,14 @@ class WarmStore(dict):
 
     def store(self, stage: str, feats: np.ndarray, result: DcResult) -> None:
         """Record a converged solve for future seeding."""
-        tuning = get_solver_tuning()
-        if not tuning.op_cache:
-            return
         library = self._library.get(stage)
         if library is None:
             library = self._library[stage] = _StageLibrary()
-        library.add(feats.tobytes(), feats, result, tuning.op_cache_size)
+        library.add(feats.tobytes(), feats, result, LIBRARY_SIZE)
 
     def clear_library(self) -> None:
         """Drop cached operating points (plain warm vectors are kept)."""
         self._library.clear()
-        self._geometry.clear()
-
-    # ------------------------------------------------------------ geometry
-
-    def geometry(self, placement, compute) -> dict:
-        """Geometry metrics of ``placement``, computed at most once.
-
-        Area and wirelength depend only on the placement (never on the
-        variation deltas), yet the suites are called once per variation
-        sample — this caches the values per placement signature.  The
-        returned dict is the cached object; callers copy entries out
-        (``values.update``) and must not mutate it.
-        """
-        tuning = get_solver_tuning()
-        if not tuning.op_cache:
-            return compute()
-        key = placement.signature()
-        cached = self._geometry.get(key)
-        if cached is None:
-            cached = compute()
-            if len(self._geometry) >= tuning.op_cache_size:
-                self._geometry.popitem(last=False)
-            self._geometry[key] = cached
-        return cached
 
 
 # ---------------------------------------------------- plain-dict-safe helpers
@@ -201,11 +173,4 @@ def store_dc(warm, stage: str, feats: np.ndarray, result: DcResult) -> None:
     """:meth:`WarmStore.store`; no-op for a plain dict."""
     if isinstance(warm, WarmStore):
         warm.store(stage, feats, result)
-
-
-def geometry_for(warm, placement, compute) -> dict:
-    """:meth:`WarmStore.geometry`; computes directly for a plain dict."""
-    if isinstance(warm, WarmStore):
-        return warm.geometry(placement, compute)
-    return compute()
 

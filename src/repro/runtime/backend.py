@@ -96,19 +96,16 @@ ATTEMPT_OK = "ok"            # fn returned a value
 ATTEMPT_ERROR = "error"      # fn raised an ordinary exception
 ATTEMPT_KILLED = "killed"    # the worker process died mid-task
 ATTEMPT_TIMEOUT = "timeout"  # the attempt outlived its time budget
-ATTEMPT_LOST = "lost"        # collateral of another item's worker death
-#                              (never executed — not a charged attempt)
 
 
 @dataclass
 class AttemptResult:
     """How one execution attempt of one item settled.
 
-    ``ATTEMPT_LOST`` is the one non-final status: the item was queued
-    behind a worker that died (or a pool that was torn down) and never
-    ran, so no attempt is charged and the caller re-runs it for free.
-    :meth:`ProcessPoolBackend.map_attempts` already does that re-run
-    internally; callers only ever see final statuses.
+    Every status is final.  An item queued behind a worker that died (or
+    a pool that was torn down) never ran, so it settles nothing: no
+    attempt is charged and :meth:`ProcessPoolBackend.map_attempts`
+    re-runs it internally for free.
     """
 
     status: str
@@ -231,8 +228,9 @@ class ProcessPoolBackend:
           ``ATTEMPT_TIMEOUT``; queued items re-run fresh.
 
         Returns ``(results aligned with items, pool rebuild count)``.
-        Results never contain ``ATTEMPT_LOST`` — lost items are re-run
-        internally until they settle for a real reason.
+        Items lost to another item's worker death (never executed) get
+        no result of their own — they are re-run internally until they
+        settle for a real reason.
         """
         import multiprocessing
         from concurrent.futures import TimeoutError as FutureTimeoutError

@@ -199,21 +199,6 @@ def fault_plan_from_wire(data: list | None) -> FaultPlan | None:
 
 # ------------------------------------------------------------ spec codec
 
-#: Spec fields the request schema does not model; shipped verbatim in
-#: the frame's ``extras`` so the remote run is *exactly* the local one.
-_EXTRA_FIELDS = (
-    "builder_kwargs",
-    "variation_kind",
-    "variation_with_lde",
-    "evaluate_best",
-    "return_tables",
-    "share_target_evaluator",
-    "target",
-    "target_from_symmetric",
-    "stop_at_target",
-)
-
-
 def spec_to_wire(spec: RunSpec) -> dict:
     """Frame payload for a :class:`RunSpec`.
 

@@ -64,9 +64,6 @@ DONE = "done"
 FAILED = "failed"
 CANCELLED = "cancelled"
 
-#: States a job can no longer leave.
-TERMINAL_STATES = (DONE, FAILED, CANCELLED)
-
 #: In-flight states (count against queue and per-client limits).
 INFLIGHT_STATES = (QUEUED, RUNNING)
 

@@ -37,11 +37,8 @@ _LAZY = {
     "DcResult": "repro.sim.dc",
     "solve_dc": "repro.sim.dc",
     "SolverStats": "repro.sim.fastpath",
-    "SolverTuning": "repro.sim.fastpath",
-    "get_solver_tuning": "repro.sim.fastpath",
     "reset_solver_stats": "repro.sim.fastpath",
     "solver_stats": "repro.sim.fastpath",
-    "solver_tuning": "repro.sim.fastpath",
     "bandwidth_3db": "repro.sim.measures",
     "db": "repro.sim.measures",
     "dc_gain": "repro.sim.measures",
@@ -67,7 +64,6 @@ __all__ = [
     "MosfetCaps",
     "OpPoint",
     "SolverStats",
-    "SolverTuning",
     "bandwidth_3db",
     "batched_system",
     "clear_topology_cache",
@@ -76,12 +72,10 @@ __all__ = [
     "db",
     "dc_gain",
     "device_caps",
-    "get_solver_tuning",
     "logspace_frequencies",
     "phase_margin",
     "reset_solver_stats",
     "solver_stats",
-    "solver_tuning",
     "solve_ac",
     "solve_ac_many",
     "solve_dc",

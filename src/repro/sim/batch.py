@@ -48,7 +48,7 @@ from repro.sim.dc import (
     _package,
     solve_dc,
 )
-from repro.sim.fastpath import STATS, get_solver_tuning
+from repro.sim.fastpath import STATS
 from repro.sim.mosfet import MosfetArrays, terminal_currents_array
 from repro.tech import Technology
 from repro.variation import DeviceDelta
@@ -507,7 +507,6 @@ def _newton_many(
     fresh-Jacobian confirm iteration, so accepted rows carry the same
     quadratic final error as the scalar driver's full Newton.
     """
-    reuse = get_solver_tuning().jacobian_reuse
     X = X0.copy()
     n_rows = X.shape[0]
     n_nodes = bsys.n_nodes
@@ -515,7 +514,7 @@ def _newton_many(
     iters = np.zeros(n_rows, dtype=int)
     converged = np.zeros(n_rows, dtype=bool)
     active = np.arange(n_rows)
-    J_frozen = np.empty((n_rows, bsys.size, bsys.size)) if reuse else None
+    J_frozen = np.empty((n_rows, bsys.size, bsys.size))
     prev_resid = np.full(n_rows, np.inf)
     frozen_mode = False
 
@@ -547,16 +546,14 @@ def _newton_many(
         else:
             J, F = assemble(X_act)
             abs_f = np.abs(F)
-            if reuse:
-                resid = abs_f.max(axis=1) if F.shape[1] else \
-                    np.zeros(active.size)
-                J_frozen[active] = J
+            resid = abs_f.max(axis=1) if F.shape[1] else \
+                np.zeros(active.size)
+            J_frozen[active] = J
             STATS.jacobian_factorizations += active.size
         iters[active] += 1
         STATS.newton_iterations += active.size
-        if reuse:
-            contracting = resid <= REUSE_CONTRACTION * prev_resid[active]
-            prev_resid[active] = resid
+        contracting = resid <= REUSE_CONTRACTION * prev_resid[active]
+        prev_resid[active] = resid
         dx = _solve_rows(J, F)
         good = np.isfinite(dx).all(axis=1)
         all_good = bool(good.all())
@@ -576,8 +573,7 @@ def _newton_many(
             # batch; the caller sends them down the scalar homotopy chain.
             active, X_act, dx = active[good], X_act[good], dx[good]
             abs_f = abs_f[good]
-            if reuse:
-                contracting = contracting[good]
+            contracting = contracting[good]
             if active.size == 0:
                 break
         if n_nodes:
@@ -601,15 +597,12 @@ def _newton_many(
             if active.size == 0:
                 break
             # Freeze only when every surviving row is contracting.
-            frozen_mode = reuse and bool(contracting[~done].all())
+            frozen_mode = bool(contracting[~done].all())
         else:
             # Criteria met against a frozen Jacobian are not accepted
             # yet: those rows stay active and the next iteration runs
             # fresh to confirm them.
-            frozen_mode = (
-                reuse and not bool(done.any())
-                and bool(contracting.all())
-            )
+            frozen_mode = not bool(done.any()) and bool(contracting.all())
     return X, iters, converged
 
 

@@ -59,7 +59,6 @@ class DcResult:
 
 MAX_STEP_V = 0.5
 ABSTOL_V = 1e-9
-ABSTOL_I = 1e-12
 # Residual ceilings at convergence.  KCL rows are currents [A]; branch
 # rows (voltage sources, VCVS) are voltage-constraint residuals [V] and
 # are checked too, so a voltage-source-heavy circuit cannot report

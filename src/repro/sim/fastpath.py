@@ -1,7 +1,7 @@
-"""Solver fast-path knobs and statistics.
+"""Solver fast-path statistics.
 
-Two independently switchable accelerations sit behind the tuning here
-(both preserve results to well under the 1e-10 equivalence rail):
+Two accelerations run on every placement (both preserve results to well
+under the 1e-10 equivalence rail); neither has a switch:
 
 * **Jacobian reuse** — modified Newton in the placement-batched DC
   driver (:func:`repro.sim.batch.solve_dc_many`): while the residual
@@ -24,54 +24,7 @@ timer that ``repro profile`` reports.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from typing import Iterator
-
-
-@dataclass(frozen=True)
-class SolverTuning:
-    """Fast-path configuration (process-wide, scoped via `solver_tuning`).
-
-    Attributes:
-        jacobian_reuse: batched modified-Newton Jacobian freezing on/off.
-        op_cache: cross-placement operating-point cache on/off (read by
-            :mod:`repro.eval.warm`).
-        op_cache_size: per-key entries the operating-point cache keeps.
-    """
-
-    jacobian_reuse: bool = True
-    op_cache: bool = True
-    op_cache_size: int = 64
-
-    def __post_init__(self) -> None:
-        if self.op_cache_size < 1:
-            raise ValueError(
-                f"op_cache_size must be at least 1, got {self.op_cache_size}")
-
-
-_tuning = SolverTuning()
-
-
-def get_solver_tuning() -> SolverTuning:
-    """The active fast-path configuration."""
-    return _tuning
-
-
-@contextmanager
-def solver_tuning(**overrides) -> Iterator[SolverTuning]:
-    """Scope tuning overrides to a ``with`` block.
-
-    ``with solver_tuning(jacobian_reuse=False, op_cache=False): ...``
-    is the exact pre-fast-path solver behavior.
-    """
-    global _tuning
-    previous = _tuning
-    _tuning = replace(previous, **overrides)
-    try:
-        yield _tuning
-    finally:
-        _tuning = previous
+from dataclasses import dataclass
 
 
 @dataclass

@@ -105,6 +105,26 @@ GOLDEN_CM_SIM_BATCH4 = {
         (138, 0.09360720505663112), (145, 0.09231317167584087)]),
 }
 
+# (best_cost, sims_used, steps, history) of the two Q placers with
+# exploration="ucb", recorded while the UCB strength was still a
+# constructor argument (default 0.5): five_transistor_ota, wirelength
+# objective, seed=7, max_steps=80, keyed by (placer, batch).
+GOLDEN_OTA5T_UCB = {
+    (MultiLevelPlacer, 1): (8.0, 80, 80, [
+        (1, 11.999999999999998), (4, 11.5), (12, 10.5), (16, 10.0),
+        (18, 8.0)]),
+    (MultiLevelPlacer, 4): (7.499999999999999, 305, 80, [
+        (1, 11.999999999999998), (13, 11.5), (45, 11.499999999999998),
+        (61, 10.5), (69, 9.5), (73, 8.499999999999998), (107, 8.0),
+        (179, 7.499999999999999)]),
+    (FlatQPlacer, 1): (10.5, 81, 80, [
+        (1, 11.999999999999998), (2, 11.5), (29, 10.999999999999998),
+        (80, 10.5)]),
+    (FlatQPlacer, 4): (9.0, 321, 80, [
+        (1, 11.999999999999998), (5, 11.5), (109, 10.999999999999998),
+        (137, 10.5), (221, 10.0), (305, 9.0)]),
+}
+
 ALL_PLACERS = [MultiLevelPlacer, FlatQPlacer, SimulatedAnnealingPlacer]
 
 
@@ -150,6 +170,16 @@ class TestBatch4Trajectories:
         ).optimize(max_steps=40)
         assert (result.best_cost, result.sims_used,
                 result.history) == GOLDEN_CM_SIM_BATCH4[placer_cls]
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_OTA5T_UCB),
+                         ids=lambda key: f"{key[0].__name__}-k{key[1]}")
+def test_ucb_golden_ota5t(key):
+    placer_cls, batch = key
+    result = placer_cls(make_env(), batch=batch, seed=7,
+                        exploration="ucb").optimize(max_steps=80)
+    assert (result.best_cost, result.sims_used, result.steps,
+            result.history) == GOLDEN_OTA5T_UCB[key]
 
 
 @pytest.mark.parametrize("placer_cls", ALL_PLACERS)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import RewardConfig, shaped_reward
+from repro.core import shaped_reward
+from repro.core.rewards import TARGET_BONUS
 
 
 class TestShapedReward:
@@ -15,30 +16,15 @@ class TestShapedReward:
     def test_no_change_zero(self):
         assert shaped_reward(1.0, 1.0, reference_cost=2.0) == 0.0
 
-    def test_scale(self):
-        cfg = RewardConfig(scale=10.0)
-        assert shaped_reward(2.0, 1.0, 2.0, config=cfg) == pytest.approx(5.0)
-
     def test_target_bonus_on_crossing(self):
-        cfg = RewardConfig(target_bonus=5.0)
-        r = shaped_reward(2.0, 0.9, reference_cost=2.0, target=1.0, config=cfg)
+        r = shaped_reward(2.0, 0.9, reference_cost=2.0, target=1.0)
+        assert TARGET_BONUS == 5.0
         assert r == pytest.approx(0.55 + 5.0)
 
     def test_no_bonus_when_already_below_target(self):
-        cfg = RewardConfig(target_bonus=5.0)
-        r = shaped_reward(0.8, 0.7, reference_cost=2.0, target=1.0, config=cfg)
+        r = shaped_reward(0.8, 0.7, reference_cost=2.0, target=1.0)
         assert r == pytest.approx(0.05)
-
-    def test_step_penalty(self):
-        cfg = RewardConfig(step_penalty=0.01)
-        assert shaped_reward(1.0, 1.0, 2.0, config=cfg) == pytest.approx(-0.01)
 
     def test_bad_reference_rejected(self):
         with pytest.raises(ValueError, match="reference_cost"):
             shaped_reward(1.0, 0.5, reference_cost=0.0)
-
-    def test_bad_config_rejected(self):
-        with pytest.raises(ValueError, match="scale"):
-            RewardConfig(scale=0.0)
-        with pytest.raises(ValueError, match="negative"):
-            RewardConfig(target_bonus=-1.0)

@@ -60,8 +60,6 @@ class TestQAgentUcbMode:
         assert EXPLORATIONS == ("epsilon", "ucb")
         with pytest.raises(ValueError, match="exploration"):
             QAgent(exploration="boltzmann")
-        with pytest.raises(ValueError, match="ucb_c"):
-            QAgent(exploration="ucb", ucb_c=-1.0)
 
     def test_select_consumes_no_rng(self):
         agent = QAgent(exploration="ucb", rng=np.random.default_rng(42))

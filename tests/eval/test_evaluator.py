@@ -3,6 +3,7 @@
 import pytest
 
 from repro.eval import PlacementEvaluator
+from repro.eval.objective import ObjectiveWeights
 from repro.layout import banded_placement
 from repro.netlist import (
     comparator,
@@ -99,19 +100,23 @@ class TestDeterminismAndCache:
 
 class TestCost:
     def test_cost_tracks_primary(self):
-        ev = PlacementEvaluator(current_mirror(), cost_area_weight=0.0)
+        ev = PlacementEvaluator(current_mirror(),
+                                objective=ObjectiveWeights(area=0.0))
         p = banded_placement(ev.block, "sequential")
         assert ev.cost(p) == pytest.approx(ev.evaluate(p).primary_value)
 
     def test_area_term_penalises_sprawl(self):
-        ev = PlacementEvaluator(current_mirror(), cost_area_weight=0.5)
+        # 10 x AREA_WEIGHT (0.05) = 0.5.
+        ev = PlacementEvaluator(current_mirror(),
+                                objective=ObjectiveWeights(area=10.0))
         p = banded_placement(ev.block, "sequential")
         metrics = ev.evaluate(p)
         assert ev.cost(p) >= metrics.primary_value
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError, match="cost_area_weight"):
-            PlacementEvaluator(current_mirror(), cost_area_weight=-1.0)
+        with pytest.raises(ValueError, match="'area'"):
+            PlacementEvaluator(current_mirror(),
+                               objective=ObjectiveWeights(area=-1.0))
 
     @pytest.mark.parametrize("size", [0, -1])
     def test_cache_size_below_one_rejected(self, size):

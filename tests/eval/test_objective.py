@@ -5,7 +5,7 @@ cost exactly, on every library block."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.eval.evaluator import PlacementEvaluator
+from repro.eval.evaluator import AREA_WEIGHT, PlacementEvaluator
 from repro.eval.objective import OBJECTIVE_KEYS, ObjectiveWeights
 from repro.layout.generators import banded_placement
 from repro.service import default_registry
@@ -72,7 +72,7 @@ class TestBitIdentity:
         # The pre-objective scalar: primary * (1 + w_area*(spread - 1)).
         spread = placement.area_cells() / max(1, len(placement))
         historical = metrics.primary_value * (
-            1.0 + baseline.cost_area_weight * max(0.0, spread - 1.0))
+            1.0 + AREA_WEIGHT * max(0.0, spread - 1.0))
 
         assert baseline._cost_of(placement, metrics) == historical
         explicit = PlacementEvaluator(block, objective=ObjectiveWeights())

@@ -317,6 +317,24 @@ class TestParser:
         assert "usage:" in err
         assert f"argument {argv[-2]}: must be" in err
 
+    def test_parser_reads_the_corpus_once(self, monkeypatch):
+        from repro import cli
+        from repro.service import corpus
+
+        calls = []
+        real = corpus.list_corpus
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(corpus, "list_corpus", counting)
+        parser = cli._build_parser()
+        assert len(calls) == 1
+        # ``place`` and ``train`` share the one list of choices.
+        args = parser.parse_args(["train", "mirror_tree"])
+        assert args.circuit == "mirror_tree"
+
 
 class TestTrainServiceFlags:
     def test_train_visits_merge_scale_and_policy_store(self, capsys, tmp_path):

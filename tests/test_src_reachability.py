@@ -1,9 +1,10 @@
 """Every definition in ``src/repro`` has a caller outside the tests.
 
 The walk collects each function, method and class that ``src/repro``
-defines, and each name that ``src/``, ``examples/`` and ``perfbench/``
-use (a ``Name``, an ``Attribute`` or an import alias), plus the text of
-the CI workflow.  A definition that none of them names is code that no
+defines, and each module-level ``UPPER_CASE`` constant it assigns, and
+each name that ``src/``, ``examples/`` and ``perfbench/`` read (a
+``Name`` in load context, an ``Attribute`` or an import alias), plus the
+text of the CI workflow.  A definition that none of them names is code that no
 command, service path, example or benchmark reaches; delete it rather
 than keep it for the tests.  An export alone keeps nothing alive: the
 imports of a package ``__init__`` and string keys (``__all__``, the lazy
@@ -39,7 +40,6 @@ KEEP = {
     "from_spice": "test helper: deck text to Circuit",
     "topology_cache_info": "test helper: compiled-topology cache state",
     "clear_topology_cache": "test helper: a cold compiled-topology cache",
-    "solver_tuning": "test helper: scoped solver knobs",
     "signal_nets": "test helper: a circuit's routed nets",
     "gds": "test helper: OpPoint output conductance",
     "n_cells": "test helper: canvas size",
@@ -52,10 +52,30 @@ KEEP = {
 }
 
 
+CONSTANT = re.compile(r"_*[A-Z][A-Z0-9_]*")
+
+
+def _constants(tree):
+    """Yield the ``UPPER_CASE`` names a module body assigns."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name) and CONSTANT.fullmatch(target.id):
+                yield target
+
+
 def _definitions():
-    """Yield ``(name, path, line)`` for every def and class in src/repro."""
+    """Yield ``(name, path, line)`` for every def, class and module-level
+    constant in src/repro."""
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
+        for target in _constants(tree):
+            yield target.id, path, target.lineno
         stack = list(tree.body)
         while stack:
             node = stack.pop()
@@ -67,14 +87,15 @@ def _definitions():
 
 
 def _references():
-    """Every name src/, examples/, perfbench/ and the CI workflow use."""
+    """Every name src/, examples/, perfbench/ and the CI workflow read."""
     names = set(re.findall(r"\w+", CI.read_text()))
     for top in ("src", "examples", "perfbench"):
         for path in (ROOT / top).rglob("*.py"):
             reexports = path.name == "__init__.py"
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
                 if isinstance(node, ast.Name):
-                    names.add(node.id)
+                    if not isinstance(node.ctx, ast.Store):
+                        names.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     names.add(node.attr)
                 elif isinstance(node, ast.alias) and not reexports:
