@@ -1,7 +1,8 @@
 """BENCH_6 / solver — fast-path per-evaluation latency on the two-stage OTA.
 
-Prices one ``measure_ota`` call (testbench build + compiled bind + DC
-operating point + stacked AC + metric extraction) on a fixed set of 16
+Prices one ``measure_ota`` call (testbench rebind + DC operating point +
+stacked AC + metric extraction; the benches are built once, as an
+evaluator builds them) on a fixed set of 16
 distinct two-stage-OTA candidates, each with its own Monte-Carlo
 variation draw, in two solver configurations:
 
@@ -41,11 +42,10 @@ import pytest
 
 from repro.eval import suites
 from repro.eval.batch_suites import measure_ota_many
-from repro.eval.suites import measure_ota
+from repro.eval.suites import OtaBench, measure_ota
 from repro.eval.warm import WarmStore
 from repro.layout.generators import random_walk_placements
 from repro.netlist.library import two_stage_ota
-from repro.route.parasitics import annotate_parasitics
 from repro.sim import reset_solver_stats, solver_stats
 from repro.tech import generic_tech_40
 from repro.variation import DeviceDelta
@@ -63,9 +63,6 @@ def _workload():
     tech = generic_tech_40()
     block = two_stage_ota()
     placements = random_walk_placements(block, N_CANDIDATES, seed=3)
-    annotated = [
-        annotate_parasitics(block.circuit, p, tech) for p in placements
-    ]
     rng = np.random.default_rng(11)
     deltas_seq = [
         {m.name: DeviceDelta(dvth=float(rng.normal(0.0, 5e-3)),
@@ -73,17 +70,18 @@ def _workload():
          for m in block.circuit.mosfets()}
         for __ in placements
     ]
-    return block, tech, placements, annotated, deltas_seq
+    return block, tech, placements, deltas_seq
 
 
 @pytest.mark.benchmark(group="solver")
 def test_solver_fastpath_speedup(benchmark, monkeypatch):
-    block, tech, placements, annotated, deltas_seq = _workload()
+    block, tech, placements, deltas_seq = _workload()
+    bench = OtaBench(block, tech)
 
     def run_pass(warm):
         return [
-            measure_ota(block, circ, d, tech, p, warm)
-            for circ, p, d in zip(annotated, placements, deltas_seq)
+            measure_ota(bench, d, p, warm)
+            for p, d in zip(placements, deltas_seq)
         ]
 
     # Warm both configurations: topology compile, legacy warm vectors,
@@ -138,8 +136,7 @@ def test_solver_fastpath_speedup(benchmark, monkeypatch):
     def run_batched(warm, size=8):
         for i in range(0, N_CANDIDATES, size):
             s = slice(i, i + size)
-            measure_ota_many(block, annotated[s], deltas_seq[s], tech,
-                             placements[s], warm)
+            measure_ota_many(bench, deltas_seq[s], placements[s], warm)
 
     batch_times = {}
     for label, factory in (

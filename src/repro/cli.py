@@ -43,7 +43,7 @@ from repro.layout.generators import (
     random_walk_placements,
 )
 from repro.layout.render import render_placement
-from repro.route.parasitics import annotate_parasitics
+from repro.route.parasitics import annotate_parasitics, parasitic_caps
 from repro.runtime import make_backend
 from repro.service import PlacementRequest, TrainRequest, default_registry
 from repro.service.service import PlacementService
@@ -742,7 +742,7 @@ def _cmd_profile(args) -> int:
     """Per-stage wall-clock of the evaluation pipeline for one circuit.
 
     Stages mirror :meth:`PlacementEvaluator.evaluate`: unit contexts and
-    variation deltas → parasitic annotation → DC operating point → AC
+    variation deltas → parasitic capacitances → DC operating point → AC
     sweep → the full measurement suite.  The suite row *includes* its
     internal DC/AC solves; the end-to-end row is one whole cache-miss
     evaluation.  The final two rows price ``--batch`` candidate
@@ -797,7 +797,7 @@ def _cmd_profile(args) -> int:
 
     stages = [
         ("contexts+deltas", lambda: evaluator.deltas_for(placement)),
-        ("parasitics", lambda: annotate_parasitics(
+        ("parasitics", lambda: parasitic_caps(
             block.circuit, placement, tech)),
         ("dc", lambda: solve_dc(annotated, tech, deltas=deltas)),
         ("ac", lambda: solve_ac(

@@ -108,7 +108,7 @@ def ucb_select(
     visit_counts: dict,
     legal_actions: list,
     t: int,
-    c: float = 0.5,
+    c: float,
 ):
     """UCB1-style visit-aware action selection.
 

@@ -1,12 +1,14 @@
 """Placement-batched measurement suites.
 
 One-to-one batched counterparts of the scalar protocols in
-:mod:`repro.eval.suites`: each takes K parasitic-annotated circuit
-variants plus their variation deltas and produces K metric sets, running
-every DC and AC analysis of the protocol as one placement-batched solve
-(:mod:`repro.sim.batch`).  The benches — probe sources, clamps,
-feedback trick — are built as in the scalar suites, and each solved row
-is turned into metrics by the scalar suite's own post-solve function
+:mod:`repro.eval.suites`: each takes the block's testbenches (the
+evaluator's :data:`~repro.eval.suites.BENCHES`, built once), K
+placements and their variation deltas, and produces K metric sets,
+running every DC and AC analysis of the protocol as one
+placement-batched solve (:mod:`repro.sim.batch`).  Every row solves the
+same bench circuit with its own deltas and, on the OTA's AC bench, its
+own parasitic capacitor values, and each solved row is turned into
+metrics by the scalar suite's own post-solve function
 (:func:`~repro.eval.suites.cm_metrics`,
 :func:`~repro.eval.suites.comp_metrics`,
 :func:`~repro.eval.suites.ota_metrics`); only the solver calls are
@@ -23,7 +25,6 @@ behind.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -31,8 +32,14 @@ import numpy as np
 from repro.eval.metrics import Metrics
 from repro.eval.suites import (
     AC_FREQS,
+    COMP_CAP_NETS,
     OFFSET_PROBE_V,
+    CmBench,
+    CompBench,
+    OtaBench,
     Warm,
+    _comp_inputs,
+    _with_parasitics,
     cm_metrics,
     comp_metrics,
     open_loop_metrics_rows,
@@ -41,11 +48,9 @@ from repro.eval.suites import (
 )
 from repro.eval.warm import dc_features, seed_dc_rows, store_dc
 from repro.layout.placement import Placement
-from repro.netlist.circuit import Circuit
-from repro.netlist.devices import Vcvs, VoltageSource
-from repro.netlist.library import AnalogBlock
-from repro.sim.batch import batched_system, solve_ac_many, solve_dc_many
-from repro.tech import Technology
+from repro.route.parasitics import parasitic_caps
+from repro.sim.batch import BatchedCompiledSystem, solve_ac_many, solve_dc_many
+from repro.sim.compiled import CompiledSystem
 from repro.variation import DeviceDelta
 
 DeltasSeq = Sequence[Mapping[str, DeviceDelta]]
@@ -68,29 +73,39 @@ def _batch_x0(seeds, shared):
     return [shared if row is None else row for row in rows]
 
 
+def _bind_rows(
+    bench: CompiledSystem,
+    deltas_seq: DeltasSeq,
+    capacitances: Sequence[Sequence[float]] | None = None,
+) -> tuple[list, BatchedCompiledSystem]:
+    """``(circuits, system)``: one row of the testbench ``bench`` per
+    delta set."""
+    circuits = [bench.circuit] * len(deltas_seq)
+    return circuits, BatchedCompiledSystem(
+        bench.topology, circuits, bench.tech, deltas_seq, capacitances)
+
+
 # ---------------------------------------------------------------------- CM
 
 
 def measure_cm_many(
-    block: AnalogBlock,
-    annotated: Sequence[Circuit],
+    bench: CmBench,
     deltas_seq: DeltasSeq,
-    tech: Technology,
     placements: Sequence[Placement],
     warm: Warm,
 ) -> list[Metrics]:
     """Batched :func:`repro.eval.suites.measure_cm`."""
-    bsys = batched_system(
-        annotated, tech, deltas_seq, check_signatures=False)
+    tech = bench.tech
+    circuits, bsys = _bind_rows(bench.dc, deltas_seq)
     feats_rows = [dc_features(d) for d in deltas_seq]
     x0 = _batch_x0(seed_dc_rows(warm, "cm", feats_rows), warm.get("cm"))
     results = solve_dc_many(
-        annotated, tech, deltas_seq, x0=x0, system=bsys)
+        circuits, tech, deltas_seq, x0=x0, system=bsys)
     for feats, result in zip(feats_rows, results):
         store_dc(warm, "cm", feats, result)
     warm["cm"] = results[-1].x
 
-    return [cm_metrics(block, placement, tech, result)
+    return [cm_metrics(bench.block, placement, tech, result)
             for placement, result in zip(placements, results)]
 
 
@@ -98,24 +113,15 @@ def measure_cm_many(
 
 
 def measure_comp_many(
-    block: AnalogBlock,
-    annotated: Sequence[Circuit],
+    bench: CompBench,
     deltas_seq: DeltasSeq,
-    tech: Technology,
     placements: Sequence[Placement],
     warm: Warm,
 ) -> list[Metrics]:
     """Batched :func:`repro.eval.suites.measure_comp`."""
-    params = block.params
-    vcm = params["vcm"]
-    clamp = [
-        VoltageSource("vclampp", {"p": "outp", "n": "gnd"}, dc=params["clamp_v"]),
-        VoltageSource("vclampn", {"p": "outn", "n": "gnd"}, dc=params["clamp_v"]),
-    ]
-    benches = [circuit.copy_with(extra=clamp) for circuit in annotated]
-    bsys = batched_system(
-        benches, tech, deltas_seq, check_signatures=False)
-
+    block, tech = bench.block, bench.tech
+    vcm = block.params["vcm"]
+    circuits, bsys = _bind_rows(bench.dc, deltas_seq)
     feats_rows = [dc_features(d) for d in deltas_seq]
 
     def imbalances(vdiff: float, key: str):
@@ -123,8 +129,8 @@ def measure_comp_many(
         x0 = _batch_x0(
             seed_dc_rows(warm, stage, feats_rows), warm.get("comp"))
         results = solve_dc_many(
-            benches, tech, deltas_seq, x0=x0,
-            source_values={"vvip": vcm + vdiff / 2, "vvin": vcm - vdiff / 2},
+            circuits, tech, deltas_seq, x0=x0,
+            source_values=_comp_inputs(vcm, vdiff),
             system=bsys,
         )
         for feats, result in zip(feats_rows, results):
@@ -137,9 +143,12 @@ def measure_comp_many(
     minus = imbalances(-2 * OFFSET_PROBE_V, "minus")
 
     return [
-        comp_metrics(block, bench, placement, tech, deltas, op, rp, rm)
-        for bench, placement, deltas, op, rp, rm in zip(
-            benches, placements, deltas_seq, ops, plus, minus)
+        comp_metrics(
+            block, placement, tech, deltas, op, rp, rm,
+            _with_parasitics(bench.node_caps, COMP_CAP_NETS, parasitic_caps(
+                block.circuit, placement, tech)))
+        for placement, deltas, op, rp, rm in zip(
+            placements, deltas_seq, ops, plus, minus)
     ]
 
 
@@ -147,19 +156,14 @@ def measure_comp_many(
 
 
 def measure_ota_many(
-    block: AnalogBlock,
-    annotated: Sequence[Circuit],
+    bench: OtaBench,
     deltas_seq: DeltasSeq,
-    tech: Technology,
     placements: Sequence[Placement],
     warm: Warm,
 ) -> list[Metrics]:
     """Batched :func:`repro.eval.suites.measure_ota`."""
-    feedback = Vcvs("vvin", {"p": "vin", "n": "gnd", "cp": "outp", "cn": "gnd"},
-                    gain=1.0)
-    closed = [c.copy_with(replacements={"vvin": feedback}) for c in annotated]
-    closed_sys = batched_system(
-        closed, tech, deltas_seq, check_signatures=False)
+    block, tech = bench.block, bench.tech
+    closed, closed_sys = _bind_rows(bench.closed, deltas_seq)
     feats_rows = [dc_features(d) for d in deltas_seq]
     x0 = _batch_x0(seed_dc_rows(warm, "ota", feats_rows), warm.get("ota"))
     ops = solve_dc_many(
@@ -168,16 +172,10 @@ def measure_ota_many(
         store_dc(warm, "ota", feats, op)
     warm["ota"] = ops[-1].x
 
-    ac_benches = []
-    for circuit in annotated:
-        vip = circuit.device("vvip")
-        vin = circuit.device("vvin")
-        ac_benches.append(circuit.copy_with(replacements={
-            "vvip": dataclasses.replace(vip, ac=+0.5),
-            "vvin": dataclasses.replace(vin, ac=-0.5),
-        }))
-    ac_sys = batched_system(
-        ac_benches, tech, deltas_seq, check_signatures=False)
+    ac_benches, ac_sys = _bind_rows(bench.ac, deltas_seq, [
+        bench.block_caps + list(parasitic_caps(
+            block.circuit, placement, tech).values())
+        for placement in placements])
     biases = [op.voltages for op in ops]
 
     def solve(lo: int, hi: int) -> np.ndarray:

@@ -3,8 +3,8 @@
 This object closes the loop the paper draws in Fig. 2(c): a candidate
 placement goes in; unit contexts are derived; the variation model turns
 them into per-device parameter deltas; routing parasitics are estimated
-and annotated; the right measurement suite simulates the result; metrics
-come out.  It also owns the two pieces of bookkeeping the experiments
+and bound into the block's testbenches (built once per evaluator); the
+right measurement suite simulates the result; metrics come out.  It also owns the two pieces of bookkeeping the experiments
 need:
 
 * **simulation counting** — every cache-miss evaluation increments
@@ -22,12 +22,11 @@ import numpy as np
 
 from repro.eval.metrics import Metrics
 from repro.eval.objective import ObjectiveWeights
-from repro.eval.suites import SUITES, Warm
+from repro.eval.suites import BENCHES, SUITES, Warm
 from repro.eval.warm import WarmStore
 from repro.layout.context import cell_geometry, diffusion_runs
 from repro.layout.placement import CanvasSpec, Placement
 from repro.netlist.library import AnalogBlock
-from repro.route.parasitics import annotate_parasitics
 from repro.sim.dc import ConvergenceError
 from repro.tech import Technology, generic_tech_40
 from repro.variation import DeviceDelta, VariationModel, default_variation_model
@@ -184,6 +183,7 @@ class PlacementEvaluator:
         if block.kind not in SUITES:
             raise ValueError(f"no measurement suite for kind {block.kind!r}")
         self._suite = SUITES[block.kind]
+        self._bench = None
 
     # ------------------------------------------------------------- pipeline
 
@@ -312,15 +312,17 @@ class PlacementEvaluator:
                     * self.tech.cell_area() * 1e12},
         )
 
+    def _benches(self):
+        """The block's testbenches, built on the first simulation."""
+        if self._bench is None:
+            self._bench = BENCHES[self.block.kind](self.block, self.tech)
+        return self._bench
+
     def _simulate(self, placement: Placement) -> Metrics:
         """One uncached pipeline pass (no cache or counter bookkeeping)."""
         deltas = self.deltas_for(placement)
-        annotated = annotate_parasitics(self.block.circuit, placement, self.tech)
         try:
-            return self._suite(
-                self.block, annotated, deltas, self.tech, placement,
-                self._warm
-            )
+            return self._suite(self._benches(), deltas, placement, self._warm)
         except ConvergenceError:
             self.sim_failures += 1
             return self._penalty_metrics(placement)
@@ -360,9 +362,9 @@ class PlacementEvaluator:
         :meth:`evaluate` sequentially: already-cached placements (and
         duplicates within the batch) are cache hits, and every genuinely
         new placement counts one simulation.  The unique misses share one
-        context + parasitics pass each and then dispatch through the
-        placement-batched suite, so all their DC/AC solves run as stacked
-        ``np.linalg.solve`` batches.
+        context pass each and then dispatch through the placement-batched
+        suite on the evaluator's testbenches, so all their DC/AC solves
+        run as stacked ``np.linalg.solve`` batches.
 
         If any placement of the batch fails to converge, the whole miss
         set is re-priced through the sequential path so that exactly the
@@ -394,15 +396,9 @@ class PlacementEvaluator:
 
             batch_suite = BATCH_SUITES[self.block.kind]
             deltas_seq = self.deltas_for_many(reps)
-            annotated = [
-                annotate_parasitics(self.block.circuit, p, self.tech)
-                for p in reps
-            ]
             try:
                 metrics_list = batch_suite(
-                    self.block, annotated, deltas_seq, self.tech, reps,
-                    self._warm,
-                )
+                    self._benches(), deltas_seq, reps, self._warm)
             except ConvergenceError:
                 metrics_list = [self._simulate(p) for p in reps]
 

@@ -1,13 +1,24 @@
 """Circuit-specific measurement protocols (the "testbench" layer).
 
-Each suite takes a parasitic-annotated circuit plus variation-resolved
-device deltas and produces the paper's metrics for that circuit class:
+Each block kind has a set of testbenches (:data:`BENCHES`), built once
+per evaluator: every bench circuit is compiled and bound on
+construction (its topology comes from the global
+:func:`~repro.sim.compiled.compiled_topology` cache), and a placement
+only rebinds its values (:meth:`~repro.sim.compiled.CompiledSystem
+.rebind`) — the variation deltas of the MOSFETs and, for an AC bench,
+the parasitic capacitors (:mod:`repro.route.parasitics`).  A placement
+never changes a bench's structure.  The suites (:data:`SUITES`) take
+those benches plus one placement's device deltas and produce the
+paper's metrics for that circuit class:
 
 * :func:`measure_cm` — static current mismatch of the mirror outputs;
 * :func:`measure_comp` — clamped-latch input-referred offset, regeneration
   delay, power;
 * :func:`measure_ota` — unity-feedback offset, open-loop AC (gain, GBW,
   phase margin), power.
+
+DC benches carry no parasitic capacitors: capacitors are open at DC and
+add no node, so a DC solution does not depend on them.
 
 All suites also report bounding-box area and estimated wirelength.  The
 protocols mirror standard silicon characterisation practice; deviations
@@ -16,8 +27,9 @@ forced by the simulator substrate are noted inline and in DESIGN.md.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -27,10 +39,15 @@ from repro.layout.placement import Placement
 from repro.netlist.circuit import Circuit
 from repro.netlist.devices import Capacitor, Mosfet, Vcvs, VoltageSource
 from repro.netlist.library import AnalogBlock
-from repro.route.estimator import total_wirelength
+from repro.route.estimator import signal_nets, total_wirelength
+from repro.route.parasitics import (
+    C_FLOOR,
+    parasitic_capacitors,
+    parasitic_caps,
+)
 from repro.sim.ac import logspace_frequencies, solve_ac
 from repro.sim.compiled import compiled_system
-from repro.sim.dc import DcResult, solve_dc
+from repro.sim.dc import ConvergenceError, DcResult, solve_dc
 from repro.sim.measures import (
     db,
     log_crossing_at,
@@ -70,7 +87,9 @@ def _node_capacitances(
     """Total small-signal capacitance hanging on each of ``nets`` [F].
 
     MOSFET capacitances use the nominal parameters: variation deltas
-    shift only ``vth0`` and ``kp``, which no capacitance reads.
+    shift only ``vth0`` and ``kp``, which no capacitance reads.  Called
+    on a block's own circuit this is the placement-independent part of
+    each sum (see :func:`_with_parasitics`).
     """
     net_map = circuit.net_map()
     totals = []
@@ -92,6 +111,20 @@ def _node_capacitances(
     return totals
 
 
+def _with_parasitics(
+    totals: Sequence[float], nets: tuple[str, ...], caps: Mapping[str, float]
+) -> list[float]:
+    """:func:`_node_capacitances` totals of ``nets`` plus each net's
+    parasitic capacitor from ``caps``.
+
+    A parasitic capacitor comes after every device of the block, so it
+    is added last, exactly where a sum over the annotated circuit adds
+    it.
+    """
+    return [total + caps[net] if net in caps else total
+            for total, net in zip(totals, nets)]
+
+
 def _device_gm(
     circuit: Circuit, name: str, op: DcResult, tech: Technology,
     deltas: Mapping[str, DeviceDelta],
@@ -107,11 +140,19 @@ def _device_gm(
 
 # ---------------------------------------------------------------------- CM
 
+class CmBench:
+    """The current mirror's bench: the block itself, whose outputs are
+    probed by fixed-voltage sources."""
+
+    def __init__(self, block: AnalogBlock, tech: Technology):
+        self.block = block
+        self.tech = tech
+        self.dc = compiled_system(block.circuit, tech)
+
+
 def measure_cm(
-    block: AnalogBlock,
-    annotated: Circuit,
+    bench: CmBench,
     deltas: Mapping[str, DeviceDelta],
-    tech: Technology,
     placement: Placement,
     warm: Warm,
 ) -> Metrics:
@@ -125,10 +166,11 @@ def measure_cm(
     if result is None:
         if x0 is None:
             x0 = warm.get("cm")
-        result = solve_dc(annotated, tech, deltas=deltas, x0=x0)
+        result = solve_dc(bench.dc.circuit, bench.tech, deltas=deltas, x0=x0,
+                          system=bench.dc.rebind(deltas))
         store_dc(warm, "cm", feats, result)
     warm["cm"] = result.x
-    return cm_metrics(block, placement, tech, result)
+    return cm_metrics(bench.block, placement, bench.tech, result)
 
 
 def cm_metrics(
@@ -157,11 +199,46 @@ def cm_metrics(
 OFFSET_PROBE_V = 1e-3
 
 
+#: The comparator's three solves: op-cache stage and differential input.
+COMP_STAGES = (
+    ("balanced", 0.0),
+    ("plus", +2 * OFFSET_PROBE_V),
+    ("minus", -2 * OFFSET_PROBE_V),
+)
+
+#: The nets whose capacitance the delay and dynamic power read.
+COMP_CAP_NETS = ("outp", "outn", "p1", "p2")
+
+
+def _comp_inputs(vcm: float, vdiff: float) -> dict[str, float]:
+    """The input-source overrides of a differential input ``vdiff``."""
+    return {"vvip": vcm + vdiff / 2, "vvin": vcm - vdiff / 2}
+
+
+def _clamps(block: AnalogBlock) -> list[VoltageSource]:
+    """The sources holding both comparator outputs at ``clamp_v``."""
+    clamp_v = block.params["clamp_v"]
+    return [
+        VoltageSource("vclampp", {"p": "outp", "n": "gnd"}, dc=clamp_v),
+        VoltageSource("vclampn", {"p": "outn", "n": "gnd"}, dc=clamp_v),
+    ]
+
+
+class CompBench:
+    """The comparator's clamped-latch bench, plus the block's own share
+    of every :data:`COMP_CAP_NETS` capacitance."""
+
+    def __init__(self, block: AnalogBlock, tech: Technology):
+        self.block = block
+        self.tech = tech
+        self.dc = compiled_system(
+            block.circuit.copy_with(extra=_clamps(block)), tech)
+        self.node_caps = _node_capacitances(block.circuit, COMP_CAP_NETS, tech)
+
+
 def measure_comp(
-    block: AnalogBlock,
-    annotated: Circuit,
+    bench: CompBench,
     deltas: Mapping[str, DeviceDelta],
-    tech: Technology,
     placement: Placement,
     warm: Warm,
 ) -> Metrics:
@@ -176,61 +253,68 @@ def measure_comp(
        the measured differential transconductance, is the input-referred
        offset;
     3. regeneration delay = (C_out / gm_latch) * ln(swing / seed).
+
+    The three solves (:data:`COMP_STAGES`) share one binding and differ
+    only in the input sources, so the ones the op cache cannot serve
+    run as one stacked Newton.  A stage whose library is still empty
+    seeds from this evaluation's balanced solution, so then the
+    balanced solve runs first, on its own.
     """
-    params = block.params
-    vcm = params["vcm"]
-    clamp = [
-        VoltageSource("vclampp", {"p": "outp", "n": "gnd"}, dc=params["clamp_v"]),
-        VoltageSource("vclampn", {"p": "outn", "n": "gnd"}, dc=params["clamp_v"]),
-    ]
-    bench = annotated.copy_with(extra=clamp)
-
+    block, tech = bench.block, bench.tech
+    vcm = block.params["vcm"]
     feats = dc_features(deltas)
-    # The three solves differ only in source overrides, so one binding
-    # (made on the first op-cache miss) serves them all.
-    system = None
+    seeds = [seed_dc(warm, f"comp/{key}", feats) for key, __ in COMP_STAGES]
+    results: list[DcResult | None] = [exact for exact, __ in seeds]
+    if results[0] is not None:
+        warm["comp"] = results[0].x
+    todo = [i for i, result in enumerate(results) if result is None]
+    if todo:
+        system = bench.dc.rebind(deltas)
+        groups = [todo]
+        if todo[0] == 0 and any(seeds[i][1] is None for i in todo[1:]):
+            groups = [todo[:1], todo[1:]]
 
-    def imbalance(vdiff: float, key: str) -> DcResult:
-        nonlocal system
-        stage = f"comp/{key}"
-        result, x0 = seed_dc(warm, stage, feats)
-        if result is None:
-            if x0 is None:
-                x0 = warm.get("comp")
-            if system is None:
-                system = compiled_system(bench, tech, deltas)
-            result = solve_dc(
-                bench, tech, deltas=deltas, x0=x0,
-                source_values={
-                    "vvip": vcm + vdiff / 2, "vvin": vcm - vdiff / 2},
-                system=system,
-            )
-            store_dc(warm, stage, feats, result)
-        warm.setdefault("comp", result.x)
-        if key == "balanced":
-            warm["comp"] = result.x
-        return result
+        def record(stages: list[int], solved: list[DcResult]) -> None:
+            for i, result in zip(stages, solved):
+                store_dc(warm, f"comp/{COMP_STAGES[i][0]}", feats, result)
+                results[i] = result
+                if i == 0:
+                    warm["comp"] = result.x
 
-    op = imbalance(0.0, "balanced")
-    plus = imbalance(+2 * OFFSET_PROBE_V, "plus")
-    minus = imbalance(-2 * OFFSET_PROBE_V, "minus")
-    return comp_metrics(block, bench, placement, tech, deltas,
-                        op, plus, minus)
+        for group in groups:
+            x0 = [seeds[i][1] if seeds[i][1] is not None else warm.get("comp")
+                  for i in group]
+            overrides = [_comp_inputs(vcm, COMP_STAGES[i][1]) for i in group]
+            try:
+                solved = solve_dc(
+                    bench.dc.circuit, tech, deltas=deltas, x0=x0,
+                    source_values=overrides, system=system)
+            except ConvergenceError as err:
+                record(group, err.solved)
+                raise
+            record(group, solved)
+    op, plus, minus = results
+    node_caps = _with_parasitics(
+        bench.node_caps, COMP_CAP_NETS,
+        parasitic_caps(block.circuit, placement, tech))
+    return comp_metrics(block, placement, tech, deltas, op, plus, minus,
+                        node_caps)
 
 
 def comp_metrics(
     block: AnalogBlock,
-    bench: Circuit,
     placement: Placement,
     tech: Technology,
     deltas: Mapping[str, DeviceDelta],
     op: DcResult,
     plus: DcResult,
     minus: DcResult,
+    node_caps: Sequence[float],
 ) -> Metrics:
     """The comparator metrics of one clamped bench solved at the
-    balanced (``op``) and the two probe inputs (shared with the batched
-    suite)."""
+    balanced (``op``) and the two probe inputs, with the
+    :data:`COMP_CAP_NETS` capacitances ``node_caps`` (shared with the
+    batched suite)."""
     params = block.params
     d0 = op.current("vclampp") - op.current("vclampn")
     dp = plus.current("vclampp") - plus.current("vclampn")
@@ -241,15 +325,15 @@ def comp_metrics(
     else:
         offset_v = -d0 / gm_diff
 
+    circuit = block.circuit
     gm_latch = 0.5 * (
-        _device_gm(bench, "m3", op, tech, deltas)
-        + _device_gm(bench, "m4", op, tech, deltas)
+        _device_gm(circuit, "m3", op, tech, deltas)
+        + _device_gm(circuit, "m4", op, tech, deltas)
     ) + 0.5 * (
-        _device_gm(bench, "m5", op, tech, deltas)
-        + _device_gm(bench, "m6", op, tech, deltas)
+        _device_gm(circuit, "m5", op, tech, deltas)
+        + _device_gm(circuit, "m6", op, tech, deltas)
     )
-    c_outp, c_outn, c_p1, c_p2 = _node_capacitances(
-        bench, ("outp", "outn", "p1", "p2"), tech)
+    c_outp, c_outn, c_p1, c_p2 = node_caps
     c_out = 0.5 * (c_outp + c_outn)
     tau = c_out / max(gm_latch, 1e-9)
     delay_s = tau * math.log(params["regen_swing"] / params["seed_imbalance"])
@@ -356,11 +440,43 @@ def open_loop_metrics_rows(h: np.ndarray) -> list[tuple[float, float, float]]:
     return out
 
 
+def _feedback() -> Vcvs:
+    """The unity-gain VCVS that drives the inverting input from the
+    output (a behavioural feedback wire)."""
+    return Vcvs("vvin", {"p": "vin", "n": "gnd", "cp": "outp", "cn": "gnd"},
+                gain=1.0)
+
+
+class OtaBench:
+    """The OTA's unity-feedback DC bench and its open-loop AC bench.
+
+    The AC bench carries one parasitic capacitor per signal net (as
+    :func:`~repro.route.parasitics.annotate_parasitics` adds them,
+    after every device of the block); each placement binds their values
+    after the block's own capacitors.
+    """
+
+    def __init__(self, block: AnalogBlock, tech: Technology):
+        self.block = block
+        self.tech = tech
+        circuit = block.circuit
+        self.closed = compiled_system(
+            circuit.copy_with(replacements={"vvin": _feedback()}), tech)
+        drive = {
+            "vvip": dataclasses.replace(circuit.device("vvip"), ac=+0.5),
+            "vvin": dataclasses.replace(circuit.device("vvin"), ac=-0.5),
+        }
+        cpar = parasitic_capacitors(
+            dict.fromkeys(signal_nets(circuit), C_FLOOR))
+        self.ac = compiled_system(
+            circuit.copy_with(replacements=drive, extra=cpar), tech)
+        self.block_caps = [
+            d.value for d in circuit if isinstance(d, Capacitor)]
+
+
 def measure_ota(
-    block: AnalogBlock,
-    annotated: Circuit,
+    bench: OtaBench,
     deltas: Mapping[str, DeviceDelta],
-    tech: Technology,
     placement: Placement,
     warm: Warm,
 ) -> Metrics:
@@ -371,34 +487,24 @@ def measure_ota(
     input-referred offset.  AC: the original open-loop netlist is
     linearized at that operating point and driven differentially.
     """
+    block, tech = bench.block, bench.tech
     feats = dc_features(deltas)
     op, x0 = seed_dc(warm, "ota", feats)
     if op is None:
-        # Built only on an op-cache miss — an exact hit never touches
-        # the closed-loop bench.
-        feedback = Vcvs(
-            "vvin", {"p": "vin", "n": "gnd", "cp": "outp", "cn": "gnd"},
-            gain=1.0)
-        closed = annotated.copy_with(replacements={"vvin": feedback})
         if x0 is None:
             x0 = warm.get("ota")
-        op = solve_dc(closed, tech, deltas=deltas, x0=x0)
+        op = solve_dc(bench.closed.circuit, tech, deltas=deltas, x0=x0,
+                      system=bench.closed.rebind(deltas))
         store_dc(warm, "ota", feats, op)
     warm["ota"] = op.x
 
-    vip = annotated.device("vvip")
-    vin = annotated.device("vvin")
-    import dataclasses
-    ac_bench = annotated.copy_with(replacements={
-        "vvip": dataclasses.replace(vip, ac=+0.5),
-        "vvin": dataclasses.replace(vin, ac=-0.5),
-    })
-    system = compiled_system(ac_bench, tech, deltas)
+    caps = parasitic_caps(block.circuit, placement, tech)
+    system = bench.ac.rebind(deltas, bench.block_caps + list(caps.values()))
 
     def solve(lo: int, hi: int) -> np.ndarray:
         ac = solve_ac(
-            ac_bench, tech, op.voltages, AC_FREQS[lo:hi], deltas=deltas,
-            system=system,
+            bench.ac.circuit, tech, op.voltages, AC_FREQS[lo:hi],
+            deltas=deltas, system=system,
             nets=("outp",),  # the suite only reads the output transfer
         )
         return ac.transfer("outp")[None]
@@ -430,6 +536,13 @@ def ota_metrics(
     values.update(_geometry(block, placement, tech))
     return Metrics(kind="ota", primary="offset_mv", values=values)
 
+
+#: The testbenches of each block kind, built once per evaluator.
+BENCHES = {
+    "cm": CmBench,
+    "comp": CompBench,
+    "ota": OtaBench,
+}
 
 SUITES = {
     "cm": measure_cm,

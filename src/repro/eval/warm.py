@@ -2,14 +2,15 @@
 
 Two structural facts make aggressive reuse safe here:
 
-* parasitic annotation adds *capacitors only*
+* routing parasitics are *capacitors only*
   (:mod:`repro.route.parasitics`), and capacitors are open circuits at
-  DC — so the operating point of a testbench depends on its variation
-  deltas alone, not on placement geometry.  Two placements whose deltas
-  match exactly have bit-identical DC solutions;
-* every placement of a block shares one compiled-topology structure
-  signature, so solution vectors from one placement index-align with all
-  others.
+  DC — the DC testbenches do not even carry them — so the operating
+  point of a testbench depends on its variation deltas alone, not on
+  placement geometry.  Two placements whose deltas match exactly have
+  bit-identical DC solutions;
+* every placement of a block is solved on the same testbench (bound
+  once per evaluator, rebound per placement), so solution vectors from
+  one placement index-align with all others.
 
 :class:`WarmStore` exploits both.  Per testbench stage (``"cm"``,
 ``"ota"``, ``"comp/balanced"``, ...) it keeps a bounded library of

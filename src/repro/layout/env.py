@@ -84,9 +84,10 @@ class PlacementEnv:
 
     # -------------------------------------------------------------- basics
 
-    def reset(self, style: str = "sequential") -> Placement:
-        """Re-seed the placement (returns the live object)."""
-        self.placement = banded_placement(self.block, style=style)
+    def reset(self) -> Placement:
+        """Re-seed the placement with the sequential banded layout the
+        environment starts from (returns the live object)."""
+        self.placement = banded_placement(self.block, style="sequential")
         return self.placement
 
     def cost(self) -> float:
@@ -199,9 +200,10 @@ class PlacementEnv:
 
     def move_group(self, group_name: str, direction_index: int) -> None:
         """Apply a group move that :meth:`legal_group_actions` just offered
-        (the agents' path, without :meth:`step_group`'s check)."""
-        apply_group_move(self.placement, self._group_units[group_name],
-                         DIRECTIONS[direction_index])
+        (the agents' path: an unchecked :meth:`Placement.translate`,
+        without :meth:`step_group`'s check)."""
+        dc, dr = DIRECTIONS[direction_index]
+        self.placement.translate(self._group_units[group_name], dc, dr)
 
     def undo_unit(self, group_name: str, unit_local: int, direction_index: int) -> None:
         """Undo a unit move by applying the opposite direction."""
@@ -211,11 +213,6 @@ class PlacementEnv:
         self.placement.move(unit, (c - dc, r - dr))
 
     def undo_group(self, group_name: str, direction_index: int) -> None:
-        """Undo a rigid group translation."""
+        """Undo a rigid group translation :meth:`move_group` applied."""
         dc, dr = DIRECTIONS[direction_index]
-        units = self._group_units[group_name]
-        moves = {}
-        for unit in units:
-            c, r = self.placement.cell_of(unit)
-            moves[unit] = (c - dc, r - dr)
-        self.placement.move_many(moves)
+        self.placement.translate(self._group_units[group_name], -dc, -dr)

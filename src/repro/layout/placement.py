@@ -169,6 +169,32 @@ class Placement:
         self._mask = self._mask & ~vacated | filled
         self._changed()
 
+    def translate(self, units: list[UnitId], dc: int, dr: int) -> None:
+        """Rigidly move ``units`` by ``(dc, dr)`` cells, unchecked.
+
+        For a translation the caller has already proven legal (every
+        target in bounds and free or held by a unit of ``units``, as the
+        action masks prove it).  Cells, occupancy and the cell mask end
+        exactly as :meth:`move_many` would leave them, dictionary order
+        included; the mask shifts as one integer.
+        """
+        cells = self._cells
+        occupancy = self._occupancy
+        width = self.canvas.mask_width
+        old = [cells[unit] for unit in units]
+        vacated = 0
+        for cell in old:
+            del occupancy[cell]
+            vacated |= grid_bit(cell, width)
+        for unit, (c, r) in zip(units, old):
+            cell = (c + dc, r + dr)
+            cells[unit] = cell
+            occupancy[cell] = unit
+        step = dr * width + dc
+        filled = vacated << step if step >= 0 else vacated >> -step
+        self._mask = self._mask & ~vacated | filled
+        self._changed()
+
     def _check_free(self, cell: Cell) -> None:
         if not self.canvas.in_bounds(cell):
             raise ValueError(f"cell {cell} out of bounds for {self.canvas}")

@@ -35,6 +35,8 @@ from repro.sim.compiled import (
     CompiledTopology,
     _ac_system,
     _delta_arrays,
+    _row_indices,
+    _RowIndices,
     _signed_sources,
     compiled_topology,
     structure_signature,
@@ -46,52 +48,13 @@ from repro.sim.dc import (
     RESIDTOL_V,
     DcResult,
     _package,
+    _solve_rows,
     solve_dc,
 )
 from repro.sim.fastpath import STATS
 from repro.sim.mosfet import MosfetArrays, terminal_currents_array
 from repro.tech import Technology
 from repro.variation import DeviceDelta
-
-def _row_flat(entries: np.ndarray, n_rows: int, row_size: int) -> np.ndarray:
-    """Flat index of ``entries`` in each of ``n_rows`` stacked rows.
-
-    Row ``i``'s entry ``e`` lands at ``i * row_size + e``, in row-major
-    order, so one 1-D ``np.add.at`` applies exactly the per-row additions,
-    in the same order, that a ``(rows, entries)`` index would.
-    """
-    rows = np.arange(n_rows, dtype=np.intp)[:, None] * row_size
-    return (rows + entries).reshape(-1)
-
-
-class _RowIndices:
-    """Flat (:func:`_row_flat`) scatter/gather indices of one topology's
-    stamps over ``n_rows`` stacked rows (immutable, cached per topology)."""
-
-    def __init__(self, topology: CompiledTopology, n_rows: int):
-        t = topology
-        stride = t.size + 1
-        self.lin = _row_flat(t.lin_flat, n_rows, stride * stride)
-        self.cap = _row_flat(t.cap_flat, n_rows, stride * stride)
-        self.ac = _row_flat(t.ac_rows, n_rows, stride)
-        self.src = _row_flat(t.src_rows, n_rows, stride)
-        self.mos_f = _row_flat(t.mos_f_rows, n_rows, stride)
-        self.diag = _row_flat(t.node_diag_flat, n_rows, stride * stride)
-        # The kernel's (terminal, row, device) input, and its partial
-        # rows' (8, row, device) Jacobian layout.
-        rows = np.arange(n_rows, dtype=np.intp)[None, :, None]
-        self.terms = rows * stride + t.mos_terms[:, None, :]
-        self.mos_j = (rows * (stride * stride)
-                      + t.mos_j_flat.reshape(8, 1, -1)).reshape(-1)
-
-
-def _row_indices(topology: CompiledTopology, n_rows: int) -> _RowIndices:
-    """``topology``'s flat stamp indices for ``n_rows`` stacked bindings
-    (cached on the topology)."""
-    indices = topology.row_indices.get(n_rows)
-    if indices is None:
-        indices = topology.row_indices[n_rows] = _RowIndices(topology, n_rows)
-    return indices
 
 
 class BatchedCompiledSystem:
@@ -112,6 +75,12 @@ class BatchedCompiledSystem:
     Python.  Scalar bindings for individual rows (needed only on the
     rare per-placement convergence fallback) are created lazily via
     :meth:`system`.
+
+    ``capacitances``, when given, holds each row's capacitor values (one
+    per capacitor, in circuit order) in place of the circuits' own: the
+    batched suites pass one testbench circuit for every row and the
+    placements' parasitic capacitor values here, as
+    :meth:`CompiledSystem.rebind` takes them.
     """
 
     def __init__(
@@ -120,6 +89,7 @@ class BatchedCompiledSystem:
         circuits: Sequence[Circuit],
         tech: Technology,
         deltas_list: Sequence[Mapping[str, DeviceDelta] | None] | None = None,
+        capacitances: Sequence[Sequence[float]] | None = None,
     ):
         circuits = list(circuits)
         if not circuits:
@@ -170,6 +140,7 @@ class BatchedCompiledSystem:
             for circuit in circuits
         ]).reshape(k, len(t.source_names))
         self._b_ac: np.ndarray | None = None
+        self._cap_rows = capacitances
         self._C: np.ndarray | None = None
 
         # Variation-resolved MOSFET banks: the shared nominal bank plus
@@ -200,6 +171,8 @@ class BatchedCompiledSystem:
             bound = self.topology.bind(
                 self.circuits[i], self.tech, self.deltas_list[i]
             )
+            if self._cap_rows is not None:
+                bound = bound.rebind(self.deltas_list[i], self._cap_rows[i])
             self._scalar[i] = bound
         return bound
 
@@ -225,10 +198,11 @@ class BatchedCompiledSystem:
                 self._bank.c_mos_ext, (k, stride, stride)).copy()
             if t.capacitor_slots:
                 cap_values = np.zeros((k, t.n_cap_slots))
-                cap_values[:, t.capacitor_slot_index] = [
-                    [circuit.device(name).value
-                     for name, __ in t.capacitor_slots]
-                    for circuit in self.circuits]
+                cap_values[:, t.capacitor_slot_index] = (
+                    self._cap_rows if self._cap_rows is not None else [
+                        [circuit.device(name).value
+                         for name, __ in t.capacitor_slots]
+                        for circuit in self.circuits])
                 np.add.at(
                     C.reshape(-1), _row_indices(t, k).cap,
                     (t.cap_sign * cap_values[:, t.cap_slot]).reshape(-1),
@@ -272,7 +246,8 @@ class BatchedCompiledSystem:
         Jacobian values that pair with ``ri.mos_j``.
         """
         block = terminal_currents_array(
-            self._arrays_rows(idx), x_ext.reshape(-1)[ri.terms])
+            self._arrays_rows(idx),
+            x_ext.reshape(-1)[ri.terms].reshape(4, len(idx), -1))
         g = block[1:]
         return block[0], np.concatenate((g, -g)).reshape(-1)
 
@@ -281,7 +256,7 @@ class BatchedCompiledSystem:
         source_scale: float,
         source_values: Mapping[str, float] | None,
     ) -> np.ndarray:
-        """Per-row :meth:`CompiledSystem._source_injection`, ``(k, m)``."""
+        """Per-row :meth:`CompiledSystem._source_injections`, ``(k, m)``."""
         key = (source_scale, dict(source_values) if source_values else None)
         if key != self._src_key:
             self._src_injection = _signed_sources(
@@ -346,8 +321,7 @@ class BatchedCompiledSystem:
             np.add.at(F_flat, ri.src, injection[idx].reshape(-1))
         if t.mos_names:
             ids, jvals = self._mos_jvals_rows(x_ext, idx, ri)
-            np.add.at(F_flat, ri.mos_f,
-                      np.concatenate((ids, -ids), axis=1).reshape(-1))
+            np.add.at(F_flat, ri.mos_f, np.concatenate((ids, -ids)).reshape(-1))
             if want_jacobian:
                 np.add.at(J_ext.reshape(-1), ri.mos_j, jvals)
         F_ext[:, : self.n_nodes] += gmin * x_ext[:, : self.n_nodes]
@@ -414,30 +388,23 @@ def batched_system(
     circuits: Sequence[Circuit],
     tech: Technology,
     deltas_list: Sequence[Mapping[str, DeviceDelta] | None] | None = None,
-    check_signatures: bool = True,
 ) -> BatchedCompiledSystem:
     """Bind K same-shape circuit instances into one placement batch.
 
     All circuits must share a structure signature (every placement of a
-    block does — parasitic annotation changes capacitor values only); the
-    compiled topology is fetched from the global cache once.
-
-    Args:
-        check_signatures: verify every circuit's signature against the
-            first's.  Callers that construct the batch from one base
-            circuit (the measurement suites) skip the re-derivation.
+    block does — parasitic capacitors change values only); the compiled
+    topology is fetched from the global cache once.
     """
     circuits = list(circuits)
     if not circuits:
         raise ValueError("need at least one circuit to batch")
     topology = compiled_topology(circuits[0])
-    if check_signatures:
-        signature = topology.signature
-        for circuit in circuits[1:]:
-            if structure_signature(circuit) != signature:
-                raise ValueError(
-                    "cannot batch circuits with different structure signatures"
-                )
+    signature = topology.signature
+    for circuit in circuits[1:]:
+        if structure_signature(circuit) != signature:
+            raise ValueError(
+                "cannot batch circuits with different structure signatures"
+            )
     return BatchedCompiledSystem(topology, circuits, tech, deltas_list)
 
 
@@ -468,20 +435,6 @@ def _x0_row(x0, i: int) -> np.ndarray | None:
 
 
 # ------------------------------------------------------------------------ DC
-
-
-def _solve_rows(J: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Row-wise Newton steps ``-J \\ F``; singular rows come back as NaN."""
-    try:
-        return np.linalg.solve(J, -F[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        out = np.full_like(F, np.nan)
-        for i in range(len(F)):
-            try:
-                out[i] = np.linalg.solve(J[i], -F[i])
-            except np.linalg.LinAlgError:
-                pass
-        return out
 
 
 def _newton_many(

@@ -18,12 +18,15 @@ This module splits that work in two:
   serves an entire optimization run.
 * :class:`CompiledSystem` — a topology *bound* to one circuit instance,
   technology and variation-delta set.  Binding gathers the numeric values
-  into flat arrays; after that, DC assembly is a constant-matrix copy plus
-  one fused MOSFET-bank kernel (:func:`repro.sim.mosfet
-  .terminal_currents_array`) and three ``np.add.at`` scatters — no
-  per-device Python dispatch — and AC analysis exposes the
-  frequency-independent ``(G, C, b)`` triple so all frequency points solve
-  as one stacked ``np.linalg.solve`` batch.
+  into flat arrays, and :meth:`CompiledSystem.rebind` swaps in another
+  placement's deltas and capacitor values without gathering the rest
+  again.  DC assembly runs on ``(rows, size)`` states (rows that differ
+  only in their sources): a constant-matrix copy plus one fused
+  MOSFET-bank kernel (:func:`repro.sim.mosfet.terminal_currents_array`)
+  and three ``np.add.at`` scatters for all rows — no per-device Python
+  dispatch — and AC analysis exposes the frequency-independent
+  ``(G, C, b)`` triple so all frequency points solve as one stacked
+  ``np.linalg.solve`` batch.
 
 Ground is handled with a *spill slot*: index arrays map ground to an extra
 row/column ``size`` of an extended matrix which is sliced away after
@@ -38,6 +41,7 @@ is never loaded on the placement path.
 
 from __future__ import annotations
 
+import copy
 from collections import OrderedDict
 from time import perf_counter
 from typing import Mapping, Sequence
@@ -68,6 +72,10 @@ from repro.variation import DeviceDelta
 # sign * value[slot] scatter as resistor and VCVS entries.
 _ONE_SLOT = 0
 
+# Source-injection stacks a binding (and its rebound copies) keeps: the
+# suites use a handful of (scale, overrides) keys, source stepping ten.
+_INJECTIONS_KEPT = 32
+
 
 def structure_signature(circuit: Circuit) -> tuple:
     """Hashable shape key of a circuit: device types, names and nets.
@@ -86,6 +94,50 @@ def structure_signature(circuit: Circuit) -> tuple:
             entry += (device.polarity, device.width, device.length)
         entries.append(entry)
     return (circuit.name, tuple(entries))
+
+
+def _row_flat(entries: np.ndarray, n_rows: int, row_size: int) -> np.ndarray:
+    """Flat index of ``entries`` in each of ``n_rows`` stacked rows.
+
+    Row ``i``'s entry ``e`` lands at ``i * row_size + e``, in row-major
+    order, so one 1-D ``np.add.at`` applies exactly the per-row additions,
+    in the same order, that a ``(rows, entries)`` index would.
+    """
+    rows = np.arange(n_rows, dtype=np.intp)[:, None] * row_size
+    return (rows + entries).reshape(-1)
+
+
+class _RowIndices:
+    """Flat (:func:`_row_flat`) scatter/gather indices of one topology's
+    stamps over ``n_rows`` stacked rows (immutable, cached per topology)."""
+
+    def __init__(self, topology: "CompiledTopology", n_rows: int):
+        t = topology
+        stride = t.size + 1
+        self.lin = _row_flat(t.lin_flat, n_rows, stride * stride)
+        self.cap = _row_flat(t.cap_flat, n_rows, stride * stride)
+        self.ac = _row_flat(t.ac_rows, n_rows, stride)
+        self.src = _row_flat(t.src_rows, n_rows, stride)
+        # F rows of [ids at drains, -ids at sources], laid out like the
+        # kernel's (2, row, device) current block.
+        rows = np.arange(n_rows, dtype=np.intp)[None, :, None]
+        self.mos_f = (rows * stride
+                      + t.mos_f_rows.reshape(2, 1, -1)).reshape(-1)
+        self.diag = _row_flat(t.node_diag_flat, n_rows, stride * stride)
+        # The kernel's (terminal, row * device) input, and its partial
+        # rows' (8, row, device) Jacobian layout.
+        self.terms = (rows * stride + t.mos_terms[:, None, :]).reshape(4, -1)
+        self.mos_j = (rows * (stride * stride)
+                      + t.mos_j_flat.reshape(8, 1, -1)).reshape(-1)
+
+
+def _row_indices(topology: "CompiledTopology", n_rows: int) -> _RowIndices:
+    """``topology``'s flat stamp indices for ``n_rows`` stacked states
+    (cached on the topology)."""
+    indices = topology.row_indices.get(n_rows)
+    if indices is None:
+        indices = topology.row_indices[n_rows] = _RowIndices(topology, n_rows)
+    return indices
 
 
 class CompiledTopology:
@@ -270,9 +322,8 @@ class CompiledTopology:
         self.node_diag_flat = nodes * stride + nodes
 
         self._banks: dict[Technology, _DeviceBank] = {}
-        #: Stacked-binding index arrays per row count, filled by
-        #: :mod:`repro.sim.batch`.
-        self.row_indices: dict = {}
+        #: Stacked-state index arrays per row count (:func:`_row_indices`).
+        self.row_indices: dict[int, _RowIndices] = {}
 
     def device_bank(self, tech: Technology) -> "_DeviceBank":
         """Nominal per-device parameter bank under one technology (cached).
@@ -336,8 +387,8 @@ class _DeviceBank:
             )
         self.c_mos_ext = C
 
-        self._stacked: dict[int, dict[str, np.ndarray]] = {
-            1: {name: getattr(self, name) for name in (
+        self._stacked: dict[tuple, dict[str, np.ndarray]] = {
+            self.vth0.shape: {name: getattr(self, name) for name in (
                 "polarity", "lam", "gamma", "phi", "ss", "sqrt_phi",
                 "neg_half_gamma")},
         }
@@ -346,16 +397,17 @@ class _DeviceBank:
         """The kernel's parameter vectors with variation-resolved
         ``vth0`` and ``kp_wl``.
 
-        For ``(rows, n)`` stacks the shared vectors come pre-broadcast to
-        the same shape (cached per row count), so every kernel operation
-        runs one contiguous loop instead of one per row.
+        ``vth0`` and ``kp_wl`` may hold several copies of the bank: as
+        ``(rows, n)`` stacks or as flat ``(rows * n,)`` vectors.  The
+        shared vectors then come repeated to the same shape (cached per
+        shape), so every kernel operation runs one contiguous loop
+        instead of one per row.
         """
-        rows = 1 if vth0.ndim == 1 else len(vth0)
-        shared = self._stacked.get(rows)
+        shared = self._stacked.get(vth0.shape)
         if shared is None:
-            shared = self._stacked[rows] = {
-                name: np.broadcast_to(value, vth0.shape).copy()
-                for name, value in self._stacked[1].items()
+            shared = self._stacked[vth0.shape] = {
+                name: np.resize(value, vth0.shape)
+                for name, value in self._stacked[self.vth0.shape].items()
             }
         return MosfetArrays(vth0=vth0, kp_wl=kp_wl, **shared)
 
@@ -422,7 +474,9 @@ class CompiledSystem:
     The circuit handed in must have the same structure signature as the
     topology (guaranteed when obtained via :func:`compiled_system`).
     Binding gathers only what DC assembly reads; the AC drive vector and
-    the capacitance matrix are built on first use.
+    the capacitance matrix are built on first use.  :meth:`rebind` gives
+    the same circuit new variation deltas and capacitor values without
+    gathering anything else again.
 
     Raises:
         ValueError: a variation delta would make a device's ``kp``
@@ -439,7 +493,6 @@ class CompiledSystem:
         self.topology = topology
         self.circuit = circuit
         self.tech = tech
-        self.deltas = dict(deltas or {})
         self.node_index = topology.node_index
         self.branch_index = topology.branch_index
         self.circuit_nets = topology.circuit_nets
@@ -460,28 +513,68 @@ class CompiledSystem:
             np.add.at(G.ravel(), t.lin_flat, t.lin_sign * values[t.lin_slot])
         self._G_ext = G
 
-        # Source-dependent pieces are built on first use: DC assembly
-        # keeps the injection vector of the last (scale, overrides) pair,
-        # since a Newton run reuses it on every iteration.
+        # Source-dependent pieces are built on first use.  DC assembly
+        # keeps the injection stacks it has made, keyed by source scale
+        # and per-row overrides (a Newton run reuses one on every
+        # iteration); rebound copies share the store.
         self._src_base: np.ndarray | None = None
-        self._src_key: tuple | None = None
-        self._src_injection: np.ndarray | None = None
+        self._injections: dict[tuple, np.ndarray] = {}
         self._b_ac: np.ndarray | None = None
+        self._cap_values: Sequence[float] | None = None
         self._C: np.ndarray | None = None
+        self._bank = topology.device_bank(tech)
+        self._bind_deltas(deltas)
 
-        # Variation-resolved MOSFET parameters: the cached nominal bank
-        # plus per-device delta arrays (dvth adds, dbeta scales kp —
-        # exactly MosfetParams.with_deltas, vectorized).
-        bank = topology.device_bank(tech)
-        self._bank = bank
+    def _bind_deltas(self, deltas: Mapping[str, DeviceDelta] | None) -> None:
+        """Variation-resolved MOSFET parameters: the cached nominal bank
+        plus per-device delta arrays (dvth adds, dbeta scales kp —
+        exactly :meth:`MosfetParams.with_deltas`, vectorized)."""
+        self.deltas = dict(deltas or {})
+        bank = self._bank
         if self.deltas:
-            dvth, dbeta = _delta_arrays(t.mos_names, [self.deltas])
+            dvth, dbeta = _delta_arrays(self.topology.mos_names, [self.deltas])
             vth0 = bank.vth0 + dvth[0]
             kp = bank.kp * (1.0 + dbeta[0])
         else:
             vth0 = bank.vth0
             kp = bank.kp
         self._mos_arrays = bank.arrays(vth0, kp * bank.w_over_l)
+        # The kernel's vectors repeated for n-row states, by row count.
+        self._mos_rows = {1: self._mos_arrays}
+
+    def _mos_arrays_rows(self, rows: int) -> MosfetArrays:
+        """The device bank repeated ``rows`` times, flat: the kernel runs
+        on ``(4, rows * n)`` terminal voltages, the fastest layout."""
+        arrays = self._mos_rows.get(rows)
+        if arrays is None:
+            one = self._mos_arrays
+            arrays = self._mos_rows[rows] = self._bank.arrays(
+                np.concatenate((one.vth0,) * rows),
+                np.concatenate((one.kp_wl,) * rows))
+        return arrays
+
+    def rebind(
+        self,
+        deltas: Mapping[str, DeviceDelta] | None,
+        capacitances: Sequence[float] | None = None,
+    ) -> "CompiledSystem":
+        """This binding with new variation deltas and capacitor values.
+
+        A placement changes only these two, so a testbench is bound once
+        and rebound per placement: the linear matrix, the source levels
+        and the AC drive are shared with this binding.
+
+        Args:
+            deltas: the new per-device parameter shifts.
+            capacitances: one value per capacitor of the circuit, in
+                circuit order; ``None`` keeps this binding's values.
+        """
+        bound = copy.copy(self)
+        bound._bind_deltas(deltas)
+        if capacitances is not None:
+            bound._cap_values = capacitances
+            bound._C = None
+        return bound
 
     # ------------------------------------------------------------- helpers
 
@@ -496,54 +589,86 @@ class CompiledSystem:
         g = block[1:]
         return block[0], np.concatenate((g, -g)).ravel()
 
-    def _source_injection(
+    def _source_injections(
         self,
         source_scale: float,
-        source_values: Mapping[str, float] | None,
+        source_values: Sequence[Mapping[str, float] | None] | None,
+        rows: int,
     ) -> np.ndarray:
-        """Signed source values, aligned with the topology's ``src_rows``."""
-        key = (source_scale, dict(source_values) if source_values else None)
-        if key != self._src_key:
+        """Signed source values of ``rows`` states (``source_values``
+        holds each row's overrides), row after row, each aligned with the
+        topology's ``src_rows``."""
+        if source_values is None or not any(source_values):
+            key = (source_scale, rows)
+            source_values = (None,) * rows
+        else:
+            key = (source_scale, tuple(
+                tuple(values.items()) if values else None
+                for values in source_values))
+        injections = self._injections.get(key)
+        if injections is None:
             if self._src_base is None:
                 self._src_base = np.array([
                     self.circuit.device(name).dc
                     for name in self.topology.source_names])
-            self._src_injection = _signed_sources(
-                self.topology, self._src_base, source_scale, source_values)
-            self._src_key = key
-        return self._src_injection
+            injections = np.concatenate([
+                _signed_sources(self.topology, self._src_base,
+                                source_scale, values)
+                for values in source_values])
+            if len(self._injections) >= _INJECTIONS_KEPT:
+                self._injections.clear()
+            self._injections[key] = injections
+        return injections
 
     # ------------------------------------------------------------------ DC
 
     def assemble_dc(
         self,
-        x: np.ndarray,
+        X: np.ndarray,
         gmin: float = 1e-12,
         source_scale: float = 1.0,
-        source_values: Mapping[str, float] | None = None,
+        source_values: Sequence[Mapping[str, float] | None] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Jacobian and residual of the DC system at state ``x``.
+        """Jacobians and residuals of the DC system at the states ``X``.
 
-        Assembly is one matrix copy, one fused device-bank kernel and
-        three index scatters.
+        Args:
+            X: ``(rows, size)`` states, each solved on this binding.
+            gmin: conductance tied from every node to ground.
+            source_scale: multiplies every independent source value.
+            source_values: per-row source dc overrides (name → value),
+                one entry (or ``None``) per row; ``None`` for none.
+
+        Returns:
+            ``(J, F)`` of shapes ``(rows, size, size)`` and ``(rows,
+            size)``.  Assembly is one matrix copy, one fused device-bank
+            kernel and three index scatters for all rows; each row's
+            values are those of a one-row call (``F`` is formed per row
+            as a matrix-vector product).
         """
         t = self.topology
-        size = self.size
-        x_ext = np.zeros(size + 1)
-        x_ext[:size] = x
+        rows, size = X.shape
+        ri = _row_indices(t, rows)
+        x_ext = np.zeros((rows, size + 1))
+        x_ext[:, :size] = X
 
-        J_ext = self._G_ext.copy()
-        F_ext = self._G_ext @ x_ext
+        G = self._G_ext
+        J_ext = np.empty((rows,) + G.shape)
+        J_ext[:] = G
+        J_flat = J_ext.reshape(-1)
+        F_ext = (G[None] @ x_ext[..., None])[..., 0]
+        F_flat = F_ext.reshape(-1)
         if t.src_rows.size:
-            np.add.at(F_ext, t.src_rows,
-                      self._source_injection(source_scale, source_values))
+            np.add.at(F_flat, ri.src, self._source_injections(
+                source_scale, source_values, rows))
         if t.mos_names:
-            ids, jvals = self._mos_jvals(x_ext)
-            np.add.at(F_ext, t.mos_f_rows, np.concatenate((ids, -ids)))
-            np.add.at(J_ext.ravel(), t.mos_j_flat, jvals)
-        F_ext[: self.n_nodes] += gmin * x_ext[: self.n_nodes]
-        J_ext.ravel()[t.node_diag_flat] += gmin
-        return J_ext[:size, :size], F_ext[:size]
+            block = terminal_currents_array(
+                self._mos_arrays_rows(rows), x_ext.reshape(-1)[ri.terms])
+            ids, g = block[0], block[1:]
+            np.add.at(F_flat, ri.mos_f, np.concatenate((ids, -ids)))
+            np.add.at(J_flat, ri.mos_j, np.concatenate((g, -g)).reshape(-1))
+        F_ext[:, : self.n_nodes] += gmin * x_ext[:, : self.n_nodes]
+        J_flat[ri.diag] += gmin
+        return J_ext[:, :size, :size], F_ext[:, :size]
 
     # ------------------------------------------------------------------ AC
 
@@ -551,16 +676,18 @@ class CompiledSystem:
         """The node-space C matrix, built on first use.
 
         Deltas never change capacitances: it is the cached MOSFET part
-        plus this instance's capacitor values.
+        plus this binding's capacitor values.
         """
         if self._C is None:
             t = self.topology
             C = self._bank.c_mos_ext.copy()
             if t.capacitor_slots:
+                if self._cap_values is None:
+                    self._cap_values = [
+                        self.circuit.device(name).value
+                        for name, __ in t.capacitor_slots]
                 cap_values = np.zeros(t.n_cap_slots)
-                cap_values[t.capacitor_slot_index] = [
-                    self.circuit.device(name).value
-                    for name, __ in t.capacitor_slots]
+                cap_values[t.capacitor_slot_index] = self._cap_values
                 np.add.at(C.ravel(), t.cap_flat,
                           t.cap_sign * cap_values[t.cap_slot])
             self._C = C[: self.size, : self.size].copy()
@@ -658,9 +785,9 @@ _cache_misses = 0
 def compiled_topology(circuit: Circuit) -> CompiledTopology:
     """The compiled topology of ``circuit``'s shape (globally LRU-cached).
 
-    Every placement of a block — parasitic annotation included — shares a
-    structure signature, so an optimization run compiles each testbench
-    variant exactly once.
+    Every placement of a block — parasitic capacitors included — shares
+    a structure signature, so a process compiles each testbench variant
+    exactly once, and each evaluator fetches it once per testbench.
     """
     global _cache_hits, _cache_misses
     signature = structure_signature(circuit)

@@ -9,12 +9,19 @@ Solution strategy, in escalation order:
 
 Each stage is standard SPICE practice; together they converge every
 circuit in the library including the clamped comparator latch.
+
+Stage 1 runs on ``(rows, size)`` states: :func:`solve_dc` takes a list
+of source overrides and solves one row per entry on one binding (the
+comparator's balanced and two probe inputs), with per-row damping,
+convergence and iteration counts, so each row returns what a one-row
+call returns.  A row whose plain Newton fails continues into stages 2
+and 3 on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -26,7 +33,13 @@ from repro.variation import DeviceDelta
 
 
 class ConvergenceError(RuntimeError):
-    """DC analysis failed to converge after all homotopy fallbacks."""
+    """DC analysis failed to converge after all homotopy fallbacks.
+
+    ``solved`` lists the results of the rows a stacked
+    :func:`solve_dc` call solved before the failing one.
+    """
+
+    solved: list = []
 
 
 @dataclass
@@ -66,67 +79,120 @@ ABSTOL_V = 1e-9
 RESIDTOL_I = 1e-9
 RESIDTOL_V = 1e-9
 
+Overrides = Mapping[str, float] | None
+
+# The ufunc reductions behind ``ndarray.max`` and ``ndarray.all``, called
+# directly: the same values without the methods' Python wrappers, which
+# cost as much as the reduction on these short rows.
+_max = np.maximum.reduce
+_all = np.logical_and.reduce
+
+
+def _solve_rows(J: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Row-wise Newton steps ``-J \\ F``; singular rows come back as NaN.
+
+    Each row is one LAPACK ``gesv`` call whether it is solved alone or
+    in the stack, so a row's step does not depend on the others.
+    """
+    try:
+        if len(F) == 1:
+            return np.linalg.solve(J[0], -F[0])[None]
+        return np.linalg.solve(J, -F[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full_like(F, np.nan)
+        for i in range(len(F)):
+            try:
+                out[i] = np.linalg.solve(J[i], -F[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
 
 def _newton(
     system: CompiledSystem,
-    x0: np.ndarray,
+    X0: np.ndarray,
     gmin: float,
     source_scale: float,
-    source_values: Mapping[str, float] | None,
+    source_values: Sequence[Overrides],
     max_iter: int,
-) -> tuple[np.ndarray, int, bool]:
-    """One damped-Newton run; returns (x, iterations, converged).
+) -> tuple[np.ndarray, list[int], list[bool]]:
+    """Damped Newton on ``(rows, size)`` states, one row per override set.
 
+    Every row is its own solve on ``system``: it has its own source
+    overrides, damping, convergence test and iteration count, and it
+    stops the moment its own criteria are met (or its step is singular
+    or non-finite).  The rows still running share each assembly and
+    stacked linear solve; a one-row call is the plain scalar Newton.
     Every iteration assembles and solves a fresh Jacobian.  The
     placement-batched driver (:func:`repro.sim.batch.solve_dc_many`) is
     where frozen-Jacobian reuse runs; per row it applies the same
     damping rule and convergence criteria as this loop.
+
+    Returns ``(X, iterations, converged)``: per row, its last state, the
+    iterations it spent and whether it converged.
     """
-    x = x0.copy()
+    X = X0.copy()
+    rows = len(X)
     n_nodes = system.n_nodes
     has_branches = system.size > n_nodes
+    iters = [max_iter] * rows
+    converged = [False] * rows
+    active = list(range(rows))
     for it in range(1, max_iter + 1):
-        STATS.newton_iterations += 1
-        STATS.jacobian_factorizations += 1
-        J, F = system.assemble_dc(
-            x, gmin=gmin, source_scale=source_scale, source_values=source_values
-        )
-        try:
-            dx = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            return x, it, False
-        if not np.isfinite(dx).all():
-            return x, it, False
-        # Damp: cap the largest node-voltage move per iteration.
-        dv = float(np.abs(dx[:n_nodes]).max()) if n_nodes else 0.0
-        if dv > MAX_STEP_V:
-            dx *= MAX_STEP_V / dv
-            dv = float(np.abs(dx[:n_nodes]).max())
-        x += dx
-        # Convergence: a small voltage step and small KCL and branch
-        # residuals, checked in that order so a step that fails early
-        # skips the remaining reductions (``not <`` keeps NaN failing).
-        if n_nodes and not dv < ABSTOL_V * (1.0 + np.abs(x[:n_nodes]).max()):
-            continue
-        abs_f = np.abs(F)
-        if n_nodes and not abs_f[:n_nodes].max() < RESIDTOL_I:
-            continue
-        if has_branches and not abs_f[n_nodes:].max() < RESIDTOL_V:
-            continue
-        return x, it, True
-    return x, max_iter, False
+        n_active = len(active)
+        STATS.newton_iterations += n_active
+        STATS.jacobian_factorizations += n_active
+        if n_active == rows:
+            J, F = system.assemble_dc(X, gmin, source_scale, source_values)
+        else:
+            J, F = system.assemble_dc(
+                X[active], gmin, source_scale,
+                [source_values[i] for i in active])
+        dx = _solve_rows(J, F)
+        running = []
+        for i, step, f in zip(active, dx, F):
+            if not _all(np.isfinite(step)):
+                iters[i] = it  # a singular or non-finite step ends the row
+                continue
+            # Damp: cap the largest node-voltage move per iteration.
+            dv = float(_max(np.abs(step[:n_nodes]))) if n_nodes else 0.0
+            if dv > MAX_STEP_V:
+                step *= MAX_STEP_V / dv
+                dv = float(_max(np.abs(step[:n_nodes])))
+            x = X[i]
+            x += step
+            # Convergence: a small voltage step and small KCL and branch
+            # residuals, checked in that order so a step that fails early
+            # skips the remaining reductions (``not <`` keeps NaN failing).
+            if n_nodes and not dv < ABSTOL_V * (
+                    1.0 + _max(np.abs(x[:n_nodes]))):
+                running.append(i)
+                continue
+            abs_f = np.abs(f)
+            if n_nodes and not _max(abs_f[:n_nodes]) < RESIDTOL_I:
+                running.append(i)
+                continue
+            if has_branches and not _max(abs_f[n_nodes:]) < RESIDTOL_V:
+                running.append(i)
+                continue
+            iters[i] = it
+            converged[i] = True
+        active = running
+        if not active:
+            break
+    return X, iters, converged
 
 
 def solve_dc(
     circuit: Circuit,
     tech: Technology,
     deltas: Mapping[str, DeviceDelta] | None = None,
-    x0: np.ndarray | None = None,
-    source_values: Mapping[str, float] | None = None,
+    x0: np.ndarray | Sequence[np.ndarray | None] | None = None,
+    source_values: Overrides | list[Overrides] = None,
     gmin: float = 1e-12,
     max_iter: int = 150,
     system: CompiledSystem | None = None,
-) -> DcResult:
+) -> DcResult | list[DcResult]:
     """Find the DC operating point of ``circuit``.
 
     Args:
@@ -135,27 +201,75 @@ def solve_dc(
         deltas: variation-resolved per-device parameter shifts.
         x0: warm-start vector from a previous solve of the *same* system
             layout (same circuit shape).
-        source_values: per-source dc overrides (name → value).
+        source_values: per-source dc overrides (name → value).  A *list*
+            of override mappings solves one row per entry in one stacked
+            Newton (rows differing only in their sources, such as the
+            comparator's three input levels); ``x0`` is then a list of
+            per-row seeds (``None`` entries start from zero, as does
+            ``x0=None``) and a list of results comes back, each equal to
+            what a one-row call would return.
         gmin: final stabilising conductance.
         max_iter: Newton budget per homotopy stage.
         system: prebuilt assembler for ``circuit`` — skips construction
-            entirely (the comparator suite reuses one system for its
-            three solves; the batched driver's fallback passes a row of
-            its batched binding).
+            entirely (the suites bind each testbench once per block and
+            rebind it per placement; the batched driver's fallback
+            passes a row of its batched binding).
 
     Raises:
-        ConvergenceError: if no strategy converges.
+        ConvergenceError: if no strategy converges (for a list of rows,
+            on the first row in order that none converges; its
+            ``solved`` attribute holds the results of the rows before
+            it).
     """
     if system is None:
         system = compiled_system(circuit, tech, deltas)
-    guess = x0.copy() if x0 is not None else np.zeros(system.size)
-    total_iters = 0
+    stacked = isinstance(source_values, list)
+    if stacked:
+        overrides = source_values
+        guesses = np.zeros((len(overrides), system.size))
+        for guess, seed in zip(guesses, () if x0 is None else x0):
+            if seed is not None:
+                guess[:] = seed
+    else:
+        overrides = [source_values]
+        guesses = (np.zeros(system.size) if x0 is None else x0)[None]
 
-    # Stage 1: plain damped Newton.
-    x, iters, ok = _newton(system, guess, gmin, 1.0, source_values, max_iter)
-    total_iters += iters
-    if ok:
-        return _package(system, x, total_iters)
+    # Stage 1: plain damped Newton, all rows at once.
+    X, iters, ok = _newton(system, guesses, gmin, 1.0, overrides, max_iter)
+    results: list[DcResult] = []
+    for i, values in enumerate(overrides):
+        if ok[i]:
+            results.append(_package(system, X[i], iters[i]))
+            continue
+        try:
+            results.append(_homotopy(
+                circuit, system, guesses[i], values, gmin, max_iter,
+                iters[i]))
+        except ConvergenceError as err:
+            err.solved = results
+            raise
+    return results if stacked else results[0]
+
+
+def _homotopy(
+    circuit: Circuit,
+    system: CompiledSystem,
+    guess: np.ndarray,
+    source_values: Overrides,
+    gmin: float,
+    max_iter: int,
+    total_iters: int,
+) -> DcResult:
+    """Stages 2 and 3 of :func:`solve_dc` for one row whose plain
+    Newton run (``total_iters`` iterations from ``guess``) failed."""
+    one = [source_values]
+
+    def newton(x, stage_gmin, scale):
+        nonlocal total_iters
+        X, iters, ok = _newton(
+            system, x[None], stage_gmin, scale, one, max_iter)
+        total_iters += iters[0]
+        return X[0], ok[0]
 
     # Stage 2: gmin stepping.
     x = guess.copy()
@@ -164,16 +278,14 @@ def solve_dc(
         stage_gmin = 10.0 ** (-exp)
         if stage_gmin < gmin:
             stage_gmin = gmin
-        x, iters, ok = _newton(system, x, stage_gmin, 1.0, source_values, max_iter)
-        total_iters += iters
+        x, ok = newton(x, stage_gmin, 1.0)
         if not ok:
             converged_chain = False
             break
         if stage_gmin <= gmin:
             break
     if converged_chain:
-        x, iters, ok = _newton(system, x, gmin, 1.0, source_values, max_iter)
-        total_iters += iters
+        x, ok = newton(x, gmin, 1.0)
         if ok:
             return _package(system, x, total_iters)
 
@@ -181,8 +293,7 @@ def solve_dc(
     x = np.zeros(system.size)
     ok = True
     for scale in np.linspace(0.1, 1.0, 10):
-        x, iters, ok = _newton(system, x, gmin, float(scale), source_values, max_iter)
-        total_iters += iters
+        x, ok = newton(x, gmin, float(scale))
         if not ok:
             break
     if ok:

@@ -25,7 +25,8 @@ Sign conventions (SPICE-compatible):
 
 from __future__ import annotations
 
-from typing import Mapping
+import dataclasses
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -111,7 +112,42 @@ class MnaSystem:
 
     # ------------------------------------------------------------------ DC
 
+    def rebind(
+        self,
+        deltas: Mapping[str, DeviceDelta] | None,
+        capacitances: Sequence[float] | None = None,
+    ) -> "MnaSystem":
+        """The same circuit with new deltas and capacitor values (one per
+        capacitor, in circuit order; ``None`` keeps them), as a new
+        assembler — :meth:`repro.sim.compiled.CompiledSystem.rebind`."""
+        circuit = self.circuit
+        if capacitances is not None:
+            caps = [d for d in circuit if isinstance(d, Capacitor)]
+            circuit = circuit.copy_with(replacements={
+                cap.name: dataclasses.replace(cap, value=value)
+                for cap, value in zip(caps, capacitances)})
+        return type(self)(circuit, self.tech, deltas)
+
     def assemble_dc(
+        self,
+        X: np.ndarray,
+        gmin: float = 1e-12,
+        source_scale: float = 1.0,
+        source_values: Sequence[Mapping[str, float] | None] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked Jacobians and residuals at ``(rows, size)`` states,
+        one :meth:`assemble_dc_row` call per row (``source_values``
+        holds each row's overrides) — the interface of
+        :meth:`repro.sim.compiled.CompiledSystem.assemble_dc`."""
+        J = np.empty((len(X), self.size, self.size))
+        F = np.empty((len(X), self.size))
+        for i, x in enumerate(X):
+            J[i], F[i] = self.assemble_dc_row(
+                x, gmin, source_scale,
+                None if source_values is None else source_values[i])
+        return J, F
+
+    def assemble_dc_row(
         self,
         x: np.ndarray,
         gmin: float = 1e-12,

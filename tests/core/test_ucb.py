@@ -11,7 +11,8 @@ class TestUcbSelect:
     def test_unvisited_beats_equal_q_visited(self):
         # Equal Q estimates: the action with no evidence gets the larger
         # bonus and must be tried first.
-        action = ucb_select({"a": 1.0, "b": 1.0}, {"a": 50}, ["a", "b"], t=10)
+        action = ucb_select({"a": 1.0, "b": 1.0}, {"a": 50}, ["a", "b"], t=10,
+                            c=0.5)
         assert action == "b"
 
     def test_heavy_evidence_is_trusted(self):
@@ -26,15 +27,15 @@ class TestUcbSelect:
         assert ucb_select({"y": 1.0}, {}, ["x", "y", "z"], t=0, c=0.0) == "y"
 
     def test_deterministic(self):
-        picks = {ucb_select({"a": 0.3}, {"a": 2}, ["a", "b", "c"], t=7)
+        picks = {ucb_select({"a": 0.3}, {"a": 2}, ["a", "b", "c"], t=7, c=0.5)
                  for _ in range(20)}
         assert len(picks) == 1
 
     def test_validation(self):
         with pytest.raises(ValueError, match="legal"):
-            ucb_select({}, {}, [], t=0)
+            ucb_select({}, {}, [], t=0, c=0.5)
         with pytest.raises(ValueError, match="step"):
-            ucb_select({}, {}, ["a"], t=-1)
+            ucb_select({}, {}, ["a"], t=-1, c=0.5)
         with pytest.raises(ValueError, match="constant"):
             ucb_select({}, {}, ["a"], t=0, c=-0.5)
 
@@ -48,7 +49,8 @@ class TestUcbTopk:
     def test_ranked_extras_cover_all_legal(self):
         out = ucb_topk({"a": 1.0}, {}, ["a", "b", "c"], t=0, c=0.5, k=3)
         assert sorted(out) == ["a", "b", "c"]
-        assert out[0] == ucb_select({"a": 1.0}, {}, ["a", "b", "c"], t=0)
+        assert out[0] == ucb_select({"a": 1.0}, {}, ["a", "b", "c"], t=0,
+                                    c=0.5)
 
     def test_k_validation(self):
         with pytest.raises(ValueError, match="k"):

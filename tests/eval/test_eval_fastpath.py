@@ -305,19 +305,28 @@ def test_nearest_matches_brute_force_fifo_argmin():
 
 
 def test_comp_evaluate_binds_once(monkeypatch):
+    """A comparator evaluation builds no binding: its three solves share
+    one rebinding of the clamped bench the evaluator built once."""
     block = comparator()
     evaluator = PlacementEvaluator(block)
     placement = banded_placement(block, "ysym")
     evaluator.evaluate(banded_placement(block, "sequential"))  # warm start
-    binds = []
+    binds, rebinds = [], []
     original = compiled.CompiledSystem.__init__
+    original_rebind = compiled.CompiledSystem.rebind
 
     def counting(self, *args, **kwargs):
         binds.append(1)
         original(self, *args, **kwargs)
 
+    def counting_rebind(self, *args, **kwargs):
+        rebinds.append(1)
+        return original_rebind(self, *args, **kwargs)
+
     monkeypatch.setattr(compiled.CompiledSystem, "__init__", counting)
+    monkeypatch.setattr(compiled.CompiledSystem, "rebind", counting_rebind)
     before = evaluator.sim_count
     evaluator.evaluate(placement)
     assert evaluator.sim_count == before + 1
-    assert len(binds) == 1
+    assert len(binds) == 0
+    assert len(rebinds) == 1

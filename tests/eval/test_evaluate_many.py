@@ -112,10 +112,10 @@ class TestFailureSemantics:
         bad_signature = placements[1].signature()
         real_suite = SUITES["cm"]
 
-        def flaky(b, annotated, deltas, tech, placement, warm):
+        def flaky(bench, deltas, placement, warm):
             if placement.signature() == bad_signature:
                 raise ConvergenceError("injected failure")
-            return real_suite(b, annotated, deltas, tech, placement, warm)
+            return real_suite(bench, deltas, placement, warm)
 
         monkeypatch.setattr(evaluator, "_suite", flaky)
         monkeypatch.setitem(

@@ -174,6 +174,35 @@ def test_group_mask_matches_plain_rule(scene):
     assert legal_group_moves(placement, units) == expected
 
 
+def assert_same_placement(got, want):
+    """Equal cells, occupancy (dictionary order included), mask and
+    signature."""
+    assert list(got._cells.items()) == list(want._cells.items())
+    assert list(got._occupancy.items()) == list(want._occupancy.items())
+    assert got._mask == want._mask
+    assert got.signature() == want.signature()
+
+
+@given(scene=group_scenes())
+@settings(max_examples=300, deadline=None)
+def test_translate_matches_move_many(scene):
+    """On every translation the group mask offers, the unchecked
+    :meth:`Placement.translate` (the agents' move and its undo) leaves
+    the placement exactly as the validating ``move_many`` does."""
+    __, __, units, placement = scene
+    for k in legal_group_moves(placement, units):
+        dc, dr = DIRECTIONS[k]
+        checked, moved = placement.copy(), placement.copy()
+        for step_c, step_r in ((dc, dr), (-dc, -dr)):
+            checked.move_many({unit: (c + step_c, r + step_r)
+                               for unit, (c, r)
+                               in zip(units, checked.cells_of(units))})
+            moved.translate(units, step_c, step_r)
+            assert_same_placement(moved, checked)
+        assert moved.as_dict() == placement.as_dict()
+        assert moved._mask == placement._mask
+
+
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=12, deadline=None)
 def test_env_group_actions_match_plain_rule_along_walks(seed):

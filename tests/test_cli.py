@@ -172,20 +172,23 @@ class TestProfile:
     ):
         # Each timed full-suite repeat must solve, not read a stored
         # result: it runs Newton, and an OTA evaluates its MOSFET bank
-        # once more to linearize at the operating point for AC.
+        # once more to linearize at the operating point for AC.  Bank
+        # evaluations are counted in devices: a stacked kernel call
+        # evaluates the bank once per row.
         from repro.cli import CIRCUITS
         from repro.eval.evaluator import PlacementEvaluator
         from repro.layout.generators import banded_placement
-        from repro.sim import solver_stats
-        from repro.sim.compiled import CompiledSystem
+        from repro.sim import compiled, solver_stats
 
-        profiled = banded_placement(CIRCUITS[circuit](), "ysym").signature()
+        block = CIRCUITS[circuit]()
+        n_mos = len(block.circuit.mosfets())
+        profiled = banded_placement(block, "ysym").signature()
         bank_evals = [0]
-        original_jvals = CompiledSystem._mos_jvals
+        original_kernel = compiled.terminal_currents_array
 
-        def mos_jvals(self, x_ext):
-            bank_evals[0] += 1
-            return original_jvals(self, x_ext)
+        def kernel(arrays, v):
+            bank_evals[0] += v.shape[-1] // n_mos
+            return original_kernel(arrays, v)
 
         counts = []
         original = PlacementEvaluator.evaluate
@@ -199,7 +202,7 @@ class TestProfile:
                                bank_evals[0] - evals))
             return metrics
 
-        monkeypatch.setattr(CompiledSystem, "_mos_jvals", mos_jvals)
+        monkeypatch.setattr(compiled, "terminal_currents_array", kernel)
         monkeypatch.setattr(PlacementEvaluator, "evaluate", evaluate)
         assert main(["profile", circuit, "--repeats", "3", "--batch", "2"]) == 0
         assert len(counts) >= 3

@@ -40,7 +40,6 @@ KEEP = {
     "from_spice": "test helper: deck text to Circuit",
     "topology_cache_info": "test helper: compiled-topology cache state",
     "clear_topology_cache": "test helper: a cold compiled-topology cache",
-    "signal_nets": "test helper: a circuit's routed nets",
     "gds": "test helper: OpPoint output conductance",
     "n_cells": "test helper: canvas size",
     "with_jobs": "test helper: an ExperimentConfig at another --jobs",
