@@ -258,7 +258,10 @@ def measure_comp(
     only in the input sources, so the ones the op cache cannot serve
     run as one stacked Newton.  A stage whose library is still empty
     seeds from this evaluation's balanced solution, so then the
-    balanced solve runs first, on its own.
+    balanced solve runs first, on its own.  The solver counters equal
+    those of the three solves run one after another, also when one
+    fails; only the op-cache lookups differ then, as every stage is
+    looked up before any is solved.
     """
     block, tech = bench.block, bench.tech
     vcm = block.params["vcm"]

@@ -562,13 +562,16 @@ class CompiledSystem:
 
         A placement changes only these two, so a testbench is bound once
         and rebound per placement: the linear matrix, the source levels
-        and the AC drive are shared with this binding.
+        and the AC drive are shared with this binding (the last two are
+        built here, on this binding, the first time it is rebound).
 
         Args:
             deltas: the new per-device parameter shifts.
             capacitances: one value per capacitor of the circuit, in
                 circuit order; ``None`` keeps this binding's values.
         """
+        self._source_levels()
+        self._ac_drive()
         bound = copy.copy(self)
         bound._bind_deltas(deltas)
         if capacitances is not None:
@@ -589,6 +592,15 @@ class CompiledSystem:
         g = block[1:]
         return block[0], np.concatenate((g, -g)).ravel()
 
+    def _source_levels(self) -> np.ndarray:
+        """The independent sources' dc values in topology order, built
+        on first use."""
+        if self._src_base is None:
+            self._src_base = np.array([
+                self.circuit.device(name).dc
+                for name in self.topology.source_names])
+        return self._src_base
+
     def _source_injections(
         self,
         source_scale: float,
@@ -607,12 +619,8 @@ class CompiledSystem:
                 for values in source_values))
         injections = self._injections.get(key)
         if injections is None:
-            if self._src_base is None:
-                self._src_base = np.array([
-                    self.circuit.device(name).dc
-                    for name in self.topology.source_names])
             injections = np.concatenate([
-                _signed_sources(self.topology, self._src_base,
+                _signed_sources(self.topology, self._source_levels(),
                                 source_scale, values)
                 for values in source_values])
             if len(self._injections) >= _INJECTIONS_KEPT:

@@ -129,7 +129,10 @@ def _newton(
     damping rule and convergence criteria as this loop.
 
     Returns ``(X, iterations, converged)``: per row, its last state, the
-    iterations it spent and whether it converged.
+    iterations it spent and whether it converged.  Each iteration of a
+    row factors one Jacobian; the callers add a row's iterations to the
+    solver counters once they reach that row, so a stacked call counts
+    exactly what the same rows solved one after another count.
     """
     X = X0.copy()
     rows = len(X)
@@ -139,10 +142,7 @@ def _newton(
     converged = [False] * rows
     active = list(range(rows))
     for it in range(1, max_iter + 1):
-        n_active = len(active)
-        STATS.newton_iterations += n_active
-        STATS.jacobian_factorizations += n_active
-        if n_active == rows:
+        if len(active) == rows:
             J, F = system.assemble_dc(X, gmin, source_scale, source_values)
         else:
             J, F = system.assemble_dc(
@@ -219,7 +219,8 @@ def solve_dc(
         ConvergenceError: if no strategy converges (for a list of rows,
             on the first row in order that none converges; its
             ``solved`` attribute holds the results of the rows before
-            it).
+            it, and the solver counters hold only the iterations of the
+            rows up to it, as one-row calls in order would).
     """
     if system is None:
         system = compiled_system(circuit, tech, deltas)
@@ -238,6 +239,7 @@ def solve_dc(
     X, iters, ok = _newton(system, guesses, gmin, 1.0, overrides, max_iter)
     results: list[DcResult] = []
     for i, values in enumerate(overrides):
+        _count(iters[i])
         if ok[i]:
             results.append(_package(system, X[i], iters[i]))
             continue
@@ -249,6 +251,13 @@ def solve_dc(
             err.solved = results
             raise
     return results if stacked else results[0]
+
+
+def _count(iterations: int) -> None:
+    """Add one row's Newton iterations (one factorization each) to the
+    solver counters."""
+    STATS.newton_iterations += iterations
+    STATS.jacobian_factorizations += iterations
 
 
 def _homotopy(
@@ -268,6 +277,7 @@ def _homotopy(
         nonlocal total_iters
         X, iters, ok = _newton(
             system, x[None], stage_gmin, scale, one, max_iter)
+        _count(iters[0])
         total_iters += iters[0]
         return X[0], ok[0]
 

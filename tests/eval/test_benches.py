@@ -222,8 +222,12 @@ def test_comparator_op_cache_cases(stage, how):
     """The comparator's stage seeding, case by case: one stage an exact
     op-cache hit while the others stack, one stage with an empty library
     (the balanced solve then runs first, on its own), and one stage
-    whose seed defeats every fallback (the evaluation fails and stores
-    what the sequential solves stored before the failing one)."""
+    whose seed defeats every fallback (the evaluation fails, stores what
+    the sequential solves stored before the failing one and counts the
+    Newton iterations they counted: rows after the failing one add
+    none).  Only the op-cache lookup counters differ there, by design:
+    the evaluator looks every stage up before it solves, the sequential
+    path stops at the failing stage."""
     block = comparator()
     evaluator = PlacementEvaluator(block)
     warm = WarmStore()
@@ -249,8 +253,17 @@ def test_comparator_op_cache_cases(stage, how):
     reset_solver_stats()
     got = evaluator.evaluate(a)
     assert _warm_state(evaluator._warm) == _warm_state(warm)
+    got_counts = _counters()
     if want is None:
         assert how == "broken" and evaluator.sim_failures == 1
+        lookups = ("warm_exact_hits", "warm_near_hits", "warm_misses")
+        for name in COUNTERS:
+            if name not in lookups:
+                assert got_counts[name] == want_counts[name], name
+        stages = [key for key, __ in COMP_STAGES]
+        assert sum(got_counts[name] for name in lookups) == len(stages)
+        assert sum(want_counts[name] for name in lookups) == \
+            stages.index(stage) + 1
         return
-    assert _counters() == want_counts
+    assert got_counts == want_counts
     assert got.values == want.values

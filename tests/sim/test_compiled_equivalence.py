@@ -208,6 +208,22 @@ class TestTopologyCache:
         PlacementEvaluator(block).evaluate(first)
         assert topology_cache_info() == {"size": 2, "hits": 2, "misses": 2}
 
+    def test_rebound_benches_share_sources_and_drive(self):
+        """Per-placement rebinds share the bench's source levels and AC
+        drive: they are built once, on the bench binding."""
+        block = five_transistor_ota()
+        evaluator = PlacementEvaluator(block)
+        a, b = _distinct_placements(block)[:2]
+        evaluator.evaluate(a)
+        bench = evaluator._benches()
+        for system in (bench.closed, bench.ac):
+            bound_a = system.rebind(evaluator.deltas_for(a))
+            bound_b = system.rebind(evaluator.deltas_for(b))
+            assert bound_a._source_levels() is system._src_base
+            assert bound_b._source_levels() is system._src_base
+            assert bound_a._ac_drive() is system._b_ac
+            assert bound_b._ac_drive() is system._b_ac
+
     def test_cache_reuse_never_changes_metrics(self, mna_reference):
         block = five_transistor_ota()
         clear_topology_cache()
