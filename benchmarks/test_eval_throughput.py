@@ -20,11 +20,12 @@ both assemblers work and agree — without wall-clock multipliers, which
 are meaningless on noisy shared runners.
 
 ``test_front_end_vs_frozen_path`` times the front end a placement pays
-before it simulates — ``deltas_for`` plus ``annotate_parasitics`` — on
-fresh random-walk placements of cm, comp and ota2s, each path with a
-fresh evaluator, against the frozen raster-and-recompute copy in the
-root ``conftest.py``.  Both must agree bit for bit; outside smoke mode
-the live path must be at least 2× faster.
+before it simulates — ``deltas_for`` plus ``parasitic_caps``, the calls
+an evaluation makes — on fresh random-walk placements of cm, comp and
+ota2s, each path with a fresh evaluator, against the frozen
+raster-and-recompute copy in the root ``conftest.py``.  Both must agree
+bit for bit; outside smoke mode the live path must be at least 2×
+faster.
 """
 
 import os
@@ -36,14 +37,13 @@ import pytest
 from repro.eval.evaluator import PlacementEvaluator
 from repro.layout.generators import banded_placement, random_walk_placements
 from repro.layout.placement import Placement
-from repro.netlist.devices import Capacitor
 from repro.netlist.library import (
     comparator,
     current_mirror,
     folded_cascode_ota,
     two_stage_ota,
 )
-from repro.route.parasitics import annotate_parasitics
+from repro.route.parasitics import parasitic_caps
 
 SMOKE = os.environ.get("EVAL_THROUGHPUT_SMOKE", "") not in ("", "0")
 EVALS = 3 if SMOKE else 10
@@ -130,7 +130,7 @@ def _unmemoised(placement):
     return out
 
 
-def _front_end_pass(block, walk, deltas, annotate):
+def _front_end_pass(block, walk, deltas, caps):
     """(µs per placement, outputs) of one pass with a fresh evaluator."""
     evaluator = PlacementEvaluator(block)
     placements = [_unmemoised(p) for p in walk]
@@ -138,17 +138,16 @@ def _front_end_pass(block, walk, deltas, annotate):
     start = time.perf_counter()
     for placement in placements:
         outputs.append((deltas(evaluator, placement),
-                        annotate(block.circuit, placement, evaluator.tech)))
+                        caps(block.circuit, placement, evaluator.tech)))
     elapsed = time.perf_counter() - start
     return elapsed / len(placements) * 1e6, outputs
 
 
-def _output_bits(deltas, circuit):
+def _output_bits(deltas, caps):
     return (
         [(name, struct.pack("<dd", d.dvth, d.dbeta_rel))
          for name, d in deltas.items()],
-        [(device.name, struct.pack("<d", device.value))
-         for device in circuit if device.name.startswith("cpar_")],
+        [(net, struct.pack("<d", cap)) for net, cap in caps.items()],
     )
 
 
@@ -159,25 +158,19 @@ def test_front_end_vs_frozen_path(benchmark, kind, frozen_front_end):
     block = FRONT_END_BLOCKS[kind]()
     walk = random_walk_placements(block, FRONT_END_PLACEMENTS, seed=17)
 
-    def frozen_annotate(circuit, placement, tech):
-        return circuit.copy_with(extra=[
-            Capacitor(f"cpar_{net}", {"a": net, "b": "gnd"}, value=cap)
-            for net, cap in frozen_caps(circuit, placement, tech).items()
-        ])
-
     def live_deltas(evaluator, placement):
         return evaluator.deltas_for(placement)
 
     live_us, frozen_us = [], []
     for __ in range(1 if SMOKE else FRONT_END_ROUNDS):
         us, frozen_out = _front_end_pass(
-            block, walk, frozen_deltas, frozen_annotate)
+            block, walk, frozen_deltas, frozen_caps)
         frozen_us.append(us)
         us, live_out = _front_end_pass(
-            block, walk, live_deltas, annotate_parasitics)
+            block, walk, live_deltas, parasitic_caps)
         live_us.append(us)
     benchmark.pedantic(
-        lambda: _front_end_pass(block, walk, live_deltas, annotate_parasitics),
+        lambda: _front_end_pass(block, walk, live_deltas, parasitic_caps),
         rounds=1, iterations=1)
 
     for live, frozen in zip(live_out, frozen_out):

@@ -43,7 +43,7 @@ from repro.layout.generators import (
     random_walk_placements,
 )
 from repro.layout.render import render_placement
-from repro.route.parasitics import annotate_parasitics, parasitic_caps
+from repro.route.parasitics import parasitic_caps
 from repro.runtime import make_backend
 from repro.service import PlacementRequest, TrainRequest, default_registry
 from repro.service.service import PlacementService
@@ -741,22 +741,28 @@ def _cmd_worker(args) -> int:
 def _cmd_profile(args) -> int:
     """Per-stage wall-clock of the evaluation pipeline for one circuit.
 
-    Stages mirror :meth:`PlacementEvaluator.evaluate`: unit contexts and
-    variation deltas → parasitic capacitances → DC operating point → AC
-    sweep → the full measurement suite.  The suite row *includes* its
-    internal DC/AC solves; the end-to-end row is one whole cache-miss
-    evaluation.  The final two rows price ``--batch`` candidate
-    placements sequentially vs through
-    :meth:`PlacementEvaluator.evaluate_many` (the placement-batched
-    compiled solves), with the resulting speedup.  Every timed
-    evaluation starts from empty result and operating-point caches, so
-    it simulates rather than reads a stored result.  A trailing
-    solver split reports the fast path's internals: Newton iterations,
-    Jacobian factorizations vs frozen-Jacobian reuses, operating-point-
-    cache hits, and the stacked AC solve time.
+    Stages time what :meth:`PlacementEvaluator.evaluate` runs: unit
+    contexts and variation deltas → parasitic capacitances (of a fresh,
+    unmemoised placement each repeat) → the DC bench's rebind and solve
+    (the comparator's three input levels as one stacked solve) → for an
+    OTA, the AC bench's rebind with the placement's capacitances and the
+    sweep over the suite's grid → the full measurement suite.  The DC
+    solves start from the placement's own operating point, as the
+    full-suite repeats do.  The suite row *includes* its internal DC/AC
+    solves; the end-to-end row is one whole cache-miss evaluation.  The
+    final two rows price ``--batch`` candidate placements sequentially
+    vs through :meth:`PlacementEvaluator.evaluate_many` (the
+    placement-batched compiled solves), with the resulting speedup.
+    Every timed evaluation starts from empty result and operating-point
+    caches, so it simulates rather than reads a stored result.  A
+    trailing solver split reports the fast path's internals: Newton
+    iterations, Jacobian factorizations vs frozen-Jacobian reuses,
+    operating-point-cache hits, and the stacked AC solve time.
     """
     if args.repeats < 1:
         raise SystemExit("profile: --repeats must be >= 1")
+    from repro.eval.suites import AC_FREQS, BENCHES, COMP_STAGES, _comp_inputs
+
     block = CIRCUITS[args.circuit]()
     tech = generic_tech_40()
     evaluator = PlacementEvaluator(block, tech=tech)
@@ -771,9 +777,22 @@ def _cmd_profile(args) -> int:
         return min(times)
 
     deltas = evaluator.deltas_for(placement)
-    annotated = annotate_parasitics(block.circuit, placement, tech)
-    op = solve_dc(annotated, tech, deltas=deltas)
-    from repro.eval.suites import AC_FREQS
+    bench = BENCHES[block.kind](block, tech)
+    dc_bench = bench.closed if block.kind == "ota" else bench.dc
+    overrides = None
+    if block.kind == "comp":
+        overrides = [_comp_inputs(block.params["vcm"], vdiff)
+                     for __, vdiff in COMP_STAGES]
+
+    def dc(x0=None):
+        return solve_dc(dc_bench.circuit, tech, deltas=deltas, x0=x0,
+                        source_values=overrides,
+                        system=dc_bench.rebind(deltas))
+
+    op = dc()
+    x0 = [row.x for row in op] if overrides else op.x
+    fresh = iter([banded_placement(block, args.style)
+                  for __ in range(args.repeats)])
 
     def cold():
         evaluator.clear_cache()
@@ -798,12 +817,16 @@ def _cmd_profile(args) -> int:
     stages = [
         ("contexts+deltas", lambda: evaluator.deltas_for(placement)),
         ("parasitics", lambda: parasitic_caps(
-            block.circuit, placement, tech)),
-        ("dc", lambda: solve_dc(annotated, tech, deltas=deltas)),
-        ("ac", lambda: solve_ac(
-            annotated, tech, op.voltages, AC_FREQS, deltas=deltas)),
-        ("measures (full suite)", full_evaluate),
+            block.circuit, next(fresh), tech)),
+        ("dc", lambda: dc(x0)),
     ]
+    if block.kind == "ota":
+        caps = bench.block_caps + list(
+            parasitic_caps(block.circuit, placement, tech).values())
+        stages.append(("ac", lambda: solve_ac(
+            bench.ac.circuit, tech, op.voltages, AC_FREQS, deltas=deltas,
+            system=bench.ac.rebind(deltas, caps), nets=("outp",))))
+    stages.append(("measures (full suite)", full_evaluate))
     print(f"profile: {block.name} ({args.circuit}), style={args.style}, "
           f"best of {args.repeats}")
     total = 0.0
@@ -812,7 +835,8 @@ def _cmd_profile(args) -> int:
         if name != "measures (full suite)":
             total += elapsed
         print(f"  {name:<24s} {elapsed * 1e3:9.3f} ms")
-    print(f"  {'stages (ctx+par+dc+ac)':<24s} {total * 1e3:9.3f} ms")
+    summed = "ctx+par+dc+ac" if block.kind == "ota" else "ctx+par+dc"
+    print(f"  {f'stages ({summed})':<24s} {total * 1e3:9.3f} ms")
 
     n = len(candidates)
     sequential_batch()  # warm every candidate's topology/warm-start

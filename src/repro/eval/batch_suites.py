@@ -5,9 +5,11 @@ One-to-one batched counterparts of the scalar protocols in
 evaluator's :data:`~repro.eval.suites.BENCHES`, built once), K
 placements and their variation deltas, and produces K metric sets,
 running every DC and AC analysis of the protocol as one
-placement-batched solve (:mod:`repro.sim.batch`).  Every row solves the
-same bench circuit with its own deltas and, on the OTA's AC bench, its
-own parasitic capacitor values, and each solved row is turned into
+placement-batched solve (:mod:`repro.sim.batch`).  Each bench is
+rebound with one row per placement (:meth:`~repro.sim.compiled
+.CompiledSystem.rebind` with the list of delta sets, and on the OTA's
+AC bench each placement's parasitic capacitor values), exactly as the
+scalar suites rebind it per placement, and each solved row is turned into
 metrics by the scalar suite's own post-solve function
 (:func:`~repro.eval.suites.cm_metrics`,
 :func:`~repro.eval.suites.comp_metrics`,
@@ -49,8 +51,7 @@ from repro.eval.suites import (
 from repro.eval.warm import dc_features, seed_dc_rows, store_dc
 from repro.layout.placement import Placement
 from repro.route.parasitics import parasitic_caps
-from repro.sim.batch import BatchedCompiledSystem, solve_ac_many, solve_dc_many
-from repro.sim.compiled import CompiledSystem
+from repro.sim.batch import solve_ac_many, solve_dc_many
 from repro.variation import DeviceDelta
 
 DeltasSeq = Sequence[Mapping[str, DeviceDelta]]
@@ -73,18 +74,6 @@ def _batch_x0(seeds, shared):
     return [shared if row is None else row for row in rows]
 
 
-def _bind_rows(
-    bench: CompiledSystem,
-    deltas_seq: DeltasSeq,
-    capacitances: Sequence[Sequence[float]] | None = None,
-) -> tuple[list, BatchedCompiledSystem]:
-    """``(circuits, system)``: one row of the testbench ``bench`` per
-    delta set."""
-    circuits = [bench.circuit] * len(deltas_seq)
-    return circuits, BatchedCompiledSystem(
-        bench.topology, circuits, bench.tech, deltas_seq, capacitances)
-
-
 # ---------------------------------------------------------------------- CM
 
 
@@ -96,11 +85,10 @@ def measure_cm_many(
 ) -> list[Metrics]:
     """Batched :func:`repro.eval.suites.measure_cm`."""
     tech = bench.tech
-    circuits, bsys = _bind_rows(bench.dc, deltas_seq)
+    system = bench.dc.rebind(list(deltas_seq))
     feats_rows = [dc_features(d) for d in deltas_seq]
     x0 = _batch_x0(seed_dc_rows(warm, "cm", feats_rows), warm.get("cm"))
-    results = solve_dc_many(
-        circuits, tech, deltas_seq, x0=x0, system=bsys)
+    results = solve_dc_many(system, x0=x0)
     for feats, result in zip(feats_rows, results):
         store_dc(warm, "cm", feats, result)
     warm["cm"] = results[-1].x
@@ -121,7 +109,7 @@ def measure_comp_many(
     """Batched :func:`repro.eval.suites.measure_comp`."""
     block, tech = bench.block, bench.tech
     vcm = block.params["vcm"]
-    circuits, bsys = _bind_rows(bench.dc, deltas_seq)
+    system = bench.dc.rebind(list(deltas_seq))
     feats_rows = [dc_features(d) for d in deltas_seq]
 
     def imbalances(vdiff: float, key: str):
@@ -129,10 +117,7 @@ def measure_comp_many(
         x0 = _batch_x0(
             seed_dc_rows(warm, stage, feats_rows), warm.get("comp"))
         results = solve_dc_many(
-            circuits, tech, deltas_seq, x0=x0,
-            source_values=_comp_inputs(vcm, vdiff),
-            system=bsys,
-        )
+            system, x0=x0, source_values=_comp_inputs(vcm, vdiff))
         for feats, result in zip(feats_rows, results):
             store_dc(warm, stage, feats, result)
         return results
@@ -163,16 +148,15 @@ def measure_ota_many(
 ) -> list[Metrics]:
     """Batched :func:`repro.eval.suites.measure_ota`."""
     block, tech = bench.block, bench.tech
-    closed, closed_sys = _bind_rows(bench.closed, deltas_seq)
+    deltas_seq = list(deltas_seq)
     feats_rows = [dc_features(d) for d in deltas_seq]
     x0 = _batch_x0(seed_dc_rows(warm, "ota", feats_rows), warm.get("ota"))
-    ops = solve_dc_many(
-        closed, tech, deltas_seq, x0=x0, system=closed_sys)
+    ops = solve_dc_many(bench.closed.rebind(deltas_seq), x0=x0)
     for feats, op in zip(feats_rows, ops):
         store_dc(warm, "ota", feats, op)
     warm["ota"] = ops[-1].x
 
-    ac_benches, ac_sys = _bind_rows(bench.ac, deltas_seq, [
+    ac_sys = bench.ac.rebind(deltas_seq, [
         bench.block_caps + list(parasitic_caps(
             block.circuit, placement, tech).values())
         for placement in placements])
@@ -180,8 +164,7 @@ def measure_ota_many(
 
     def solve(lo: int, hi: int) -> np.ndarray:
         acs = solve_ac_many(
-            ac_benches, tech, biases, AC_FREQS[lo:hi], deltas_seq,
-            system=ac_sys, nets=("outp",))
+            ac_sys, biases, AC_FREQS[lo:hi], nets=("outp",))
         return np.array([ac.transfer("outp") for ac in acs])
 
     transfers = open_loop_transfers(solve, warm)

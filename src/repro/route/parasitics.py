@@ -11,7 +11,7 @@ every simulation but not *optimized* — and gives the FOM metrics
 testbenches (:mod:`repro.eval.suites`) carry one ``cpar_<net>``
 capacitor per signal net from the start and bind these values per
 placement; :func:`annotate_parasitics` appends the same capacitors to a
-copy of a circuit, which the placement-batched suites simulate.
+copy of a circuit (the reference the bench tests compare against).
 
 Series resistance is deliberately left out of the lumped model: inserting
 it would split nets and change the netlist topology between placements,

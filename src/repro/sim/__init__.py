@@ -10,7 +10,8 @@ this engine models faithfully.
 
 Every analysis runs on one engine, the compiled MNA assembler of
 :mod:`repro.sim.compiled` (:func:`solve_dc_many` / :func:`solve_ac_many`
-batch K same-shape placements on it).  :mod:`repro.sim.mna` holds the
+solve K placements of one testbench on its binding rebound with one row
+per placement).  :mod:`repro.sim.mna` holds the
 per-device reference assembler the equivalence tests compare it
 against; it is not imported here.
 """
@@ -24,10 +25,8 @@ _LAZY = {
     "solve_ac": "repro.sim.ac",
     "solve_ac_many": "repro.sim.batch",
     "solve_dc_many": "repro.sim.batch",
-    "BatchedCompiledSystem": "repro.sim.batch",
     "CompiledSystem": "repro.sim.compiled",
     "CompiledTopology": "repro.sim.compiled",
-    "batched_system": "repro.sim.batch",
     "clear_topology_cache": "repro.sim.compiled",
     "compiled_system": "repro.sim.compiled",
     "compiled_topology": "repro.sim.compiled",
@@ -55,7 +54,6 @@ _LAZY = {
 
 __all__ = [
     "AcResult",
-    "BatchedCompiledSystem",
     "CompiledSystem",
     "CompiledTopology",
     "ConvergenceError",
@@ -65,7 +63,6 @@ __all__ = [
     "OpPoint",
     "SolverStats",
     "bandwidth_3db",
-    "batched_system",
     "clear_topology_cache",
     "compiled_system",
     "compiled_topology",

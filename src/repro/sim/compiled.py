@@ -20,12 +20,15 @@ This module splits that work in two:
   technology and variation-delta set.  Binding gathers the numeric values
   into flat arrays, and :meth:`CompiledSystem.rebind` swaps in another
   placement's deltas and capacitor values without gathering the rest
-  again.  DC assembly runs on ``(rows, size)`` states (rows that differ
-  only in their sources): a constant-matrix copy plus one fused
-  MOSFET-bank kernel (:func:`repro.sim.mosfet.terminal_currents_array`)
-  and three ``np.add.at`` scatters for all rows — no per-device Python
-  dispatch — and AC analysis exposes the frequency-independent
-  ``(G, C, b)`` triple so all frequency points solve as one stacked
+  again — or, given a list of delta sets, binds one *row* per placement
+  (a placement batch, :mod:`repro.sim.batch`), sharing everything else.
+  DC assembly runs on ``(rows, size)`` states (rows that differ only in
+  their sources, or a batch's placements): a constant-matrix copy plus
+  one fused MOSFET-bank kernel
+  (:func:`repro.sim.mosfet.terminal_currents_array`) and three
+  ``np.add.at`` scatters for all rows — no per-device Python dispatch —
+  and AC analysis exposes the frequency-independent ``(G, C, b)`` triple
+  so all frequency points (and a batch's rows) solve as one stacked
   ``np.linalg.solve`` batch.
 
 Ground is handled with a *spill slot*: index arrays map ground to an extra
@@ -454,18 +457,17 @@ def _signed_sources(
 ) -> np.ndarray:
     """Source injections aligned with ``topology.src_rows``.
 
-    ``base`` holds the sources' dc levels on its last axis (one row per
-    placement for a batch); ``source_values`` overrides some of them
-    and ``source_scale`` scales them all.
+    ``base`` holds the sources' dc levels; ``source_values`` overrides
+    some of them and ``source_scale`` scales them all.
     """
     values = base
     if source_values:
         values = values.copy()
         for i, name in enumerate(topology.source_names):
             if name in source_values:
-                values[..., i] = source_values[name]
+                values[i] = source_values[name]
     values = values * source_scale
-    return topology.src_sign * values[..., topology.src_slot]
+    return topology.src_sign * values[topology.src_slot]
 
 
 class CompiledSystem:
@@ -477,6 +479,12 @@ class CompiledSystem:
     the capacitance matrix are built on first use.  :meth:`rebind` gives
     the same circuit new variation deltas and capacitor values without
     gathering anything else again.
+
+    A binding holds one parameter set, or — rebound with a list of delta
+    sets — one *row* per set (``rows`` is then their count, else
+    ``None``): a placement batch of one testbench.  A rows binding's
+    states carry the row each one belongs to (``active`` in
+    :meth:`assemble_dc`), and its AC matrices gain a leading row axis.
 
     Raises:
         ValueError: a variation delta would make a device's ``kp``
@@ -520,17 +528,32 @@ class CompiledSystem:
         self._src_base: np.ndarray | None = None
         self._injections: dict[tuple, np.ndarray] = {}
         self._b_ac: np.ndarray | None = None
-        self._cap_values: Sequence[float] | None = None
+        self._cap_values: Sequence | None = None
         self._C: np.ndarray | None = None
         self._bank = topology.device_bank(tech)
         self._bind_deltas(deltas)
 
-    def _bind_deltas(self, deltas: Mapping[str, DeviceDelta] | None) -> None:
+    def _bind_deltas(
+        self,
+        deltas: Mapping[str, DeviceDelta] | list | None,
+    ) -> None:
         """Variation-resolved MOSFET parameters: the cached nominal bank
         plus per-device delta arrays (dvth adds, dbeta scales kp —
-        exactly :meth:`MosfetParams.with_deltas`, vectorized)."""
-        self.deltas = dict(deltas or {})
+        exactly :meth:`MosfetParams.with_deltas`, vectorized).  A list of
+        delta sets binds ``(rows, n_mos)`` stacks, one row per set."""
         bank = self._bank
+        if isinstance(deltas, list):
+            self.deltas = deltas
+            self.rows = len(deltas)
+            dvth, dbeta = _delta_arrays(self.topology.mos_names, deltas)
+            self._vth0 = bank.vth0 + dvth
+            self._kp_wl = (bank.kp * (1.0 + dbeta)) * bank.w_over_l
+            self._mos_arrays = None
+            self._mos_rows = {self.rows: bank.arrays(
+                self._vth0.reshape(-1), self._kp_wl.reshape(-1))}
+            return
+        self.rows = None
+        self.deltas = dict(deltas or {})
         if self.deltas:
             dvth, dbeta = _delta_arrays(self.topology.mos_names, [self.deltas])
             vth0 = bank.vth0 + dvth[0]
@@ -542,9 +565,18 @@ class CompiledSystem:
         # The kernel's vectors repeated for n-row states, by row count.
         self._mos_rows = {1: self._mos_arrays}
 
-    def _mos_arrays_rows(self, rows: int) -> MosfetArrays:
-        """The device bank repeated ``rows`` times, flat: the kernel runs
-        on ``(4, rows * n)`` terminal voltages, the fastest layout."""
+    def _mos_arrays_rows(
+        self, rows: int, active: np.ndarray | None = None
+    ) -> MosfetArrays:
+        """The device bank of ``rows`` states, flat: the kernel runs on
+        ``(4, rows * n)`` terminal voltages, the fastest layout.
+
+        One parameter set is repeated for every state; a rows binding
+        gives the states its rows ``active`` (all of them by default).
+        """
+        if active is not None:
+            return self._bank.arrays(self._vth0[active].reshape(-1),
+                                     self._kp_wl[active].reshape(-1))
         arrays = self._mos_rows.get(rows)
         if arrays is None:
             one = self._mos_arrays
@@ -555,42 +587,36 @@ class CompiledSystem:
 
     def rebind(
         self,
-        deltas: Mapping[str, DeviceDelta] | None,
-        capacitances: Sequence[float] | None = None,
+        deltas: Mapping[str, DeviceDelta] | list | None,
+        capacitances: Sequence | None = None,
     ) -> "CompiledSystem":
         """This binding with new variation deltas and capacitor values.
 
         A placement changes only these two, so a testbench is bound once
         and rebound per placement: the linear matrix, the source levels
         and the AC drive are shared with this binding (the last two are
-        built here, on this binding, the first time it is rebound).
+        built here, on this binding, the first time it is rebound).  A
+        *list* of delta sets binds one row per set — a placement batch —
+        and ``capacitances`` then holds one value list per row.
 
         Args:
-            deltas: the new per-device parameter shifts.
+            deltas: the new per-device parameter shifts, or a list of
+                them.
             capacitances: one value per capacitor of the circuit, in
-                circuit order; ``None`` keeps this binding's values.
+                circuit order (per row for a list of delta sets);
+                ``None`` keeps this binding's values, or takes the
+                circuit's own when the binding's row count changes.
         """
         self._source_levels()
         self._ac_drive()
         bound = copy.copy(self)
         bound._bind_deltas(deltas)
-        if capacitances is not None:
+        if capacitances is not None or bound.rows != self.rows:
             bound._cap_values = capacitances
             bound._C = None
         return bound
 
     # ------------------------------------------------------------- helpers
-
-    def _mos_jvals(self, x_ext: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """MOSFET-bank currents and Jacobian values at an extended state.
-
-        Returns ``(ids, jvals)`` where ``jvals`` is laid out to match the
-        topology's eight-entry-per-device Jacobian footprint.
-        """
-        block = terminal_currents_array(
-            self._mos_arrays, x_ext[self.topology.mos_terms])
-        g = block[1:]
-        return block[0], np.concatenate((g, -g)).ravel()
 
     def _source_levels(self) -> np.ndarray:
         """The independent sources' dc values in topology order, built
@@ -636,7 +662,9 @@ class CompiledSystem:
         gmin: float = 1e-12,
         source_scale: float = 1.0,
         source_values: Sequence[Mapping[str, float] | None] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
+        active: np.ndarray | None = None,
+        want_jacobian: bool = True,
+    ) -> tuple[np.ndarray | None, np.ndarray]:
         """Jacobians and residuals of the DC system at the states ``X``.
 
         Args:
@@ -645,6 +673,11 @@ class CompiledSystem:
             source_scale: multiplies every independent source value.
             source_values: per-row source dc overrides (name → value),
                 one entry (or ``None``) per row; ``None`` for none.
+            active: on a rows binding, the binding row of each state
+                (every row, in order, by default).
+            want_jacobian: ``False`` skips the Jacobian and returns
+                ``(None, F)`` — the same ``F``, for the batched Newton's
+                frozen-Jacobian iterations.
 
         Returns:
             ``(J, F)`` of shapes ``(rows, size, size)`` and ``(rows,
@@ -660,9 +693,10 @@ class CompiledSystem:
         x_ext[:, :size] = X
 
         G = self._G_ext
-        J_ext = np.empty((rows,) + G.shape)
-        J_ext[:] = G
-        J_flat = J_ext.reshape(-1)
+        if want_jacobian:
+            J_ext = np.empty((rows,) + G.shape)
+            J_ext[:] = G
+            J_flat = J_ext.reshape(-1)
         F_ext = (G[None] @ x_ext[..., None])[..., 0]
         F_flat = F_ext.reshape(-1)
         if t.src_rows.size:
@@ -670,35 +704,49 @@ class CompiledSystem:
                 source_scale, source_values, rows))
         if t.mos_names:
             block = terminal_currents_array(
-                self._mos_arrays_rows(rows), x_ext.reshape(-1)[ri.terms])
+                self._mos_arrays_rows(rows, active),
+                x_ext.reshape(-1)[ri.terms])
             ids, g = block[0], block[1:]
             np.add.at(F_flat, ri.mos_f, np.concatenate((ids, -ids)))
-            np.add.at(J_flat, ri.mos_j, np.concatenate((g, -g)).reshape(-1))
+            if want_jacobian:
+                np.add.at(J_flat, ri.mos_j,
+                          np.concatenate((g, -g)).reshape(-1))
         F_ext[:, : self.n_nodes] += gmin * x_ext[:, : self.n_nodes]
+        if not want_jacobian:
+            return None, F_ext[:, :size]
         J_flat[ri.diag] += gmin
         return J_ext[:, :size, :size], F_ext[:, :size]
 
     # ------------------------------------------------------------------ AC
 
     def _capacitances(self) -> np.ndarray:
-        """The node-space C matrix, built on first use.
+        """The node-space C matrix (one per row of a rows binding),
+        built on first use.
 
         Deltas never change capacitances: it is the cached MOSFET part
         plus this binding's capacitor values.
         """
         if self._C is None:
             t = self.topology
-            C = self._bank.c_mos_ext.copy()
-            if t.capacitor_slots:
-                if self._cap_values is None:
-                    self._cap_values = [
-                        self.circuit.device(name).value
-                        for name, __ in t.capacitor_slots]
-                cap_values = np.zeros(t.n_cap_slots)
-                cap_values[t.capacitor_slot_index] = self._cap_values
-                np.add.at(C.ravel(), t.cap_flat,
-                          t.cap_sign * cap_values[t.cap_slot])
-            self._C = C[: self.size, : self.size].copy()
+            c_mos = self._bank.c_mos_ext
+            if self._cap_values is None and t.capacitor_slots:
+                self._cap_values = [self.circuit.device(name).value
+                                    for name, __ in t.capacitor_slots]
+            if self.rows is None:
+                C = c_mos.copy()
+                if t.capacitor_slots:
+                    cap_values = np.zeros(t.n_cap_slots)
+                    cap_values[t.capacitor_slot_index] = self._cap_values
+                    np.add.at(C.ravel(), t.cap_flat,
+                              t.cap_sign * cap_values[t.cap_slot])
+            else:
+                C = np.repeat(c_mos[None], self.rows, axis=0)
+                if t.capacitor_slots:
+                    cap_values = np.zeros((self.rows, t.n_cap_slots))
+                    cap_values[:, t.capacitor_slot_index] = self._cap_values
+                    np.add.at(C.reshape(-1), _row_indices(t, self.rows).cap,
+                              (t.cap_sign * cap_values[:, t.cap_slot]).ravel())
+            self._C = C[..., : self.size, : self.size].copy()
         return self._C
 
     def _ac_drive(self) -> np.ndarray:
@@ -725,41 +773,62 @@ class CompiledSystem:
         return x_ext
 
     def ac_matrices(
-        self, op_voltages: Mapping[str, float], gmin: float = 1e-12
+        self,
+        op_voltages: Mapping[str, float] | Sequence[Mapping[str, float]],
+        gmin: float = 1e-12,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Frequency-independent pieces of the AC system.
 
         Returns ``(G, C, b)`` with ``A(omega) = G + 1j * omega * C``; one
-        call serves every frequency point of an analysis.
+        call serves every frequency point of an analysis.  A rows binding
+        takes one bias mapping per row, and its ``G`` and ``C`` gain a
+        leading row axis (the drive ``b`` is shared).
         """
         t = self.topology
-        G_ext = self._G_ext.copy()
+        if self.rows is None:
+            x_ext = self._op_vector_ext(op_voltages)
+            G_ext = self._G_ext.copy()
+            arrays, terms = self._mos_arrays, t.mos_terms
+            mos_j, diag = t.mos_j_flat, t.node_diag_flat
+        else:
+            if len(op_voltages) != self.rows:
+                raise ValueError(
+                    f"need {self.rows} operating points, "
+                    f"got {len(op_voltages)}")
+            x_ext = np.stack([self._op_vector_ext(op) for op in op_voltages])
+            G_ext = np.repeat(self._G_ext[None], self.rows, axis=0)
+            ri = _row_indices(t, self.rows)
+            arrays, terms, mos_j, diag = (
+                self._mos_arrays_rows(self.rows), ri.terms, ri.mos_j, ri.diag)
+        G_flat = G_ext.reshape(-1)
         if t.mos_names:
-            __, jvals = self._mos_jvals(self._op_vector_ext(op_voltages))
-            np.add.at(G_ext.ravel(), t.mos_j_flat, jvals)
-        G_ext.ravel()[t.node_diag_flat] += gmin
-        G = G_ext[: self.size, : self.size]
+            g = terminal_currents_array(arrays, x_ext.reshape(-1)[terms])[1:]
+            np.add.at(G_flat, mos_j, np.concatenate((g, -g)).reshape(-1))
+        G_flat[diag] += gmin
+        G = G_ext[..., : self.size, : self.size]
         return G, self._capacitances(), self._ac_drive()
 
     def solve_ac_batch(
         self,
-        op_voltages: Mapping[str, float],
+        op_voltages: Mapping[str, float] | Sequence[Mapping[str, float]],
         omegas: np.ndarray,
         gmin: float = 1e-12,
     ) -> np.ndarray:
         """Solve the AC system at every angular frequency in one batch.
 
         Args:
-            op_voltages: DC bias by net name.
+            op_voltages: DC bias by net name (one per row of a rows
+                binding).
             omegas: angular frequencies [rad/s].
 
         Returns:
-            ``(nfreq, size)`` complex solutions.
+            ``(nfreq, size)`` complex solutions (``(rows, nfreq, size)``
+            on a rows binding).
         """
         G, C, b = self.ac_matrices(op_voltages, gmin=gmin)
         omegas = np.asarray(omegas, dtype=float)
         A = _ac_system(G, C, omegas)
-        # The solve broadcasts the one right-hand side over every
+        # The solve broadcasts the one right-hand side over every row and
         # frequency; no stacked copy is made.
         start = perf_counter()
         X = np.linalg.solve(A, b[None, :, None])[..., 0]

@@ -213,7 +213,7 @@ def solve_dc(
         system: prebuilt assembler for ``circuit`` — skips construction
             entirely (the suites bind each testbench once per block and
             rebind it per placement; the batched driver's fallback
-            passes a row of its batched binding).
+            passes a one-row rebind of its rows binding).
 
     Raises:
         ConvergenceError: if no strategy converges (for a list of rows,
@@ -318,8 +318,8 @@ def _package(system, x: np.ndarray, iterations: int) -> DcResult:
     """A :class:`DcResult` from solution ``x`` of any assembler.
 
     ``system`` supplies ``circuit_nets`` (all nets, ground included),
-    ``node_index`` and ``branch_index``: the compiled, batched and
-    reference assemblers all do.
+    ``node_index`` and ``branch_index``: the compiled and reference
+    assemblers both do.
     """
     values = x.tolist()
     index = system.node_index

@@ -9,7 +9,7 @@ instead of letting Newton run on a nonsensical device bank.
 import pytest
 
 from repro.netlist.library import current_mirror
-from repro.sim import batched_system, compiled_system, solve_dc
+from repro.sim import compiled_system, solve_dc
 from repro.tech import generic_tech_40
 from repro.variation import DeviceDelta
 
@@ -32,12 +32,11 @@ def test_batched_bind_rejects_non_positive_kp():
     name = circuit.mosfets()[0].name
     deltas_list = [{}, {name: DeviceDelta(dvth=0.01, dbeta_rel=-1.5)}]
     with pytest.raises(ValueError, match=name):
-        batched_system([circuit, circuit], TECH, deltas_list)
+        compiled_system(circuit, TECH).rebind(deltas_list)
 
 
 def test_bind_accepts_deltas_above_the_bound():
     circuit = current_mirror().circuit
     name = circuit.mosfets()[0].name
     deltas = {name: DeviceDelta(dvth=0.01, dbeta_rel=-0.5)}
-    compiled_system(circuit, TECH, deltas)
-    batched_system([circuit, circuit], TECH, [deltas, {}])
+    compiled_system(circuit, TECH, deltas).rebind([deltas, {}])

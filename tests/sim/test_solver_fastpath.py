@@ -24,6 +24,7 @@ from repro.netlist.library import (
 )
 from repro.route.parasitics import annotate_parasitics
 from repro.sim import (
+    compiled_system,
     logspace_frequencies,
     reset_solver_stats,
     solve_ac,
@@ -48,7 +49,7 @@ FREQS = logspace_frequencies(1e4, 1e9, points_per_decade=3)
 #: circuit and its deltas; the scalar DC driver must not depend on it.
 MECHANISMS = {
     "jacobian_reuse": lambda annotated, tech, deltas: solve_dc_many(
-        [annotated] * 2, tech, [deltas] * 2),
+        compiled_system(annotated, tech).rebind([deltas] * 2)),
 }
 
 
@@ -116,10 +117,8 @@ class TestKnobEquivalence:
     def test_batched_reuse_matches_scalar_reference(self, cases, kind):
         annotated, tech, regimes, refs = cases[kind]
         order = ("nominal", "corner", "random")
-        batch = solve_dc_many(
-            [annotated] * len(order), tech,
-            [regimes[r] for r in order],
-        )
+        batch = solve_dc_many(compiled_system(annotated, tech).rebind(
+            [regimes[r] for r in order]))
         for regime, got in zip(order, batch):
             assert np.max(np.abs(got.x - refs[regime].x)) < TOL
 
@@ -130,7 +129,8 @@ class TestKnobEquivalence:
         stats = solver_stats()
         assert stats.jacobian_reuses == 0
         assert stats.jacobian_factorizations == scalar.iterations
-        solve_dc_many([annotated] * 3, tech, [regimes["random"]] * 3)
+        solve_dc_many(compiled_system(annotated, tech).rebind(
+            [regimes["random"]] * 3))
         assert stats.jacobian_reuses > 0
 
     def test_ac_from_fast_op_matches_reference(self, cases):

@@ -166,6 +166,41 @@ class TestProfile:
         factors = int(line.split()[2].split("/")[0])
         assert factors > 0
 
+    @pytest.mark.parametrize("circuit", ["comp", "ota5t"])
+    def test_profile_stages_time_what_evaluations_run(
+        self, circuit, monkeypatch, capsys
+    ):
+        # No evaluation annotates a circuit, so no stage row may; and the
+        # parasitics row prices a fresh placement on every repeat, so each
+        # extra repeat computes its HPWLs exactly once more (every other
+        # row reads placements whose HPWLs are already memoised).
+        from repro import cli
+        from repro.route import estimator, parasitics
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("annotate_parasitics called")
+
+        monkeypatch.setattr(parasitics, "annotate_parasitics", refuse)
+        monkeypatch.setattr(cli, "annotate_parasitics", refuse, raising=False)
+        calls = [0]
+        hpwls = estimator.NetPinPlan.hpwls
+
+        def counted(self, *args):
+            calls[0] += 1
+            return hpwls(self, *args)
+
+        monkeypatch.setattr(estimator.NetPinPlan, "hpwls", counted)
+        counts = []
+        for repeats in (2, 3):
+            calls[0] = 0
+            assert main(["profile", circuit, "--repeats", str(repeats),
+                         "--batch", "2"]) == 0
+            counts.append(calls[0])
+        assert counts[1] - counts[0] == 1
+        rows = [line.split()[0] for line in capsys.readouterr().out
+                .splitlines()[1:4]]
+        assert rows == ["contexts+deltas", "parasitics", "dc"]
+
     @pytest.mark.parametrize("circuit", ["comp", "ota2s"])
     def test_profile_full_suite_repeats_simulate(
         self, circuit, monkeypatch, capsys

@@ -31,6 +31,9 @@ KEEP = {
     "bandwidth_3db": "oracle: checked against the early-stop open-loop sweep",
     "is_connected": "oracle: the cut analysis behind the legal-move mask",
     "accounting": "oracle: RunReport's sim accounting in the fault tests",
+    "annotate_parasitics": "oracle: the annotated circuit tests/eval/"
+                           "test_benches.py checks the benches against; "
+                           "also a perfbench tracer target",
     "step_group": "oracle: the checked group step; agents take masked "
                   "moves through move_group",
     # Helpers that many test files share.
