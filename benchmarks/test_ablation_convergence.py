@@ -9,13 +9,12 @@ the "# simulations" column of Fig. 3.
 import pytest
 
 from repro.experiments import format_convergence, run_convergence_ablation
-from repro.netlist import current_mirror
 
 
 @pytest.mark.benchmark(group="ablation")
 def test_convergence_traces_cm(benchmark):
     ablation = benchmark.pedantic(
-        run_convergence_ablation, args=(current_mirror(),),
+        run_convergence_ablation, args=("cm",),
         kwargs={"max_steps": 500, "seed": 1}, rounds=1, iterations=1,
     )
     print("\n" + format_convergence(ablation))

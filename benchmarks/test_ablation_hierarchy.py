@@ -9,13 +9,12 @@ stay compact, and placement quality does not suffer for it.
 import pytest
 
 from repro.experiments import format_hierarchy, run_hierarchy_ablation
-from repro.netlist import current_mirror, folded_cascode_ota
 
 
 @pytest.mark.benchmark(group="ablation")
 def test_hierarchy_vs_flat_cm(benchmark):
     ablation = benchmark.pedantic(
-        run_hierarchy_ablation, args=(current_mirror(),),
+        run_hierarchy_ablation, args=("cm",),
         kwargs={"max_steps": 400, "seed": 1}, rounds=1, iterations=1,
     )
     print("\n" + format_hierarchy(ablation))
@@ -44,8 +43,8 @@ def test_table_growth_with_circuit_size(benchmark):
 
     def measure():
         out = {}
-        for name, builder in (("CM", current_mirror), ("OTA", folded_cascode_ota)):
-            ablation = run_hierarchy_ablation(builder(), max_steps=250, seed=1)
+        for name, circuit in (("CM", "cm"), ("OTA", "ota")):
+            ablation = run_hierarchy_ablation(circuit, max_steps=250, seed=1)
             out[name] = (ablation.multi_table_entries, ablation.flat_table_entries,
                          ablation.multi_states, ablation.flat_states)
         return out

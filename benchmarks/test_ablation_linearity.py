@@ -10,13 +10,12 @@ cancellation fails and unconventional placement wins by a large factor.
 import pytest
 
 from repro.experiments import format_linearity, run_linearity_ablation
-from repro.netlist import current_mirror
 
 
 @pytest.mark.benchmark(group="ablation")
 def test_linearity_premise_cm(benchmark):
     ablation = benchmark.pedantic(
-        run_linearity_ablation, args=(current_mirror,),
+        run_linearity_ablation, args=("cm",),
         kwargs={"max_steps": 300, "seed": 1}, rounds=1, iterations=1,
     )
     print("\n" + format_linearity(ablation))

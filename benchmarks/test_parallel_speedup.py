@@ -14,11 +14,10 @@ import time
 import pytest
 
 from repro.experiments import ExperimentConfig, run_fig3
-from repro.netlist import current_mirror
 from repro.runtime import ProcessPoolBackend, SerialBackend
 
 CONFIG = ExperimentConfig(
-    name="CM", builder=current_mirror, max_steps=120, seeds=(1, 2, 3, 4),
+    name="CM", builder="cm", max_steps=120, seeds=(1, 2, 3, 4),
     ql_worse_tolerance=0.2,
 )
 

@@ -2,7 +2,9 @@
 
 The cluster acceptance demo, end to end:
 
-1. compute a serial baseline for a batch of Q-learning placement runs;
+1. compute a serial baseline for a batch of Q-learning placement runs:
+   library-keyed ``cm`` runs plus one corpus-deck and one inline-deck
+   run, which the workers ingest from the deck text the specs carry;
 2. start a coordinator (:class:`ClusterBackend`) on a loopback port and
    two worker daemons as real ``python -m repro worker`` subprocesses;
 3. drain the same batch through the cluster while SIGKILLing one whole
@@ -42,14 +44,30 @@ from repro.runtime import (  # noqa: E402 — path bootstrap above
     resilient_map_runs,
 )
 from repro.runtime.wire import outcome_to_wire  # noqa: E402
+from repro.service import PlacementRequest  # noqa: E402
+from repro.service.corpus import list_corpus  # noqa: E402
 
 
 def _specs(seeds: int, steps: int) -> list[RunSpec]:
-    return [
+    specs = [
         RunSpec(key=("QL", seed), builder="cm", placer="ql", seed=seed,
                 max_steps=steps, target_from_symmetric=True)
         for seed in range(1, seeds + 1)
     ]
+    entries = {entry.name: entry for entry in list_corpus()}
+    # A corpus deck, as a corpus registry names it ...
+    specs.append(RunSpec(
+        key=("deck", "corpus"), builder=entries["mirror_tree"].deck(),
+        seed=1, max_steps=steps, target_from_symmetric=True,
+    ))
+    # ... and an inline deck, as a served /place request carries it.
+    wide = entries["mirror_wide"]
+    specs.append(RunSpec.from_request(PlacementRequest(
+        spice=wide.text(), spice_kind=wide.kind, spice_name="inline",
+        spice_inputs=wide.input_nets, spice_outputs=wide.output_nets,
+        spice_params=wide.params, steps=steps, seed=1,
+    ), key=("deck", "inline")))
+    return specs
 
 
 def _canon(outcomes) -> list[str]:
@@ -78,13 +96,15 @@ def main() -> int:
     parser = argparse.ArgumentParser(
         description="cluster backend demo: two workers, one killed")
     parser.add_argument("--seeds", type=int, default=6,
-                        help="placement runs (default 6)")
+                        help="cm placement runs besides the two deck "
+                             "runs (default 6)")
     parser.add_argument("--steps", type=int, default=200,
                         help="annealing steps per run (default 200)")
     parser.add_argument("--no-kill", action="store_true",
                         help="skip the mid-run worker kill")
-    parser.add_argument("--kill-after", type=float, default=1.0,
-                        help="seconds into the drain to kill worker-2")
+    parser.add_argument("--kill-after", type=float, default=0.0,
+                        help="seconds into the drain before worker-2 is "
+                             "killed at its next lease")
     args = parser.parse_args()
 
     specs = _specs(args.seeds, args.steps)
@@ -98,6 +118,7 @@ def main() -> int:
     print(f"[2/4] coordinator on {host}:{port}; starting 2 workers ...")
     workers = [_spawn_worker(host, port, f"worker-{i}") for i in (1, 2)]
     killer = None
+    drained = threading.Event()
     try:
         backend.wait_for_workers(2, timeout_s=60.0)
         print(f"      connected: "
@@ -107,6 +128,12 @@ def main() -> int:
         if not args.no_kill:
             def _kill():
                 time.sleep(args.kill_after)
+                # Strike while worker-2 holds a lease, so the kill lands
+                # mid-task however fast the runs are.
+                while not any(w["name"].startswith("worker-2/")
+                              and w["leased"] for w in backend.workers()):
+                    if drained.wait(0.001):
+                        return
                 print(f"[3/4] SIGKILL worker-2 "
                       f"(pgid {os.getpgid(victim.pid)}) mid-run")
                 os.killpg(os.getpgid(victim.pid), signal.SIGKILL)
@@ -124,6 +151,7 @@ def main() -> int:
         )
         elapsed = time.perf_counter() - t0
     finally:
+        drained.set()
         if killer is not None:
             killer.join(timeout=10.0)
         backend.close()
@@ -141,14 +169,14 @@ def main() -> int:
 
     payloads = _canon(report.outcomes)
     if payloads != baseline:
-        bad = [i for i, (a, b) in enumerate(zip(payloads, baseline))
-               if a != b]
+        bad = [specs[i].key for i, (a, b) in
+               enumerate(zip(payloads, baseline)) if a != b]
         print(f"FAIL: payload mismatch vs serial baseline at {bad}")
         return 1
     if not args.no_kill and report.worker_deaths < 1:
         print("FAIL: kill was requested but no worker death observed "
               "(drain finished before the kill landed? lower "
-              "--kill-after or raise --steps)")
+              "--kill-after)")
         return 1
     print(f"OK: all {len(specs)} payloads bit-identical to the serial "
           f"baseline{'' if args.no_kill else ' despite the kill'}")

@@ -62,7 +62,7 @@ def main() -> None:
         print(line)
 
     print("\n== the premise: linear fields are already solved by symmetry ==")
-    ablation = run_linearity_ablation(current_mirror, max_steps=250, seed=1)
+    ablation = run_linearity_ablation("cm", max_steps=250, seed=1)
     print(format_linearity(ablation))
     print("\nUnder 'linear' the best symmetric layout leaves (near) nothing "
           "to optimize; under 'nonlinear' the objective-driven placer finds "

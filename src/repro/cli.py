@@ -46,13 +46,10 @@ from repro.layout.render import render_placement
 from repro.route.parasitics import parasitic_caps
 from repro.runtime import make_backend
 from repro.service import PlacementRequest, TrainRequest, default_registry
+from repro.service.registry import BUILDERS
 from repro.service.service import PlacementService
 from repro.sim import reset_solver_stats, solve_ac, solve_dc, solver_stats
 from repro.tech import generic_tech_40
-
-#: The shared circuit table (a live view of the service registry).
-CIRCUITS = default_registry().builders
-
 
 def _corpus_names() -> tuple[str, ...]:
     """Corpus deck names for ``choices=`` lists (empty on a broken corpus —
@@ -67,13 +64,13 @@ def _corpus_names() -> tuple[str, ...]:
 
 def _placeable_circuits() -> list[str]:
     """Builtins plus corpus entries — the ``place``/``train`` choices."""
-    return sorted(set(CIRCUITS) | set(_corpus_names()))
+    return sorted(set(BUILDERS) | set(_corpus_names()))
 
 
 def _registry_for(circuit: str):
     """The registry that resolves ``circuit``: ``None`` (the default) for
     builtins, a corpus-extended registry for corpus entries."""
-    if circuit in CIRCUITS:
+    if circuit in BUILDERS:
         return None
     from repro.service.corpus import corpus_registry
 
@@ -141,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     styles = sub.add_parser("styles", help="measure symmetric layout styles")
-    styles.add_argument("--circuit", choices=sorted(CIRCUITS), default="cm")
+    styles.add_argument("--circuit", choices=sorted(BUILDERS), default="cm")
 
     fig3 = sub.add_parser("fig3", help="run the Fig. 3 comparison")
     fig3.add_argument("circuit_pos", nargs="?", choices=sorted(ALL_CONFIGS),
@@ -160,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ablation.add_argument("which", choices=[
         "hierarchy", "convergence", "linearity", "dummies", "scaling",
     ])
-    ablation.add_argument("--circuit", choices=sorted(CIRCUITS), default="cm")
+    ablation.add_argument("--circuit", choices=sorted(BUILDERS), default="cm")
     ablation.add_argument("--steps", type=_count_arg, default=400)
     ablation.add_argument("--seed", type=int, default=1)
     ablation.add_argument("--jobs", type=_jobs_arg, default=1,
@@ -170,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_backend_flag(ablation)
 
     spice = sub.add_parser("spice", help="print a circuit's SPICE deck")
-    spice.add_argument("--circuit", choices=sorted(CIRCUITS), default="cm")
+    spice.add_argument("--circuit", choices=sorted(BUILDERS), default="cm")
 
     placeable = _placeable_circuits()
     place = sub.add_parser("place", help="optimize a placement")
@@ -376,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "profile",
         help="per-stage timing breakdown of one placement evaluation",
     )
-    profile.add_argument("circuit", choices=sorted(CIRCUITS))
+    profile.add_argument("circuit", choices=sorted(BUILDERS))
     profile.add_argument("--style", choices=STYLES, default="ysym",
                          help="placement style to evaluate")
     profile.add_argument("--repeats", type=int, default=5,
@@ -388,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_styles(args) -> int:
-    block = CIRCUITS[args.circuit]()
+    block = BUILDERS[args.circuit]()
     evaluator = PlacementEvaluator(block)
     for style in ("sequential", "ysym", "common_centroid"):
         placement = banded_placement(block, style)
@@ -430,23 +427,23 @@ def _cmd_ablation(args) -> int:
     )
     from repro.experiments.scaling import format_scaling, run_scaling
 
-    block = CIRCUITS[args.circuit]()
+    circuit = args.circuit
     backend = make_backend(_backend_from_args(args))
     if args.which == "hierarchy":
         print(format_hierarchy(run_hierarchy_ablation(
-            block, max_steps=args.steps, seed=args.seed, backend=backend,
+            circuit, max_steps=args.steps, seed=args.seed, backend=backend,
             batch=args.batch)))
     elif args.which == "convergence":
         print(format_convergence(run_convergence_ablation(
-            block, max_steps=args.steps, seed=args.seed, backend=backend,
+            circuit, max_steps=args.steps, seed=args.seed, backend=backend,
             batch=args.batch)))
     elif args.which == "linearity":
         print(format_linearity(run_linearity_ablation(
-            CIRCUITS[args.circuit], max_steps=args.steps, seed=args.seed,
+            circuit, max_steps=args.steps, seed=args.seed,
             backend=backend, batch=args.batch)))
     elif args.which == "dummies":
         print(format_dummies(run_dummy_ablation(
-            block, max_steps=args.steps, seed=args.seed, backend=backend,
+            circuit, max_steps=args.steps, seed=args.seed, backend=backend,
             batch=args.batch)))
     else:
         print(format_scaling(run_scaling(
@@ -458,7 +455,7 @@ def _cmd_ablation(args) -> int:
 def _cmd_spice(args) -> int:
     from repro.netlist.spice import to_spice
 
-    block = CIRCUITS[args.circuit]()
+    block = BUILDERS[args.circuit]()
     sys.stdout.write(to_spice(block.circuit, generic_tech_40()))
     return 0
 
@@ -763,7 +760,7 @@ def _cmd_profile(args) -> int:
         raise SystemExit("profile: --repeats must be >= 1")
     from repro.eval.suites import AC_FREQS, BENCHES, COMP_STAGES, _comp_inputs
 
-    block = CIRCUITS[args.circuit]()
+    block = BUILDERS[args.circuit]()
     tech = generic_tech_40()
     evaluator = PlacementEvaluator(block, tech=tech)
     placement = banded_placement(block, args.style)

@@ -12,18 +12,18 @@
 Each ablation's independent runs (the two Q-learning formulations, the
 QL-vs-SA pair, the two field regimes) fan out over the execution runtime
 (:mod:`repro.runtime`); results merge by run key, so any backend yields
-identical ablation tables.
+identical ablation tables.  Each driver takes its circuit as data — a
+library key or a :class:`~repro.service.registry.SpiceDeck` — which the
+specs carry to the workers as is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.eval.evaluator import PlacementEvaluator
 from repro.layout.dummies import dummy_area_overhead, with_dummy_halo
 from repro.layout.generators import banded_placement
-from repro.netlist.library import AnalogBlock
 from repro.runtime import (
     ExecutionBackend,
     RunSpec,
@@ -31,6 +31,7 @@ from repro.runtime import (
     outcomes_by_key,
     symmetric_target,
 )
+from repro.service.registry import SpiceDeck, build_circuit
 
 
 @dataclass
@@ -49,20 +50,21 @@ class HierarchyAblation:
 
 
 def run_hierarchy_ablation(
-    block: AnalogBlock,
+    circuit: str | SpiceDeck,
     max_steps: int = 400,
     seed: int = 1,
     backend: ExecutionBackend | None = None,
     batch: int = 1,
 ) -> HierarchyAblation:
     """Compare the two Q-learning formulations on one circuit."""
+    block = build_circuit(circuit)
     target = symmetric_target(block, PlacementEvaluator(block))
 
     specs = [
-        RunSpec(key="multi", builder=block, placer="ql", seed=seed,
+        RunSpec(key="multi", builder=circuit, placer="ql", seed=seed,
                 max_steps=max_steps, target=target, batch=batch,
                 evaluate_best=False),
-        RunSpec(key="flat", builder=block, placer="flat", seed=seed,
+        RunSpec(key="flat", builder=circuit, placer="flat", seed=seed,
                 max_steps=max_steps, target=target, batch=batch,
                 evaluate_best=False),
     ]
@@ -127,17 +129,18 @@ def _cost_at(history: list[tuple[int, float]], sims: int) -> float:
 
 
 def run_convergence_ablation(
-    block: AnalogBlock,
+    circuit: str | SpiceDeck,
     max_steps: int = 600,
     seed: int = 1,
     backend: ExecutionBackend | None = None,
     batch: int = 1,
 ) -> ConvergenceAblation:
     """Produce the QL-vs-SA convergence traces for one circuit."""
+    block = build_circuit(circuit)
     specs = [
-        RunSpec(key="ql", builder=block, placer="ql", seed=seed,
+        RunSpec(key="ql", builder=circuit, placer="ql", seed=seed,
                 max_steps=max_steps, batch=batch, evaluate_best=False),
-        RunSpec(key="sa", builder=block, placer="sa", seed=seed,
+        RunSpec(key="sa", builder=circuit, placer="sa", seed=seed,
                 max_steps=max_steps, batch=batch, evaluate_best=False),
     ]
     outcomes = outcomes_by_key(map_runs(specs, backend))
@@ -174,13 +177,14 @@ class DummyAblation:
 
 
 def run_dummy_ablation(
-    block: AnalogBlock,
+    circuit: str | SpiceDeck,
     max_steps: int = 400,
     seed: int = 1,
     backend: ExecutionBackend | None = None,
     batch: int = 1,
 ) -> DummyAblation:
     """Measure bare-symmetric vs symmetric+dummies vs Q-learning."""
+    block = build_circuit(circuit)
     evaluator = PlacementEvaluator(block)
     out = DummyAblation(circuit=block.name)
 
@@ -205,7 +209,7 @@ def run_dummy_ablation(
         "area_overhead": dummy_area_overhead(dummied),
     }
 
-    spec = RunSpec(key="ql", builder=block, placer="ql", seed=seed,
+    spec = RunSpec(key="ql", builder=circuit, placer="ql", seed=seed,
                    max_steps=max_steps, target=evaluator.cost(bare),
                    batch=batch)
     ql_metrics = map_runs([spec], backend)[0].metrics
@@ -234,7 +238,7 @@ class LinearityAblation:
 
 
 def run_linearity_ablation(
-    block_builder: Callable[[], AnalogBlock],
+    circuit: str | SpiceDeck,
     max_steps: int = 400,
     seed: int = 1,
     backend: ExecutionBackend | None = None,
@@ -253,9 +257,9 @@ def run_linearity_ablation(
     symmetric reference with the run's evaluator (sharing its cache),
     exactly as the historical in-process loop did.
     """
-    out = LinearityAblation(circuit=block_builder().name)
+    out = LinearityAblation(circuit=build_circuit(circuit).name)
     specs = [
-        RunSpec(key=kind, builder=block_builder, placer="ql", seed=seed,
+        RunSpec(key=kind, builder=circuit, placer="ql", seed=seed,
                 max_steps=max_steps, target_from_symmetric=True,
                 share_target_evaluator=True, variation_kind=kind,
                 variation_with_lde=(kind == "nonlinear"),

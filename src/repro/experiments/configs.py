@@ -8,10 +8,8 @@ produces longer-budget variants for higher-fidelity runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
-from repro.netlist.library import AnalogBlock
-from repro.service.registry import default_registry
+from repro.service.registry import SpiceDeck, check_circuit
 
 
 @dataclass(frozen=True)
@@ -20,7 +18,9 @@ class ExperimentConfig:
 
     Attributes:
         name: circuit name as used in reports ("CM", "COMP", "OTA").
-        builder: zero-argument callable producing the block.
+        builder: the circuit, as data — a
+            :data:`~repro.service.registry.BUILDERS` key or a
+            :class:`~repro.service.registry.SpiceDeck`.
         max_steps: optimizer step budget per run.
         seeds: RNG seeds; the run with the *median* best cost is reported
             (the paper reports single runs; medians keep our tables stable).
@@ -38,7 +38,7 @@ class ExperimentConfig:
     """
 
     name: str
-    builder: Callable[[], AnalogBlock]
+    builder: str | SpiceDeck
     max_steps: int
     seeds: tuple[int, ...]
     epsilon_decay_frac: float = 0.6
@@ -47,6 +47,7 @@ class ExperimentConfig:
     batch: int = 1
 
     def __post_init__(self) -> None:
+        check_circuit(self.builder)
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if not self.seeds:
@@ -73,20 +74,16 @@ class ExperimentConfig:
         return replace(self, batch=batch)
 
 
-# Builders come from the shared circuit registry, so experiments, the
-# CLI and the placement service resolve the same table.
-_REGISTRY = default_registry()
-
 CM_CONFIG = ExperimentConfig(
-    name="CM", builder=_REGISTRY.builder("cm"), max_steps=500,
+    name="CM", builder="cm", max_steps=500,
     seeds=(1, 2, 3, 4, 5), ql_worse_tolerance=0.2,
 )
 COMP_CONFIG = ExperimentConfig(
-    name="COMP", builder=_REGISTRY.builder("comp"), max_steps=500,
+    name="COMP", builder="comp", max_steps=500,
     seeds=(1, 2, 3, 4, 5),
 )
 OTA_CONFIG = ExperimentConfig(
-    name="OTA", builder=_REGISTRY.builder("ota"), max_steps=400,
+    name="OTA", builder="ota", max_steps=400,
     seeds=(1, 2, 3),
 )
 

@@ -29,6 +29,7 @@ from repro.experiments.configs import ExperimentConfig
 from repro.layout.generators import banded_placement
 from repro.layout.placement import Placement
 from repro.runtime import ExecutionBackend, RunSpec, map_runs, resolve_backend
+from repro.service.registry import build_circuit
 
 
 @dataclass
@@ -161,7 +162,7 @@ def run_fig3(
             default backend).
         backend: explicit execution backend; overrides ``config.jobs``.
     """
-    block = config.builder()
+    block = build_circuit(config.builder)
     if backend is None:
         backend = resolve_backend(config.jobs)
 

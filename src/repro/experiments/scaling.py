@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.netlist.library import current_mirror
-from repro.runtime import ExecutionBackend, RunSpec, map_runs
+from repro.runtime import ExecutionBackend, RunSpec, build_block, map_runs
 
 
 @dataclass
@@ -46,17 +45,17 @@ def run_scaling(
     did, so reported sim counts are unchanged).
     """
     out = ScalingResult()
-    blocks = [current_mirror(units_per_device=upd) for upd in units_per_device]
     specs = [
-        RunSpec(key=upd, builder=block,
+        RunSpec(key=upd, builder="cm",
+                builder_kwargs=(("units_per_device", upd),),
                 placer="ql", seed=seed, max_steps=max_steps,
                 target_from_symmetric=True, share_target_evaluator=True,
                 ql_worse_tolerance=0.2, batch=batch, evaluate_best=False)
-        for upd, block in zip(units_per_device, blocks)
+        for upd in units_per_device
     ]
-    for block, outcome in zip(blocks, map_runs(specs, backend)):
+    for spec, outcome in zip(specs, map_runs(specs, backend)):
         result = outcome.result
-        size = block.circuit.total_units()
+        size = build_block(spec).circuit.total_units()
         out.rows[size] = {
             "sims_to_target": (float("inf") if result.sims_to_target is None
                                else result.sims_to_target),

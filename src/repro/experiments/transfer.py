@@ -26,7 +26,7 @@ the cold fan-out spends grinding out its fixed budgets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.runtime import ExecutionBackend, RunSpec, map_runs, resolve_backend
 from repro.service.registry import default_registry
@@ -84,7 +84,7 @@ class TransferRow:
 
 
 def _cold_regime(
-    circuit: Any,
+    circuit: str,
     workers: int,
     budget: int,
     seed: int,

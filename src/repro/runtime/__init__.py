@@ -1,6 +1,6 @@
 """Parallel execution runtime — the seam every fan-out goes through.
 
-Drivers describe independent work as lightweight picklable specs and a
+Drivers describe independent work as lightweight plain-data specs and a
 backend decides where it runs: in-process (:class:`SerialBackend`),
 across worker processes (:class:`ProcessPoolBackend`, the ``--jobs N``
 flag), or across machines (:class:`ClusterBackend`, the
@@ -31,7 +31,7 @@ _LAZY = {
     "RetryPolicy": "repro.runtime.resilience",
     "RunReport": "repro.runtime.resilience",
     "resilient_map_runs": "repro.runtime.resilience",
-    "BUILDERS": "repro.runtime.spec",
+    "BUILDERS": "repro.service.registry",
     "RunOutcome": "repro.runtime.spec",
     "RunSpec": "repro.runtime.spec",
     "build_block": "repro.runtime.spec",

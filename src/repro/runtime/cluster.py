@@ -6,7 +6,15 @@ other machines*.  The object itself is the **coordinator**: it binds a
 TCP listening socket, and worker daemons started with
 ``repro worker --connect host:port --jobs N`` dial in — one socket
 connection per execution slot.  Work flows over length-prefixed JSON
-frames (:mod:`repro.runtime.wire`):
+frames (:mod:`repro.runtime.wire`), and the only work is placement: a
+:class:`~repro.runtime.spec.RunSpec` for
+:func:`~repro.runtime.spec.execute_run`, or a resilient attempt
+envelope around one.  Nothing on the wire is unpickled, so a peer that
+reaches the port can take or answer placement work but cannot run code
+on the coordinator or a worker; a frame of the wrong shape from a peer
+counts as that slot's death.  There is no shared token yet, so bind to
+loopback (the default) unless every host that can reach the port is
+trusted to take and answer work:
 
 * the coordinator **leases** queued tasks to idle slots in small chunks
   (default 1).  Work stealing falls out of the short leases plus the
@@ -61,9 +69,9 @@ from repro.runtime.backend import (
 from repro.runtime.faults import KILL_EXIT_CODE, mark_expendable_worker
 from repro.runtime.wire import (
     FrameError,
-    decode_result,
     encode_task,
     execute_task,
+    outcome_from_wire,
     recv_frame,
     send_frame,
 )
@@ -275,6 +283,9 @@ class ClusterBackend:
     def map(self, fn: Callable, items: Sequence[Any]) -> list:
         """Order-preserving map over the cluster.
 
+        ``fn`` must be :func:`~repro.runtime.spec.execute_run` over
+        specs or the resilience layer's attempt runner over envelopes;
+        anything else raises ``TypeError`` before a frame is sent.
         Worker deaths are survived transparently: the dead slot's tasks
         are re-issued (each at most ``max_reissue`` times) so plain
         drivers — fig3, campaigns, ablations — never observe a death.
@@ -517,6 +528,10 @@ class ClusterBackend:
                 frame = recv_frame(slot.sock)
                 if frame is None:
                     break
+                if not isinstance(frame, dict):
+                    raise FrameError(
+                        f"expected a JSON object, got {type(frame).__name__}"
+                    )
                 kind = frame.get("type")
                 if kind == HEARTBEAT:
                     with self._lock:
@@ -530,9 +545,16 @@ class ClusterBackend:
             self._slot_died_locked(slot)
 
     def _on_result(self, slot: _Slot, frame: dict) -> None:
+        # A peer's frame is untrusted: a field of the wrong type raises
+        # FrameError, which the reader turns into this slot's death.
+        tid = frame.get("id")
+        if not isinstance(tid, int) or isinstance(tid, bool):
+            raise FrameError(f"result id must be an integer, got {tid!r}")
+        for name in ("status", "error", "error_type"):
+            if not isinstance(frame.get(name, ""), str):
+                raise FrameError(f"result field {name!r} must be a string")
         with self._cond:
             slot.last_seen = time.monotonic()
-            tid = frame.get("id")
             if tid in slot.stale:
                 # A timed-out task finally finished; its settlement
                 # already happened — discard, the slot is usable again.
@@ -543,12 +565,16 @@ class ClusterBackend:
             if tid in slot.leased:
                 slot.leased.remove(tid)
             wave = self._wave
-            if wave is None or tid is None or tid in wave.settled:
+            if wave is None or tid in wave.settled:
                 self._dispatch_locked()
                 return
+            if not 0 <= tid < len(wave.tasks):
+                raise FrameError(f"result id {tid} names no task")
             if frame.get("status") == "ok":
+                # Every task is a spec or an attempt, and both yield a
+                # RunOutcome: decode as that, whatever the peer names.
                 try:
-                    value = decode_result(frame)
+                    value = outcome_from_wire(frame.get("value"))
                 except Exception as exc:  # noqa: BLE001 — settle, not raise
                     wave.settled[tid] = AttemptResult(
                         ATTEMPT_ERROR,

@@ -1,4 +1,4 @@
-"""Lightweight, picklable run specifications and the worker that runs them.
+"""Lightweight, plain-data run specifications and the worker that runs them.
 
 The experiment drivers never ship live objects across the process
 boundary — a :class:`PlacementEvaluator` holds a memoisation cache, and
@@ -20,7 +20,7 @@ drivers merge them deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Mapping, Sequence
+from typing import Any, Hashable, Sequence
 
 from repro.core.hierarchy import FlatQPlacer, MultiLevelPlacer
 from repro.core.optimizer import PlacerResult
@@ -34,19 +34,15 @@ from repro.layout.generators import banded_placement
 from repro.netlist.library import AnalogBlock
 from repro.runtime.backend import ExecutionBackend, SerialBackend
 from repro.service.registry import (
-    BUILTIN_CIRCUITS,
     CircuitRegistry,
+    SpiceDeck,
+    build_circuit,
+    check_circuit,
     default_registry,
 )
 from repro.service.requests import PLACER_KINDS, PlacementRequest
 from repro.tech import generic_tech_40
 from repro.variation import default_variation_model
-
-#: Named circuit builders a spec may reference by key instead of shipping
-#: a callable — a live view of the shared circuit registry
-#: (:func:`repro.service.registry.default_registry`), so the CLI, specs
-#: and the placement service all resolve the same table.
-BUILDERS: Mapping[str, Callable[..., AnalogBlock]] = default_registry().builders
 
 #: Placer kinds a spec may request (the request schema's vocabulary).
 PLACERS = PLACER_KINDS
@@ -57,17 +53,19 @@ SYMMETRIC_STYLES = ("ysym", "common_centroid")
 
 @dataclass(frozen=True)
 class RunSpec:
-    """Everything one optimizer run depends on, as plain picklable data.
+    """Everything one optimizer run depends on, as plain data.
 
     Attributes:
         key: caller-chosen merge key (e.g. ``("SA", seed)``); results are
             matched back to specs by this key, never by completion order.
-        builder: the circuit — a :data:`BUILDERS` name, a picklable
-            zero-/keyword-argument callable returning an
-            :class:`AnalogBlock`, or an already-built block (blocks are
-            plain data and pickle fine; live evaluators do not).
-        builder_kwargs: keyword arguments for the builder, as a tuple of
-            ``(name, value)`` pairs so the spec stays hashable.
+        builder: the circuit, as data — a library key of
+            :data:`~repro.service.registry.BUILDERS` or a
+            :class:`~repro.service.registry.SpiceDeck` (deck text plus
+            the keywords that build it).  Both forms have a JSON wire
+            form, and the worker builds the block itself.
+        builder_kwargs: keyword arguments for a library key's builder
+            (a deck takes none), as a tuple of ``(name, value)`` pairs
+            so the spec stays hashable.
         placer: ``"ql"`` (multi-level Q-learning), ``"flat"`` (single-
             table Q-learning) or ``"sa"`` (simulated annealing).
         seed: RNG seed for the placer.
@@ -118,7 +116,7 @@ class RunSpec:
     """
 
     key: Hashable
-    builder: str | Callable[..., AnalogBlock] | AnalogBlock
+    builder: str | SpiceDeck
     placer: str = "ql"
     seed: int = 0
     max_steps: int = 400
@@ -146,10 +144,9 @@ class RunSpec:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.batch < 1:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
-        if isinstance(self.builder, str) and self.builder not in BUILDERS:
-            raise ValueError(
-                f"unknown builder {self.builder!r}; have {sorted(BUILDERS)}"
-            )
+        check_circuit(self.builder)
+        if isinstance(self.builder, SpiceDeck) and self.builder_kwargs:
+            raise ValueError("a SPICE deck builder takes no builder_kwargs")
         if not 0.0 < self.epsilon_decay_frac <= 1.0:
             raise ValueError("epsilon_decay_frac must be in (0, 1]")
         if self.warm_start_how not in MERGE_HOWS:
@@ -187,14 +184,8 @@ class RunSpec:
         Used to label worker failures and quarantine reports — a spec
         that dies mid-batch must name the run, not just an index.
         """
-        if isinstance(self.builder, str):
-            circuit = self.builder
-        elif isinstance(self.builder, AnalogBlock):
-            circuit = self.builder.name
-        else:
-            circuit = getattr(
-                self.builder, "__name__", type(self.builder).__name__
-            )
+        circuit = (self.builder if isinstance(self.builder, str)
+                   else self.builder.name)
         return (
             f"key={self.key!r} circuit={circuit!r} "
             f"placer={self.placer} seed={self.seed}"
@@ -223,26 +214,17 @@ class RunSpec:
         Args:
             request: the wire-form job description.
             key: merge key for the produced spec.
-            registry: circuit registry for inline-SPICE requests
+            registry: circuit registry that resolves ``request.circuit``
                 (default: the shared one).
             initial_tables: resolved warm-start tables (the service
                 resolves ``request.warm_policy`` against its policy
                 store before building the spec).
         """
-        reg = registry if registry is not None else default_registry()
         if request.spice is not None:
-            builder: Any = reg.block_from_spice(
-                request.spice, **request.spice_kwargs()
-            )
-        elif (reg is default_registry()
-                and request.circuit in BUILTIN_CIRCUITS):
-            builder = request.circuit
+            builder = request.deck()
         else:
-            # Custom registries — and runtime registrations on the
-            # default one — are not visible to a freshly spawned
-            # worker's BUILDERS table, so ship the resolved builder
-            # callable instead of a key only this process knows.
-            builder = reg.builder(request.circuit)
+            reg = registry if registry is not None else default_registry()
+            builder = reg[request.circuit]
         return cls(
             key=key,
             builder=builder,
@@ -265,22 +247,16 @@ class RunSpec:
     def to_request(self) -> PlacementRequest:
         """The :class:`PlacementRequest` view of this spec.
 
-        Only registry-keyed specs convert (callable/inline builders have
-        no wire form), and ``RunSpec.from_request(spec.to_request())``
+        A keyed spec becomes a ``circuit=`` request and a deck spec an
+        inline-``spice`` one.  ``RunSpec.from_request(spec.to_request())``
         is the identity on the request-shaped spec family — the
         round-trip the service API relies on.
 
         Raises:
-            ValueError: the spec's builder is not a registry key, or the
-                spec carries behavior-bearing fields the request schema
-                does not model (silently dropping them would make the
-                wire form execute a *different* run).
+            ValueError: the spec carries behavior-bearing fields the
+                request schema does not model (silently dropping them
+                would make the wire form execute a *different* run).
         """
-        if not isinstance(self.builder, str):
-            raise ValueError(
-                "only registry-keyed specs convert to requests; this one "
-                f"carries {type(self.builder).__name__!r}"
-            )
         outside = [
             name for name, off_schema in (
                 ("builder_kwargs", bool(self.builder_kwargs)),
@@ -295,8 +271,17 @@ class RunSpec:
                 f"spec fields {outside} have no request-schema form; "
                 "a converted request would execute a different run"
             )
+        if isinstance(self.builder, str):
+            circuit = {"circuit": self.builder}
+        else:
+            deck = self.builder
+            circuit = dict(
+                spice=deck.text, spice_kind=deck.kind, spice_name=deck.name,
+                spice_canvas=deck.canvas, spice_inputs=deck.input_nets,
+                spice_outputs=deck.output_nets, spice_params=deck.params,
+            )
         return PlacementRequest(
-            circuit=self.builder,
+            **circuit,
             placer=self.placer,
             steps=self.max_steps,
             seed=self.seed,
@@ -335,10 +320,7 @@ class RunOutcome:
 
 def build_block(spec: RunSpec) -> AnalogBlock:
     """Materialise the spec's circuit block (inside the worker)."""
-    if isinstance(spec.builder, AnalogBlock):
-        return spec.builder
-    builder = BUILDERS[spec.builder] if isinstance(spec.builder, str) else spec.builder
-    return builder(**dict(spec.builder_kwargs))
+    return build_circuit(spec.builder, **dict(spec.builder_kwargs))
 
 
 def _make_evaluator(spec: RunSpec, block: AnalogBlock) -> PlacementEvaluator:
@@ -397,7 +379,8 @@ def execute_run(spec: RunSpec) -> RunOutcome:
     """Worker entry point: reconstruct the run from its spec and do it.
 
     Module-level (hence picklable by reference) so a
-    :class:`ProcessPoolBackend` can ship it; everything stateful — the
+    :class:`ProcessPoolBackend` can ship it, and the one function a
+    cluster worker runs on a spec; everything stateful — the
     evaluator with its cache, the environment, the placer with its
     ``sim_counter`` closure — is created here, inside the worker.
     """

@@ -13,7 +13,8 @@ on its own: the codecs without any socket, the framing over a
 
 * **Spec codec** — a :class:`~repro.runtime.spec.RunSpec` travels as
   its :meth:`~repro.runtime.spec.RunSpec.to_request` JSON (the wire
-  form the service already speaks) plus an ``extras`` dict carrying the
+  form the service already speaks: a library key, or a SPICE deck as
+  the inline-``spice`` fields) plus an ``extras`` dict carrying the
   exact values of the fields the request schema does not model
   (``builder_kwargs``, ``variation_kind``, ``evaluate_best``,
   ``return_tables``, ``initial_tables``, ...).  Shipping the extras
@@ -28,12 +29,14 @@ on its own: the codecs without any socket, the framing over a
   decoded outcome compares bit-identical to the in-process one — the
   property the serial ≡ pool ≡ cluster invariant rests on.
 
-* **Task codecs** — the coordinator does not restrict itself to
-  specs: ``map(fn, items)`` over arbitrary picklable work (specs that
-  carry a built block or a callable builder, test functions) falls back
-  to a base64-pickle codec with the function shipped by
-  ``module:qualname`` reference.  The blessed
-  :class:`RunSpec` / :class:`AttemptEnvelope` paths stay pure JSON.
+* **Task codecs** — exactly two, both JSON: ``spec`` runs
+  :func:`~repro.runtime.spec.execute_run` on a :class:`RunSpec` and
+  ``attempt`` runs ``_execute_attempt`` on an :class:`AttemptEnvelope`.
+  :func:`encode_task` refuses any other function before anything is
+  sent, a worker runs no other code, and a result is always decoded as
+  the :class:`RunOutcome` of the task the coordinator sent, whatever
+  the peer claims.  No frame is ever unpickled, so a peer that can
+  reach the port can take or answer placement work, but not run code.
 
 Keys need care: spec keys are hashable trees of tuples/strings/numbers
 (``("QL", 3)``, ``(round, worker)``) and ``map_runs`` *verifies* the
@@ -44,10 +47,7 @@ echoed key equals the spec's.  JSON would flatten tuples into lists, so
 
 from __future__ import annotations
 
-import base64
-import importlib
 import json
-import pickle
 import socket
 import struct
 from dataclasses import replace
@@ -200,17 +200,7 @@ def fault_plan_from_wire(data: list | None) -> FaultPlan | None:
 # ------------------------------------------------------------ spec codec
 
 def spec_to_wire(spec: RunSpec) -> dict:
-    """Frame payload for a :class:`RunSpec`.
-
-    Only registry-keyed specs have a JSON wire form (callable and
-    inline-block builders go through the pickle task codec instead).
-    """
-    if not isinstance(spec.builder, str):
-        raise FrameError(
-            "only registry-keyed specs have a JSON wire form; this one "
-            f"carries a {type(spec.builder).__name__} builder "
-            "(the pickle codec handles it)"
-        )
+    """Frame payload for a :class:`RunSpec`."""
     # Project the spec onto the request schema (to_request refuses
     # off-schema fields; the extras dict carries them exactly).
     projected = replace(
@@ -356,56 +346,27 @@ def envelope_from_wire(data: dict) -> AttemptEnvelope:
 # ----------------------------------------------------------- task codecs
 
 #: Task codec names (the ``codec`` field of a work frame).
-CODEC_SPEC = "spec"          # RunSpec -> execute_run, pure JSON
-CODEC_ATTEMPT = "attempt"    # AttemptEnvelope -> _execute_attempt, JSON
-CODEC_PICKLE = "pickle"      # arbitrary fn/item, base64 pickle
-
-
-def _fn_reference(fn: Callable) -> str:
-    """``module:qualname`` reference for a module-level function."""
-    module = getattr(fn, "__module__", None)
-    qualname = getattr(fn, "__qualname__", None)
-    if not module or not qualname or "<" in qualname:
-        raise FrameError(
-            f"cannot ship {fn!r} by reference: cluster work must be a "
-            "module-level function (closures/lambdas have no wire form)"
-        )
-    return f"{module}:{qualname}"
-
-
-def _resolve_fn(reference: str) -> Callable:
-    module_name, __, qualname = reference.partition(":")
-    obj: Any = importlib.import_module(module_name)
-    for part in qualname.split("."):
-        obj = getattr(obj, part)
-    return obj
+CODEC_SPEC = "spec"          # RunSpec -> execute_run
+CODEC_ATTEMPT = "attempt"    # AttemptEnvelope -> _execute_attempt
 
 
 def encode_task(fn: Callable, item: Any) -> dict:
     """Encode one ``(fn, item)`` work unit for a work frame.
 
-    The blessed pairs — ``execute_run`` over a :class:`RunSpec` and
-    ``_execute_attempt`` over an :class:`AttemptEnvelope` — travel as
-    pure JSON.  Everything else (block-carrying specs, test fns) falls
-    back to a base64-pickle payload with ``fn`` shipped by reference.
+    Raises:
+        TypeError: ``fn``/``item`` is not ``execute_run`` over a
+            :class:`RunSpec` or ``_execute_attempt`` over an
+            :class:`AttemptEnvelope` — the only work a worker runs.
     """
     if fn is execute_run and isinstance(item, RunSpec):
-        try:
-            return {"codec": CODEC_SPEC, "task": spec_to_wire(item)}
-        except FrameError:
-            pass  # non-registry builder — pickle it below
+        return {"codec": CODEC_SPEC, "task": spec_to_wire(item)}
     if fn is _execute_attempt and isinstance(item, AttemptEnvelope):
-        try:
-            return {"codec": CODEC_ATTEMPT, "task": envelope_to_wire(item)}
-        except FrameError:
-            pass
-    return {
-        "codec": CODEC_PICKLE,
-        "task": {
-            "fn": _fn_reference(fn),
-            "item": base64.b64encode(pickle.dumps(item)).decode("ascii"),
-        },
-    }
+        return {"codec": CODEC_ATTEMPT, "task": envelope_to_wire(item)}
+    raise TypeError(
+        "cluster workers run only execute_run over RunSpecs and "
+        f"_execute_attempt over AttemptEnvelopes, got "
+        f"{getattr(fn, '__qualname__', fn)!r} over {type(item).__name__}"
+    )
 
 
 def execute_task(task: dict) -> dict:
@@ -419,31 +380,15 @@ def execute_task(task: dict) -> dict:
     try:
         if codec == CODEC_SPEC:
             value = execute_run(spec_from_wire(task["task"]))
-            payload = outcome_to_wire(value)
         elif codec == CODEC_ATTEMPT:
             value = _execute_attempt(envelope_from_wire(task["task"]))
-            payload = outcome_to_wire(value)
-        elif codec == CODEC_PICKLE:
-            fn = _resolve_fn(task["task"]["fn"])
-            item = pickle.loads(base64.b64decode(task["task"]["item"]))
-            value = fn(item)
-            payload = base64.b64encode(pickle.dumps(value)).decode("ascii")
         else:
             raise FrameError(f"unknown task codec {codec!r}")
+        payload = outcome_to_wire(value)
     except Exception as exc:  # noqa: BLE001 — settled, not raised
         return {
             "status": "error",
             "error": str(exc),
             "error_type": type(exc).__name__,
         }
-    return {"status": "ok", "codec": codec, "value": payload}
-
-
-def decode_result(result: dict) -> Any:
-    """Coordinator-side: the value of an ``ok`` result frame."""
-    codec = result["codec"]
-    if codec in (CODEC_SPEC, CODEC_ATTEMPT):
-        return outcome_from_wire(result["value"])
-    if codec == CODEC_PICKLE:
-        return pickle.loads(base64.b64decode(result["value"]))
-    raise FrameError(f"unknown result codec {codec!r}")
+    return {"status": "ok", "value": payload}

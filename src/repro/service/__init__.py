@@ -2,9 +2,10 @@
 
 Layers (bottom-up):
 
-* :mod:`repro.service.registry` — the shared circuit registry (the one
-  table behind the CLI's circuit choices, ``RunSpec.BUILDERS`` and
-  inline-SPICE requests);
+* :mod:`repro.service.registry` — the shared circuit registry: circuit
+  names mapped to circuits as data (a library key or a
+  :class:`SpiceDeck`), behind the CLI's circuit choices, ``RunSpec``
+  builders and inline-SPICE requests;
 * :mod:`repro.service.requests` — typed, versioned, JSON-serializable
   :class:`PlacementRequest` / :class:`TrainRequest` /
   :class:`PlacementResult` schemas;
@@ -26,7 +27,12 @@ runtime layer depends on them); the facade/HTTP layers — which depend
 stays cycle-free.
 """
 
-from repro.service.registry import BLOCK_KINDS, CircuitRegistry, default_registry
+from repro.service.registry import (
+    BLOCK_KINDS,
+    CircuitRegistry,
+    SpiceDeck,
+    default_registry,
+)
 from repro.service.requests import (
     PLACER_KINDS,
     SCHEMA_VERSION,
@@ -75,6 +81,7 @@ __all__ = [
     "RecoveryReport",
     "ReplayedJob",
     "SCHEMA_VERSION",
+    "SpiceDeck",
     "TrainRequest",
     "canonical_request_hash",
     "canonical_request_json",

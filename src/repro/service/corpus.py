@@ -15,14 +15,15 @@ kind, signal nets, canvas, suite parameters, and hand-labeled groups::
 The header rides inside ordinary SPICE comments, so any simulator (and the
 repo's own parser) reads the deck unchanged.  Every deck flows through the
 staged ingestion pipeline (:func:`repro.netlist.constraints.ingest_deck`);
-:func:`corpus_registry` registers each one as a named circuit builder so
+:func:`corpus_registry` registers each one as a named circuit so
 ``repro place``/``repro train`` and the HTTP ``/place`` path work on corpus
 entries exactly like library blocks.  The hand labels exist for the
 detection precision/recall benchmark — extraction never reads them.
 
-Builders are picklable (:class:`CorpusBuilder` closes over the deck *path*,
-not the parsed object), so corpus circuits fan out over process pools like
-any builtin.
+A registered entry is its :class:`~repro.service.registry.SpiceDeck`: the
+deck text plus the header's build keywords, read once when the registry
+is made.  Specs carry that deck by value, so a process-pool or cluster
+worker ingests the same text without reading the corpus directory.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.netlist.library import AnalogBlock
-from repro.service.registry import CircuitRegistry, default_registry
+from repro.service.registry import CircuitRegistry, SpiceDeck, default_registry
 
 if TYPE_CHECKING:
     # Listing the corpus (every ``place``/``train`` argument parser does)
@@ -66,7 +67,7 @@ class CorpusEntry:
 
     Attributes:
         name: registry key (the file stem).
-        path: deck location, kept as a string so entries pickle cleanly.
+        path: deck location, as a string.
         kind: measurement-suite selector from the header.
         params: suite parameters from the header's ``params:`` JSON.
         canvas: explicit grid from ``canvas: CxR``, or ``None``.
@@ -86,6 +87,18 @@ class CorpusEntry:
 
     def text(self) -> str:
         return Path(self.path).read_text()
+
+    def deck(self) -> SpiceDeck:
+        """The entry as a circuit: its text plus the header's build keywords."""
+        return SpiceDeck(
+            self.text(),
+            kind=self.kind,
+            name=self.name,
+            canvas=self.canvas,
+            params=self.params,
+            input_nets=self.input_nets,
+            output_nets=self.output_nets,
+        )
 
 
 class CorpusFormatError(ValueError):
@@ -149,53 +162,19 @@ def list_corpus(directory: str | Path | None = None) -> tuple[CorpusEntry, ...]:
 
 def build_entry(entry: CorpusEntry) -> AnalogBlock:
     """Run one entry through the pipeline into a placeable block."""
-    return default_registry().block_from_spice(
-        entry.text(),
-        kind=entry.kind,
-        name=entry.name,
-        canvas=entry.canvas,
-        params=entry.params,
-        input_nets=entry.input_nets,
-        output_nets=entry.output_nets,
-    )
-
-
-class CorpusBuilder:
-    """Picklable circuit builder bound to one corpus deck path.
-
-    Registered under the entry name in :func:`corpus_registry`; a process-
-    pool worker unpickles the (name, directory) pair and re-reads the deck
-    on its side, so corpus circuits ship across process boundaries exactly
-    like builder callables.
-    """
-
-    def __init__(self, name: str, directory: str | Path | None = None):
-        self.name = name
-        self.directory = str(directory) if directory is not None else None
-        # Campaign reports label callables by __name__.
-        self.__name__ = name
-
-    def _path(self) -> Path:
-        root = Path(self.directory) if self.directory else corpus_dir()
-        return root / f"{self.name}.sp"
-
-    def __call__(self) -> AnalogBlock:
-        return build_entry(load_entry(self._path()))
-
-    def __repr__(self) -> str:
-        return f"CorpusBuilder({self.name!r})"
+    return entry.deck().build()
 
 
 def corpus_registry(directory: str | Path | None = None) -> CircuitRegistry:
-    """A registry holding the builtins plus every corpus entry.
+    """A registry holding the builtins plus every corpus entry's deck.
 
     Always a *new* registry: the process-wide default stays exactly the
     five builtins (``/circuits`` on a non-corpus server is stable), and
     services opt in via ``PlacementService(registry=corpus_registry())``.
     """
-    registry = CircuitRegistry(dict(default_registry().builders))
+    registry = CircuitRegistry(dict(default_registry()))
     for entry in list_corpus(directory):
-        registry.register(entry.name, CorpusBuilder(entry.name, directory))
+        registry.register(entry.name, entry.deck())
     return registry
 
 

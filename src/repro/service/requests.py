@@ -36,6 +36,7 @@ from repro.core.qlearning import EXPLORATIONS, MERGE_HOWS
 from repro.eval.metrics import Metrics
 from repro.eval.objective import ObjectiveWeights
 from repro.layout.placement import CanvasSpec, Placement
+from repro.service.registry import SpiceDeck
 
 #: Version of the request/result wire schemas written by this build.
 SCHEMA_VERSION = 1
@@ -290,16 +291,17 @@ class PlacementRequest:
         """Display name of the requested circuit."""
         return self.circuit if self.circuit else f"spice:{self.spice_name}"
 
-    def spice_kwargs(self) -> dict:
-        """Keyword arguments for ``CircuitRegistry.block_from_spice`` —
-        the one mapping every inline-SPICE call site shares."""
-        return dict(
+    def deck(self) -> SpiceDeck:
+        """The inline deck as a :class:`~repro.service.registry.SpiceDeck`
+        — the one mapping every inline-SPICE call site shares."""
+        return SpiceDeck(
+            self.spice,
             kind=self.spice_kind,
             name=self.spice_name,
             canvas=self.spice_canvas,
-            params=dict(self.spice_params),
-            input_nets=tuple(self.spice_inputs),
-            output_nets=tuple(self.spice_outputs),
+            params=self.spice_params,
+            input_nets=self.spice_inputs,
+            output_nets=self.spice_outputs,
         )
 
     def to_json_dict(self) -> dict:

@@ -41,11 +41,7 @@ from repro.eval.evaluator import PlacementEvaluator
 from repro.runtime.backend import ExecutionBackend, make_backend
 from repro.runtime.spec import RunSpec, map_runs
 from repro.service.policies import PolicyStore
-from repro.service.registry import (
-    BUILTIN_CIRCUITS,
-    CircuitRegistry,
-    default_registry,
-)
+from repro.service.registry import CircuitRegistry, default_registry
 from repro.service.requests import (
     WARM_AUTO,
     PlacementRequest,
@@ -205,9 +201,7 @@ class PlacementService:
     def _request_block(self, request: PlacementRequest):
         """The live block a placement request describes (for zoo matching)."""
         if request.spice is not None:
-            return self.registry.block_from_spice(
-                request.spice, **request.spice_kwargs()
-            )
+            return request.deck().build()
         return self.registry.build(request.circuit)
 
     def _auto_warm(self, request: PlacementRequest):
@@ -240,27 +234,10 @@ class PlacementService:
             # failed job later (ConstraintValidationError is a ValueError).
             from repro.netlist.constraints import ingest_deck
 
-            kwargs = request.spice_kwargs()
-            result = ingest_deck(
-                spice,
-                name=kwargs.get("name", "imported"),
-                kind=kwargs.get("kind"),
-                params=dict(kwargs.get("params") or {}),
-            )
+            deck = request.deck()
+            result = ingest_deck(deck.text, name=deck.name, kind=deck.kind,
+                                 params=dict(deck.params))
             result.report.raise_if_errors()
-
-    def _resolve_trainable(self, circuit: str) -> Any:
-        """What ``run_campaign`` should receive for ``circuit``.
-
-        Built-in keys on the default registry pass through as keys (the
-        spec layer ships them by name).  Anything else — corpus entries,
-        runtime registrations, custom registries — resolves to the
-        registered builder callable, which spawned workers can execute
-        without sharing this process's registry.
-        """
-        if self.registry is default_registry() and circuit in BUILTIN_CIRCUITS:
-            return circuit
-        return self.registry.builder(circuit)
 
     # ----------------------------------------------------- sync execution
 
@@ -335,7 +312,7 @@ class PlacementService:
 
         self._check_circuit(request)
         campaign = run_campaign(
-            self._resolve_trainable(request.circuit),
+            self.registry[request.circuit],
             workers=request.workers,
             rounds=request.rounds,
             steps_per_round=request.steps,
@@ -411,9 +388,7 @@ class PlacementService:
         request so served SPICE jobs can render too.
         """
         if request is not None and getattr(request, "spice", None):
-            return self.registry.block_from_spice(
-                request.spice, **request.spice_kwargs()
-            )
+            return request.deck().build()
         label = result.circuit
         if label in self.registry:
             return self.registry.build(label)

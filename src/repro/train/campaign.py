@@ -12,7 +12,7 @@ distributed-RL fix — periodic policy synchronisation:
    a common master-policy snapshot, as ordinary :class:`RunSpec` jobs on
    any execution backend;
 2. workers ship their learned per-agent Q-tables (plus their best
-   placement) back as picklable round results;
+   placement) back as plain-data round results;
 3. the driver folds the tables into the master policy with
    :meth:`QTable.merge` — in **spec order**, so the merged master is
    bit-identical on :class:`SerialBackend` and
@@ -38,6 +38,7 @@ from repro.core.persistence import save_tables_snapshot
 from repro.layout.placement import Placement
 from repro.runtime.backend import ExecutionBackend, make_backend
 from repro.runtime.spec import RunSpec, map_runs
+from repro.service.registry import SpiceDeck, check_circuit
 
 #: Placer kinds that can share policies (SA has no tables to merge).
 TRAINABLE_PLACERS = ("ql", "flat")
@@ -75,7 +76,7 @@ class CampaignResult:
     """Outcome of a full island-model training campaign.
 
     Attributes:
-        circuit: builder name (or display name) of the trained circuit.
+        circuit: library key (or deck name) of the trained circuit.
         placer: placer kind the workers ran.
         workers: islands per round.
         rounds_planned: requested rounds.
@@ -169,9 +170,10 @@ class TrainingCampaign:
     """Driver for island-model shared-policy training on one circuit.
 
     Args:
-        circuit: a :data:`repro.runtime.spec.BUILDERS` name, a picklable
-            builder callable, or an already-built block — anything a
-            :class:`RunSpec` accepts.
+        circuit: the circuit as data — a
+            :data:`repro.service.registry.BUILDERS` key or a
+            :class:`~repro.service.registry.SpiceDeck`, as a
+            :class:`RunSpec` takes it.
         workers: islands per round (each one ``RunSpec`` job).
         rounds: synchronisation rounds.
         steps_per_round: optimizer step budget per worker per round.
@@ -205,7 +207,7 @@ class TrainingCampaign:
             as a fraction of ``steps_per_round``.
         ql_worse_tolerance: worker move-acceptance tolerance (``None`` =
             placer default).
-        builder_kwargs: forwarded to the circuit builder.
+        builder_kwargs: forwarded to a library key's builder.
         backend: execution backend, an int worker-process count, or a
             backend spec string (``make_backend`` semantics — e.g.
             ``"pool:4"`` or ``"cluster:host:port"``).  Defaults to
@@ -215,7 +217,7 @@ class TrainingCampaign:
 
     def __init__(
         self,
-        circuit: Any,
+        circuit: str | SpiceDeck,
         *,
         workers: int = 4,
         rounds: int = 3,
@@ -235,6 +237,7 @@ class TrainingCampaign:
         builder_kwargs: tuple[tuple[str, Any], ...] = (),
         backend: int | str | ExecutionBackend | None = None,
     ):
+        check_circuit(circuit)
         if placer not in TRAINABLE_PLACERS:
             raise ValueError(
                 f"placer must be one of {TRAINABLE_PLACERS} (SA has no "
@@ -339,8 +342,8 @@ class TrainingCampaign:
             if self.warm_start else {}
         )
 
-        name = self.circuit if isinstance(self.circuit, str) else getattr(
-            self.circuit, "name", getattr(self.circuit, "__name__", "custom"))
+        name = (self.circuit if isinstance(self.circuit, str)
+                else self.circuit.name)
         best_cost = math.inf
         best_placement: Placement | None = None
         initial_cost: float | None = None
@@ -418,7 +421,7 @@ class TrainingCampaign:
         )
 
 
-def run_campaign(circuit: Any, **kwargs: Any) -> CampaignResult:
+def run_campaign(circuit: str | SpiceDeck, **kwargs: Any) -> CampaignResult:
     """Run an island-model training campaign (see :class:`TrainingCampaign`).
 
     Accepts ``jobs=`` as an alias for ``backend=`` so CLI-style integer

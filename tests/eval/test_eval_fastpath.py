@@ -53,7 +53,7 @@ BUILDERS = {
     "ota": folded_cascode_ota,
     "ota5t": five_transistor_ota,
     "ota2s": two_stage_ota,
-    "mirror_tree": lambda: corpus_registry().builders["mirror_tree"](),
+    "mirror_tree": lambda: corpus_registry().build("mirror_tree"),
 }
 
 
@@ -130,12 +130,12 @@ def test_deltas_for_matches_the_context_path(kind):
 
 
 #: The five library blocks and the 11 corpus decks.
-ALL_BLOCKS = sorted(corpus_registry().builders)
+ALL_BLOCKS = sorted(corpus_registry())
 
 
 @lru_cache(maxsize=None)
 def _block(name):
-    return corpus_registry().builders[name]()
+    return corpus_registry().build(name)
 
 
 class _ValueOnlyField:

@@ -10,13 +10,12 @@ from repro.experiments import (
     run_hierarchy_ablation,
     run_linearity_ablation,
 )
-from repro.netlist import five_transistor_ota
 
 
 class TestHierarchyAblation:
     @pytest.fixture(scope="class")
     def ablation(self):
-        return run_hierarchy_ablation(five_transistor_ota(), max_steps=120, seed=1)
+        return run_hierarchy_ablation("ota5t", max_steps=120, seed=1)
 
     def test_both_variants_report_tables(self, ablation):
         assert ablation.multi_table_entries > 0
@@ -31,7 +30,7 @@ class TestHierarchyAblation:
 class TestConvergenceAblation:
     @pytest.fixture(scope="class")
     def ablation(self):
-        return run_convergence_ablation(five_transistor_ota(), max_steps=120, seed=1)
+        return run_convergence_ablation("ota5t", max_steps=120, seed=1)
 
     def test_histories_nonempty(self, ablation):
         assert ablation.ql_history
@@ -54,7 +53,7 @@ class TestConvergenceAblation:
 class TestLinearityAblation:
     @pytest.fixture(scope="class")
     def ablation(self):
-        return run_linearity_ablation(five_transistor_ota, max_steps=150, seed=1)
+        return run_linearity_ablation("ota5t", max_steps=150, seed=1)
 
     def test_both_regimes_present(self, ablation):
         assert set(ablation.regimes) == {"linear", "nonlinear"}

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments import ALL_CONFIGS, CM_CONFIG, ExperimentConfig
-from repro.netlist import five_transistor_ota
+from repro.service.registry import build_circuit
 
 
 class TestConfigs:
@@ -12,7 +12,7 @@ class TestConfigs:
 
     def test_builders_produce_blocks(self):
         for config in ALL_CONFIGS.values():
-            block = config.builder()
+            block = build_circuit(config.builder)
             assert block.name == config.name
 
     def test_scaled(self):
@@ -26,11 +26,11 @@ class TestConfigs:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="max_steps"):
-            ExperimentConfig("X", five_transistor_ota, 0, (1,))
+            ExperimentConfig("X", "ota5t", 0, (1,))
         with pytest.raises(ValueError, match="seed"):
-            ExperimentConfig("X", five_transistor_ota, 10, ())
+            ExperimentConfig("X", "ota5t", 10, ())
         with pytest.raises(ValueError, match="epsilon_decay_frac"):
-            ExperimentConfig("X", five_transistor_ota, 10, (1,), epsilon_decay_frac=0.0)
+            ExperimentConfig("X", "ota5t", 10, (1,), epsilon_decay_frac=0.0)
 
     def test_with_batch(self):
         batched = CM_CONFIG.with_batch(8)
@@ -40,4 +40,4 @@ class TestConfigs:
 
     def test_batch_validated(self):
         with pytest.raises(ValueError, match="batch"):
-            ExperimentConfig("X", five_transistor_ota, 10, (1,), batch=0)
+            ExperimentConfig("X", "ota5t", 10, (1,), batch=0)

@@ -7,7 +7,7 @@ from repro.eval import PlacementEvaluator
 from repro.netlist import five_transistor_ota
 
 FAST = ExperimentConfig(
-    name="OTA5T", builder=five_transistor_ota, max_steps=60, seeds=(1, 2, 3),
+    name="OTA5T", builder="ota5t", max_steps=60, seeds=(1, 2, 3),
 )
 
 

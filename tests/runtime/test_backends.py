@@ -99,10 +99,15 @@ class TestRunSpec:
         sized = build_block(RunSpec(
             key=1, builder="cm", builder_kwargs=(("units_per_device", 2),)))
         assert sized.circuit.total_units() == 10
-        by_callable = build_block(RunSpec(key=1, builder=five_transistor_ota))
-        block = five_transistor_ota()
-        assert build_block(RunSpec(key=1, builder=block)) is block
-        assert by_callable.name == block.name
+        from repro.service.corpus import list_corpus
+
+        entry = next(e for e in list_corpus() if e.name == "mirror_tree")
+        by_deck = build_block(RunSpec(key=1, builder=entry.deck()))
+        assert by_deck.name == "mirror_tree"
+        # A callable or a built block is not data: refused at construction.
+        for builder in (five_transistor_ota, five_transistor_ota()):
+            with pytest.raises(TypeError, match="SpiceDeck"):
+                RunSpec(key=1, builder=builder)
 
 
 class TestSharedPolicySpecs:

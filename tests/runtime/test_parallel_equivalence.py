@@ -9,11 +9,10 @@ for the Fig. 3 driver on the current mirror and for island training.
 import pytest
 
 from repro.experiments import ExperimentConfig, run_fig3
-from repro.netlist import current_mirror
 from repro.runtime import ProcessPoolBackend, SerialBackend
 
 CM_FAST = ExperimentConfig(
-    name="CM", builder=current_mirror, max_steps=40, seeds=(1, 2),
+    name="CM", builder="cm", max_steps=40, seeds=(1, 2),
     ql_worse_tolerance=0.2,
 )
 

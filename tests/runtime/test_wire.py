@@ -27,7 +27,6 @@ from repro.runtime.wire import (
     encode_key,
     encode_task,
     execute_task,
-    decode_result,
     outcome_from_wire,
     outcome_to_wire,
     recv_frame,
@@ -35,6 +34,8 @@ from repro.runtime.wire import (
     spec_from_wire,
     spec_to_wire,
 )
+from repro.service.corpus import list_corpus
+from repro.service.registry import BLOCK_KINDS, SpiceDeck
 
 # JSON-plain payloads (what frames carry).
 json_values = st.recursive(
@@ -58,23 +59,40 @@ key_values = st.recursive(
     max_leaves=8,
 )
 
-# Request-shaped RunSpecs, including every off-schema extra the wire
-# form must carry verbatim (initial_tables is exercised separately —
-# table snapshots do not define ``==``).
+# SPICE-deck circuits: the bundled corpus decks, and inline decks with
+# arbitrary text, names, nets and JSON-plain suite parameters.
+net_names = st.lists(st.text(max_size=6), max_size=3).map(tuple)
+decks = st.sampled_from([entry.deck() for entry in list_corpus()]) | st.builds(
+    SpiceDeck,
+    text=st.text(),
+    kind=st.sampled_from(BLOCK_KINDS),
+    name=st.text(max_size=12),
+    canvas=st.none() | st.tuples(st.integers(1, 64), st.integers(1, 64)),
+    params=st.dictionaries(st.text(max_size=8), json_values, max_size=4),
+    input_nets=net_names,
+    output_nets=net_names,
+)
+
+
+# Request-shaped RunSpecs over both circuit forms, including every
+# off-schema extra the wire form must carry verbatim (initial_tables is
+# exercised separately — table snapshots do not define ``==``).
 @st.composite
 def specs(draw):
     placer = draw(st.sampled_from(["ql", "sa"]))
+    builder = draw(
+        st.sampled_from(["cm", "comp", "ota", "ota2s", "ota5t"]) | decks
+    )
     return RunSpec(
         key=draw(key_values),
-        builder=draw(
-            st.sampled_from(["cm", "comp", "ota", "ota2s", "ota5t"])
-        ),
+        builder=builder,
         placer=placer,
         seed=draw(st.integers(min_value=0, max_value=2**31)),
         max_steps=draw(st.integers(min_value=1, max_value=10_000)),
-        builder_kwargs=draw(st.sampled_from(
-            [(), (("units_per_device", 2),), (("units_per_device", 3),)]
-        )),
+        builder_kwargs=() if isinstance(builder, SpiceDeck) else draw(
+            st.sampled_from([(), (("units_per_device", 2),),
+                             (("units_per_device", 3),)])
+        ),
         target=draw(st.none() | st.floats(min_value=0.0, max_value=1e6,
                                           allow_nan=False)),
         target_from_symmetric=draw(st.booleans()),
@@ -215,12 +233,6 @@ class TestSpecCodec:
         restored = spec_from_wire(json.loads(json.dumps(payload)))
         assert restored == spec
 
-    def test_non_registry_builder_refused(self):
-        from repro.netlist import five_transistor_ota
-        spec = RunSpec(key=1, builder=five_transistor_ota)
-        with pytest.raises(FrameError, match="pickle codec"):
-            spec_to_wire(spec)
-
     def test_initial_tables_round_trip(self):
         trained = execute_run(RunSpec(
             key="t", builder="cm", placer="ql", seed=1, max_steps=15,
@@ -258,30 +270,29 @@ class TestOutcomeAndTaskCodecs:
         assert task["codec"] == "spec"
         result = execute_task(json.loads(json.dumps(task)))
         assert result["status"] == "ok"
-        remote = decode_result(result)
+        remote = outcome_from_wire(result["value"])
         assert (json.dumps(outcome_to_wire(remote), sort_keys=True)
                 == json.dumps(outcome_to_wire(local), sort_keys=True))
 
-    def test_pickle_fallback_for_plain_functions(self):
-        task = encode_task(_double, 21)
-        assert task["codec"] == "pickle"
-        result = execute_task(json.loads(json.dumps(task)))
-        assert decode_result(result) == 42
-
     def test_task_error_settles_not_raises(self):
-        result = execute_task(encode_task(_boom, 1))
+        # The library builder refuses the keyword inside the worker.
+        spec = RunSpec(key=1, builder="cm", builder_kwargs=(("boom", 1),))
+        result = execute_task(encode_task(execute_run, spec))
         assert result["status"] == "error"
-        assert result["error_type"] == "RuntimeError"
+        assert result["error_type"] == "TypeError"
         assert "boom" in result["error"]
 
     def test_lambda_refused(self):
-        with pytest.raises(FrameError, match="module-level"):
-            encode_task(lambda x: x, 1)
+        """Only execute_run over specs (and the attempt runner over
+        envelopes) encode; any other work is refused before sending."""
+        spec = RunSpec(key=1, builder="cm")
+        for fn, item in ((lambda x: x, spec), (json.dumps, spec),
+                         (execute_run, "cm")):
+            with pytest.raises(TypeError, match="cluster workers run only"):
+                encode_task(fn, item)
 
-
-def _double(x):
-    return 2 * x
-
-
-def _boom(x):
-    raise RuntimeError(f"boom on {x}")
+    def test_unknown_codec_runs_nothing(self):
+        result = execute_task({"codec": "pickle",
+                               "task": {"fn": "os:system", "item": "eA=="}})
+        assert result["status"] == "error"
+        assert "unknown task codec" in result["error"]

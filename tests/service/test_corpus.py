@@ -11,9 +11,9 @@ import urllib.request
 
 import pytest
 
+from repro.runtime.spec import RunSpec
 from repro.service import PlacementRequest
 from repro.service.corpus import (
-    CorpusBuilder,
     CorpusFormatError,
     build_entry,
     check_corpus,
@@ -101,12 +101,19 @@ class TestRegistry:
         assert set(default_registry().keys()) <= set(registry.keys())
 
     def test_builders_are_picklable(self):
-        builder = corpus_registry().builder(NAMES[0])
-        clone = pickle.loads(pickle.dumps(builder))
-        assert clone().name == NAMES[0]
+        """A registered deck is plain data: it survives a process-pool
+        pickle and a JSON request hop, and builds the entry's block."""
+        deck = corpus_registry()[NAMES[0]]
+        assert deck == ENTRIES[0].deck()
+        assert pickle.loads(pickle.dumps(deck)) == deck
+        spec = RunSpec(key="x", builder=deck)
+        hop = PlacementRequest.from_json_dict(
+            json.loads(json.dumps(spec.to_request().to_json_dict())))
+        assert RunSpec.from_request(hop).builder == deck
+        assert deck.build().name == NAMES[0]
 
     def test_builder_reports_its_name(self):
-        assert CorpusBuilder("mirror_wide").__name__ == "mirror_wide"
+        assert corpus_registry()["mirror_wide"].name == "mirror_wide"
 
 
 class TestEndToEnd:

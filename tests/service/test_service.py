@@ -165,12 +165,11 @@ class TestJobManager:
 class TestCustomRegistry:
     def test_custom_registry_keys_execute_and_render(self, tmp_path):
         """A service built on its own registry must place and render its
-        circuits, not just validate them (keys unknown to the global
-        BUILDERS table ship as resolved builder callables)."""
-        from repro.netlist.library import five_transistor_ota
+        circuits, not just validate them (a name only this registry
+        knows ships as the circuit it names)."""
         from repro.service import CircuitRegistry
 
-        registry = CircuitRegistry({"mine": five_transistor_ota})
+        registry = CircuitRegistry({"mine": "ota5t"})
         with PlacementService(registry=registry,
                               policies=tmp_path / "p") as svc:
             result = svc.place(PlacementRequest(circuit="mine", steps=20))

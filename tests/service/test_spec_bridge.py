@@ -2,8 +2,17 @@
 
 import pytest
 
-from repro.runtime.spec import BUILDERS, RunSpec
+from repro.runtime.spec import RunSpec, build_block
 from repro.service import PlacementRequest, default_registry
+from repro.service.registry import BUILDERS, SpiceDeck
+
+MINI_DECK = (
+    "mm1 vg vg gnd gnd nmos40 w=1e-6 l=0.15e-6 m=2\n"
+    "mm2 o vg gnd gnd nmos40 w=1e-6 l=0.15e-6 m=2\n"
+    "vvvdd vdd 0 dc 1.1\n"
+    "iiref vdd vg dc 2e-5\n"
+    "vvprobe o 0 dc 0.55\n"
+)
 
 
 class TestSpecRequestBridge:
@@ -51,22 +60,25 @@ class TestSpecRequestBridge:
         assert spec.initial_tables is tables
 
     def test_callable_builder_has_no_wire_form(self):
-        spec = RunSpec(key="x", builder=BUILDERS["cm"])
-        with pytest.raises(ValueError, match="registry-keyed"):
-            spec.to_request()
+        """A callable or a built block is not data: refused at
+        construction, before it could need a wire form."""
+        for builder in (BUILDERS["cm"], BUILDERS["cm"]()):
+            with pytest.raises(TypeError, match="BUILDERS key or a SpiceDeck"):
+                RunSpec(key="x", builder=builder)
+
+    def test_deck_refuses_builder_kwargs(self):
+        with pytest.raises(ValueError, match="builder_kwargs"):
+            RunSpec(key="x", builder=SpiceDeck(MINI_DECK),
+                    builder_kwargs=(("units_per_device", 2),))
 
     def test_inline_spice_builds_a_block(self):
-        deck = (
-            "mm1 vg vg gnd gnd nmos40 w=1e-6 l=0.15e-6 m=2\n"
-            "mm2 o vg gnd gnd nmos40 w=1e-6 l=0.15e-6 m=2\n"
-            "vvvdd vdd 0 dc 1.1\n"
-            "iiref vdd vg dc 2e-5\n"
-            "vvprobe o 0 dc 0.55\n"
-        )
-        request = PlacementRequest(spice=deck, spice_kind="cm",
+        request = PlacementRequest(spice=MINI_DECK, spice_kind="cm",
                                    spice_name="mini", steps=10)
         spec = RunSpec.from_request(request)
-        block = spec.builder
+        assert spec.builder == SpiceDeck(MINI_DECK, kind="cm", name="mini")
+        assert spec.to_request() == request
+        assert RunSpec.from_request(spec.to_request()) == spec
+        block = build_block(spec)
         assert block.name == "mini"
         assert block.kind == "cm"
         assert block.circuit.total_units() == 4
@@ -76,20 +88,32 @@ class TestSpecRequestBridge:
 
 class TestRegistryIsShared:
     def test_spec_builders_are_the_registry_view(self):
+        """The default registry names each library block by its own
+        BUILDERS key, which is what a spec carries."""
         registry = default_registry()
         assert set(BUILDERS) == set(registry.keys())
         for key in registry.keys():
-            assert BUILDERS[key] is registry.builder(key)
+            assert registry[key] == key
+            spec = RunSpec.from_request(PlacementRequest(circuit=key))
+            assert spec.builder == key
 
     def test_registration_is_visible_everywhere(self):
         registry = default_registry()
         marker = "test-shared-registry-key"
-        registry.register(marker, registry.builder("cm"))
+        deck = SpiceDeck(MINI_DECK, name=marker)
+        registry.register(marker, deck)
         try:
-            assert marker in BUILDERS
-            RunSpec(key="x", builder=marker)  # validates against BUILDERS
+            spec = RunSpec.from_request(PlacementRequest(circuit=marker))
+            assert spec.builder == deck  # ships by value
+            assert build_block(spec).name == marker
         finally:
-            del registry._builders[marker]
+            del registry._circuits[marker]
+
+    def test_registry_refuses_callables(self):
+        with pytest.raises(TypeError, match="SpiceDeck"):
+            default_registry().register("x", BUILDERS["cm"])
+        with pytest.raises(ValueError, match="unknown builder"):
+            default_registry().register("x", "decoder")
 
 
 class TestOffSchemaSpecs:

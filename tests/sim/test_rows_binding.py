@@ -28,7 +28,7 @@ OMEGAS = 2.0 * np.pi * AC_FREQS[::8]
 def _benches(name):
     """``(bench name, binding, per-row capacitances or None)`` of one
     block's testbenches, with the placements' deltas."""
-    block = REGISTRY.builders[name]()
+    block = REGISTRY.build(name)
     evaluator = PlacementEvaluator(block)
     placements = random_walk_placements(block, ROWS, seed=5)
     deltas = evaluator.deltas_for_many(placements)
@@ -51,7 +51,7 @@ def _same(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("name", sorted(REGISTRY.builders))
+@pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_rows_binding_matches_one_row_rebinds(name):
     block, deltas, benches = _benches(name)
     rng = np.random.default_rng(11)

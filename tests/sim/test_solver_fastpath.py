@@ -195,7 +195,7 @@ class TestParallelDeterminism:
         from repro.runtime import ProcessPoolBackend, SerialBackend
 
         config = ExperimentConfig(
-            name="CM", builder=current_mirror, max_steps=15, seeds=(3,),
+            name="CM", builder="cm", max_steps=15, seeds=(3,),
             ql_worse_tolerance=1.0,
         )
         serial = run_fig3(config, backend=SerialBackend())

@@ -210,12 +210,12 @@ class TestProfile:
         # once more to linearize at the operating point for AC.  Bank
         # evaluations are counted in devices: a stacked kernel call
         # evaluates the bank once per row.
-        from repro.cli import CIRCUITS
+        from repro.service.registry import BUILDERS
         from repro.eval.evaluator import PlacementEvaluator
         from repro.layout.generators import banded_placement
         from repro.sim import compiled, solver_stats
 
-        block = CIRCUITS[circuit]()
+        block = BUILDERS[circuit]()
         n_mos = len(block.circuit.mosfets())
         profiled = banded_placement(block, "ysym").signature()
         bank_evals = [0]
