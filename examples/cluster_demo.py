@@ -7,18 +7,21 @@ The cluster acceptance demo, end to end:
    run, which the workers ingest from the deck text the specs carry;
 2. start a coordinator (:class:`ClusterBackend`) on a loopback port and
    two worker daemons as real ``python -m repro worker`` subprocesses;
-3. drain the same batch through the cluster while SIGKILLing one whole
-   worker daemon (its slots included) mid-run;
-4. assert every surviving payload is **bit-identical** to the serial
-   baseline — the coordinator charged the killed attempt, re-leased the
-   dead worker's work, and nothing else changed.
+3. drain the same batch through the cluster twice, each time SIGKILLing
+   one whole worker daemon (its slots included) while it holds a lease:
+   once through ``resilient_map_runs`` (the killed attempt is charged
+   and retried) and once through plain ``map_runs`` (the dead worker's
+   spec is re-run), with a fresh daemon joining before the second;
+4. assert every payload of both drains is **bit-identical** to the
+   serial baseline — the coordinator re-ran the dead worker's spec, and
+   nothing else changed.
 
 Run:
     python examples/cluster_demo.py                # two workers, one killed
-    python examples/cluster_demo.py --no-kill      # clean two-worker drain
+    python examples/cluster_demo.py --no-kill      # clean two-worker drains
     python examples/cluster_demo.py --seeds 8 --steps 300
 
-Exits non-zero if any payload differs from the serial baseline (or the
+Exits non-zero if any payload differs from the serial baseline (or a
 kill was requested but no worker death was observed).  CI runs this as
 the loopback-cluster smoke test.
 """
@@ -92,6 +95,34 @@ def _spawn_worker(host: str, port: int, name: str) -> subprocess.Popen:
     )
 
 
+def _kill_at_lease(backend: ClusterBackend, victim: subprocess.Popen,
+                   name: str, delay_s: float,
+                   drained: threading.Event) -> threading.Event:
+    """SIGKILL ``victim`` (daemon ``name``) once it holds a lease, so the
+    kill lands mid-task however fast the runs are.  Returns an event set
+    when the kill struck."""
+    struck = threading.Event()
+
+    def _kill():
+        time.sleep(delay_s)
+        while not any(w["name"].startswith(f"{name}/") and w["leased"]
+                      for w in backend.workers()):
+            if drained.wait(0.001):
+                return
+        print(f"      SIGKILL {name} (pgid {os.getpgid(victim.pid)}) "
+              "mid-run")
+        os.killpg(os.getpgid(victim.pid), signal.SIGKILL)
+        struck.set()
+
+    threading.Thread(target=_kill, daemon=True).start()
+    return struck
+
+
+def _mismatch(specs, payloads, baseline) -> list:
+    return [specs[i].key for i, (a, b) in
+            enumerate(zip(payloads, baseline)) if a != b]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(
         description="cluster backend demo: two workers, one killed")
@@ -101,10 +132,10 @@ def main() -> int:
     parser.add_argument("--steps", type=int, default=200,
                         help="annealing steps per run (default 200)")
     parser.add_argument("--no-kill", action="store_true",
-                        help="skip the mid-run worker kill")
+                        help="skip the mid-run worker kills")
     parser.add_argument("--kill-after", type=float, default=0.0,
-                        help="seconds into the drain before worker-2 is "
-                             "killed at its next lease")
+                        help="seconds into each drain before its victim "
+                             "is killed at its next lease")
     args = parser.parse_args()
 
     specs = _specs(args.seeds, args.steps)
@@ -117,43 +148,38 @@ def main() -> int:
     host, port = backend.address
     print(f"[2/4] coordinator on {host}:{port}; starting 2 workers ...")
     workers = [_spawn_worker(host, port, f"worker-{i}") for i in (1, 2)]
-    killer = None
     drained = threading.Event()
     try:
         backend.wait_for_workers(2, timeout_s=60.0)
         print(f"      connected: "
               f"{[w['name'] for w in backend.workers()]}")
 
-        victim = workers[1]
+        print("[3/4] drain 1 (resilient_map_runs)"
+              + (", killing worker-2" if not args.no_kill else ""))
         if not args.no_kill:
-            def _kill():
-                time.sleep(args.kill_after)
-                # Strike while worker-2 holds a lease, so the kill lands
-                # mid-task however fast the runs are.
-                while not any(w["name"].startswith("worker-2/")
-                              and w["leased"] for w in backend.workers()):
-                    if drained.wait(0.001):
-                        return
-                print(f"[3/4] SIGKILL worker-2 "
-                      f"(pgid {os.getpgid(victim.pid)}) mid-run")
-                os.killpg(os.getpgid(victim.pid), signal.SIGKILL)
-
-            killer = threading.Thread(target=_kill, daemon=True)
-            killer.start()
-        else:
-            print("[3/4] (kill skipped)")
-
+            _kill_at_lease(backend, workers[1], "worker-2",
+                           args.kill_after, drained)
         t0 = time.perf_counter()
         report = resilient_map_runs(
             specs, backend=backend,
             retry=RetryPolicy(max_attempts=4, backoff_base_s=0.0,
                               jitter_frac=0.0),
         )
-        elapsed = time.perf_counter() - t0
+        resilient_s = time.perf_counter() - t0
+
+        workers.append(_spawn_worker(host, port, "worker-3"))
+        backend.wait_for_workers(2, timeout_s=60.0)
+        print("      drain 2 (map_runs)"
+              + (", killing worker-3" if not args.no_kill else ""))
+        plain_kill = None
+        if not args.no_kill:
+            plain_kill = _kill_at_lease(backend, workers[2], "worker-3",
+                                        args.kill_after, drained)
+        t0 = time.perf_counter()
+        plain = _canon(map_runs(specs, backend))
+        plain_s = time.perf_counter() - t0
     finally:
         drained.set()
-        if killer is not None:
-            killer.join(timeout=10.0)
         backend.close()
         for worker in workers:
             if worker.poll() is None:
@@ -162,24 +188,28 @@ def main() -> int:
                 except subprocess.TimeoutExpired:
                     worker.kill()
 
-    print(f"[4/4] cluster drain: {elapsed:.1f}s, "
+    print(f"[4/4] drain 1: {resilient_s:.1f}s, "
           f"worker_deaths={report.worker_deaths}, "
           f"retries={report.retries}, "
-          f"quarantined={list(report.quarantined)}")
+          f"quarantined={list(report.quarantined)}; "
+          f"drain 2: {plain_s:.1f}s")
 
-    payloads = _canon(report.outcomes)
-    if payloads != baseline:
-        bad = [specs[i].key for i, (a, b) in
-               enumerate(zip(payloads, baseline)) if a != b]
-        print(f"FAIL: payload mismatch vs serial baseline at {bad}")
-        return 1
-    if not args.no_kill and report.worker_deaths < 1:
-        print("FAIL: kill was requested but no worker death observed "
-              "(drain finished before the kill landed? lower "
+    for label, payloads in (("resilient_map_runs", _canon(report.outcomes)),
+                            ("map_runs", plain)):
+        bad = _mismatch(specs, payloads, baseline)
+        if bad:
+            print(f"FAIL: {label} payload mismatch vs serial baseline "
+                  f"at {bad}")
+            return 1
+    if not args.no_kill and (report.worker_deaths < 1
+                             or not plain_kill.is_set()):
+        print("FAIL: kills were requested but a drain saw no worker "
+              "death (it finished before the kill landed? lower "
               "--kill-after)")
         return 1
-    print(f"OK: all {len(specs)} payloads bit-identical to the serial "
-          f"baseline{'' if args.no_kill else ' despite the kill'}")
+    print(f"OK: all {len(specs)} payloads of both drains bit-identical "
+          f"to the serial baseline"
+          f"{'' if args.no_kill else ' despite the kills'}")
     return 0
 
 

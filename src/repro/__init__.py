@@ -63,7 +63,6 @@ _EXPORTS = {
     "RunSpec": "repro.runtime",
     "SerialBackend": "repro.runtime",
     "map_runs": "repro.runtime",
-    "resolve_backend": "repro.runtime",
     "Technology": "repro.tech",
     "generic_tech_40": "repro.tech",
     "CampaignResult": "repro.train",

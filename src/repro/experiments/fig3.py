@@ -28,7 +28,7 @@ from repro.eval.metrics import Metrics
 from repro.experiments.configs import ExperimentConfig
 from repro.layout.generators import banded_placement
 from repro.layout.placement import Placement
-from repro.runtime import ExecutionBackend, RunSpec, map_runs, resolve_backend
+from repro.runtime import ExecutionBackend, RunSpec, make_backend, map_runs
 from repro.service.registry import build_circuit
 
 
@@ -164,7 +164,7 @@ def run_fig3(
     """
     block = build_circuit(config.builder)
     if backend is None:
-        backend = resolve_backend(config.jobs)
+        backend = make_backend(config.jobs)
 
     # Reference: best symmetric layout (also defines the target).
     ref_eval = PlacementEvaluator(block)

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.runtime import ExecutionBackend, RunSpec, map_runs, resolve_backend
+from repro.runtime import ExecutionBackend, RunSpec, make_backend, map_runs
 from repro.service.registry import default_registry
 from repro.train import CampaignResult, run_campaign
 
@@ -164,7 +164,7 @@ def run_transfer(
             becomes visible.
         backend: execution backend (or int jobs) every regime fans over.
     """
-    backend = resolve_backend(backend)
+    backend = make_backend(backend)
     rows = []
     for circuit in circuits if circuits is not None else TRANSFER_CIRCUITS:
         island = run_campaign(

@@ -5,9 +5,14 @@ backend decides where it runs: in-process (:class:`SerialBackend`),
 across worker processes (:class:`ProcessPoolBackend`, the ``--jobs N``
 flag), or across machines (:class:`ClusterBackend`, the
 ``--backend cluster:host:port`` flag, fed by ``repro worker`` daemons).
-Backends preserve item order and every payload crosses the wire through
-exact codecs, so serial, pool and cluster runs are result-identical.
-:func:`make_backend` is the one factory every entrypoint shares.
+Every backend has one mapping method, ``map_attempts``, which settles
+each item (ok, error, killed, timed out) in item order.
+:func:`map_runs` reads those settlements — it re-runs a spec whose
+worker died and raises :class:`WorkerTaskError` for any other failure —
+and :func:`resilient_map_runs` retries and quarantines on top of them.
+Every payload crosses the wire through exact codecs, so serial, pool and
+cluster runs are result-identical.  :func:`make_backend` is the one
+factory every entrypoint shares.
 """
 
 #: Export → defining module (PEP 562): exports load on first access, so
@@ -18,15 +23,14 @@ _LAZY = {
     "ExecutionBackend": "repro.runtime.backend",
     "ProcessPoolBackend": "repro.runtime.backend",
     "SerialBackend": "repro.runtime.backend",
+    "WorkerKilled": "repro.runtime.backend",
     "WorkerTaskError": "repro.runtime.backend",
     "make_backend": "repro.runtime.backend",
-    "resolve_backend": "repro.runtime.backend",
     "Fault": "repro.runtime.faults",
     "FaultPlan": "repro.runtime.faults",
     "InjectedFault": "repro.runtime.faults",
     "JournalCrash": "repro.runtime.faults",
     "JournalFault": "repro.runtime.faults",
-    "WorkerKilled": "repro.runtime.faults",
     "FailedRun": "repro.runtime.resilience",
     "RetryPolicy": "repro.runtime.resilience",
     "RunReport": "repro.runtime.resilience",
@@ -69,7 +73,6 @@ __all__ = [
     "map_runs",
     "outcomes_by_key",
     "resilient_map_runs",
-    "resolve_backend",
     "run_worker",
     "symmetric_target",
     "worker_main",

@@ -11,12 +11,17 @@ which that fan-out happens:
   ProcessPoolExecutor`, one OS process per job (the ``--jobs N`` CLI
   flag).
 
-The contract every backend honours — and the reason serial and parallel
-runs are result-identical — is **order preservation**: ``map(fn, items)``
-returns results in *item order*, never completion order.  Work shipped
-across the process boundary must be picklable, which is why callers send
-lightweight specs (see :mod:`repro.runtime.spec`) instead of live
-evaluators, environments, or closures.
+Every backend has one mapping method, ``map_attempts(fn, items,
+timeout_s=None)``: it settles each item as an :class:`AttemptResult`
+(ok, error, killed or timed out) and never raises for an item, and it
+returns the results in *item order*, never completion order — the
+reason serial and parallel runs are result-identical.
+:func:`~repro.runtime.spec.map_runs` and
+:func:`~repro.runtime.resilience.resilient_map_runs` both read those
+settlements.  Work shipped across the process boundary must be
+picklable, which is why callers send lightweight specs (see
+:mod:`repro.runtime.spec`) instead of live evaluators, environments, or
+closures.
 """
 
 from __future__ import annotations
@@ -45,15 +50,23 @@ R = TypeVar("R")
 
 
 class WorkerTaskError(RuntimeError):
-    """A worker exception, annotated with the item that raised it.
+    """A run that failed, annotated with the item that raised it.
 
-    A mid-batch failure inside a process pool used to surface as an
-    anonymous remote traceback; this wrapper names the originating item
-    (its index, and — for :class:`~repro.runtime.spec.RunSpec`-shaped
-    items — the circuit, placer and seed that died), so quarantine
-    reports and logs identify the run without archaeology.  Subclasses
-    :class:`RuntimeError` and keeps the original message, so existing
-    ``except``/``match`` sites keep working.
+    :func:`~repro.runtime.spec.map_runs` raises it, on every backend,
+    for the first spec that did not settle ok: the message names the
+    item (its index, and — for :class:`~repro.runtime.spec.RunSpec`
+    items — the circuit, placer and seed that died) and carries the
+    original exception's type and message, so logs identify the run
+    without archaeology.
+    """
+
+
+class WorkerKilled(RuntimeError):
+    """A ``"kill"`` fault fired where the process must survive.
+
+    Raised instead of ``os._exit`` when the fault executes in the
+    driver process (serial backend), so in-process runs observe the
+    same one-killed-attempt the pool observes as a worker death.
     """
 
 
@@ -71,24 +84,6 @@ def _item_label(item: Any, index: int) -> str:
     return f"item {index}"
 
 
-class _IndexedCall:
-    """Picklable adapter: ``(index, item)`` in, annotated exceptions out."""
-
-    def __init__(self, fn: Callable):
-        self.fn = fn
-
-    def __call__(self, pair):
-        index, item = pair
-        try:
-            return self.fn(item)
-        except WorkerTaskError:
-            raise
-        except Exception as exc:
-            raise WorkerTaskError(
-                f"{_item_label(item, index)}: {type(exc).__name__}: {exc}"
-            ) from exc
-
-
 # ------------------------------------------------------- attempt results
 
 #: Statuses a single execution attempt can settle with.
@@ -104,8 +99,7 @@ class AttemptResult:
 
     Every status is final.  An item queued behind a worker that died (or
     a pool that was torn down) never ran, so it settles nothing: no
-    attempt is charged and :meth:`ProcessPoolBackend.map_attempts`
-    re-runs it internally for free.
+    attempt is charged and the backend re-runs it internally for free.
     """
 
     status: str
@@ -116,6 +110,13 @@ class AttemptResult:
     @property
     def ok(self) -> bool:
         return self.status == ATTEMPT_OK
+
+
+def _raised(exc: BaseException) -> AttemptResult:
+    """The settlement of an item whose call raised ``exc``."""
+    return AttemptResult(
+        ATTEMPT_ERROR, error=str(exc), error_type=type(exc).__name__
+    )
 
 
 def _marked_call(fn, item, index, started):
@@ -133,19 +134,25 @@ def _marked_call(fn, item, index, started):
 
 @runtime_checkable
 class ExecutionBackend(Protocol):
-    """Anything that can map a function over independent work items.
+    """Anything that can settle a function over independent work items.
 
-    Implementations must return results **in item order** (never
-    completion order), one per item, and must propagate worker
-    exceptions to the caller.
+    ``map_attempts`` returns one :class:`AttemptResult` per item **in
+    item order** (never completion order) plus a count of workers lost
+    or torn down on the way, and settles an item's failure instead of
+    raising it.
     """
 
     #: Degree of parallelism the backend offers (1 = serial).  Callers
     #: may use it to size work partitions.
     jobs: int
 
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-        """Apply ``fn`` to every item; results aligned with ``items``."""
+    def map_attempts(
+        self,
+        fn: Callable[[T], R],
+        items: Sequence[T],
+        timeout_s: float | None = None,
+    ) -> tuple[list[AttemptResult], int]:
+        """Apply ``fn`` to every item; settlements aligned with ``items``."""
         ...
 
 
@@ -154,8 +161,46 @@ class SerialBackend:
 
     jobs = 1
 
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-        return [fn(item) for item in items]
+    def map_attempts(
+        self,
+        fn: Callable[[T], R],
+        items: Sequence[T],
+        timeout_s: float | None = None,
+    ) -> tuple[list[AttemptResult], int]:
+        """Call ``fn(item)`` for each item in turn and settle it.
+
+        In-process execution cannot be preempted, so an attempt that
+        outlives ``timeout_s`` runs to completion and its late result
+        settles as a timeout — the accounting the pool reports when it
+        kills the worker instead.  A :class:`WorkerKilled` raised by a
+        ``"kill"`` fault settles as a killed attempt.
+        """
+        results = []
+        for item in items:
+            start = time.monotonic()
+            try:
+                value = fn(item)
+            except WorkerKilled as exc:
+                results.append(AttemptResult(
+                    ATTEMPT_KILLED, error=str(exc), error_type="WorkerKilled"
+                ))
+                continue
+            except Exception as exc:  # noqa: BLE001 — settled, not raised
+                results.append(_raised(exc))
+                continue
+            elapsed = time.monotonic() - start
+            if timeout_s is not None and elapsed > timeout_s:
+                results.append(AttemptResult(
+                    ATTEMPT_TIMEOUT,
+                    error=(
+                        f"attempt exceeded {timeout_s}s time budget "
+                        f"(ran {elapsed:.3f}s; late result discarded)"
+                    ),
+                    error_type="TimeoutError",
+                ))
+            else:
+                results.append(AttemptResult(ATTEMPT_OK, value=value))
+        return results, 0
 
     def __repr__(self) -> str:
         return "SerialBackend()"
@@ -166,46 +211,24 @@ class ProcessPoolBackend:
 
     Args:
         jobs: worker process count (defaults to the machine's CPU count).
-        mp_start_method: multiprocessing start method (``"fork"``,
-            ``"spawn"``, ``"forkserver"``); ``None`` uses the platform
-            default.
 
-    The pool is created per :meth:`map` call, so the backend object
-    itself holds no OS resources and is safe to keep on configs.
+    The pool is created per :meth:`map_attempts` call, so the backend
+    object itself holds no OS resources and is safe to keep on configs.
     ``fn`` and every item must be picklable — module-level functions and
     plain-data specs, not closures or live evaluators.
     """
 
-    def __init__(self, jobs: int | None = None, mp_start_method: str | None = None):
+    def __init__(self, jobs: int | None = None):
         if jobs is None:
             jobs = os.cpu_count() or 1
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
-        self.mp_start_method = mp_start_method
 
     def _executor(self, n_items: int) -> ProcessPoolExecutor:
-        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        context = (
-            multiprocessing.get_context(self.mp_start_method)
-            if self.mp_start_method is not None
-            else None
-        )
-        workers = max(1, min(self.jobs, n_items))
-        return ProcessPoolExecutor(max_workers=workers, mp_context=context)
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-        items = list(items)
-        if not items:
-            return []
-        # Mild chunking amortises pickling without starving workers.
-        chunksize = max(1, len(items) // (self.jobs * 4))
-        with self._executor(len(items)) as executor:
-            return list(executor.map(
-                _IndexedCall(fn), enumerate(items), chunksize=chunksize
-            ))
+        return ProcessPoolExecutor(max_workers=min(self.jobs, n_items))
 
     def map_attempts(
         self,
@@ -213,10 +236,7 @@ class ProcessPoolBackend:
         items: Sequence[T],
         timeout_s: float | None = None,
     ) -> tuple[list[AttemptResult], int]:
-        """Fault-tolerant map: settle every item instead of raising.
-
-        The resilient counterpart of :meth:`map` (and the seam
-        :func:`~repro.runtime.resilience.resilient_map_runs` drives):
+        """Settle every item on the pool instead of raising.
 
         * an item whose worker raises settles ``ATTEMPT_ERROR``;
         * a worker *death* (``BrokenProcessPool``) settles only the
@@ -270,11 +290,7 @@ class ProcessPoolBackend:
                         broke = True
                         break
                     except Exception as exc:  # noqa: BLE001 — settled, not raised
-                        settled[i] = AttemptResult(
-                            ATTEMPT_ERROR,
-                            error=str(exc),
-                            error_type=type(exc).__name__,
-                        )
+                        settled[i] = _raised(exc)
                 if broke or timed_out:
                     # Kill the pool: on timeout the stuck workers must
                     # die for the batch to make progress; on a break
@@ -319,11 +335,7 @@ class ProcessPoolBackend:
                                 )
                             # else: queued collateral — re-run uncharged.
                         else:
-                            settled[i] = AttemptResult(
-                                ATTEMPT_ERROR,
-                                error=str(exc),
-                                error_type=type(exc).__name__,
-                            )
+                            settled[i] = _raised(exc)
                 else:
                     executor.shutdown(wait=True)
                 pending = [i for i in pending if i not in settled]
@@ -338,9 +350,8 @@ def make_backend(
 ) -> ExecutionBackend:
     """The one backend factory every entrypoint shares.
 
-    Accepts everything :func:`resolve_backend` does, plus the
-    ``--backend`` spec-string grammar, so the CLI, the service and the
-    training campaign all name their backend the same way:
+    The CLI, the service, the training campaign and the experiment
+    drivers all name their backend the same way:
 
     ========================  ==========================================
     spec                      backend
@@ -353,11 +364,17 @@ def make_backend(
                               cluster.ClusterBackend` coordinator
                               (``repro worker --connect HOST:PORT``
                               daemons supply the parallelism)
+    an ExecutionBackend       passed through untouched
     ========================  ==========================================
     """
-    if spec is None or isinstance(spec, int) or isinstance(
-            spec, ExecutionBackend):
-        return resolve_backend(spec)
+    if spec is None:
+        return SerialBackend()
+    if isinstance(spec, int):
+        if spec < 0:
+            raise ValueError(f"jobs cannot be negative, got {spec}")
+        return SerialBackend() if spec <= 1 else ProcessPoolBackend(jobs=spec)
+    if isinstance(spec, ExecutionBackend):
+        return spec
     if not isinstance(spec, str):
         raise TypeError(
             f"expected str, int, None or ExecutionBackend, got {type(spec)!r}"
@@ -366,7 +383,7 @@ def make_backend(
     if text == "serial":
         return SerialBackend()
     if text.isdigit():
-        return resolve_backend(int(text))
+        return make_backend(int(text))
     if text == "pool":
         return ProcessPoolBackend()
     if text.startswith("pool:"):
@@ -393,25 +410,3 @@ def make_backend(
         f"unknown backend spec {spec!r}: expected 'serial', a job "
         "count, 'pool[:N]', or 'cluster:HOST:PORT'"
     )
-
-
-def resolve_backend(
-    jobs: int | ExecutionBackend | None,
-) -> ExecutionBackend:
-    """Turn a ``--jobs`` value (or an explicit backend) into a backend.
-
-    ``None``, ``0`` and ``1`` mean serial; ``N >= 2`` means a process
-    pool with ``N`` workers.  An :class:`ExecutionBackend` instance is
-    passed through untouched, so APIs can accept either form.
-    """
-    if jobs is None:
-        return SerialBackend()
-    if isinstance(jobs, int):
-        if jobs < 0:
-            raise ValueError(f"jobs cannot be negative, got {jobs}")
-        if jobs <= 1:
-            return SerialBackend()
-        return ProcessPoolBackend(jobs=jobs)
-    if isinstance(jobs, ExecutionBackend):
-        return jobs
-    raise TypeError(f"expected int, None or ExecutionBackend, got {type(jobs)!r}")

@@ -11,37 +11,31 @@ frames (:mod:`repro.runtime.wire`), and the only work is placement: a
 :func:`~repro.runtime.spec.execute_run`, or a resilient attempt
 envelope around one.  Nothing on the wire is unpickled, so a peer that
 reaches the port can take or answer placement work but cannot run code
-on the coordinator or a worker; a frame of the wrong shape from a peer
-counts as that slot's death.  There is no shared token yet, so bind to
-loopback (the default) unless every host that can reach the port is
-trusted to take and answer work:
+on the coordinator or a worker; a frame of the wrong shape from a peer,
+or a result for a task the slot does not hold, counts as that slot's
+death.  There is no shared token yet, so bind to loopback (the default)
+unless every host that can reach the port is trusted to take and answer
+work:
 
-* the coordinator **leases** queued tasks to idle slots in small chunks
-  (default 1).  Work stealing falls out of the short leases plus the
-  shared queue: a fast worker that finishes simply becomes idle and is
-  handed the next queued task, whoever it was "destined" for;
+* the coordinator **leases** one queued task at a time to each idle
+  slot.  Work stealing falls out of the one-task leases plus the shared
+  queue: a fast worker that finishes simply becomes idle and is handed
+  the next queued task, whoever it was "destined" for;
+* a result counts only from the slot that holds its task;
 * each slot sends a **heartbeat** every ``heartbeat_s`` while it
   computes; a slot silent for ``heartbeat_timeout_s`` (or whose socket
   reaches EOF — the fast path when a process dies) is declared dead;
-* a dead slot settles only the task it was *executing* as
-  ``ATTEMPT_KILLED``; the rest of its lease re-enters the queue
-  uncharged — exactly the ``lost``-attempt semantics
-  :func:`~repro.runtime.resilience.resilient_map_runs` consumes, so
-  retries, quarantine and ``FailedRun`` accounting work unchanged.
+* a dead slot settles the task it held as ``ATTEMPT_KILLED`` — the
+  settlement :func:`~repro.runtime.spec.map_runs` re-runs and
+  :func:`~repro.runtime.resilience.resilient_map_runs` charges as an
+  attempt, so retries, quarantine and ``FailedRun`` accounting work
+  unchanged.
 
 Determinism: results are keyed by task index and returned in item
 order, and every payload crosses the wire through exact codecs, so a
 cluster ``map_runs`` is bit-identical to serial — including under
 injected worker kills (a ``"kill"`` fault really ``os._exit``\\ s the
 slot; the daemon respawns it and the retry lands on a fresh process).
-
-Two mapping modes mirror the process-pool backend:
-
-* :meth:`map` — the plain contract: transparently re-issues tasks lost
-  to worker deaths (bounded), raises :class:`WorkerTaskError` on the
-  first item failure;
-* :meth:`map_attempts` — the fault-aware contract: every item settles
-  with an explicit :class:`AttemptResult` status instead of raising.
 
 The worker side lives here too: :func:`run_worker` (one slot, one
 connection) and :func:`worker_main` (the ``repro worker`` daemon body —
@@ -63,7 +57,6 @@ from repro.runtime.backend import (
     ATTEMPT_OK,
     ATTEMPT_TIMEOUT,
     AttemptResult,
-    WorkerTaskError,
     _item_label,
 )
 from repro.runtime.faults import KILL_EXIT_CODE, mark_expendable_worker
@@ -89,13 +82,9 @@ DEFAULT_HEARTBEAT_S = 1.0
 #: Default silence after which a slot is declared dead.
 DEFAULT_HEARTBEAT_TIMEOUT_S = 10.0
 
-#: How long :meth:`ClusterBackend.map` waits for a first worker (and
-#: for a replacement when every worker died mid-wave).
+#: How long :meth:`ClusterBackend.map_attempts` waits for a first
+#: worker (and for a replacement when every worker died mid-wave).
 DEFAULT_START_TIMEOUT_S = 120.0
-
-#: Times a ``map`` task lost to worker deaths is re-issued before it
-#: settles as an error (``map_attempts`` charges the caller instead).
-MAX_REISSUE = 3
 
 
 class _Slot:
@@ -109,26 +98,23 @@ class _Slot:
         self.alive = True
         self.registered = False
         self.last_seen = time.monotonic()
-        self.leased: list[int] = []   # task ids, execution order
-        self.stale: set[int] = set()  # timed-out ids still computing
+        self.leased: int | None = None  # the one leased task id
+        self.stale: int | None = None   # a timed-out id still computing
 
     @property
     def idle(self) -> bool:
         return (self.registered and self.alive
-                and not self.leased and not self.stale)
+                and self.leased is None and self.stale is None)
 
 
 class _Wave:
-    """State of one in-flight :meth:`map`/:meth:`map_attempts` call."""
+    """State of one in-flight :meth:`~ClusterBackend.map_attempts` call."""
 
-    def __init__(self, tasks: list[dict], items: Sequence[Any],
-                 charge_kills: bool):
+    def __init__(self, tasks: list[dict], items: Sequence[Any]):
         self.tasks = tasks
         self.items = items
-        self.charge_kills = charge_kills
         self.pending: list[int] = list(range(len(tasks)))
         self.settled: dict[int, AttemptResult] = {}
-        self.reissued: dict[int, int] = {}
         self.deaths = 0    # worker deaths + timeout teardowns
 
     @property
@@ -141,17 +127,14 @@ class ClusterBackend:
 
     Constructing the backend binds the listening socket immediately, so
     ``address`` is known (``port=0`` picks a free port) and workers can
-    begin connecting before the first :meth:`map` call.
+    begin connecting before the first :meth:`map_attempts` call.
 
     Args:
         host: interface to listen on (``0.0.0.0`` for off-box workers).
         port: listening port, ``0`` = ephemeral.
-        lease_chunk: tasks granted per idle slot per lease (short
-            leases keep re-issue cost low; 1 is the tight default).
         heartbeat_timeout_s: silence after which a slot is dead.
         start_timeout_s: how long a mapping call waits with zero
             connected workers before giving up.
-        max_reissue: re-issue budget per task for :meth:`map`.
     """
 
     def __init__(
@@ -159,17 +142,11 @@ class ClusterBackend:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        lease_chunk: int = 1,
         heartbeat_timeout_s: float = DEFAULT_HEARTBEAT_TIMEOUT_S,
         start_timeout_s: float = DEFAULT_START_TIMEOUT_S,
-        max_reissue: int = MAX_REISSUE,
     ):
-        if lease_chunk < 1:
-            raise ValueError(f"lease_chunk must be >= 1, got {lease_chunk}")
-        self.lease_chunk = lease_chunk
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.start_timeout_s = start_timeout_s
-        self.max_reissue = max_reissue
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._slots: list[_Slot] = []
@@ -220,7 +197,7 @@ class ClusterBackend:
         with self._lock:
             return [
                 {"name": s.name, "pid": s.pid, "peer": s.peer,
-                 "leased": len(s.leased)}
+                 "leased": int(s.leased is not None)}
                 for s in self._slots if s.registered
             ]
 
@@ -280,70 +257,31 @@ class ClusterBackend:
 
     # ------------------------------------------------------------ mapping
 
-    def map(self, fn: Callable, items: Sequence[Any]) -> list:
-        """Order-preserving map over the cluster.
-
-        ``fn`` must be :func:`~repro.runtime.spec.execute_run` over
-        specs or the resilience layer's attempt runner over envelopes;
-        anything else raises ``TypeError`` before a frame is sent.
-        Worker deaths are survived transparently: the dead slot's tasks
-        are re-issued (each at most ``max_reissue`` times) so plain
-        drivers — fig3, campaigns, ablations — never observe a death.
-        The first item whose execution *fails* raises
-        :class:`WorkerTaskError`, mirroring the pool backend.
-        """
-        items = list(items)
-        if not items:
-            return []
-        tasks = [encode_task(fn, item) for item in items]
-        settled, __ = self._run_wave(
-            tasks, items, timeout_s=None, charge_kills=False
-        )
-        for i in range(len(items)):
-            result = settled[i]
-            if not result.ok:
-                raise WorkerTaskError(
-                    f"{_item_label(items[i], i)}: "
-                    f"{result.error_type}: {result.error}"
-                )
-        return [settled[i].value for i in range(len(items))]
-
     def map_attempts(
         self,
         fn: Callable,
         items: Sequence[Any],
         timeout_s: float | None = None,
     ) -> tuple[list[AttemptResult], int]:
-        """Fault-aware map: every item settles, nothing raises.
+        """Settle every item on the cluster; nothing raises for an item.
 
-        Matches :meth:`ProcessPoolBackend.map_attempts` semantics:
-        a worker death settles only the task the slot was executing as
-        ``ATTEMPT_KILLED`` (queued lease remainder re-runs uncharged);
-        at the ``timeout_s`` deadline in-flight tasks settle
-        ``ATTEMPT_TIMEOUT`` (their late results are discarded) and the
-        still-queued remainder redispatches against a fresh deadline.
-        Returns ``(results in item order, death/teardown count)``.
+        ``fn`` must be :func:`~repro.runtime.spec.execute_run` over
+        specs or the resilience layer's attempt runner over envelopes;
+        anything else raises ``TypeError`` before a frame is sent.
+        Matches :meth:`ProcessPoolBackend.map_attempts` semantics: a
+        worker death settles the task the slot held as
+        ``ATTEMPT_KILLED``; at the ``timeout_s`` deadline in-flight
+        tasks settle ``ATTEMPT_TIMEOUT`` (their late results are
+        discarded) and the still-queued remainder redispatches against
+        a fresh deadline.  Returns ``(results in item order,
+        death/teardown count)``.
         """
         items = list(items)
         if not items:
             return [], 0
         tasks = [encode_task(fn, item) for item in items]
-        settled, deaths = self._run_wave(
-            tasks, items, timeout_s=timeout_s, charge_kills=True
-        )
-        return [settled[i] for i in range(len(items))], deaths
-
-    # ----------------------------------------------------- wave execution
-
-    def _run_wave(
-        self,
-        tasks: list[dict],
-        items: Sequence[Any],
-        timeout_s: float | None,
-        charge_kills: bool,
-    ) -> tuple[dict[int, AttemptResult], int]:
         with self._map_lock:
-            wave = _Wave(tasks, items, charge_kills)
+            wave = _Wave(tasks, items)
             with self._cond:
                 if self._closed:
                     raise RuntimeError("cluster backend is closed")
@@ -353,7 +291,9 @@ class ClusterBackend:
                     self._wait_wave_locked(wave, timeout_s)
                 finally:
                     self._wave = None
-            return wave.settled, wave.deaths
+        return [wave.settled[i] for i in range(len(items))], wave.deaths
+
+    # ----------------------------------------------------- wave execution
 
     def _wait_wave_locked(self, wave: _Wave,
                           timeout_s: float | None) -> None:
@@ -396,33 +336,29 @@ class ClusterBackend:
             self._cond.wait(timeout=wait_s)
 
     def _expire_inflight_locked(self, wave: _Wave) -> None:
-        """Deadline hit: charge executing tasks as timeouts, requeue
-        the never-started lease remainder, void the leases."""
+        """Deadline hit: charge executing tasks as timeouts and void
+        the leases."""
         wave.deaths += 1
         for slot in self._slots:
-            if not slot.leased:
+            tid = slot.leased
+            if tid is None:
                 continue
-            executing, queued = slot.leased[0], slot.leased[1:]
-            if executing not in wave.settled:
-                wave.settled[executing] = AttemptResult(
+            if tid not in wave.settled:
+                wave.settled[tid] = AttemptResult(
                     ATTEMPT_TIMEOUT,
                     error=(
-                        f"{_item_label(wave.items[executing], executing)}"
+                        f"{_item_label(wave.items[tid], tid)}"
                         ": attempt exceeded the wave's time budget "
                         "(late result discarded)"
                     ),
                     error_type="TimeoutError",
                 )
-            for tid in queued:
-                if tid not in wave.settled:
-                    wave.pending.append(tid)
             # The slot cannot be preempted; it stays busy until the
             # stale result arrives and is discarded.
-            slot.stale.add(executing)
-            slot.leased = []
+            slot.stale, slot.leased = tid, None
 
     def _dispatch_locked(self) -> None:
-        """Pair queued tasks with idle slots (lock held)."""
+        """Lease queued tasks to idle slots, one each (lock held)."""
         wave = self._wave
         if wave is None:
             return
@@ -430,20 +366,15 @@ class ClusterBackend:
             slot = next((s for s in self._slots if s.idle), None)
             if slot is None:
                 return
-            grant = wave.pending[: self.lease_chunk]
-            del wave.pending[: len(grant)]
-            slot.leased.extend(grant)
-            frame = {"type": WORK, "tasks": [
-                {"id": tid, "task": wave.tasks[tid]} for tid in grant
-            ]}
+            tid = slot.leased = wave.pending.pop(0)
+            frame = {"type": WORK, "id": tid, "task": wave.tasks[tid]}
             try:
                 send_frame(slot.sock, frame)
             except OSError:
                 self._slot_died_locked(slot)
 
     def _slot_died_locked(self, slot: _Slot) -> None:
-        """One slot is gone: charge its executing task, requeue the
-        rest of its lease uncharged (the ``lost`` semantics)."""
+        """One slot is gone: settle the task it held as killed."""
         if not slot.alive:
             return
         slot.alive = False
@@ -455,41 +386,18 @@ class ClusterBackend:
         if slot in self._slots:
             self._slots.remove(slot)
         wave = self._wave
-        leased, slot.leased = slot.leased, []
-        slot.stale.clear()
-        if wave is None or not leased:
-            self._cond.notify_all()
-            return
-        wave.deaths += 1
-        executing, queued = leased[0], leased[1:]
-        if executing not in wave.settled:
-            if wave.charge_kills:
-                wave.settled[executing] = AttemptResult(
+        tid, slot.leased, slot.stale = slot.leased, None, None
+        if wave is not None and tid is not None:
+            wave.deaths += 1
+            if tid not in wave.settled:
+                wave.settled[tid] = AttemptResult(
                     ATTEMPT_KILLED,
                     error=(
-                        f"{_item_label(wave.items[executing], executing)}"
+                        f"{_item_label(wave.items[tid], tid)}"
                         f": worker {slot.name} died mid-task"
                     ),
                     error_type="WorkerKilled",
                 )
-            else:
-                count = wave.reissued.get(executing, 0) + 1
-                wave.reissued[executing] = count
-                if count > self.max_reissue:
-                    wave.settled[executing] = AttemptResult(
-                        ATTEMPT_ERROR,
-                        error=(
-                            f"task lost to {count} worker deaths "
-                            f"(worker {slot.name} latest)"
-                        ),
-                        error_type="WorkerKilled",
-                    )
-                else:
-                    wave.pending.append(executing)
-        for tid in queued:
-            if tid not in wave.settled:
-                wave.pending.append(tid)
-        self._dispatch_locked()
         self._cond.notify_all()
 
     # ------------------------------------------------------ socket threads
@@ -555,21 +463,22 @@ class ClusterBackend:
                 raise FrameError(f"result field {name!r} must be a string")
         with self._cond:
             slot.last_seen = time.monotonic()
-            if tid in slot.stale:
+            if tid == slot.stale:
                 # A timed-out task finally finished; its settlement
                 # already happened — discard, the slot is usable again.
-                slot.stale.discard(tid)
+                slot.stale = None
                 self._dispatch_locked()
                 self._cond.notify_all()
                 return
-            if tid in slot.leased:
-                slot.leased.remove(tid)
+            if tid != slot.leased:
+                raise FrameError(
+                    f"result id {tid} names no task slot {slot.name} holds"
+                )
+            slot.leased = None
             wave = self._wave
             if wave is None or tid in wave.settled:
                 self._dispatch_locked()
                 return
-            if not 0 <= tid < len(wave.tasks):
-                raise FrameError(f"result id {tid} names no task")
             if frame.get("status") == "ok":
                 # Every task is a spec or an attempt, and both yield a
                 # RunOutcome: decode as that, whatever the peer names.
@@ -682,22 +591,23 @@ def run_worker(
                 frame = recv_frame(sock)
             except (OSError, FrameError):
                 return 0
-            if frame is None or frame.get("type") == SHUTDOWN:
+            # A coordinator's frame is data too: one of the wrong shape
+            # ends the slot cleanly instead of crashing it.
+            if not isinstance(frame, dict) or frame.get("type") == SHUTDOWN:
                 return 0
             if frame.get("type") != WORK:
                 continue
-            for entry in frame.get("tasks", []):
-                # execute_task settles failures into the result frame;
-                # only a real process death breaks the loop.
-                result = execute_task(entry["task"])
-                try:
-                    with send_lock:
-                        send_frame(
-                            sock, {"type": RESULT, "id": entry["id"],
-                                   **result},
-                        )
-                except OSError:
-                    return 0
+            tid, task = frame.get("id"), frame.get("task")
+            if type(tid) is not int or not isinstance(task, dict):
+                return 0
+            # execute_task settles failures into the result frame; only
+            # a real process death ends the slot here.
+            result = execute_task(task)
+            try:
+                with send_lock:
+                    send_frame(sock, {"type": RESULT, "id": tid, **result})
+            except OSError:
+                return 0
     finally:
         stop.set()
         try:

@@ -37,6 +37,8 @@ import time
 from dataclasses import dataclass
 from typing import Hashable, Mapping
 
+from repro.runtime.backend import WorkerKilled
+
 #: Recognised fault actions.
 KILL = "kill"
 RAISE = "raise"
@@ -64,15 +66,6 @@ def mark_expendable_worker(expendable: bool = True) -> None:
     """Declare this process a disposable worker (cluster slots do)."""
     global _EXPENDABLE_WORKER
     _EXPENDABLE_WORKER = expendable
-
-
-class WorkerKilled(RuntimeError):
-    """A ``"kill"`` fault fired where the process must survive.
-
-    Raised instead of ``os._exit`` when the fault executes in the
-    driver process (serial backend), so in-process runs observe the
-    same one-failed-attempt the pool observes as a worker death.
-    """
 
 
 @dataclass(frozen=True)

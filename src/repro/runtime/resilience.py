@@ -1,13 +1,15 @@
 """Resilient execution: retries, timeouts, quarantine — deterministically.
 
-:func:`map_runs` propagates the first worker exception and poisons the
-whole batch; this module is the fault-tolerant driver built on top of
-the same specs and backends.  :func:`resilient_map_runs` executes every
-spec under a :class:`RetryPolicy`: a failed attempt (worker exception,
-worker *death*, or time-budget overrun) is retried with exponential
-backoff, and a spec that exhausts its attempts is **quarantined** into a
-structured :class:`FailedRun` in its slot instead of raising — the
-batch always comes back, one entry per spec, in spec order.
+:func:`~repro.runtime.spec.map_runs` re-runs a spec whose worker died
+and raises for any other failure; this module is the fault-tolerant
+driver built on the same specs and backends.  :func:`resilient_map_runs`
+executes every spec under a :class:`RetryPolicy`: a failed attempt
+(worker exception, worker *death*, or time-budget overrun) is retried
+with exponential backoff, and a spec that exhausts its attempts is
+**quarantined** into a structured :class:`FailedRun` in its slot instead
+of raising — the batch always comes back, one entry per spec, in spec
+order.  Both drivers read the same settlements: every backend's
+``map_attempts`` (see :mod:`repro.runtime.backend`).
 
 Determinism is preserved where it matters and bounded where it cannot
 be:
@@ -25,10 +27,9 @@ be:
   whichever neighbours were mid-flight, so their attempt counts — but
   never their results — may vary.
 
-Worker death never poisons the batch: the pool is rebuilt and only the
-specs the dead worker was executing are charged an attempt and re-run;
-completed results are kept and still-queued specs re-run uncharged
-(see :meth:`~repro.runtime.backend.ProcessPoolBackend.map_attempts`).
+Worker death never poisons the batch: only the specs the dead worker
+was executing are charged an attempt and re-run; completed results are
+kept and still-queued specs re-run uncharged.
 """
 
 from __future__ import annotations
@@ -40,15 +41,12 @@ from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
 from repro.runtime.backend import (
-    ATTEMPT_ERROR,
     ATTEMPT_KILLED,
-    ATTEMPT_OK,
     ATTEMPT_TIMEOUT,
-    AttemptResult,
     ExecutionBackend,
     SerialBackend,
 )
-from repro.runtime.faults import FaultPlan, WorkerKilled
+from repro.runtime.faults import FaultPlan
 from repro.runtime.spec import RunOutcome, RunSpec, execute_run
 
 
@@ -239,48 +237,6 @@ def _execute_attempt(envelope: AttemptEnvelope) -> RunOutcome:
     return execute_run(envelope.spec)
 
 
-def _inline_attempts(
-    backend: ExecutionBackend,
-    envelopes: Sequence[AttemptEnvelope],
-    timeout_s: float | None,
-) -> tuple[list[AttemptResult], int]:
-    """Attempt semantics over a backend with no ``map_attempts`` of its
-    own (the serial backend, or any custom one): items run one at a
-    time through ``backend.map`` so each settles independently."""
-    results = []
-    for envelope in envelopes:
-        start = time.monotonic()
-        try:
-            value = backend.map(_execute_attempt, [envelope])[0]
-        except WorkerKilled as exc:
-            results.append(AttemptResult(
-                ATTEMPT_KILLED, error=str(exc), error_type="WorkerKilled"
-            ))
-        except Exception as exc:  # noqa: BLE001 — settled, not raised
-            results.append(AttemptResult(
-                ATTEMPT_ERROR,
-                error=str(exc),
-                error_type=type(exc).__name__,
-            ))
-        else:
-            elapsed = time.monotonic() - start
-            if timeout_s is not None and elapsed > timeout_s:
-                # In-process execution cannot be preempted; charging the
-                # late result as a timeout keeps serial accounting equal
-                # to the pool's (which kills the worker instead).
-                results.append(AttemptResult(
-                    ATTEMPT_TIMEOUT,
-                    error=(
-                        f"attempt exceeded {timeout_s}s time budget "
-                        f"(ran {elapsed:.3f}s; late result discarded)"
-                    ),
-                    error_type="TimeoutError",
-                ))
-            else:
-                results.append(AttemptResult(ATTEMPT_OK, value=value))
-    return results, 0
-
-
 def resilient_map_runs(
     specs: Sequence[RunSpec],
     backend: ExecutionBackend | None = None,
@@ -330,15 +286,9 @@ def resilient_map_runs(
                 faults=faults,
                 origin_pid=origin_pid,
             ))
-        map_attempts = getattr(backend, "map_attempts", None)
-        if map_attempts is not None:
-            wave, wave_rebuilds = map_attempts(
-                _execute_attempt, envelopes, timeout_s=retry.timeout_s
-            )
-        else:
-            wave, wave_rebuilds = _inline_attempts(
-                backend, envelopes, retry.timeout_s
-            )
+        wave, wave_rebuilds = backend.map_attempts(
+            _execute_attempt, envelopes, timeout_s=retry.timeout_s
+        )
         rebuilds += wave_rebuilds
         next_pending = []
         for i, attempt in zip(pending, wave):

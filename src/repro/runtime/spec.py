@@ -11,8 +11,7 @@ evaluator, environment and placer *inside* the worker process.
 
 Because every spec carries everything the run depends on, and every
 reconstruction is deterministic, a spec produces bit-identical results
-on :class:`~repro.runtime.backend.SerialBackend` and
-:class:`~repro.runtime.backend.ProcessPoolBackend`.  Results come back
+on every backend — serial, process pool and cluster.  Results come back
 in spec order (never completion order) and carry the spec's ``key`` so
 drivers merge them deterministically.
 """
@@ -32,7 +31,13 @@ from repro.eval.metrics import Metrics
 from repro.layout.env import PlacementEnv
 from repro.layout.generators import banded_placement
 from repro.netlist.library import AnalogBlock
-from repro.runtime.backend import ExecutionBackend, SerialBackend
+from repro.runtime.backend import (
+    ATTEMPT_KILLED,
+    ExecutionBackend,
+    SerialBackend,
+    WorkerTaskError,
+    _item_label,
+)
 from repro.service.registry import (
     CircuitRegistry,
     SpiceDeck,
@@ -49,6 +54,10 @@ PLACERS = PLACER_KINDS
 
 #: Symmetric styles that define the SOTA reference target.
 SYMMETRIC_STYLES = ("ysym", "common_centroid")
+
+#: Times :func:`map_runs` re-runs a spec whose worker died mid-task
+#: before it gives up on it.
+MAX_REISSUE = 3
 
 
 @dataclass(frozen=True)
@@ -420,20 +429,42 @@ def map_runs(
 
     The deterministic-merge contract of the whole runtime: outcome ``i``
     belongs to spec ``i`` regardless of which worker finished first, so
-    serial and parallel backends produce identical driver results.
+    serial, pool and cluster backends produce identical driver results.
+    The whole batch settles first (``backend.map_attempts``).  A spec
+    whose worker died mid-task is re-run, at most :data:`MAX_REISSUE`
+    times; then the first spec, in spec order, that did not settle ok
+    raises :class:`~repro.runtime.backend.WorkerTaskError` naming it.
     """
     backend = backend if backend is not None else SerialBackend()
-    outcomes = backend.map(execute_run, list(specs))
-    if len(outcomes) != len(specs):
+    specs = list(specs)
+    settled, __ = backend.map_attempts(execute_run, specs)
+    if len(settled) != len(specs):
         raise RuntimeError(
-            f"backend returned {len(outcomes)} outcomes for {len(specs)} specs"
+            f"backend returned {len(settled)} outcomes for {len(specs)} specs"
         )
-    for spec, outcome in zip(specs, outcomes):
-        if outcome.key != spec.key:
+    for __ in range(MAX_REISSUE):
+        lost = [i for i, attempt in enumerate(settled)
+                if attempt.status == ATTEMPT_KILLED]
+        if not lost:
+            break
+        again, __ = backend.map_attempts(
+            execute_run, [specs[i] for i in lost]
+        )
+        for i, attempt in zip(lost, again):
+            settled[i] = attempt
+    outcomes = []
+    for i, (spec, attempt) in enumerate(zip(specs, settled)):
+        if not attempt.ok:
+            raise WorkerTaskError(
+                f"{_item_label(spec, i)}: "
+                f"{attempt.error_type}: {attempt.error}"
+            )
+        if attempt.value.key != spec.key:
             raise RuntimeError(
                 f"backend broke ordering: expected key {spec.key!r}, "
-                f"got {outcome.key!r}"
+                f"got {attempt.value.key!r}"
             )
+        outcomes.append(attempt.value)
     return outcomes
 
 

@@ -376,8 +376,8 @@ def execute_task(task: dict) -> dict:
     connection alive — except for faults that *intend* to kill the
     process (``os._exit`` never returns here at all).
     """
-    codec = task.get("codec")
     try:
+        codec = task.get("codec")
         if codec == CODEC_SPEC:
             value = execute_run(spec_from_wire(task["task"]))
         elif codec == CODEC_ATTEMPT:

@@ -254,9 +254,14 @@ class PlacementService:
     def place(self, request: PlacementRequest) -> PlacementResult:
         """Execute one placement request over the service backend.
 
-        With a ``retry`` policy (or an injected ``fault_plan``) the run
-        goes through :func:`resilient_map_runs`: transient worker
-        deaths, injected faults and timeouts are retried with
+        The run's spec key is ``("place", request.seed)``, so a fault
+        plan can address served runs per seed; the key never reaches
+        the :class:`PlacementResult`.  Without a ``retry`` policy or a
+        ``fault_plan`` the run goes through :func:`map_runs`: a worker
+        death is re-run, and any other failure raises
+        :class:`~repro.runtime.backend.WorkerTaskError` naming the run.
+        With either one it goes through :func:`resilient_map_runs`:
+        worker deaths, injected faults and timeouts are retried with
         deterministic backoff, and the surviving result is bit-identical
         to the plain path's.  A run that exhausts its retry budget
         raises ``RuntimeError`` carrying the structured quarantine
@@ -268,16 +273,13 @@ class PlacementService:
             initial_tables, zoo_report = self._auto_warm(request)
         else:
             initial_tables = self._warm_tables(request.warm_policy)
-        resilient = self.retry is not None or self.fault_plan is not None
         spec = RunSpec.from_request(
             request,
             registry=self.registry,
-            # Fault plans address specs by key; include the seed so
-            # per-seed faults can be scripted against served batches.
-            key=("place", request.seed) if resilient else "place",
+            key=("place", request.seed),
             initial_tables=initial_tables,
         )
-        if resilient:
+        if self.retry is not None or self.fault_plan is not None:
             from repro.runtime.resilience import FailedRun, resilient_map_runs
 
             report = resilient_map_runs(

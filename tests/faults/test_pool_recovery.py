@@ -2,6 +2,9 @@
 worker costs only the lost spec's re-execution, the pool is rebuilt, and
 every surviving result is bit-identical to a fault-free run."""
 
+import multiprocessing
+import os
+
 import pytest
 
 from repro.runtime import (
@@ -14,6 +17,8 @@ from repro.runtime import (
     map_runs,
     resilient_map_runs,
 )
+from repro.runtime import spec as spec_module
+from repro.runtime.backend import ATTEMPT_KILLED
 
 FAST = dict(backoff_base_s=0.0, jitter_frac=0.0)
 
@@ -32,8 +37,24 @@ def _fingerprint(outcome):
             tuple(map(tuple, r.history)))
 
 
-def _boom(spec):
-    raise ValueError(f"numerical blow-up at seed {spec.seed}")
+#: Marker file a dying ``execute_run`` creates; set per test.
+_MARKER = None
+_REAL_EXECUTE_RUN = spec_module.execute_run
+
+
+def _die_once(spec):
+    """``execute_run`` whose first call (across forked workers) kills
+    its worker process."""
+    if not os.path.exists(_MARKER):
+        open(_MARKER, "w").close()
+        os._exit(1)
+    return _REAL_EXECUTE_RUN(spec)
+
+
+def _exit_on_zero(x):
+    if x == 0:
+        os._exit(1)
+    return x
 
 
 class TestWorkerDeathRecovery:
@@ -101,24 +122,38 @@ class TestWorkerDeathRecovery:
             _fingerprint(o) for o in baseline]
 
 
+class TestPlainMapRunsSurvivesDeath:
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the dying execute_run reaches workers by fork",
+    )
+    def test_pool_worker_death_is_rerun(self, tmp_path, monkeypatch):
+        baseline = map_runs(_specs(), SerialBackend())
+        monkeypatch.setitem(globals(), "_MARKER", str(tmp_path / "died"))
+        monkeypatch.setattr(spec_module, "execute_run", _die_once)
+        outcomes = map_runs(_specs(), ProcessPoolBackend(jobs=2))
+        assert os.path.exists(_MARKER)
+        assert [_fingerprint(o) for o in outcomes] == [
+            _fingerprint(o) for o in baseline]
+
+
 class TestWorkerErrorAttribution:
     def test_pool_map_exception_names_the_originating_spec(self):
-        backend = ProcessPoolBackend(jobs=2)
+        bad = RunSpec(key=("run", 7), builder="cm", seed=7, max_steps=5,
+                      evaluate_best=False, builder_kwargs=(("boom", 1),))
         with pytest.raises(WorkerTaskError) as excinfo:
-            backend.map(_boom, _specs((7,)))
+            map_runs([bad], ProcessPoolBackend(jobs=2))
         message = str(excinfo.value)
         # The annotated error names circuit, placer and seed — no
         # anonymous remote tracebacks.
         assert "circuit='cm'" in message
         assert "seed=7" in message
-        assert "numerical blow-up" in message
+        assert "boom" in message
 
     def test_plain_items_fall_back_to_index_labels(self):
-        backend = ProcessPoolBackend(jobs=2)
-
-        with pytest.raises(WorkerTaskError, match=r"item 1"):
-            backend.map(_div, [1, 0])
-
-
-def _div(x):
-    return 1 // x
+        results, rebuilds = ProcessPoolBackend(jobs=1).map_attempts(
+            _exit_on_zero, [1, 0])
+        assert results[0].ok and results[0].value == 1
+        assert results[1].status == ATTEMPT_KILLED
+        assert results[1].error.startswith("item 1:")
+        assert rebuilds == 1

@@ -9,32 +9,48 @@ from repro.runtime import (
     RunOutcome,
     RunSpec,
     SerialBackend,
+    WorkerKilled,
+    WorkerTaskError,
     build_block,
     execute_run,
+    make_backend,
     map_runs,
     outcomes_by_key,
-    resolve_backend,
 )
+from repro.runtime.backend import ATTEMPT_ERROR
 
 
 def _square(x):
     return x * x
 
 
-def _raise(x):
-    raise RuntimeError(f"worker boom on {x}")
+def _raise_odd(x):
+    if x % 2:
+        raise RuntimeError(f"worker boom on {x}")
+    return x * x
+
+
+def _values(settled):
+    results, __ = settled
+    assert all(result.ok for result in results)
+    return [result.value for result in results]
 
 
 class TestSerialBackend:
     def test_maps_in_order(self):
-        assert SerialBackend().map(_square, [3, 1, 2]) == [9, 1, 4]
+        settled = SerialBackend().map_attempts(_square, [3, 1, 2])
+        assert _values(settled) == [9, 1, 4]
 
     def test_empty(self):
-        assert SerialBackend().map(_square, []) == []
+        assert SerialBackend().map_attempts(_square, []) == ([], 0)
 
     def test_propagates_exceptions(self):
-        with pytest.raises(RuntimeError, match="boom"):
-            SerialBackend().map(_raise, [1])
+        # A failure settles in its slot; the rest of the batch still runs.
+        (bad, good), __ = SerialBackend().map_attempts(_raise_odd, [1, 2])
+        assert bad.status == ATTEMPT_ERROR
+        assert bad.error_type == "RuntimeError"
+        assert "boom on 1" in bad.error
+        assert good.ok and good.value == 4
 
     def test_satisfies_protocol(self):
         assert isinstance(SerialBackend(), ExecutionBackend)
@@ -43,14 +59,19 @@ class TestSerialBackend:
 class TestProcessPoolBackend:
     def test_maps_in_order(self):
         backend = ProcessPoolBackend(jobs=2)
-        assert backend.map(_square, list(range(10))) == [x * x for x in range(10)]
+        settled = backend.map_attempts(_square, list(range(10)))
+        assert _values(settled) == [x * x for x in range(10)]
 
     def test_empty(self):
-        assert ProcessPoolBackend(jobs=2).map(_square, []) == []
+        assert ProcessPoolBackend(jobs=2).map_attempts(_square, []) == ([], 0)
 
     def test_propagates_exceptions(self):
-        with pytest.raises(RuntimeError, match="boom"):
-            ProcessPoolBackend(jobs=2).map(_raise, [1, 2])
+        (bad, good), __ = ProcessPoolBackend(jobs=2).map_attempts(
+            _raise_odd, [1, 2])
+        assert bad.status == ATTEMPT_ERROR
+        assert bad.error_type == "RuntimeError"
+        assert "boom on 1" in bad.error
+        assert good.ok and good.value == 4
 
     def test_jobs_validated(self):
         with pytest.raises(ValueError, match="jobs"):
@@ -61,23 +82,25 @@ class TestProcessPoolBackend:
 
 
 class TestResolveBackend:
+    """``make_backend`` resolves a ``--jobs`` count or a backend."""
+
     def test_none_and_one_are_serial(self):
-        assert isinstance(resolve_backend(None), SerialBackend)
-        assert isinstance(resolve_backend(0), SerialBackend)
-        assert isinstance(resolve_backend(1), SerialBackend)
+        assert isinstance(make_backend(None), SerialBackend)
+        assert isinstance(make_backend(0), SerialBackend)
+        assert isinstance(make_backend(1), SerialBackend)
 
     def test_many_jobs_is_process_pool(self):
-        backend = resolve_backend(3)
+        backend = make_backend(3)
         assert isinstance(backend, ProcessPoolBackend)
         assert backend.jobs == 3
 
     def test_backend_passes_through(self):
         backend = SerialBackend()
-        assert resolve_backend(backend) is backend
+        assert make_backend(backend) is backend
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="negative"):
-            resolve_backend(-1)
+            make_backend(-1)
 
 
 class TestRunSpec:
@@ -185,6 +208,22 @@ class TestMapRuns:
         ]
         outcomes = map_runs(specs)
         assert [o.key for o in outcomes] == [("sa", 5), ("sa", 3), ("sa", 1)]
+
+    def test_worker_death_is_rerun_a_bounded_number_of_times(
+            self, monkeypatch):
+        from repro.runtime import spec as spec_module
+
+        calls = []
+
+        def _dies(spec):
+            calls.append(spec.key)
+            raise WorkerKilled("worker died")
+
+        monkeypatch.setattr(spec_module, "execute_run", _dies)
+        spec = RunSpec(key="k", builder="ota5t", max_steps=1)
+        with pytest.raises(WorkerTaskError, match="WorkerKilled"):
+            map_runs([spec])
+        assert calls == ["k"] * (1 + spec_module.MAX_REISSUE)
 
     def test_outcomes_by_key_rejects_duplicates(self):
         outcome = RunOutcome(key="dup", result=None)

@@ -29,7 +29,12 @@ from repro.runtime import (
 )
 from repro.runtime.backend import ATTEMPT_ERROR, ATTEMPT_KILLED
 from repro.runtime.spec import execute_run
-from repro.runtime.wire import outcome_to_wire, recv_frame, send_frame
+from repro.runtime.wire import (
+    execute_task,
+    outcome_to_wire,
+    recv_frame,
+    send_frame,
+)
 from repro.service import PlacementRequest
 from repro.service.corpus import list_corpus
 
@@ -104,7 +109,9 @@ class TestClusterMap:
             __, codes = _thread_workers(backend, 2)
             assert backend.worker_count == 2
             assert backend.jobs == 2
-            result = backend.map(execute_run, specs)
+            settled, deaths = backend.map_attempts(execute_run, specs)
+            assert deaths == 0
+            result = [attempt.value for attempt in settled]
             assert [o.key for o in result] == list(range(12))
             assert _costs(result) == _costs(map_runs(specs))
         # close() sends shutdown frames; both workers exit cleanly.
@@ -116,20 +123,21 @@ class TestClusterMap:
 
     def test_empty_map_needs_no_workers(self):
         with ClusterBackend() as backend:
-            assert backend.map(execute_run, []) == []
+            assert backend.map_attempts(execute_run, []) == ([], 0)
+            assert map_runs([], backend) == []
 
     def test_worker_error_propagates(self):
         failing = _small(2, builder_kwargs=(("boom", 1),))
         with ClusterBackend() as backend:
             _thread_workers(backend, 1)
             with pytest.raises(WorkerTaskError, match="boom"):
-                backend.map(execute_run, [_small(1), failing])
+                map_runs([_small(1), failing], backend)
 
     def test_other_work_refused_before_sending(self):
         # No worker is connected: the refusal cannot wait for one.
         with ClusterBackend(start_timeout_s=0.3) as backend:
             with pytest.raises(TypeError, match="cluster workers run only"):
-                backend.map(outcome_to_wire, [_small(1)])
+                backend.map_attempts(outcome_to_wire, [_small(1)])
             with pytest.raises(TypeError, match="cluster workers run only"):
                 backend.map_attempts(execute_run, ["cm"])
 
@@ -146,7 +154,12 @@ class TestClusterMap:
     def test_no_workers_raises_with_join_hint(self):
         with ClusterBackend(start_timeout_s=0.3) as backend:
             with pytest.raises(RuntimeError, match="repro worker"):
-                backend.map(execute_run, [_small(1)])
+                map_runs([_small(1)], backend)
+
+
+def _canon(outcomes):
+    return [json.dumps(outcome_to_wire(o), sort_keys=True)
+            for o in outcomes]
 
 
 class TestClusterBitIdentity:
@@ -159,20 +172,13 @@ class TestClusterBitIdentity:
             for seed in (1, 2, 3)
         ]
 
-    @staticmethod
-    def _canon(outcomes):
-        return [
-            json.dumps(outcome_to_wire(o), sort_keys=True)
-            for o in outcomes
-        ]
-
     def test_serial_pool_cluster_identical_payloads(self):
-        serial = self._canon(map_runs(self._specs(), SerialBackend()))
-        pooled = self._canon(
+        serial = _canon(map_runs(self._specs(), SerialBackend()))
+        pooled = _canon(
             map_runs(self._specs(), ProcessPoolBackend(jobs=2)))
         with ClusterBackend() as backend:
             _thread_workers(backend, 2)
-            clustered = self._canon(map_runs(self._specs(), backend))
+            clustered = _canon(map_runs(self._specs(), backend))
         assert serial == pooled
         assert serial == clustered
 
@@ -180,9 +186,9 @@ class TestClusterBitIdentity:
         # One backend, several map calls: leases/slots must reset.
         with ClusterBackend() as backend:
             _thread_workers(backend, 2)
-            first = self._canon(map_runs(self._specs(), backend))
-            second = self._canon(map_runs(self._specs(), backend))
-            (single,) = backend.map(execute_run, [_small(4)])
+            first = _canon(map_runs(self._specs(), backend))
+            second = _canon(map_runs(self._specs(), backend))
+            (single,) = map_runs([_small(4)], backend)
         assert first == second
         assert single.key == 4
 
@@ -208,40 +214,76 @@ class TestClusterBitIdentity:
                     target_from_symmetric=True, share_target_evaluator=True,
                     variation_kind="linear", variation_with_lde=False),
         ]
-        serial = self._canon(map_runs(specs, SerialBackend()))
-        pooled = self._canon(map_runs(specs, ProcessPoolBackend(jobs=2)))
+        serial = _canon(map_runs(specs, SerialBackend()))
+        pooled = _canon(map_runs(specs, ProcessPoolBackend(jobs=2)))
         with ClusterBackend() as backend:
             _thread_workers(backend, 2)
-            clustered = self._canon(map_runs(specs, backend))
+            clustered = _canon(map_runs(specs, backend))
         assert serial == pooled
         assert serial == clustered
 
 
-def _fake_peer(backend):
-    """A raw socket registered as one worker slot of ``backend``."""
+class TestClusterFailureParity:
+    """A failing spec and a dead slot look the same on every backend."""
+
+    def test_failing_spec_raises_the_same_error_everywhere(self):
+        specs = [_small("good"),
+                 _small("bad", seed=2, builder_kwargs=(("boom", 1),))]
+        messages = []
+        with ClusterBackend() as cluster:
+            _thread_workers(cluster, 2)
+            for backend in (SerialBackend(), make_backend("pool:2"),
+                            cluster):
+                with pytest.raises(WorkerTaskError) as excinfo:
+                    map_runs(specs, backend)
+                messages.append(str(excinfo.value))
+        assert messages[0].startswith("item 1 (key='bad'")
+        assert "boom" in messages[0]
+        assert messages == [messages[0]] * 3
+
+    def test_map_runs_survives_a_slot_death(self):
+        specs = [_small(i, seed=i) for i in range(3)]
+        baseline = _canon(map_runs(specs, SerialBackend()))
+        with ClusterBackend() as backend:
+            peer = _fake_peer(backend)
+            driver, results = _drive(map_runs, specs, backend)
+            assert recv_frame(peer)["type"] == "work"
+            peer.close()  # dies holding the first lease
+            _thread_workers(backend, 1)
+            driver.join(timeout=30.0)
+            assert not driver.is_alive(), "map_runs hung on the death"
+        assert _canon(results[0]) == baseline
+
+
+def _fake_peer(backend, name="fake"):
+    """A raw socket registered as one more worker slot of ``backend``."""
+    count = backend.worker_count + 1
     sock = socket.create_connection(backend.address, timeout=10.0)
-    send_frame(sock, {"type": "hello", "name": "fake", "pid": 0})
-    assert backend.wait_for_workers(1, timeout_s=10.0) == 1
+    send_frame(sock, {"type": "hello", "name": name, "pid": 0})
+    assert backend.wait_for_workers(count, timeout_s=10.0) == count
     return sock
 
 
+def _drive(fn, *args):
+    """Run ``fn(*args)`` on a daemon thread; returns (thread, results)."""
+    results = []
+    thread = threading.Thread(
+        target=lambda: results.append(fn(*args)), daemon=True)
+    thread.start()
+    return thread, results
+
+
 def _answer_lease(backend, reply):
-    """Lease one spec to a fake peer, let ``reply(task)`` answer it, and
+    """Lease one spec to a fake peer, let ``reply(work)`` answer it, and
     return what ``map_attempts`` settled.  The driver thread is joined
     with a timeout, so a coordinator that hangs fails the test."""
-    results = []
     peer = _fake_peer(backend)
     try:
-        driver = threading.Thread(
-            target=lambda: results.append(
-                backend.map_attempts(execute_run, [_small("lease")])),
-            daemon=True,
-        )
-        driver.start()
+        driver, results = _drive(
+            backend.map_attempts, execute_run, [_small("lease")])
         work = recv_frame(peer)
         assert work["type"] == "work"
-        (task,) = work["tasks"]
-        send_frame(peer, reply(task))
+        send_frame(peer, reply(work))
         driver.join(timeout=10.0)
         assert not driver.is_alive(), "coordinator hung on the reply"
     finally:
@@ -255,12 +297,12 @@ class TestUntrustedPeer:
     frames are data: none is unpickled, none kills the coordinator."""
 
     @pytest.mark.parametrize("reply", [
-        lambda task: [1, 2],
-        lambda task: {"type": "result", "id": [task["id"]], "status": "ok"},
-        lambda task: {"type": "result", "id": True, "status": "ok"},
-        lambda task: {"type": "result", "id": task["id"] + 7,
+        lambda work: [1, 2],
+        lambda work: {"type": "result", "id": [work["id"]], "status": "ok"},
+        lambda work: {"type": "result", "id": True, "status": "ok"},
+        lambda work: {"type": "result", "id": work["id"] + 7,
                       "status": "ok"},
-        lambda task: {"type": "result", "id": task["id"],
+        lambda work: {"type": "result", "id": work["id"],
                       "status": "error", "error": ["x"]},
     ], ids=["list-frame", "list-id", "bool-id", "unknown-id",
             "list-error"])
@@ -270,6 +312,35 @@ class TestUntrustedPeer:
             assert attempt.status == ATTEMPT_KILLED
             assert deaths == 1
             assert backend.worker_count == 0
+
+    def test_result_for_another_slots_task_is_refused(self):
+        with ClusterBackend() as backend:
+            holder = _fake_peer(backend, "holder")
+            forger = _fake_peer(backend, "forger")
+            try:
+                driver, results = _drive(
+                    backend.map_attempts, execute_run, [_small("lease")])
+                work = recv_frame(holder)  # the first idle slot leases
+                send_frame(forger, {
+                    "type": "result", "id": work["id"],
+                    "status": "error", "error": "forged",
+                })
+                for __ in range(250):
+                    if backend.worker_count == 1:
+                        break
+                    threading.Event().wait(0.02)
+                assert [w["name"] for w in backend.workers()] == [
+                    "holder"], "the forger's slot survived its forgery"
+                send_frame(holder, {"type": "result", "id": work["id"],
+                                    **execute_task(work["task"])})
+                driver.join(timeout=10.0)
+                assert not driver.is_alive()
+            finally:
+                holder.close()
+                forger.close()
+        (attempt,), deaths = results[0]
+        assert attempt.ok and attempt.value.key == "lease"
+        assert deaths == 0
 
     def test_pickle_codec_result_is_never_unpickled(self, monkeypatch):
         calls = []
@@ -281,8 +352,8 @@ class TestUntrustedPeer:
         monkeypatch.setattr(pickle, "loads", refuse)
         payload = base64.b64encode(pickle.dumps({"x": 1})).decode("ascii")
         with ClusterBackend(heartbeat_timeout_s=2.0) as backend:
-            attempt, __ = _answer_lease(backend, lambda task: {
-                "type": "result", "id": task["id"], "status": "ok",
+            attempt, __ = _answer_lease(backend, lambda work: {
+                "type": "result", "id": work["id"], "status": "ok",
                 "codec": "pickle", "value": payload,
             })
         assert calls == []
@@ -302,3 +373,29 @@ class TestUntrustedPeer:
                 if any(name.split(".")[0] == "pickle" for name in names):
                     importers.append(path.relative_to(SRC).as_posix())
         assert importers == []
+
+
+class TestUntrustedCoordinator:
+    """A worker reads its coordinator's frames as data too: a frame of
+    the wrong shape ends the slot cleanly (exit 0), never with a crash
+    that would put a ``repro worker`` daemon into a respawn loop."""
+
+    @pytest.mark.parametrize("frame", [
+        [1, 2],
+        {"type": "work", "id": 0, "task": [1]},
+        {"type": "work", "id": 0, "task": 7},
+        {"type": "work", "id": "0", "task": {"codec": "spec"}},
+        {"type": "work", "tasks": [7]},
+    ], ids=["list-frame", "list-task", "int-task", "str-id", "no-task"])
+    def test_bad_work_frame_ends_the_slot(self, frame):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(10.0)
+            host, port = listener.getsockname()[:2]
+            worker, codes = _drive(run_worker, host, port)
+            conn, __ = listener.accept()
+            with conn:
+                assert recv_frame(conn)["type"] == "hello"
+                send_frame(conn, frame)
+                worker.join(timeout=10.0)
+                assert not worker.is_alive(), "worker ignored the frame"
+        assert codes == [0]
